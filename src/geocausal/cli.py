@@ -25,7 +25,7 @@ from .graph import KnowledgeGraph
 from .ingest import Strictness, ingest_observations_csv, ingest_storm_csv
 from .query import query, render_explanation_text, why
 from .rules import RuleSet, parse_duration, parse_rules
-from .storage import dump_graph, loads_graph
+from .storage import dump_graph, loads_graph, write_text_atomic
 
 DEFAULT_WORKSPACE = "geocausal.graph"
 _RULES_HEADER = "# rules: "
@@ -54,7 +54,7 @@ def _load_workspace(path: Path) -> tuple[KnowledgeGraph, str | None]:
 
 def _save_workspace(path: Path, graph: KnowledgeGraph, rules_path: str | None) -> None:
     header = f"{_RULES_HEADER}{rules_path}\n" if rules_path else ""
-    path.write_text(header + dump_graph(graph), encoding="utf-8")
+    write_text_atomic(path, header + dump_graph(graph))
 
 
 def _load_rules(rules_path: str | None):
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file")
     p_check.set_defaults(handler=_cmd_rules_check)
 
-    p_infer = sub.add_parser("infer", parents=[common], help="run causal inference to fixpoint")
+    p_infer = sub.add_parser("infer", parents=[common], help="run causal inference (one stratified pass over the rules)")
     p_infer.add_argument("--rules", help="rule file (recorded in the workspace for later commands)")
     p_infer.add_argument("--max-gap", default="24h", help="max gap between a situation and the event it effects (default 24h)")
     p_infer.add_argument("--no-spatial", action="store_true", help="drop the spatial overlap requirement")

@@ -1,6 +1,6 @@
 """Forward-chaining materialization of causal edges.
 
-Four monotone rules are applied to a least fixpoint:
+Four monotone rules close the graph:
 
   R-SAT  a situation whose observations satisfy a precondition set gets a
          satisfies edge to that set's id.
@@ -12,6 +12,13 @@ Four monotone rules are applied to a least fixpoint:
          whose regions meet the pattern's spatio-temporal constraint.
   R-AFF  a situation that is the setting of an event affects that event's
          participating objects.
+
+The rules are stratified. R-SAT reads situations and their observations.
+R-EFF reads the satisfies edges, asserted or derived by R-SAT. R-CAU reads
+only events and their regions, and R-AFF only the asserted setting and
+participant-in edges. No rule reads causes, effects or affects. So one pass
+in the order SAT, EFF, CAU, AFF reaches the least fixpoint. A new rule that
+reads a derived predicate must run after the rule that derives it.
 
 Every derived triple records its rule id and premise triples. Candidates
 that were considered but rejected are reported as diagnostics with one of
@@ -60,17 +67,14 @@ class InferenceResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-def _stp_key(graph: KnowledgeGraph, entity_id: str) -> TripleKey | None:
-    for t in graph.match(subject=entity_id, predicate=RelationKind.SPATIO_TEMPORALLY_PRESENT):
-        return t.key
-    return None
-
-
 def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = None) -> InferenceResult:
     """Close the graph under the four rules; mutates the graph in place.
 
-    The result is the least fixpoint: deterministic for a given graph and
-    rule set no matter how iterations are staged internally.
+    The result is the least fixpoint, deterministic for a given graph and
+    rule set. R-EFF reads the satisfies edges R-SAT derives and no rule
+    reads causes, effects or affects, so one pass in the order SAT, EFF,
+    CAU, AFF reaches it and ``iterations`` is always 1. A new rule that
+    reads a derived predicate must run after the rule that derives it.
     """
     if config is None:
         config = EngineConfig()
@@ -78,21 +82,26 @@ def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = N
     if not report.ok:
         raise ValidationFailure("; ".join(report.schema_errors))
 
+    # entity id -> (region, key of its spatio-temporally-present triple); the
+    # region whose id sorts first wins, as in KnowledgeGraph.region_of. No
+    # rule adds entities or such triples, so both indexes hold for the pass.
+    presence = {}
+    for t in graph.match(predicate=RelationKind.SPATIO_TEMPORALLY_PRESENT):
+        presence.setdefault(t.subject, (graph.entity(t.object), t.key))
+    events_by_kind = {}  # event kind -> ids of the events that have a region
+    for event in graph.entities(Role.EVENT):
+        if event.id in presence:
+            events_by_kind.setdefault(event.kind, []).append(event.id)
+
     derived: list[Triple] = []
     diagnostics: set[Diagnostic] = set()
-    iterations = 0
-    while True:
-        iterations += 1
-        changed = False
-        changed |= _rule_sat(graph, rules, derived, diagnostics)
-        changed |= _rule_eff(graph, rules, config, derived, diagnostics)
-        changed |= _rule_cau(graph, rules, derived)
-        changed |= _rule_aff(graph, derived)
-        if not changed:
-            break
+    _rule_sat(graph, rules, derived, diagnostics)
+    _rule_eff(graph, rules, config, presence, events_by_kind, derived, diagnostics)
+    _rule_cau(graph, rules, presence, events_by_kind, derived)
+    _rule_aff(graph, derived)
     return InferenceResult(
         derived=sorted(derived, key=triple_sort_key),
-        iterations=iterations,
+        iterations=1,
         diagnostics=sorted(diagnostics),
     )
 
@@ -105,23 +114,19 @@ def _derive(
     object: str,
     rule_id: str,
     premises: tuple[TripleKey, ...],
-) -> bool:
-    if graph.has_triple(subject, predicate, object):
-        return False
-    triple = graph.add_triple(subject, predicate, object, Derived(rule_id, premises))
-    derived.append(triple)
-    return True
+) -> None:
+    if not graph.has_triple(subject, predicate, object):
+        derived.append(graph.add_triple(subject, predicate, object, Derived(rule_id, premises)))
 
 
-def _rule_sat(graph, rules, derived, diagnostics) -> bool:
-    changed = False
+def _rule_sat(graph, rules, derived, diagnostics) -> None:
     for situation in graph.entities(Role.SITUATION):
         for pc in rules.preconditions:
             if graph.has_triple(situation.id, RelationKind.SATISFIES, pc.id):
                 continue
             result = evaluate(pc, situation)
             if result.satisfied is Truth.TRUE:
-                changed |= _derive(
+                _derive(
                     graph,
                     derived,
                     situation.id,
@@ -134,11 +139,9 @@ def _rule_sat(graph, rules, derived, diagnostics) -> bool:
                 diagnostics.add(
                     Diagnostic("R-SAT", (situation.id, pc.id), "unknown-satisfaction")
                 )
-    return changed
 
 
-def _rule_eff(graph, rules, config, derived, diagnostics) -> bool:
-    changed = False
+def _rule_eff(graph, rules, config, presence, events_by_kind, derived, diagnostics) -> None:
     for satisfies in graph.match(predicate=RelationKind.SATISFIES):
         situation = graph.entity(satisfies.subject)
         if not isinstance(situation, GeoSituation):
@@ -151,52 +154,39 @@ def _rule_eff(graph, rules, config, derived, diagnostics) -> bool:
         if any(not isinstance(x, GeoObject) for x in setters):
             diagnostics.add(Diagnostic("R-EFF", (situation.id, pc.id), "mixed-setting"))
             continue
-        object_regions = []
-        object_stp_keys = []
-        for x in setters:
-            region = graph.region_of(x.id)
-            if region is not None:
-                object_regions.append(region)
-                object_stp_keys.append(_stp_key(graph, x.id))
+        object_presence = [presence[x.id] for x in setters if x.id in presence]
         candidates = []
-        for event in graph.entities(Role.EVENT):
-            if event.kind != pc.event_kind:
-                continue
-            region = graph.region_of(event.id)
-            if region is None:
-                continue
+        for event_id in events_by_kind.get(pc.event_kind, ()):
+            region = presence[event_id][0]
             if not precedes(situation.holds_during, region.interval):
                 continue
             if gap_between(situation.holds_during, region.interval) > config.max_gap:
                 continue
-            candidates.append((event, region))
+            candidates.append(event_id)
         if not candidates:
             diagnostics.add(Diagnostic("R-EFF", (situation.id, pc.id), "no-temporal-adjacency"))
             continue
-        for event, region in candidates:
+        for event_id in candidates:
+            region, event_stp = presence[event_id]
             if config.require_spatial_overlap and not any(
-                spatial_overlap(region.geometry, r.geometry) for r in object_regions
+                spatial_overlap(region.geometry, r.geometry) for r, _ in object_presence
             ):
                 diagnostics.add(
-                    Diagnostic("R-EFF", (situation.id, pc.id, event.id), "no-spatial-overlap")
+                    Diagnostic("R-EFF", (situation.id, pc.id, event_id), "no-spatial-overlap")
                 )
                 continue
-            premises = [satisfies.key]
+            premises = [satisfies.key, event_stp]
             premises.extend(t.key for t in setting_triples)
-            event_stp = _stp_key(graph, event.id)
-            if event_stp is not None:
-                premises.append(event_stp)
-            premises.extend(k for k in object_stp_keys if k is not None)
-            changed |= _derive(
+            premises.extend(k for _, k in object_presence)
+            _derive(
                 graph,
                 derived,
                 situation.id,
                 RelationKind.EFFECTS,
-                event.id,
+                event_id,
                 f"R-EFF:{pc.id}",
                 tuple(sorted(set(premises), key=lambda k: (k[0], k[1].value, k[2]))),
             )
-    return changed
 
 
 def _constraint_holds(constraint, region_a, region_b) -> bool:
@@ -212,45 +202,32 @@ def _constraint_holds(constraint, region_a, region_b) -> bool:
     raise TypeError(f"unknown constraint {constraint!r}")
 
 
-def _rule_cau(graph, rules, derived) -> bool:
-    changed = False
-    events = graph.entities(Role.EVENT)
+def _rule_cau(graph, rules, presence, events_by_kind, derived) -> None:
     for rule in rules.cause_rules:
-        causes = [e for e in events if e.kind == rule.cause_kind]
-        effects = [e for e in events if e.kind == rule.effect_kind]
-        for a in causes:
-            region_a = graph.region_of(a.id)
-            if region_a is None:
-                continue
+        effects = events_by_kind.get(rule.effect_kind, ())
+        for a in events_by_kind.get(rule.cause_kind, ()):
+            region_a, stp_a = presence[a]
             for b in effects:
-                region_b = graph.region_of(b.id)
-                if region_b is None:
-                    continue
-                if not _constraint_holds(rule.constraint, region_a, region_b):
-                    continue
-                premises = tuple(
-                    k for k in (_stp_key(graph, a.id), _stp_key(graph, b.id)) if k is not None
-                )
-                changed |= _derive(
-                    graph,
-                    derived,
-                    a.id,
-                    RelationKind.CAUSES,
-                    b.id,
-                    f"R-CAU:{rule.id}",
-                    premises,
-                )
-    return changed
+                region_b, stp_b = presence[b]
+                if _constraint_holds(rule.constraint, region_a, region_b):
+                    _derive(
+                        graph,
+                        derived,
+                        a,
+                        RelationKind.CAUSES,
+                        b,
+                        f"R-CAU:{rule.id}",
+                        (stp_a, stp_b),
+                    )
 
 
-def _rule_aff(graph, derived) -> bool:
-    changed = False
+def _rule_aff(graph, derived) -> None:
     for setting in graph.match(predicate=RelationKind.SETTING):
         event = graph.entity(setting.subject)
         if not isinstance(event, GeoEvent):
             continue
         for participant in graph.match(predicate=RelationKind.PARTICIPANT_IN, object=event.id):
-            changed |= _derive(
+            _derive(
                 graph,
                 derived,
                 setting.object,
@@ -259,7 +236,6 @@ def _rule_aff(graph, derived) -> bool:
                 "R-AFF",
                 tuple(sorted((setting.key, participant.key), key=lambda k: (k[0], k[1].value, k[2]))),
             )
-    return changed
 
 
 # --------------------------------------------------------------------------

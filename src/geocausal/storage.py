@@ -18,6 +18,7 @@ id and premise count; premise identities are an in-memory structure only.
 from __future__ import annotations
 
 import io
+import os
 import re
 import shlex
 from pathlib import Path
@@ -118,10 +119,24 @@ def dump_graph(graph: KnowledgeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a temporary file in the same
+    directory, so a crash or a concurrent writer never leaves a truncated
+    file. No fsync: this guards against process failures, not power loss."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def save_graph(graph: KnowledgeGraph, sink: str | Path | IO[str]) -> None:
     text = dump_graph(graph)
     if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
+        write_text_atomic(sink, text)
     else:
         sink.write(text)
 

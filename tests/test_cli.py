@@ -107,6 +107,25 @@ class TestSubcommands:
         assert code == 1
         assert "error[io]" in err
 
+    def test_failed_save_keeps_old_workspace(self, capsys, tmp_path, workspace, storm_file, monkeypatch):
+        import os
+
+        run(capsys, "ingest", "storm", storm_file, "--workspace", workspace)
+        before = (tmp_path / "test.graph").read_bytes()
+        listing = sorted(p.name for p in tmp_path.iterdir())
+
+        def fail(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        code, _, err = run(
+            capsys, "ingest", "storm", storm_file, "--prefix", "ev2:", "--workspace", workspace
+        )
+        assert code == 1
+        assert "error[io]" in err
+        assert (tmp_path / "test.graph").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
     def test_internal_failure_is_exit_2(self, capsys, workspace, monkeypatch):
         import geocausal.cli as cli_module
 
