@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import timedelta
 
-from .errors import ConfigError, UnknownTriple, ValidationFailure
+from .errors import ConfigError, ProvenanceCycle, ValidationFailure
 from .graph import Derived, KnowledgeGraph, RelationKind, Role, Triple, TripleKey, triple_sort_key
 from .model import GeoEvent, GeoObject, GeoSituation
 from .rules import CoOccurs, Precedes, PrecedesWithin, RuleSet, Truth, evaluate
@@ -247,46 +247,49 @@ def _rule_aff(graph, derived) -> None:
 class ProvenanceTree:
     """Why a triple is in the graph: a rule application over premise trees.
 
-    Asserted triples are leaves. For graphs loaded from text the premise
-    identities are gone; ``unresolved_premises`` then counts them.
+    Asserted triples are leaves. Premise keys persist, so a tree built from
+    a reloaded workspace is the tree built before the save.
     """
 
     triple: Triple
     rule_id: str | None = None
     premises: list[ProvenanceTree] = field(default_factory=list)
-    unresolved_premises: int = 0
 
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
         t = self.triple
         head = f"{pad}({t.subject} {t.predicate.value} {t.object})"
         if self.rule_id is None:
-            lines = [head + " [asserted]"]
-        else:
-            lines = [head + f" [derived by {self.rule_id}]"]
-            for premise in self.premises:
-                lines.append(premise.render(indent + 1))
-            if self.unresolved_premises:
-                lines.append(f"{pad}  ({self.unresolved_premises} premise(s) not persisted)")
+            return head + " [asserted]"
+        lines = [head + f" [derived by {self.rule_id}]"]
+        lines.extend(premise.render(indent + 1) for premise in self.premises)
         return "\n".join(lines)
 
 
 def explain(graph: KnowledgeGraph, triple: Triple | TripleKey) -> ProvenanceTree:
-    """Expand a triple's provenance recursively; premises predate their
-    conclusion, so the expansion is finite and acyclic."""
-    key = triple.key if isinstance(triple, Triple) else triple
-    stored = graph.triple(key)  # raises UnknownTriple
-    provenance = stored.provenance
-    if not stored.is_derived:
-        return ProvenanceTree(stored)
-    premises: list[ProvenanceTree] = []
-    unresolved = 0
-    if provenance.premises:
-        for premise_key in provenance.premises:
-            try:
-                premises.append(explain(graph, premise_key))
-            except UnknownTriple:
-                unresolved += 1
-    else:
-        unresolved = provenance.count
-    return ProvenanceTree(stored, provenance.rule_id, premises, unresolved)
+    """Expand a triple's provenance, each premise once (shared premises share
+    their tree) and without recursion, so a chain of any depth expands. A
+    premise key that names no stored triple raises UnknownTriple, and a
+    hand-edited cycle raises ProvenanceCycle."""
+    root = triple.key if isinstance(triple, Triple) else triple
+    trees: dict[TripleKey, ProvenanceTree] = {}
+    expanding: set[TripleKey] = set()  # keys whose premises are not all expanded yet
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in trees:
+            stack.pop()
+            continue
+        stored = graph.triple(key)  # raises UnknownTriple
+        premises = stored.provenance.premises if stored.is_derived else ()
+        if key not in expanding:
+            expanding.add(key)
+            if any(premise in expanding for premise in premises):
+                raise ProvenanceCycle(f"({key[0]} {key[1].value} {key[2]}) is among its own premises")
+            stack.extend(premise for premise in premises if premise not in trees)
+            continue
+        stack.pop()
+        expanding.discard(key)
+        rule_id = stored.provenance.rule_id if stored.is_derived else None
+        trees[key] = ProvenanceTree(stored, rule_id, [trees[k] for k in premises])
+    return trees[root]

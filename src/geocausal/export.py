@@ -11,28 +11,10 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .graph import (
-    ASSERTED,
-    Derived,
-    KnowledgeGraph,
-    RELATION_TOKENS,
-    Role,
-    Triple,
-    role_of,
-)
-from .model import (
-    GeoEvent,
-    GeoObject,
-    GeoSituation,
-    Measurement,
-    SpatioTemporalRegion,
-    TimeInterval,
-    format_timestamp,
-    parse_timestamp,
-)
+from .graph import KnowledgeGraph, Role, Triple, role_of
+from .model import GeoEvent, GeoObject
 from .query import Explanation
-from .storage import format_geometry, parse_geometry
-from .units import format_value, parse_value
+from .storage import entity_doc, graph_from_docs, triple_doc
 
 _DOT_SHAPES = {
     Role.EVENT: "box",
@@ -99,52 +81,21 @@ def explanation_to_dot(explanation: Explanation, graph: KnowledgeGraph) -> str:
 # --------------------------------------------------------------------------
 
 
-def _entity_doc(entity) -> dict:
-    if isinstance(entity, GeoEvent):
-        return {"id": entity.id, "role": "event", "kind": entity.kind}
-    if isinstance(entity, GeoObject):
-        return {
-            "id": entity.id,
-            "role": "object",
-            "kind": entity.kind,
-            "attributes": {m.attribute: format_value(m.value) for m in entity.attributes},
-        }
-    if isinstance(entity, GeoSituation):
-        return {
-            "id": entity.id,
-            "role": "situation",
-            "start": format_timestamp(entity.holds_during.start),
-            "end": format_timestamp(entity.holds_during.end),
-            "observations": {m.attribute: format_value(m.value) for m in entity.observations},
-        }
-    return {
-        "id": entity.id,
-        "role": "region",
-        "geometry": format_geometry(entity.geometry),
-        "start": format_timestamp(entity.interval.start),
-        "end": format_timestamp(entity.interval.end),
-    }
-
-
-def _triple_doc(t: Triple) -> dict:
-    doc = {"subject": t.subject, "predicate": t.predicate.value, "object": t.object}
-    if t.is_derived:
-        doc["provenance"] = "derived"
-        doc["rule"] = t.provenance.rule_id
-        doc["premises"] = t.provenance.count
-    else:
-        doc["provenance"] = "asserted"
-    return doc
-
-
 def graph_to_json(graph: KnowledgeGraph) -> str:
     doc = {
         "format": "geocausal-graph",
-        "version": 1,
-        "entities": [_entity_doc(e) for e in graph.entities()],
-        "triples": [_triple_doc(t) for t in graph.triples()],
+        "version": 2,
+        "entities": [entity_doc(e) for e in graph.entities()],
+        "triples": [triple_doc(t) for t in graph.triples()],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _entries(doc: dict, name: str) -> list[tuple[str, dict]]:
+    entries = doc.get(name, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ParseError(f"{name!r} must be a list of objects")
+    return [(f"{name}[{i}]", entry) for i, entry in enumerate(entries)]
 
 
 def graph_from_json(text: str) -> KnowledgeGraph:
@@ -154,53 +105,22 @@ def graph_from_json(text: str) -> KnowledgeGraph:
         raise ParseError(f"invalid JSON: {exc}", getattr(exc, "lineno", None)) from None
     if not isinstance(doc, dict) or doc.get("format") != "geocausal-graph":
         raise ParseError("not a geocausal-graph document")
-    graph = KnowledgeGraph()
-    for entry in doc.get("entities", []):
-        role = entry.get("role")
-        if role == "event":
-            graph.add_entity(GeoEvent(entry["id"], entry["kind"]))
-        elif role == "object":
-            attrs = tuple(
-                Measurement(name, parse_value(raw))
-                for name, raw in entry.get("attributes", {}).items()
-            )
-            graph.add_entity(GeoObject(entry["id"], entry["kind"], attrs))
-        elif role == "situation":
-            obs = tuple(
-                Measurement(name, parse_value(raw))
-                for name, raw in entry.get("observations", {}).items()
-            )
-            interval = TimeInterval(parse_timestamp(entry["start"]), parse_timestamp(entry["end"]))
-            graph.add_entity(GeoSituation(entry["id"], interval, obs))
-        elif role == "region":
-            interval = TimeInterval(parse_timestamp(entry["start"]), parse_timestamp(entry["end"]))
-            graph.add_entity(
-                SpatioTemporalRegion(entry["id"], parse_geometry(entry["geometry"]), interval)
-            )
-        else:
-            raise ParseError(f"unknown entity role {role!r}")
-    for entry in doc.get("triples", []):
-        predicate = RELATION_TOKENS.get(entry.get("predicate", ""))
-        if predicate is None:
-            raise ParseError(f"unknown relation {entry.get('predicate')!r}")
-        provenance = ASSERTED
-        if entry.get("provenance") == "derived":
-            provenance = Derived(entry.get("rule", "?"), (), int(entry.get("premises", 0)))
-        graph.add_triple(entry["subject"], predicate, entry["object"], provenance)
-    return graph
+    if doc.get("version") != 2:
+        raise ParseError(f"unsupported geocausal-graph version {doc.get('version')!r}")
+    return graph_from_docs(_entries(doc, "entities"), _entries(doc, "triples"))
 
 
 def explanation_to_json(explanation: Explanation, graph: KnowledgeGraph) -> str:
     doc = {
         "format": "geocausal-explanation",
-        "version": 1,
+        "version": 2,
         "root": explanation.root,
         "depth_reached": explanation.depth_reached,
         "truncated": explanation.truncated,
-        "nodes": [_entity_doc(graph.entity(n)) for n in explanation.nodes],
+        "nodes": [entity_doc(graph.entity(n)) for n in explanation.nodes],
         "edges": [
             {
-                **_triple_doc(edge.triple),
+                **triple_doc(edge.triple),
                 "depth": edge.depth,
                 "precondition": edge.precondition_id,
                 "evidence": [
@@ -216,6 +136,6 @@ def explanation_to_json(explanation: Explanation, graph: KnowledgeGraph) -> str:
             }
             for edge in explanation.edges
         ],
-        "affects": [_triple_doc(t) for t in explanation.affects],
+        "affects": [triple_doc(t) for t in explanation.affects],
     }
     return json.dumps(doc, indent=2) + "\n"

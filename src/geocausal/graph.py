@@ -112,18 +112,16 @@ ASSERTED = Asserted()
 class Derived:
     """Provenance of an inferred triple: the rule and its premise triples.
 
-    Graphs loaded from text keep only the premise count (premise identities
-    are not part of the persistence format); ``premise_count`` then carries
-    the original arity while ``premises`` is empty.
+    The rule id is a bare token, like an entity id, so that it persists
+    without escaping. The premise keys are stored, persisted and reloaded
+    in order; a graph loaded from a version 1 document has none.
     """
 
     rule_id: str
     premises: tuple[TripleKey, ...] = ()
-    premise_count: int | None = None
 
-    @property
-    def count(self) -> int:
-        return self.premise_count if self.premise_count is not None else len(self.premises)
+    def __post_init__(self):
+        validate_entity_id(self.rule_id, "rule id")
 
 
 Provenance = Asserted | Derived

@@ -22,22 +22,16 @@ _DATE_ONLY = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
 EntityId = str
 
 
-def validate_entity_id(value: str) -> str:
+def validate_entity_id(value: str, what: str = "entity id") -> str:
+    """Check an entity id, kind or rule id: a non-empty token without
+    whitespace, control characters or ``"``, so it persists unescaped."""
     if not isinstance(value, str) or not value:
-        raise InvariantViolation("entity id must be a non-empty string")
+        raise InvariantViolation(f"{what} must be a non-empty string")
     if _ID_FORBIDDEN.search(value):
         raise InvariantViolation(
-            f"entity id {value!r} must not contain whitespace, control or quote characters"
+            f"{what} {value!r} must not contain whitespace, control or quote characters"
         )
     return value
-
-
-def _validate_kind(kind: str) -> str:
-    if not isinstance(kind, str) or not kind:
-        raise InvariantViolation("kind must be a non-empty label")
-    if _ID_FORBIDDEN.search(kind):
-        raise InvariantViolation(f"kind {kind!r} must be a single bare label")
-    return kind
 
 
 def parse_timestamp(value: str | datetime) -> datetime:
@@ -66,7 +60,8 @@ def parse_timestamp(value: str | datetime) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    dt = dt.astimezone(timezone.utc)
+    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}Z"  # %Y does not zero-pad years before 1000
 
 
 @dataclass(frozen=True, order=True)
@@ -186,7 +181,7 @@ class GeoObject:
 
     def __post_init__(self):
         validate_entity_id(self.id)
-        _validate_kind(self.kind)
+        validate_entity_id(self.kind, "kind")
         object.__setattr__(self, "attributes", _measurement_tuple(self.attributes, "attribute"))
 
     def attribute(self, name: str) -> Value | None:
@@ -205,7 +200,7 @@ class GeoEvent:
 
     def __post_init__(self):
         validate_entity_id(self.id)
-        _validate_kind(self.kind)
+        validate_entity_id(self.kind, "kind")
 
 
 @dataclass(frozen=True)

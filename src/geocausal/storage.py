@@ -1,4 +1,5 @@
-"""Line-oriented text persistence for knowledge graphs.
+"""Line-oriented text persistence for knowledge graphs, and the record
+codec that the JSON export shares.
 
 One record per line, UTF-8, ``#`` comments and blank lines ignored:
 
@@ -7,12 +8,23 @@ One record per line, UTF-8, ``#`` comments and blank lines ignored:
     ENT <id> situation - .start=<rfc3339> .end=<rfc3339> [Attr="<value>"]...
     REG <id> POINT(<lat> <lon>) <start> <end>
     REG <id> BBOX(<minlat> <minlon> <maxlat> <maxlon>) <start> <end>
-    TRI <subject> <predicate> <object> [DERIVED rule=<id> premises=<n>]
+    TRI <subject> <predicate> <object> [DERIVED rule=<id> [<s> <p> <o>]...]
 
 Output ordering is bit-exact: entities sorted by id, then triples sorted
 by (subject, predicate, object). Attribute values use the measurement
-literal form ("82 degF", "present"). Derived triples persist their rule
-id and premise count; premise identities are an in-memory structure only.
+literal form ("82 degF", "present"). A derived triple lists the keys of
+its premises, three tokens each, in stored order.
+
+No record needs an escape. The model forbids whitespace, control
+characters and ``"`` in ids, kinds and rule ids, and whitespace and ``"``
+in categorical tokens, so a record splits on whitespace outside double
+quotes and its quotes are simply dropped. Version 1 documents ended a
+derived triple with ``premises=<n>``; such a record loads with no
+premises, because version 1 never stored which triples they were.
+
+Text records and the JSON export share one document form, plain dicts
+and lists of strings: ``entity_doc`` and ``triple_doc`` encode it, and
+``graph_from_docs`` decodes it.
 """
 
 from __future__ import annotations
@@ -20,20 +32,11 @@ from __future__ import annotations
 import io
 import os
 import re
-import shlex
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterable
 
-from .errors import (
-    DuplicateId,
-    GeoCausalError,
-    InvariantViolation,
-    OrderViolation,
-    ParseError,
-    SchemaViolation,
-    UnknownEntity,
-)
-from .graph import ASSERTED, Derived, KnowledgeGraph, RELATION_TOKENS, Triple, role_of
+from .errors import DuplicateId, GeoCausalError, InvariantViolation, ParseError
+from .graph import ASSERTED, Derived, KnowledgeGraph, Provenance, RELATION_TOKENS, Triple, TripleKey
 from .model import (
     BBox,
     Entity,
@@ -46,16 +49,16 @@ from .model import (
     SpatioTemporalRegion,
     TimeInterval,
     format_timestamp,
-    parse_timestamp,
 )
 from .units import format_magnitude, format_value, parse_value
 
-HEADER = "# geocausal graph v1"
+HEADER = "# geocausal graph v2"
 
+_TOKEN_RE = re.compile(r'(?:[^\s"]|"[^"]*")+')
 _REG_RE = re.compile(
-    r"REG\s+(?P<id>\S+)\s+(?P<shape>POINT|BBOX)\((?P<coords>[^)]*)\)\s+(?P<start>\S+)\s+(?P<end>\S+)\s*\Z"
+    r"REG\s+(?P<id>\S+)\s+(?P<geometry>(?:POINT|BBOX)\([^)]*\))\s+(?P<start>\S+)\s+(?P<end>\S+)\s*\Z"
 )
-_KV_RE = re.compile(r"(?P<key>[.\w]+)=(?P<value>.*)\Z", re.S)
+_V1_PREMISE_COUNT = re.compile(r"premises=\d+\Z")
 
 
 def format_geometry(geometry: Geometry) -> str:
@@ -86,36 +89,169 @@ def parse_geometry(text: str) -> Geometry:
     return BBox(*coords)
 
 
-def _entity_line(entity: Entity) -> str:
+def entity_doc(entity: Entity) -> dict:
+    """An entity as a document: the JSON export's form, and the text record's fields."""
     if isinstance(entity, GeoEvent):
-        return f"ENT {entity.id} event {entity.kind}"
+        return {"id": entity.id, "role": "event", "kind": entity.kind}
     if isinstance(entity, GeoObject):
-        attrs = "".join(f' {m.attribute}="{format_value(m.value)}"' for m in entity.attributes)
-        return f"ENT {entity.id} object {entity.kind}{attrs}"
+        return {
+            "id": entity.id,
+            "role": "object",
+            "kind": entity.kind,
+            "attributes": {m.attribute: format_value(m.value) for m in entity.attributes},
+        }
     if isinstance(entity, GeoSituation):
-        attrs = "".join(f' {m.attribute}="{format_value(m.value)}"' for m in entity.observations)
-        return (
-            f"ENT {entity.id} situation - "
-            f".start={format_timestamp(entity.holds_during.start)} "
-            f".end={format_timestamp(entity.holds_during.end)}{attrs}"
-        )
-    return (
-        f"REG {entity.id} {format_geometry(entity.geometry)} "
-        f"{format_timestamp(entity.interval.start)} {format_timestamp(entity.interval.end)}"
-    )
+        return {
+            "id": entity.id,
+            "role": "situation",
+            "start": format_timestamp(entity.holds_during.start),
+            "end": format_timestamp(entity.holds_during.end),
+            "observations": {m.attribute: format_value(m.value) for m in entity.observations},
+        }
+    return {
+        "id": entity.id,
+        "role": "region",
+        "geometry": format_geometry(entity.geometry),
+        "start": format_timestamp(entity.interval.start),
+        "end": format_timestamp(entity.interval.end),
+    }
+
+
+def triple_doc(t: Triple) -> dict:
+    """A triple as a document, its premises as [subject, predicate, object] lists."""
+    doc = {"subject": t.subject, "predicate": t.predicate.value, "object": t.object}
+    if t.is_derived:
+        doc["provenance"] = "derived"
+        doc["rule"] = t.provenance.rule_id
+        doc["premises"] = [[s, p.value, o] for s, p, o in t.provenance.premises]
+    else:
+        doc["provenance"] = "asserted"
+    return doc
+
+
+def _string(doc: dict, name: str) -> str:
+    value = doc.get(name)
+    if not isinstance(value, str):
+        raise ParseError(f"{doc['role']} record needs a string {name!r}")
+    return value
+
+
+def _measurements(doc: dict, name: str) -> tuple[Measurement, ...]:
+    values = doc.get(name, {})
+    if not isinstance(values, dict) or not all(isinstance(v, str) for v in values.values()):
+        raise ParseError(f"{name!r} must map attribute names to value literals")
+    return tuple(Measurement(key, parse_value(raw)) for key, raw in values.items())
+
+
+def _entity_from_doc(doc: dict) -> Entity:
+    role = doc.get("role")
+    try:
+        if role == "event":
+            if doc.get("attributes"):
+                raise ParseError("event records carry no attributes")
+            return GeoEvent(_string(doc, "id"), _string(doc, "kind"))
+        if role == "object":
+            return GeoObject(_string(doc, "id"), _string(doc, "kind"), _measurements(doc, "attributes"))
+        if role in ("situation", "region"):
+            interval = TimeInterval(_string(doc, "start"), _string(doc, "end"))
+            if role == "situation":
+                return GeoSituation(_string(doc, "id"), interval, _measurements(doc, "observations"))
+            geometry = parse_geometry(_string(doc, "geometry"))
+            return SpatioTemporalRegion(_string(doc, "id"), geometry, interval)
+    except ParseError:
+        raise
+    except GeoCausalError as exc:
+        raise ParseError(str(exc)) from None
+    raise ParseError(f"unknown entity role {role!r}")
+
+
+def _triple_key(subject, predicate, object_) -> TripleKey:
+    if not all(isinstance(term, str) for term in (subject, predicate, object_)):
+        raise ParseError("a triple needs string subject, predicate and object")
+    relation = RELATION_TOKENS.get(predicate)
+    if relation is None:
+        raise ParseError(f"unknown relation {predicate!r}")
+    return (subject, relation, object_)
+
+
+def _triple_from_doc(doc: dict) -> tuple[TripleKey, Provenance]:
+    key = _triple_key(doc.get("subject"), doc.get("predicate"), doc.get("object"))
+    if doc.get("provenance") != "derived":
+        return key, ASSERTED
+    premises = doc.get("premises", [])
+    if not isinstance(premises, list) or any(not isinstance(p, list) or len(p) != 3 for p in premises):
+        raise ParseError("premises must be a list of [subject, predicate, object]")
+    try:
+        return key, Derived(doc.get("rule"), tuple(_triple_key(*p) for p in premises))
+    except InvariantViolation as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _located(exc: GeoCausalError, where: int | str) -> GeoCausalError:
+    """``exc`` naming the record it came from: a text line or a JSON entry."""
+    if isinstance(where, int) and isinstance(exc, ParseError):
+        return ParseError(str(exc), where)
+    return type(exc)(f"{f'line {where}' if isinstance(where, int) else where}: {exc}")
+
+
+def graph_from_docs(
+    entities: Iterable[tuple[int | str, dict]], triples: Iterable[tuple[int | str, dict]]
+) -> KnowledgeGraph:
+    """Build a graph from entity and triple documents, each paired with
+    where it came from (a line number or a JSON entry name). Every premise
+    key must name a stored triple. Errors name the offending record."""
+    graph = KnowledgeGraph()
+    derived: list[tuple[int | str, Derived]] = []
+    try:
+        for where, doc in entities:
+            try:
+                graph.add_entity(_entity_from_doc(doc))
+            except DuplicateId as exc:
+                raise ParseError(str(exc)) from None
+        for where, doc in triples:
+            key, provenance = _triple_from_doc(doc)
+            graph.add_triple(*key, provenance)
+            if provenance is not ASSERTED:
+                derived.append((where, provenance))
+        for where, provenance in derived:
+            for s, p, o in provenance.premises:
+                if not graph.has_triple(s, p, o):
+                    raise ParseError(f"premise ({s} {p.value} {o}) is not a stored triple")
+    except GeoCausalError as exc:
+        raise _located(exc, where) from None
+    return graph
+
+
+def _entity_line(entity: Entity) -> str:
+    doc = entity_doc(entity)
+    if doc["role"] == "region":
+        return f"REG {doc['id']} {doc['geometry']} {doc['start']} {doc['end']}"
+    if doc["role"] == "situation":
+        head = f"ENT {doc['id']} situation - .start={doc['start']} .end={doc['end']}"
+        values = doc["observations"]
+    else:
+        head = f"ENT {doc['id']} {doc['role']} {doc['kind']}"
+        values = doc.get("attributes", {})
+    return head + "".join(f' {name}="{value}"' for name, value in values.items())
 
 
 def _triple_line(t: Triple) -> str:
     line = f"TRI {t.subject} {t.predicate.value} {t.object}"
     if t.is_derived:
-        line += f" DERIVED rule={t.provenance.rule_id} premises={t.provenance.count}"
+        line += f" DERIVED rule={t.provenance.rule_id}"
+        line += "".join(f" {s} {p.value} {o}" for s, p, o in t.provenance.premises)
     return line
 
 
 def dump_graph(graph: KnowledgeGraph) -> str:
+    """The graph as a text document. A premise key that names no stored
+    triple raises UnknownTriple here, because the reader would reject it."""
     lines = [HEADER]
     lines.extend(_entity_line(e) for e in graph.entities())
-    lines.extend(_triple_line(t) for t in graph.triples())
+    for t in graph.triples():
+        for premise in getattr(t.provenance, "premises", ()):
+            graph.triple(premise)
+        lines.append(_triple_line(t))
     return "\n".join(lines) + "\n"
 
 
@@ -141,124 +277,77 @@ def save_graph(graph: KnowledgeGraph, sink: str | Path | IO[str]) -> None:
         sink.write(text)
 
 
-def _parse_entity_line(line: str, lineno: int) -> Entity:
-    try:
-        tokens = shlex.split(line)
-    except ValueError as exc:
-        raise ParseError(f"unbalanced quoting: {exc}", lineno) from None
+def _split_record(line: str, lineno: int) -> list[str]:
+    """Split on whitespace outside double quotes, then drop the quotes. The
+    writer escapes nothing, so the reader processes no escapes."""
+    if line.count('"') % 2:
+        raise ParseError("unbalanced double quote", lineno)
+    return [token.replace('"', "") for token in _TOKEN_RE.findall(line)]
+
+
+def _entity_record(tokens: list[str], lineno: int) -> dict:
     if len(tokens) < 4:
         raise ParseError("ENT record needs at least <id> <role> <kind>", lineno)
-    _, entity_id, role, kind = tokens[:4]
-    rest = tokens[4:]
-    keyed: dict[str, str] = {}
+    _, entity_id, role, kind, *rest = tokens
+    values: dict[str, str] = {}
     for token in rest:
-        m = _KV_RE.fullmatch(token)
-        if not m:
+        key, equals, value = token.partition("=")
+        if not equals:
             raise ParseError(f"expected key=value attribute, got {token!r}", lineno)
-        if m.group("key") in keyed:
-            raise ParseError(f"duplicate attribute key {m.group('key')!r}", lineno)
-        keyed[m.group("key")] = m.group("value")
-
-    def measurements(skip: set[str]) -> list[Measurement]:
-        out = []
-        for key, raw in keyed.items():
-            if key in skip:
-                continue
-            out.append(Measurement(key, parse_value(raw)))
-        return out
-
-    try:
-        if role == "event":
-            if keyed:
-                raise ParseError("event records carry no attributes", lineno)
-            return GeoEvent(entity_id, kind)
-        if role == "object":
-            return GeoObject(entity_id, kind, tuple(measurements(set())))
-        if role == "situation":
-            if ".start" not in keyed or ".end" not in keyed:
-                raise ParseError("situation records need .start and .end", lineno)
-            interval = TimeInterval(
-                parse_timestamp(keyed[".start"]), parse_timestamp(keyed[".end"])
-            )
-            return GeoSituation(entity_id, interval, tuple(measurements({".start", ".end"})))
-    except ParseError:
-        raise
-    except GeoCausalError as exc:
-        raise ParseError(str(exc), lineno) from None
-    raise ParseError(f"unknown entity role {role!r}", lineno)
+        if key in values:
+            raise ParseError(f"duplicate attribute key {key!r}", lineno)
+        values[key] = value
+    if role == "situation":
+        start, end = values.pop(".start", None), values.pop(".end", None)
+        return {"id": entity_id, "role": role, "start": start, "end": end, "observations": values}
+    return {"id": entity_id, "role": role, "kind": kind, "attributes": values}
 
 
-def _parse_region_line(line: str, lineno: int) -> SpatioTemporalRegion:
+def _region_record(line: str, lineno: int) -> dict:
     m = _REG_RE.fullmatch(line)
     if not m:
         raise ParseError("malformed REG record", lineno)
-    try:
-        geometry = parse_geometry(f"{m.group('shape')}({m.group('coords')})")
-        interval = TimeInterval(
-            parse_timestamp(m.group("start")), parse_timestamp(m.group("end"))
-        )
-        return SpatioTemporalRegion(m.group("id"), geometry, interval)
-    except (InvariantViolation, OrderViolation, ParseError) as exc:
-        raise ParseError(str(exc), lineno) from None
+    return {"role": "region", **m.groupdict()}
 
 
-def _parse_triple_line(line: str, lineno: int):
-    tokens = line.split()
-    if len(tokens) not in (4, 7):
+def _triple_record(tokens: list[str], lineno: int) -> dict:
+    if len(tokens) < 4 or len(tokens) == 5:
         raise ParseError("TRI record needs <subject> <predicate> <object>", lineno)
-    _, subject, predicate_token, object_ = tokens[:4]
-    predicate = RELATION_TOKENS.get(predicate_token)
-    if predicate is None:
-        raise ParseError(f"unknown relation {predicate_token!r}", lineno)
-    provenance = ASSERTED
-    if len(tokens) == 7:
-        if tokens[4] != "DERIVED":
-            raise ParseError(f"expected DERIVED marker, got {tokens[4]!r}", lineno)
-        if not tokens[5].startswith("rule=") or not tokens[6].startswith("premises="):
-            raise ParseError("DERIVED marker needs rule=<id> premises=<n>", lineno)
-        rule_id = tokens[5][len("rule="):]
-        try:
-            count = int(tokens[6][len("premises="):])
-        except ValueError:
-            raise ParseError(f"invalid premise count {tokens[6]!r}", lineno) from None
-        provenance = Derived(rule_id, (), count)
-    return subject, predicate, object_, provenance
+    _, subject, predicate, object_, *rest = tokens
+    doc = {"subject": subject, "predicate": predicate, "object": object_}
+    if rest:
+        marker, rule, *premises = rest
+        if marker != "DERIVED" or not rule.startswith("rule="):
+            raise ParseError("expected DERIVED rule=<id> after the object", lineno)
+        if len(premises) == 1 and _V1_PREMISE_COUNT.match(premises[0]):
+            premises = []  # version 1 kept a premise count, never the premise keys
+        elif len(premises) % 3:
+            raise ParseError(
+                f"premises take three tokens each (<s> <p> <o>), got {len(premises)}", lineno
+            )
+        doc["provenance"] = "derived"
+        doc["rule"] = rule[len("rule="):]
+        doc["premises"] = [premises[i:i + 3] for i in range(0, len(premises), 3)]
+    return doc
 
 
 def loads_graph(text: str) -> KnowledgeGraph:
-    graph = KnowledgeGraph()
-    pending: list[tuple[int, tuple]] = []
+    entities: list[tuple[int, dict]] = []
+    triples: list[tuple[int, dict]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tag = line.split(None, 1)[0]
         if tag == "ENT":
-            entity = _parse_entity_line(line, lineno)
-            _add_entity(graph, entity, lineno)
+            entities.append((lineno, _entity_record(_split_record(line, lineno), lineno)))
         elif tag == "REG":
-            entity = _parse_region_line(line, lineno)
-            _add_entity(graph, entity, lineno)
+            entities.append((lineno, _region_record(line, lineno)))
         elif tag == "TRI":
-            pending.append((lineno, _parse_triple_line(line, lineno)))
+            triples.append((lineno, _triple_record(line.split(), lineno)))
         else:
             raise ParseError(f"unknown record tag {tag!r}", lineno)
-    for lineno, (subject, predicate, object_, provenance) in pending:
-        try:
-            graph.add_triple(subject, predicate, object_, provenance)
-        except SchemaViolation as exc:
-            raise SchemaViolation(f"line {lineno}: {exc}") from None
-        except UnknownEntity as exc:
-            raise UnknownEntity(f"line {lineno}: {exc}") from None
-    return graph
-
-
-def _add_entity(graph: KnowledgeGraph, entity: Entity, lineno: int) -> None:
-    role_of(entity)
-    try:
-        graph.add_entity(entity)
-    except DuplicateId as exc:
-        raise ParseError(str(exc), lineno) from None
+    return graph_from_docs(entities, triples)
 
 
 def load_graph(source: str | Path | IO[str]) -> KnowledgeGraph:
@@ -272,19 +361,5 @@ def load_graph(source: str | Path | IO[str]) -> KnowledgeGraph:
 
 
 def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
-    """Equality up to what the persistence format preserves.
-
-    Entities must match exactly; triples must match on key, provenance
-    kind, rule id and premise count (premise identities are not persisted).
-    """
-
-    def triple_signature(t: Triple):
-        if t.is_derived:
-            return (*t.key, "derived", t.provenance.rule_id, t.provenance.count)
-        return (*t.key, "asserted")
-
-    if {e.id: e for e in a.entities()} != {e.id: e for e in b.entities()}:
-        return False
-    return sorted(map(triple_signature, a.triples()), key=str) == sorted(
-        map(triple_signature, b.triples()), key=str
-    )
+    """Exact equality of entities and of triples, provenance included."""
+    return a.entities() == b.entities() and a.triples() == b.triples()

@@ -341,7 +341,8 @@ def _free_form_case(rng: random.Random) -> tuple[KnowledgeGraph, RuleSet]:
 
 def random_storage_graph(rng: random.Random, n_triples: int) -> KnowledgeGraph:
     """A schema-valid graph with roughly ``n_triples`` triples, including
-    derived provenance, for persistence round-trip checks."""
+    derived provenance whose premises are keys of triples added before,
+    for persistence round-trip checks."""
     graph = KnowledgeGraph()
     n = max(2, n_triples // 4)
     events = [GeoEvent(f"ev:e{i}", rng.choice(_KINDS)) for i in range(n)]
@@ -359,9 +360,12 @@ def random_storage_graph(rng: random.Random, n_triples: int) -> KnowledgeGraph:
     for entity in [*events, *objects, *situations, *regions]:
         graph.add_entity(entity)
 
+    keys = []  # keys of the triples added so far, in order
+
     def provenance():
         if rng.random() < 0.3:
-            return Derived(f"R-X:{rng.randint(0, 5)}", (), rng.randint(0, 4))
+            premises = [rng.choice(keys) for _ in range(min(len(keys), rng.randint(0, 4)))]
+            return Derived(f"R-X:{rng.randint(0, 5)}", tuple(premises))
         return ASSERTED
 
     choices = [
@@ -382,8 +386,10 @@ def random_storage_graph(rng: random.Random, n_triples: int) -> KnowledgeGraph:
     attempts = 0
     while graph.triple_count < n_triples and attempts < n_triples * 20:
         attempts += 1
-        subject, predicate, object_ = rng.choice(choices)()
-        graph.add_triple(subject, predicate, object_, provenance())
+        key = rng.choice(choices)()
+        if not graph.has_triple(*key):
+            graph.add_triple(*key, provenance())
+            keys.append(key)
     return graph
 
 

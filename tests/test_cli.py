@@ -69,6 +69,22 @@ class TestSubcommands:
         code, out, _ = run(capsys, "query", "? ? ?", "--workspace", workspace)
         assert code == 0
 
+    def test_quote_in_id_reloads(self, capsys, workspace, tmp_path):
+        obs_path = tmp_path / "obs.csv"
+        obs_path.write_text(OBS_TEXT.replace("\ns1,", "\nO'Hare,"), encoding="utf-8")
+        code, _, _ = run(capsys, "ingest", "obs", str(obs_path), "--workspace", workspace)
+        assert code == 0
+        code, out, err = run(capsys, "validate", "--workspace", workspace)
+        assert (code, err) == (0, "")
+        assert out.strip() == "ok: 1 entities, 0 triples"
+
+    def test_why_over_premise_cycle_is_user_error(self, capsys, workspace):
+        with open(workspace, "w", encoding="utf-8") as handle:
+            handle.write("ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED rule=R a causes b\n")
+        code, _, err = run(capsys, "why", "b", "--workspace", workspace)
+        assert code == 1
+        assert err.startswith("error[provenance-cycle]: ")
+
     def test_rules_check_ok(self, capsys, rules_file, workspace):
         code, out, _ = run(capsys, "rules", "check", rules_file)
         assert code == 0

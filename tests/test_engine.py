@@ -4,11 +4,11 @@ from datetime import timedelta
 import pytest
 
 from geocausal.engine import Diagnostic, EngineConfig, explain, infer
-from geocausal.errors import ConfigError, UnknownTriple, ValidationFailure
+from geocausal.errors import ConfigError, ProvenanceCycle, UnknownTriple, ValidationFailure
 from geocausal.graph import KnowledgeGraph, RelationKind, Triple
 from geocausal.model import BBox, GeoEvent, GeoObject, GeoSituation, Measurement, Point, SpatioTemporalRegion
 from geocausal.rules import RuleSet, parse_rules
-from geocausal.storage import dump_graph
+from geocausal.storage import dump_graph, loads_graph
 
 from support import brute_force_closure, build_chain_case, iv, q, random_engine_case
 
@@ -324,6 +324,39 @@ class TestExplain:
         tree = explain(graph, ("ev:heavyrain", RelationKind.CAUSES, "ev:flashflood"))
         assert tree.rule_id == "R-CAU:R1"
         assert {p.triple.predicate for p in tree.premises} == {STP}
+
+    def test_tree_survives_reload(self, chain_case):
+        graph, rules = chain_case
+        infer(graph, rules)
+        derived = [t for t in graph.triples() if t.is_derived]
+        assert any(t.provenance.premises for t in derived)
+        loaded = loads_graph(dump_graph(graph))
+        for t in derived:
+            assert explain(loaded, t.key) == explain(graph, t.key)
+
+    def test_premise_cycle_raises(self):
+        graph = loads_graph(
+            "ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED rule=R a causes b\n"
+        )
+        with pytest.raises(ProvenanceCycle):
+            explain(graph, ("a", RelationKind.CAUSES, "b"))
+
+    def test_deep_chain_of_shared_premises(self):
+        # each level cites the one below twice: 2**3000 paths through 3001
+        # distinct triples, deeper than the interpreter's recursion limit
+        depth = 3000
+        lines = [f"ENT e{i} event Rain" for i in range(depth + 2)]
+        lines.append("TRI e0 causes e1")
+        for i in range(1, depth + 1):
+            below = f"e{i - 1} causes e{i}"
+            lines.append(f"TRI e{i} causes e{i + 1} DERIVED rule=R {below} {below}")
+        graph = loads_graph("\n".join(lines) + "\n")
+        tree = explain(graph, (f"e{depth}", RelationKind.CAUSES, f"e{depth + 1}"))
+        levels = 0
+        while tree.premises:
+            assert tree.premises[0] is tree.premises[1]
+            tree, levels = tree.premises[0], levels + 1
+        assert levels == depth and tree.rule_id is None
 
     def test_unknown_triple(self, flood_case_a):
         graph, _ = flood_case_a

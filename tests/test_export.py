@@ -10,7 +10,7 @@ from geocausal.export import (
     graph_to_dot,
     graph_to_json,
 )
-from geocausal.graph import KnowledgeGraph
+from geocausal.graph import KnowledgeGraph, RelationKind
 from geocausal.query import why
 from geocausal.storage import dump_graph, graphs_equal
 
@@ -100,6 +100,50 @@ class TestJson:
         assert evidence["observed"] == "12 m"
         assert evidence["status"] == "true"
 
+    def test_premises_are_keys(self, flood_case_b):
+        graph, rules = flood_case_b
+        infer(graph, rules)
+        doc = json.loads(graph_to_json(graph))
+        assert doc["version"] == 2
+        (effects,) = [t for t in doc["triples"] if t["predicate"] == "effects"]
+        stored = graph.triple(("sit:overflow", RelationKind.EFFECTS, "ev:flood"))
+        assert effects["premises"] == [[s, p.value, o] for s, p, o in stored.provenance.premises]
+        assert ["sit:overflow", "satisfies", "PC_DAM"] in effects["premises"]
+
+    @pytest.mark.parametrize(
+        "entities, triples, where",
+        [
+            ([{"id": "ev:a", "role": "event"}], [], "entities[0]"),
+            ([{"id": "ev:a", "role": "event", "kind": "Rain"}, {"id": "ev:a", "role": "event", "kind": "Rain"}], [], "entities[1]"),
+            ([{"id": "reg:r", "role": "region", "geometry": "POINT(0 0)", "start": 3, "end": "2005-08-01"}], [], "entities[0]"),
+            ([{"id": "obj:o", "role": "object", "kind": "Dam", "attributes": {"Level": 3}}], [], "entities[0]"),
+            (
+                [{"id": "ev:a", "role": "event", "kind": "Rain"}],
+                [{"subject": "ev:a", "predicate": "part-of", "object": "ev:a",
+                  "provenance": "derived", "rule": "R", "premises": [["ev:a", "causes", "ev:a"]]}],
+                "triples[0]",
+            ),
+            (
+                [{"id": "ev:a", "role": "event", "kind": "Rain"}],
+                [{"subject": "ev:a", "predicate": "part-of", "object": "ev:a",
+                  "provenance": "derived", "rule": "R", "premises": [["ev:a", "part-of"]]}],
+                "triples[0]",
+            ),
+            (
+                [{"id": "ev:a", "role": "event", "kind": "Rain"}],
+                [{"subject": "ev:a", "predicate": ["part-of"], "object": "ev:a"}],
+                "triples[0]",
+            ),
+        ],
+    )
+    def test_malformed_entries_are_parse_errors(self, entities, triples, where):
+        from geocausal.errors import ParseError
+
+        doc = {"format": "geocausal-graph", "version": 2, "entities": entities, "triples": triples}
+        with pytest.raises(ParseError) as exc:
+            graph_from_json(json.dumps(doc))
+        assert str(exc.value).startswith(where + ": ")
+
     def test_rejects_foreign_documents(self):
         from geocausal.errors import ParseError
 
@@ -107,3 +151,7 @@ class TestJson:
             graph_from_json("{}")
         with pytest.raises(ParseError):
             graph_from_json("not json")
+        with pytest.raises(ParseError):  # version 1 stored premise counts, not keys
+            graph_from_json('{"format": "geocausal-graph", "version": 1}')
+        with pytest.raises(ParseError):
+            graph_from_json('{"format": "geocausal-graph", "version": 2, "entities": [1]}')

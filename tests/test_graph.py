@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from geocausal.errors import DuplicateId, SchemaViolation, UnknownEntity
+from geocausal.errors import DuplicateId, InvariantViolation, SchemaViolation, UnknownEntity
 from geocausal.graph import ASSERTED, Derived, KnowledgeGraph, RelationKind, Role, role_of
 from geocausal.model import (
     GeoEvent,
@@ -99,6 +99,11 @@ class TestAssert:
         g.add_triple("ev:rain", RelationKind.CAUSES, "ev:flood", Derived("R-CAU:R1", ()))
         kept = g.assert_triple("ev:rain", RelationKind.CAUSES, "ev:flood")
         assert kept.is_derived
+
+    @pytest.mark.parametrize("rule_id", ["", "my rule", "R\tX", 'R"X', "R\x00"])
+    def test_rule_id_is_a_bare_token(self, rule_id):
+        with pytest.raises(InvariantViolation):
+            Derived(rule_id)
 
     def test_structural_relations_not_assertable(self):
         g = small_graph()

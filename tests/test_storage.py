@@ -1,12 +1,25 @@
 import random
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geocausal.errors import ParseError, SchemaViolation, UnknownEntity
-from geocausal.graph import Derived, KnowledgeGraph, RelationKind
-from geocausal.model import GeoEvent, GeoObject, GeoSituation, Measurement, Point, SpatioTemporalRegion
+from geocausal.errors import InvariantViolation, ParseError, SchemaViolation, UnknownEntity, UnknownTriple
+from geocausal.export import graph_from_json, graph_to_json
+from geocausal.graph import ASSERTED, Derived, KnowledgeGraph, RelationKind
+from geocausal.model import (
+    BBox,
+    GeoEvent,
+    GeoObject,
+    GeoSituation,
+    Measurement,
+    Point,
+    SpatioTemporalRegion,
+    TimeInterval,
+    validate_entity_id,
+)
 from geocausal.storage import dump_graph, graphs_equal, load_graph, loads_graph, save_graph
-from geocausal.units import Categorical
+from geocausal.units import REGISTRY, Categorical, Quantity
 
 from support import iv, q, random_storage_graph
 
@@ -47,18 +60,35 @@ class TestRoundTrip:
         g = KnowledgeGraph()
         g.add_entity(GeoEvent("ev:a", "Rain"))
         g.add_entity(GeoEvent("ev:b", "Flood"))
-        g.add_triple(
-            "ev:a",
-            RelationKind.CAUSES,
-            "ev:b",
-            Derived("R-CAU:R1", (("x", RelationKind.CAUSES, "y"), ("p", RelationKind.CAUSES, "q"))),
+        g.add_entity(SpatioTemporalRegion("reg:a", Point(0, 0), iv(0, 1)))
+        g.add_entity(SpatioTemporalRegion("reg:b", Point(0, 0), iv(2, 3)))
+        premises = (
+            ("ev:b", RelationKind.SPATIO_TEMPORALLY_PRESENT, "reg:b"),
+            ("ev:a", RelationKind.SPATIO_TEMPORALLY_PRESENT, "reg:a"),
         )
-        loaded = loads_graph(dump_graph(g))
+        for premise in premises:
+            g.assert_triple(*premise)
+        g.add_triple("ev:a", RelationKind.CAUSES, "ev:b", Derived("R-CAU:R1", premises))
+        text = dump_graph(g)
+        assert (
+            "TRI ev:a causes ev:b DERIVED rule=R-CAU:R1 "
+            "ev:b spatio-temporally-present reg:b ev:a spatio-temporally-present reg:a"
+        ) in text.splitlines()
+        loaded = loads_graph(text)
         t = loaded.match(predicate=RelationKind.CAUSES)[0]
-        assert t.is_derived
-        assert t.provenance.rule_id == "R-CAU:R1"
-        assert t.provenance.count == 2
-        assert dump_graph(loaded) == dump_graph(g)
+        assert t.provenance == Derived("R-CAU:R1", premises)  # keys kept, in stored order
+        assert dump_graph(loaded) == text
+
+    def test_dangling_premise_is_not_written(self, tmp_path):
+        g = KnowledgeGraph()
+        g.add_entity(GeoEvent("ev:a", "Rain"))
+        g.add_entity(GeoEvent("ev:b", "Flood"))
+        g.add_triple("ev:a", RelationKind.CAUSES, "ev:b", Derived("R", (("x", RelationKind.CAUSES, "y"),)))
+        target = tmp_path / "graph.txt"
+        target.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(UnknownTriple):
+            save_graph(g, target)
+        assert target.read_text(encoding="utf-8") == "kept\n"
 
     def test_file_round_trip(self, tmp_path, flood_case_a):
         g, _ = flood_case_a
@@ -83,6 +113,65 @@ class TestRoundTrip:
             loaded = loads_graph(text)
             assert graphs_equal(g, loaded)
             assert dump_graph(loaded) == text
+
+
+class TestEscapeFree:
+    def test_quotes_and_backslashes_reload_unchanged(self):
+        g = KnowledgeGraph()
+        g.add_entity(GeoEvent("a\\b", "O'Hare"))
+        g.add_entity(GeoEvent("x'y", "k\\"))
+        g.add_entity(
+            GeoObject(
+                "obj:'",
+                "Gauge",
+                (
+                    Measurement("Note", Categorical("a\\\\b")),
+                    Measurement("Tail", Categorical("ends\\")),
+                    Measurement("Mark", Categorical("it's=#")),
+                ),
+            )
+        )
+        g.assert_triple("a\\b", RelationKind.CAUSES, "x'y")
+        text = dump_graph(g)
+        loaded = loads_graph(text)
+        assert graphs_equal(g, loaded)
+        assert loaded.has_triple("a\\b", RelationKind.CAUSES, "x'y")
+        assert loaded.entity("obj:'").attribute("Note") == Categorical("a\\\\b")
+        assert dump_graph(loaded) == text
+
+    def test_unbalanced_double_quote(self):
+        with pytest.raises(ParseError) as exc:
+            loads_graph('ENT ev:a event Rain\nENT obj:o object Gauge Level="3 m\n')
+        assert exc.value.line == 2
+
+
+class TestVersion1Migration:
+    V1 = "\n".join(
+        [
+            "# geocausal graph v1",
+            "ENT ev:a event Rain",
+            "ENT ev:b event Flood",
+            "ENT ev:c event Flood",
+            "TRI ev:a causes ev:b DERIVED rule=R-CAU:R1 premises=2",
+            "TRI ev:a causes ev:c DERIVED rule=R-CAU:R2 premises=2",
+            "",
+        ]
+    )
+
+    def test_rule_ids_kept_premises_dropped(self):
+        g = loads_graph(self.V1)
+        assert [t.provenance for t in g.triples()] == [
+            Derived("R-CAU:R1", ()),
+            Derived("R-CAU:R2", ()),
+        ]
+        assert dump_graph(g).splitlines() == [
+            "# geocausal graph v2",
+            "ENT ev:a event Rain",
+            "ENT ev:b event Flood",
+            "ENT ev:c event Flood",
+            "TRI ev:a causes ev:b DERIVED rule=R-CAU:R1",
+            "TRI ev:a causes ev:c DERIVED rule=R-CAU:R2",
+        ]
 
 
 class TestDocumentErrors:
@@ -130,6 +219,26 @@ class TestDocumentErrors:
         with pytest.raises(ParseError):
             loads_graph("ENT sit:x situation - .start=2005-08-01T00:00:00Z\n")
 
+    def test_premise_must_name_a_stored_triple(self):
+        doc = "ENT ev:a event Rain\nENT ev:b event Flood\nTRI ev:a causes ev:b DERIVED rule=R ev:b causes ev:a\n"
+        with pytest.raises(ParseError) as exc:
+            loads_graph(doc)
+        assert exc.value.line == 3
+        assert "ev:b causes ev:a" in str(exc.value)
+
+    @pytest.mark.parametrize("premises", ["ev:a", "ev:a causes", "ev:a causes ev:b ev:a"])
+    def test_premise_tokens_come_in_threes(self, premises):
+        doc = f"ENT ev:a event Rain\nENT ev:b event Flood\nTRI ev:a causes ev:b DERIVED rule=R {premises}\n"
+        with pytest.raises(ParseError) as exc:
+            loads_graph(doc)
+        assert exc.value.line == 3
+
+    def test_invalid_rule_id(self):
+        doc = "ENT ev:a event Rain\nENT ev:b event Flood\nTRI ev:a causes ev:b DERIVED rule=\n"
+        with pytest.raises(ParseError) as exc:
+            loads_graph(doc)
+        assert exc.value.line == 3
+
 
 class TestFormatDetails:
     def test_comments_and_blank_lines_ignored(self):
@@ -155,3 +264,114 @@ class TestFormatDetails:
         assert lines[3].startswith("REG reg:m")
         assert lines[4].startswith("TRI ev:a")
         assert lines[5].startswith("TRI ev:z")
+
+
+# ---------------------------------------------------------------------------
+# Round-trip property over everything the model accepts
+# ---------------------------------------------------------------------------
+
+
+def _accepted_by(check):
+    def accepted(char):
+        try:
+            check(char)
+        except InvariantViolation:
+            return False
+        return True
+
+    return accepted
+
+
+# Each check is per character, so these are exactly the characters allowed
+# in ids and kinds (and rule ids), and in categorical tokens.
+_ID_CHARS = st.one_of(
+    st.sampled_from("'\\=#:-"),
+    st.characters(exclude_categories=("Cs",)).filter(_accepted_by(validate_entity_id)),
+)
+_TOKEN_CHARS = st.one_of(
+    st.sampled_from("'\\=#"),
+    st.characters(exclude_categories=("Cs",)).filter(_accepted_by(Categorical)),
+)
+IDS = st.text(_ID_CHARS, min_size=1, max_size=6)
+VALUES = st.one_of(
+    st.text(_TOKEN_CHARS, min_size=1, max_size=6).map(Categorical),
+    st.builds(
+        Quantity,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(sorted(REGISTRY)).map(REGISTRY.get),
+    ),
+)
+MEASUREMENTS = st.dictionaries(
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True), VALUES, max_size=3
+).map(lambda values: tuple(Measurement(name, value) for name, value in values.items()))
+INSTANTS = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
+    timezones=st.just(timezone.utc),
+)
+INTERVALS = st.lists(INSTANTS, min_size=2, max_size=2).map(lambda pair: TimeInterval(*sorted(pair)))
+LATS = st.floats(-90, 90)
+LONS = st.floats(-180, 180)
+GEOMETRIES = st.one_of(
+    st.builds(Point, LATS, LONS),
+    st.tuples(LATS, LATS, LONS, LONS).map(
+        lambda c: BBox(min(c[0], c[1]), min(c[2], c[3]), max(c[0], c[1]), max(c[2], c[3]))
+    ),
+)
+
+
+# (constructor, arguments after the id); strategies are built once, here,
+# because building them inside a draw makes Hypothesis validate them anew.
+ENTITY_PARTS = st.one_of(
+    st.tuples(st.just(GeoEvent), IDS),
+    st.tuples(st.just(GeoObject), IDS, MEASUREMENTS),
+    st.tuples(st.just(GeoSituation), INTERVALS, MEASUREMENTS),
+    st.tuples(st.just(SpatioTemporalRegion), GEOMETRIES, INTERVALS),
+)
+PREDICATES = st.sampled_from(
+    [r for r in RelationKind if r not in (RelationKind.HAS_GEOMETRY, RelationKind.TIME)]
+)
+PICKS = st.integers(0, 63)  # an index into a list, taken modulo its length
+
+
+@st.composite
+def graphs(draw):
+    """Any entities, and schema-valid triples; derived ones cite triples
+    added before them as premises."""
+    graph = KnowledgeGraph()
+    for entity_id in draw(st.lists(IDS, max_size=8, unique=True)):
+        constructor, *args = draw(ENTITY_PARTS)
+        graph.add_entity(constructor(entity_id, *args))
+    ids = [e.id for e in graph.entities()]
+    keys = []
+    for _ in range(draw(st.integers(0, 12)) if ids else 0):
+        predicate = draw(PREDICATES)
+        subject = ids[draw(PICKS) % len(ids)]
+        if predicate is RelationKind.SATISFIES:
+            object_ = draw(IDS)
+        else:
+            object_ = ids[draw(PICKS) % len(ids)]
+        provenance = ASSERTED
+        if draw(st.booleans()):
+            picks = draw(st.lists(PICKS, max_size=3)) if keys else []
+            provenance = Derived(draw(IDS), tuple(keys[i % len(keys)] for i in picks))
+        if graph.has_triple(subject, predicate, object_):
+            continue
+        try:
+            graph.add_triple(subject, predicate, object_, provenance)
+        except SchemaViolation:
+            continue
+        keys.append((subject, predicate, object_))
+    return graph
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(graphs())
+def test_round_trip_property(graph):
+    text = dump_graph(graph)
+    loaded = loads_graph(text)
+    assert graphs_equal(graph, loaded)
+    assert dump_graph(loaded) == text
+    document = graph_to_json(graph)
+    from_json = graph_from_json(document)
+    assert graphs_equal(graph, from_json)
+    assert graph_to_json(from_json) == document
