@@ -33,9 +33,11 @@ from datetime import timedelta
 
 from .errors import ConfigError, ProvenanceCycle, ValidationFailure
 from .graph import Derived, KnowledgeGraph, RelationKind, Role, Triple, TripleKey, triple_sort_key
-from .model import GeoEvent, GeoObject, GeoSituation
+from .model import GeoEvent, GeoObject
 from .rules import CoOccurs, Precedes, PrecedesWithin, RuleSet, Truth, evaluate
 from .spatiotemporal import co_occurs, gap_between, precedes, spatial_overlap
+
+_STP = RelationKind.SPATIO_TEMPORALLY_PRESENT
 
 
 @dataclass(frozen=True)
@@ -82,22 +84,19 @@ def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = N
     if not report.ok:
         raise ValidationFailure("; ".join(report.schema_errors))
 
-    # entity id -> (region, key of its spatio-temporally-present triple); the
-    # region whose id sorts first wins, as in KnowledgeGraph.region_of. No
-    # rule adds entities or such triples, so both indexes hold for the pass.
-    presence = {}
-    for t in graph.match(predicate=RelationKind.SPATIO_TEMPORALLY_PRESENT):
-        presence.setdefault(t.subject, (graph.entity(t.object), t.key))
-    events_by_kind = {}  # event kind -> ids of the events that have a region
+    # No rule adds entities or spatio-temporally-present triples, so this
+    # index holds for the pass.
+    events_by_kind = {}  # event kind -> (id, region) of the events that have a region
     for event in graph.entities(Role.EVENT):
-        if event.id in presence:
-            events_by_kind.setdefault(event.kind, []).append(event.id)
+        region = graph.region_of(event.id)
+        if region is not None:
+            events_by_kind.setdefault(event.kind, []).append((event.id, region))
 
     derived: list[Triple] = []
     diagnostics: set[Diagnostic] = set()
     _rule_sat(graph, rules, derived, diagnostics)
-    _rule_eff(graph, rules, config, presence, events_by_kind, derived, diagnostics)
-    _rule_cau(graph, rules, presence, events_by_kind, derived)
+    _rule_eff(graph, rules, config, events_by_kind, derived, diagnostics)
+    _rule_cau(graph, rules, events_by_kind, derived)
     _rule_aff(graph, derived)
     return InferenceResult(
         derived=sorted(derived, key=triple_sort_key),
@@ -141,11 +140,9 @@ def _rule_sat(graph, rules, derived, diagnostics) -> None:
                 )
 
 
-def _rule_eff(graph, rules, config, presence, events_by_kind, derived, diagnostics) -> None:
+def _rule_eff(graph, rules, config, events_by_kind, derived, diagnostics) -> None:
     for satisfies in graph.match(predicate=RelationKind.SATISFIES):
-        situation = graph.entity(satisfies.subject)
-        if not isinstance(situation, GeoSituation):
-            continue
+        situation = graph.entity(satisfies.subject)  # a situation, by the satisfies schema
         pc = rules.precondition(satisfies.object)
         if pc is None:
             continue  # satisfies edge pointing at a set this rule file does not define
@@ -154,30 +151,28 @@ def _rule_eff(graph, rules, config, presence, events_by_kind, derived, diagnosti
         if any(not isinstance(x, GeoObject) for x in setters):
             diagnostics.add(Diagnostic("R-EFF", (situation.id, pc.id), "mixed-setting"))
             continue
-        object_presence = [presence[x.id] for x in setters if x.id in presence]
+        setter_regions = [(x.id, r) for x in setters if (r := graph.region_of(x.id)) is not None]
         candidates = []
-        for event_id in events_by_kind.get(pc.event_kind, ()):
-            region = presence[event_id][0]
+        for event_id, region in events_by_kind.get(pc.event_kind, ()):
             if not precedes(situation.holds_during, region.interval):
                 continue
             if gap_between(situation.holds_during, region.interval) > config.max_gap:
                 continue
-            candidates.append(event_id)
+            candidates.append((event_id, region))
         if not candidates:
             diagnostics.add(Diagnostic("R-EFF", (situation.id, pc.id), "no-temporal-adjacency"))
             continue
-        for event_id in candidates:
-            region, event_stp = presence[event_id]
+        for event_id, region in candidates:
             if config.require_spatial_overlap and not any(
-                spatial_overlap(region.geometry, r.geometry) for r, _ in object_presence
+                spatial_overlap(region.geometry, r.geometry) for _, r in setter_regions
             ):
                 diagnostics.add(
                     Diagnostic("R-EFF", (situation.id, pc.id, event_id), "no-spatial-overlap")
                 )
                 continue
-            premises = [satisfies.key, event_stp]
+            premises = [satisfies.key, (event_id, _STP, region.id)]
             premises.extend(t.key for t in setting_triples)
-            premises.extend(k for _, k in object_presence)
+            premises.extend((x, _STP, r.id) for x, r in setter_regions)
             _derive(
                 graph,
                 derived,
@@ -202,13 +197,11 @@ def _constraint_holds(constraint, region_a, region_b) -> bool:
     raise TypeError(f"unknown constraint {constraint!r}")
 
 
-def _rule_cau(graph, rules, presence, events_by_kind, derived) -> None:
+def _rule_cau(graph, rules, events_by_kind, derived) -> None:
     for rule in rules.cause_rules:
         effects = events_by_kind.get(rule.effect_kind, ())
-        for a in events_by_kind.get(rule.cause_kind, ()):
-            region_a, stp_a = presence[a]
-            for b in effects:
-                region_b, stp_b = presence[b]
+        for a, region_a in events_by_kind.get(rule.cause_kind, ()):
+            for b, region_b in effects:
                 if _constraint_holds(rule.constraint, region_a, region_b):
                     _derive(
                         graph,
@@ -217,7 +210,7 @@ def _rule_cau(graph, rules, presence, events_by_kind, derived) -> None:
                         RelationKind.CAUSES,
                         b,
                         f"R-CAU:{rule.id}",
-                        (stp_a, stp_b),
+                        ((a, _STP, region_a.id), (b, _STP, region_b.id)),
                     )
 
 

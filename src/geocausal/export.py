@@ -48,12 +48,13 @@ def _dot_edge(t: Triple) -> str:
 def graph_to_dot(graph: KnowledgeGraph) -> str:
     lines = ["digraph geocausal {", "  rankdir=LR;"]
     lines.extend(_dot_node(graph, e.id) for e in graph.entities())
+    triples = graph.triples()
     # satisfies edges point at external precondition-set ids
-    external = sorted({t.object for t in graph.triples() if not graph.has_entity(t.object)})
+    external = sorted({t.object for t in triples if not graph.has_entity(t.object)})
     lines.extend(
         f'  "{_dot_escape(x)}" [shape=plaintext label="{_dot_escape(x)}"];' for x in external
     )
-    lines.extend(_dot_edge(t) for t in graph.triples())
+    lines.extend(_dot_edge(t) for t in triples)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

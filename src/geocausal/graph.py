@@ -172,6 +172,7 @@ class KnowledgeGraph:
         self._by_subject: dict[str, set[TripleKey]] = {}
         self._by_predicate: dict[RelationKind, set[TripleKey]] = {}
         self._by_object: dict[str, set[TripleKey]] = {}
+        self._region: dict[str, str] = {}  # entity id -> id of its region (see region_of)
 
     # -- entities ----------------------------------------------------------
 
@@ -245,6 +246,8 @@ class KnowledgeGraph:
         self._by_subject.setdefault(subject, set()).add(key)
         self._by_predicate.setdefault(predicate, set()).add(key)
         self._by_object.setdefault(object, set()).add(key)
+        if predicate is RelationKind.SPATIO_TEMPORALLY_PRESENT:
+            self._region[subject] = min(object, self._region.get(subject, object))
         return triple
 
     def assert_triple(
@@ -294,13 +297,14 @@ class KnowledgeGraph:
     # -- derived views -----------------------------------------------------
 
     def region_of(self, entity_id: EntityId) -> SpatioTemporalRegion | None:
-        """The region an entity is spatio-temporally present at, if any."""
+        """The region an entity is spatio-temporally present at, if any.
+
+        The relation is not functional: an entity with several regions is
+        placed at the one whose id sorts first.
+        """
         self.entity(entity_id)
-        for t in self.match(subject=entity_id, predicate=RelationKind.SPATIO_TEMPORALLY_PRESENT):
-            region = self._entities.get(t.object)
-            if isinstance(region, SpatioTemporalRegion):
-                return region
-        return None
+        region_id = self._region.get(entity_id)
+        return None if region_id is None else self._entities[region_id]
 
     def validate(self) -> ValidationReport:
         """Re-check every stored triple and soft consistency expectations.

@@ -14,7 +14,7 @@ from typing import Iterable
 from .errors import InvariantViolation, OrderViolation, ParseError
 from .units import Value
 
-_ID_FORBIDDEN = re.compile(r'[\s\x00-\x1f\x7f"]')
+_ID_FORBIDDEN = re.compile(r'[\s\x00-\x1f\x7f"\ud800-\udfff]')
 _ATTR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _DATE_ONLY = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
 
@@ -24,12 +24,12 @@ EntityId = str
 
 def validate_entity_id(value: str, what: str = "entity id") -> str:
     """Check an entity id, kind or rule id: a non-empty token without
-    whitespace, control characters or ``"``, so it persists unescaped."""
+    whitespace, control or surrogate characters or ``"``, so it persists unescaped."""
     if not isinstance(value, str) or not value:
         raise InvariantViolation(f"{what} must be a non-empty string")
     if _ID_FORBIDDEN.search(value):
         raise InvariantViolation(
-            f"{what} {value!r} must not contain whitespace, control or quote characters"
+            f"{what} {value!r} must not contain whitespace, control, quote or surrogate characters"
         )
     return value
 

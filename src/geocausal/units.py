@@ -119,7 +119,9 @@ class Categorical:
     token: str
 
     def __post_init__(self):
-        if not self.token or any(c.isspace() for c in self.token) or '"' in self.token:
+        if not self.token or any(
+            c.isspace() or c == '"' or "\ud800" <= c <= "\udfff" for c in self.token
+        ):
             raise InvariantViolation(f"categorical token {self.token!r} must be a single bare word")
 
 

@@ -412,6 +412,13 @@ def brute_force_closure(graph: KnowledgeGraph, rules: RuleSet, config) -> set[tu
         derived.add((subject, predicate, object_))
         return True
 
+    def region_of(entity_id):
+        # Its own lookup, not KnowledgeGraph.region_of, so that the oracle does
+        # not share the index it checks: the first region in sorted match order.
+        for t in graph.match(subject=entity_id, predicate=STP):
+            return graph.entity(t.object)
+        return None
+
     situations = [e for e in graph.entities(Role.SITUATION)]
     events = [e for e in graph.entities(Role.EVENT)]
     objects = [e for e in graph.entities(Role.OBJECT)]
@@ -437,12 +444,12 @@ def brute_force_closure(graph: KnowledgeGraph, rules: RuleSet, config) -> set[tu
                 if any(isinstance(x, GeoEvent) for x in setters):
                     continue
                 setter_regions = [
-                    r for r in (graph.region_of(x.id) for x in setters) if r is not None
+                    r for r in (region_of(x.id) for x in setters) if r is not None
                 ]
                 for event in events:
                     if event.kind != pc.event_kind:
                         continue
-                    region = graph.region_of(event.id)
+                    region = region_of(event.id)
                     if region is None:
                         continue
                     if not precedes(situation.holds_during, region.interval):
@@ -459,13 +466,13 @@ def brute_force_closure(graph: KnowledgeGraph, rules: RuleSet, config) -> set[tu
             for a in events:
                 if a.kind != rule.cause_kind:
                     continue
-                region_a = graph.region_of(a.id)
+                region_a = region_of(a.id)
                 if region_a is None:
                     continue
                 for b in events:
                     if b.kind != rule.effect_kind:
                         continue
-                    region_b = graph.region_of(b.id)
+                    region_b = region_of(b.id)
                     if region_b is None:
                         continue
                     if isinstance(rule.constraint, CoOccurs):

@@ -142,6 +142,16 @@ class TestSubcommands:
         assert (tmp_path / "test.graph").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
+    def test_surrogate_prefix_is_rejected(self, capsys, tmp_path, workspace, storm_file):
+        # A non-UTF-8 argv byte such as b"\xff" reaches argparse as a lone surrogate.
+        listing = sorted(p.name for p in tmp_path.iterdir())
+        code, _, err = run(
+            capsys, "ingest", "storm", storm_file, "--prefix", "x\udcff:", "--workspace", workspace
+        )
+        assert code == 1
+        assert "error[invariant-violation]" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
     def test_internal_failure_is_exit_2(self, capsys, workspace, monkeypatch):
         import geocausal.cli as cli_module
 

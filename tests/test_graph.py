@@ -202,6 +202,15 @@ class TestRegionOf:
         with pytest.raises(UnknownEntity):
             small_graph().region_of("ev:ghost")
 
+    def test_several_regions_lowest_id_wins(self):
+        g = small_graph()
+        for region_id, lowest in (
+            ("reg:c", "reg:c"), ("reg:b", "reg:b"), ("reg:a", "reg:a"), ("reg:d", "reg:a")
+        ):
+            g.add_entity(SpatioTemporalRegion(region_id, Point(30, -90), iv(0, 10)))
+            g.assert_triple("ev:flood", STP, region_id)
+            assert g.region_of("ev:flood").id == lowest
+
 
 class TestValidate:
     def test_clean_graph(self):

@@ -85,6 +85,15 @@ class TestEntities:
         with pytest.raises(InvariantViolation):
             GeoEvent("ev:\x01", "Hurricane")
 
+    def test_lone_surrogates_rejected(self):
+        # They cannot be encoded as UTF-8, so a workspace holding one would not save.
+        for bad in ("ev:\ud800", "ev:\udcff", "\udfff"):
+            with pytest.raises(InvariantViolation):
+                GeoEvent(bad, "Hurricane")
+            with pytest.raises(InvariantViolation):
+                GeoEvent("ev:x", bad)
+        assert GeoEvent("ev:\ud7ff\ue000", "Hurricane").id == "ev:\ud7ff\ue000"
+
     def test_kind_required(self):
         with pytest.raises(InvariantViolation):
             GeoEvent("ev:x", "")

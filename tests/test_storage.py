@@ -286,11 +286,11 @@ def _accepted_by(check):
 # in ids and kinds (and rule ids), and in categorical tokens.
 _ID_CHARS = st.one_of(
     st.sampled_from("'\\=#:-"),
-    st.characters(exclude_categories=("Cs",)).filter(_accepted_by(validate_entity_id)),
+    st.characters().filter(_accepted_by(validate_entity_id)),
 )
 _TOKEN_CHARS = st.one_of(
     st.sampled_from("'\\=#"),
-    st.characters(exclude_categories=("Cs",)).filter(_accepted_by(Categorical)),
+    st.characters().filter(_accepted_by(Categorical)),
 )
 IDS = st.text(_ID_CHARS, min_size=1, max_size=6)
 VALUES = st.one_of(

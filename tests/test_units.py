@@ -81,6 +81,12 @@ class TestQuantityInvariants:
         with pytest.raises(InvariantViolation):
             Categorical("")
 
+    def test_categorical_rejects_lone_surrogates(self):
+        for bad in ("\ud800", "wet\udcff", "\udfff"):
+            with pytest.raises(InvariantViolation):
+                Categorical(bad)
+        assert Categorical("\ud7ff\ue000").token == "\ud7ff\ue000"
+
 
 class TestCompare:
     def test_strictly_greater_threshold(self):
