@@ -14,7 +14,6 @@ from .graph import (
     RelationKind,
     Role,
     Triple,
-    ValidationReport,
 )
 from .ingest import (
     IngestReport,

@@ -4,8 +4,8 @@ The graph lives in a workspace file between invocations (the text
 persistence format). The workspace path is ``geocausal.graph`` in the
 working directory, overridden by the GEOCAUSAL_WORKSPACE environment
 variable, overridden in turn by --workspace. A companion rules file path,
-once given to ``infer``, is recorded in a workspace header comment and
-reused by later commands.
+once given to ``infer``, is recorded verbatim in a workspace header comment
+and reused by later commands; a path with a line break is refused.
 
 Exit codes: 0 success, 1 user error, 2 internal failure.
 """
@@ -19,7 +19,7 @@ import traceback
 from pathlib import Path
 
 from .engine import EngineConfig, infer
-from .errors import GeoCausalError
+from .errors import ConfigError, GeoCausalError
 from .export import explanation_to_dot, explanation_to_json, graph_to_dot, graph_to_json
 from .graph import KnowledgeGraph
 from .ingest import Strictness, ingest_observations_csv, ingest_storm_csv
@@ -45,7 +45,7 @@ def _load_workspace(path: Path) -> tuple[KnowledgeGraph, str | None]:
     rules_path = None
     for line in text.splitlines():
         if line.startswith(_RULES_HEADER):
-            rules_path = line[len(_RULES_HEADER):].strip()
+            rules_path = line[len(_RULES_HEADER):]
             break
         if line and not line.startswith("#"):
             break
@@ -86,6 +86,9 @@ def _cmd_rules_check(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    if args.rules and args.rules.splitlines() != [args.rules]:
+        raise ConfigError(f"rules path {args.rules!r} contains a line break; "
+                          "it could not be recorded in the workspace")
     path = _workspace_path(args)
     graph, recorded_rules = _load_workspace(path)
     rules_path = args.rules or recorded_rules
@@ -144,15 +147,10 @@ def _cmd_export(args) -> int:
 def _cmd_validate(args) -> int:
     path = _workspace_path(args)
     graph, _ = _load_workspace(path)
-    report = graph.validate()
-    for error in report.schema_errors:
-        print(f"ERROR {error}")
-    for warning in report.warnings:
+    for warning in graph.validate():
         print(f"WARN {warning}")
-    if report.ok:
-        print(f"ok: {graph.entity_count} entities, {graph.triple_count} triples")
-        return 0
-    return 1
+    print(f"ok: {graph.entity_count} entities, {graph.triple_count} triples")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import timedelta
 
-from .errors import ConfigError, ProvenanceCycle, ValidationFailure
+from .errors import ConfigError, ProvenanceCycle
 from .graph import Derived, KnowledgeGraph, RelationKind, Role, Triple, TripleKey, triple_sort_key
 from .model import GeoEvent, GeoObject
 from .rules import CoOccurs, Precedes, PrecedesWithin, RuleSet, Truth, evaluate
@@ -80,9 +80,6 @@ def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = N
     """
     if config is None:
         config = EngineConfig()
-    report = graph.validate()
-    if not report.ok:
-        raise ValidationFailure("; ".join(report.schema_errors))
 
     # No rule adds entities or spatio-temporally-present triples, so this
     # index holds for the pass.

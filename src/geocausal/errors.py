@@ -96,14 +96,8 @@ class DuplicateRuleId(GeoCausalError):
     code = "duplicate-rule-id"
 
 
-class ValidationFailure(GeoCausalError):
-    """The graph failed validation before inference."""
-
-    code = "validation-failure"
-
-
 class ConfigError(GeoCausalError):
-    """An engine configuration value is out of range."""
+    """An engine or command-line configuration value is out of range."""
 
     code = "config-error"
 

@@ -15,7 +15,7 @@ entity table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DuplicateId, SchemaViolation, UnknownEntity, UnknownTriple
@@ -145,18 +145,6 @@ class Triple:
 
 def triple_sort_key(t: Triple) -> tuple[str, str, str]:
     return (t.subject, t.predicate.value, t.object)
-
-
-@dataclass
-class ValidationReport:
-    """Hard schema errors plus soft consistency warnings."""
-
-    schema_errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.schema_errors
 
 
 class KnowledgeGraph:
@@ -306,28 +294,23 @@ class KnowledgeGraph:
         region_id = self._region.get(entity_id)
         return None if region_id is None else self._entities[region_id]
 
-    def validate(self) -> ValidationReport:
-        """Re-check every stored triple and soft consistency expectations.
+    def validate(self) -> list[str]:
+        """Soft consistency warnings; the schema is enforced by add_triple.
 
         Participants and their events are expected to overlap
         spatio-temporally; a violation is reported as a warning, not an
         error, because real datasets give participants slightly different
         footprints.
         """
-        report = ValidationReport()
-        for t in self.triples():
-            try:
-                self._check_schema(t.subject, t.predicate, t.object)
-            except (SchemaViolation, UnknownEntity) as exc:
-                report.schema_errors.append(str(exc))
+        warnings = []
         for t in self.match(predicate=RelationKind.PARTICIPANT_IN):
             obj_region = self.region_of(t.subject)
             event_region = self.region_of(t.object)
             if obj_region is None or event_region is None:
                 continue
             if not co_occurs(obj_region, event_region):
-                report.warnings.append(
+                warnings.append(
                     f"participant-in({t.subject}, {t.object}): regions "
                     f"{obj_region.id} and {event_region.id} do not overlap spatio-temporally"
                 )
-        return report
+        return warnings

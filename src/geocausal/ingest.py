@@ -291,7 +291,6 @@ def ingest_storm_csv(
     source: str | Path | IO[str],
     strictness: Strictness = Strictness.LENIENT,
     id_prefix: str = "ev:",
-    default_bbox: BBox | None = None,
 ) -> IngestReport:
     report = IngestReport(strictness=strictness)
     raw_rows = _open_rows(source, STORM_REQUIRED)
@@ -319,9 +318,8 @@ def ingest_storm_csv(
         seen_event_ids.add(storm_row.event_id)
         parsed.append(storm_row)
 
-    if default_bbox is None:
-        with_coords = [r.geometry for r in parsed if r.geometry is not None]
-        default_bbox = bbox_union(with_coords) if with_coords else WORLD_BBOX
+    with_coords = [r.geometry for r in parsed if r.geometry is not None]
+    default_bbox = bbox_union(with_coords) if with_coords else WORLD_BBOX
 
     # Phase 2: apply.
     episodes: dict[str, str] = {}

@@ -15,7 +15,7 @@ from .errors import InvariantViolation, OrderViolation, ParseError
 from .units import Value
 
 _ID_FORBIDDEN = re.compile(r'[\s\x00-\x1f\x7f"\ud800-\udfff]')
-_ATTR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+ATTR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _DATE_ONLY = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
 
 #: Entity identifiers are IRI-like opaque strings, e.g. "ev:Katrina".
@@ -153,7 +153,7 @@ class Measurement:
     value: Value
 
     def __post_init__(self):
-        if not _ATTR_NAME.fullmatch(self.attribute or ""):
+        if not ATTR_NAME.fullmatch(self.attribute or ""):
             raise InvariantViolation(
                 f"attribute name {self.attribute!r} must match [A-Za-z][A-Za-z0-9_]*"
             )

@@ -40,11 +40,10 @@ from .errors import (
     TypeMismatch,
     UnknownUnit,
 )
-from .model import GeoSituation
+from .model import ATTR_NAME, GeoSituation
 from .units import Categorical, Comparator, Quantity, Value, compare, format_magnitude, format_value, get_unit
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
-_ATTR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 _DURATION_UNITS = {"s": 1, "min": 60, "h": 3600, "d": 86400}
 
@@ -64,7 +63,7 @@ class Condition:
     threshold: Value | None = None
 
     def __post_init__(self):
-        if not _ATTR_RE.fullmatch(self.attribute or ""):
+        if not ATTR_NAME.fullmatch(self.attribute or ""):
             raise InvariantViolation(f"invalid attribute name {self.attribute!r}")
         unary = self.comparator in (Comparator.PRESENT, Comparator.ABSENT)
         if unary and self.threshold is not None:
@@ -386,7 +385,7 @@ class _Parser:
 
     def condition(self) -> Condition:
         attr_token = self.expect_kind("word", "attribute name")
-        if not _ATTR_RE.fullmatch(attr_token.text):
+        if not ATTR_NAME.fullmatch(attr_token.text):
             raise ParseError(
                 f"invalid attribute name {attr_token.text!r}", attr_token.line, attr_token.column
             )

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from datetime import datetime, timedelta, timezone
 
-from geocausal.graph import KnowledgeGraph, RelationKind, Role, Derived, ASSERTED
+from geocausal.graph import SIGNATURES, KnowledgeGraph, RelationKind, Role, Derived, ASSERTED, role_of
 from geocausal.model import (
     BBox,
     GeoEvent,
@@ -45,6 +45,26 @@ def iv(a, b) -> TimeInterval:
 
 def q(magnitude, symbol) -> Quantity:
     return Quantity(magnitude, get_unit(symbol))
+
+
+def schema_violations(graph: KnowledgeGraph) -> list[str]:
+    """Stored triples that break their relation's signature.
+
+    Checked here against ``SIGNATURES`` rather than through the store's
+    own check, so a store that stopped checking would be caught.
+    """
+    def role(entity_id):
+        return role_of(graph.entity(entity_id)) if graph.has_entity(entity_id) else None
+
+    violations = []
+    for t in graph.triples():
+        if t.predicate is RelationKind.SATISFIES:
+            fits = role(t.subject) is Role.SITUATION  # object: external precondition id
+        else:
+            fits = (role(t.subject), role(t.object)) in SIGNATURES[t.predicate]
+        if not fits:
+            violations.append(f"{t.subject} {t.predicate.value} {t.object}")
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,31 @@ class TestSubcommands:
         assert "error[invariant-violation]" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
+    def test_rules_path_with_line_break_is_refused(self, capsys, tmp_path, workspace, storm_file):
+        rules_path = tmp_path / "a\nb.gcr"  # a legal file name on Linux
+        rules_path.write_text(RULES_TEXT, encoding="utf-8")
+        run(capsys, "ingest", "storm", storm_file, "--workspace", workspace)
+        before = (tmp_path / "test.graph").read_bytes()
+        code, out, err = run(capsys, "infer", "--rules", str(rules_path), "--workspace", workspace)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[config-error]: ")
+        assert (tmp_path / "test.graph").read_bytes() == before
+        code, _, _ = run(capsys, "query", "? ? ?", "--workspace", workspace)
+        assert code == 0
+
+    def test_rules_path_with_edge_spaces_is_reused_verbatim(
+        self, capsys, tmp_path, workspace, storm_file, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / " rules.gcr ").write_text(RULES_TEXT, encoding="utf-8")
+        run(capsys, "ingest", "storm", storm_file, "--workspace", workspace)
+        code, first, _ = run(capsys, "infer", "--rules", " rules.gcr ", "--workspace", workspace)
+        assert code == 0
+        code, again, err = run(capsys, "infer", "--workspace", workspace)
+        assert (code, err) == (0, "")
+        assert again.startswith("derived 0 triple(s)")
+        assert first.splitlines()[1:] == again.splitlines()[1:]
+
     def test_internal_failure_is_exit_2(self, capsys, workspace, monkeypatch):
         import geocausal.cli as cli_module
 

@@ -4,13 +4,13 @@ from datetime import timedelta
 import pytest
 
 from geocausal.engine import Diagnostic, EngineConfig, explain, infer
-from geocausal.errors import ConfigError, ProvenanceCycle, UnknownTriple, ValidationFailure
-from geocausal.graph import KnowledgeGraph, RelationKind, Triple
+from geocausal.errors import ConfigError, ProvenanceCycle, UnknownTriple
+from geocausal.graph import KnowledgeGraph, RelationKind
 from geocausal.model import BBox, GeoEvent, GeoObject, GeoSituation, Measurement, Point, SpatioTemporalRegion
 from geocausal.rules import RuleSet, parse_rules
 from geocausal.storage import dump_graph, loads_graph
 
-from support import brute_force_closure, build_chain_case, iv, q, random_engine_case
+from support import brute_force_closure, build_chain_case, iv, q, random_engine_case, schema_violations
 
 STP = RelationKind.SPATIO_TEMPORALLY_PRESENT
 
@@ -211,17 +211,6 @@ class TestEdgeCases:
             ("sit:overflow", RelationKind.SATISFIES, "PC_DAM"),
         )
 
-    def test_validation_failure_on_broken_graph(self, flood_case_a):
-        graph, rules = flood_case_a
-        # sneak in a schema-violating triple behind the store's checks
-        bad = Triple("ev:heavyrain", RelationKind.AFFECTS, "ev:flashflood")
-        graph._triples[bad.key] = bad
-        graph._by_subject.setdefault(bad.subject, set()).add(bad.key)
-        graph._by_predicate.setdefault(bad.predicate, set()).add(bad.key)
-        graph._by_object.setdefault(bad.object, set()).add(bad.key)
-        with pytest.raises(ValidationFailure):
-            infer(graph, rules)
-
 
 class TestFixpointProperties:
     def test_rerun_derives_nothing(self, chain_case):
@@ -283,7 +272,7 @@ class TestFixpointProperties:
         for _ in range(20):
             graph, rules = random_engine_case(rng)
             infer(graph, rules)
-            assert graph.validate().ok
+            assert schema_violations(graph) == []
 
     def test_double_run_byte_identical(self):
         rng = random.Random(321)
