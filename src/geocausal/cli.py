@@ -5,7 +5,8 @@ persistence format). The workspace path is ``geocausal.graph`` in the
 working directory, overridden by the GEOCAUSAL_WORKSPACE environment
 variable, overridden in turn by --workspace. A companion rules file path,
 once given to ``infer``, is recorded verbatim in a workspace header comment
-and reused by later commands; a path with a line break is refused.
+and reused by later commands; a path with a line break, or one that is not
+valid UTF-8, is refused. Every file is read through ``storage.read_text``.
 
 Exit codes: 0 success, 1 user error, 2 internal failure.
 """
@@ -19,13 +20,13 @@ import traceback
 from pathlib import Path
 
 from .engine import EngineConfig, infer
-from .errors import ConfigError, GeoCausalError
+from .errors import ConfigError, GeoCausalError, UsageError
 from .export import explanation_to_dot, explanation_to_json, graph_to_dot, graph_to_json
 from .graph import KnowledgeGraph
 from .ingest import Strictness, ingest_observations_csv, ingest_storm_csv
 from .query import query, render_explanation_text, why
 from .rules import RuleSet, parse_duration, parse_rules
-from .storage import dump_graph, loads_graph, write_text_atomic
+from .storage import dump_graph, loads_graph, read_text, write_text_atomic
 
 DEFAULT_WORKSPACE = "geocausal.graph"
 _RULES_HEADER = "# rules: "
@@ -41,7 +42,7 @@ def _workspace_path(args) -> Path:
 def _load_workspace(path: Path) -> tuple[KnowledgeGraph, str | None]:
     if not path.exists():
         return KnowledgeGraph(), None
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     rules_path = None
     for line in text.splitlines():
         if line.startswith(_RULES_HEADER):
@@ -60,7 +61,7 @@ def _save_workspace(path: Path, graph: KnowledgeGraph, rules_path: str | None) -
 def _load_rules(rules_path: str | None):
     if rules_path is None:
         return None
-    return parse_rules(Path(rules_path).read_text(encoding="utf-8"))
+    return parse_rules(read_text(Path(rules_path)))
 
 
 def _cmd_ingest(args) -> int:
@@ -77,7 +78,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_rules_check(args) -> int:
-    ruleset = parse_rules(Path(args.file).read_text(encoding="utf-8"))
+    ruleset = _load_rules(args.file)
     print(
         f"ok: {len(ruleset.preconditions)} precondition set(s), "
         f"{len(ruleset.cause_rules)} cause rule(s)"
@@ -88,6 +89,9 @@ def _cmd_rules_check(args) -> int:
 def _cmd_infer(args) -> int:
     if args.rules and args.rules.splitlines() != [args.rules]:
         raise ConfigError(f"rules path {args.rules!r} contains a line break; "
+                          "it could not be recorded in the workspace")
+    if args.rules and any("\ud800" <= c <= "\udfff" for c in args.rules):  # a non-UTF-8 argv byte
+        raise ConfigError(f"rules path {args.rules!r} is not valid UTF-8; "
                           "it could not be recorded in the workspace")
     path = _workspace_path(args)
     graph, recorded_rules = _load_workspace(path)
@@ -153,11 +157,19 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2."""
+
+    def error(self, message: str):
+        # argparse echoes unrecognized arguments unquoted; keep the report on one line
+        raise UsageError(message.translate({ord("\n"): "\\n", ord("\r"): "\\r"}))
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--workspace", help="workspace file (default: $GEOCAUSAL_WORKSPACE or ./geocausal.graph)")
 
-    parser = argparse.ArgumentParser(prog="geocausal", description=__doc__)
+    parser = _ArgumentParser(prog="geocausal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", parents=[common], help="ingest a CSV file")
@@ -201,9 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except GeoCausalError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

@@ -102,6 +102,12 @@ class ConfigError(GeoCausalError):
     code = "config-error"
 
 
+class UsageError(GeoCausalError):
+    """A command line the CLI's argument grammar does not accept."""
+
+    code = "usage"
+
+
 class MissingColumn(GeoCausalError):
     """A required CSV column is absent from the header."""
 

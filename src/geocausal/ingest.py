@@ -28,6 +28,7 @@ the graph; lenient mode skips bad rows and records them in the report.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -52,6 +53,7 @@ from .model import (
     parse_timestamp,
 )
 from .spatiotemporal import bbox_union
+from .storage import read_text
 from .units import Categorical, Quantity, get_unit
 
 #: Fixed UTC offsets, in hours, for the supported timezone tokens.
@@ -199,26 +201,21 @@ def _parse_local_timestamp(text: str, tz_token: str) -> datetime:
         if not m or m.group() not in TIMEZONES:
             raise ValueError(f"unknown timezone token {tz_token!r}")
         offset = TIMEZONES[m.group()]
-    return (naive - timedelta(hours=offset)).replace(tzinfo=timezone.utc)
+    return parse_timestamp(naive.replace(tzinfo=timezone(timedelta(hours=offset))))
 
 
 def _open_rows(source: str | Path | IO[str], required: tuple[str, ...]):
-    if isinstance(source, (str, Path)):
-        handle: IO[str] = open(source, newline="", encoding="utf-8")
-        close = True
-    else:
-        handle, close = source, False
+    handle = source if hasattr(source, "read") else io.StringIO(read_text(source), newline="")
+    reader = csv.DictReader(handle)
     try:
-        reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]
         if missing:
             raise MissingColumn(f"missing required column(s): {', '.join(missing)}")
-        rows = [(lineno, row) for lineno, row in enumerate(reader, 2)]
-    finally:
-        if close:
-            handle.close()
-    return rows
+        return [(lineno, row) for lineno, row in enumerate(reader, 2)]
+    except csv.Error as exc:
+        # DictReader.line_num stops at the last record read whole
+        raise IngestError(f"malformed CSV: {exc}", reader.reader.line_num) from None
 
 
 def _cell(row: dict, column: str) -> str:

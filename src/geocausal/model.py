@@ -38,7 +38,8 @@ def parse_timestamp(value: str | datetime) -> datetime:
     """Parse an RFC-3339-style timestamp into a UTC instant at second resolution.
 
     Date-only strings mean midnight UTC; naive timestamps are taken as UTC;
-    fractional seconds are truncated.
+    fractional seconds are truncated. An instant outside years 1-9999 UTC
+    raises ParseError.
     """
     if isinstance(value, datetime):
         dt = value
@@ -56,7 +57,10 @@ def parse_timestamp(value: str | datetime) -> datetime:
             raise ParseError(f"invalid timestamp {value!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        return dt.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError:
+        raise ParseError(f"timestamp {dt.isoformat()} is outside years 1-9999 UTC") from None
 
 
 def format_timestamp(dt: datetime) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotAnEvent, PatternParseError, UnknownRelation
-from .engine import ProvenanceTree, explain
+from .engine import explain
 from .graph import KnowledgeGraph, RelationKind, RELATION_TOKENS, Triple
 from .model import GeoEvent, GeoObject, GeoSituation
 from .rules import RuleSet, Truth, evaluate
@@ -33,7 +33,6 @@ class EvidenceLine:
 @dataclass
 class ExplanationEdge:
     triple: Triple
-    tree: ProvenanceTree
     depth: int
     precondition_id: str | None = None
     evidence: tuple[EvidenceLine, ...] = ()
@@ -134,7 +133,8 @@ def why(
                 if reachable(triple.object, triple.subject):
                     continue  # would close a cycle; break it here
                 successors.setdefault(triple.subject, set()).add(triple.object)
-                edge = ExplanationEdge(triple, explain(graph, triple), depth)
+                explain(graph, triple)  # raises ProvenanceCycle on a premise cycle
+                edge = ExplanationEdge(triple, depth)
                 if triple.predicate is RelationKind.EFFECTS:
                     edge.precondition_id, edge.evidence = _evidence_for(graph, triple, rules)
                     visited_nodes.add(triple.subject)

@@ -223,6 +223,15 @@ def evaluate(pc: PreconditionSet, situation: GeoSituation) -> SatisfactionResult
 _DURATION_RE = re.compile(r"(?P<sign>[+-]?)(?P<number>\d+(?:\.\d+)?)(?P<unit>s|min|h|d)\Z")
 
 
+def _duration(seconds: float, literal: str, line: int | None = None, column: int | None = None) -> timedelta:
+    """The one duration constructor: a literal past timedelta's range is a
+    ParseError, not an OverflowError."""
+    try:
+        return timedelta(seconds=seconds)
+    except OverflowError:
+        raise ParseError(f"duration {literal!r} is out of range", line, column) from None
+
+
 def parse_duration(text: str) -> timedelta:
     """Parse a compact duration literal: <n><s|min|h|d>, e.g. 30min or 2h."""
     m = _DURATION_RE.fullmatch(text.strip())
@@ -231,7 +240,7 @@ def parse_duration(text: str) -> timedelta:
     seconds = float(m.group("number")) * _DURATION_UNITS[m.group("unit")]
     if m.group("sign") == "-":
         seconds = -seconds
-    return timedelta(seconds=seconds)
+    return _duration(seconds, text)
 
 
 def format_duration(value: timedelta) -> str:
@@ -250,9 +259,9 @@ def format_duration(value: timedelta) -> str:
 # --------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<newline>\n)
+    r"""(?P<ws>[ \t]+)
+      | (?P<comment>\#[^\r\n]*)
+      | (?P<newline>\r\n?|\n)
       | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
       | (?P<word>[A-Za-z][A-Za-z0-9_/-]*)
       | (?P<op><=|>=|!=|≤|≥|≠|[<>={};:])
@@ -454,7 +463,7 @@ class _Parser:
         value = float(number.text) * _DURATION_UNITS[unit_token.text]
         if value < 0:
             raise ParseError("duration must be non-negative", number.line, number.column)
-        return timedelta(seconds=value)
+        return _duration(value, number.text + unit_token.text, number.line, number.column)
 
 
 def parse_rules(text: str) -> RuleSet:

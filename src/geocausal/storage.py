@@ -29,7 +29,6 @@ and lists of strings: ``entity_doc`` and ``triple_doc`` encode it, and
 
 from __future__ import annotations
 
-import io
 import os
 import re
 from pathlib import Path
@@ -255,6 +254,19 @@ def dump_graph(graph: KnowledgeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str | Path) -> str:
+    """The one place a file's bytes become text: strict UTF-8, line breaks
+    kept as they are. A byte that is not UTF-8 raises ParseError naming its
+    line; a missing or unreadable file raises OSError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", line) from None
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` through a temporary file in the same
     directory, so a crash or a concurrent writer never leaves a truncated
@@ -351,13 +363,7 @@ def loads_graph(text: str) -> KnowledgeGraph:
 
 
 def load_graph(source: str | Path | IO[str]) -> KnowledgeGraph:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, io.TextIOBase) or hasattr(source, "read"):
-        text = source.read()
-    else:
-        raise TypeError(f"cannot load a graph from {source!r}")
-    return loads_graph(text)
+    return loads_graph(source.read() if hasattr(source, "read") else read_text(source))
 
 
 def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geocausal.cli import main
+from geocausal.engine import EngineConfig, infer
 from geocausal.rules import print_rules
+from geocausal.storage import dump_graph
 
 from support import build_chain_case, katrina_csv
 
@@ -262,3 +269,201 @@ class TestEndToEnd:
         assert code == 0
         assert "derived 0 triple(s)" in out
         assert "empty rule set" in err
+
+
+class TestHostileInput:
+    """Bad bytes, out-of-range values and bad arguments are user errors:
+    exit 1 with one ``error[...]`` line, the workspace left as it was."""
+
+    def refused(self, capsys, code_name, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, err
+        assert err.startswith(f"error[{code_name}]: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("name", ["workspace", "storm.csv", "obs.csv", "rules.gcr"])
+    def test_non_utf8_byte_names_its_line(self, capsys, tmp_path, name):
+        content = {
+            "workspace": b"# geocausal graph v2\nENT a event Rain\nENT b\xff event Flood\n",
+            "storm.csv": katrina_csv(3).encode().replace(b"Heavy", b"Heavy\xff"),
+            "obs.csv": OBS_TEXT.encode().replace(b"degF", b"deg\xffF"),
+            "rules.gcr": RULES_TEXT.encode().replace(b"rule R2", b"rule \xffR2"),
+        }[name]
+        path = tmp_path / name
+        path.write_bytes(content)
+        workspace = tmp_path / "ws.graph"
+        argv = {
+            "workspace": ["validate", "--workspace", str(path)],
+            "storm.csv": ["ingest", "storm", str(path), "--workspace", str(workspace)],
+            "obs.csv": ["ingest", "obs", str(path), "--workspace", str(workspace)],
+            "rules.gcr": ["infer", "--rules", str(path), "--workspace", str(workspace)],
+        }[name]
+        line = content[: content.index(b"\xff")].count(b"\n") + 1
+        err = self.refused(capsys, "parse-error", *argv)
+        assert err == f"error[parse-error]: line {line}: byte 0xff is not valid UTF-8\n"
+        assert not workspace.exists()
+
+    def test_csv_field_over_the_limit_names_its_line(self, capsys, tmp_path, workspace):
+        path = tmp_path / "storm.csv"
+        path.write_text(katrina_csv(3).replace(",Flash Flood,", f",{'x' * 131073},"), encoding="utf-8")
+        err = self.refused(capsys, "ingest-error", "ingest", "storm", str(path), "--workspace", workspace)
+        assert err.startswith("error[ingest-error]: line 4: malformed CSV: field larger than field limit")
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_storm_row_past_year_9999_utc_is_rejected(self, capsys, tmp_path, workspace, strict):
+        path = tmp_path / "storm.csv"
+        path.write_text(
+            katrina_csv(2).replace("2005-08-24 07:00:00,2005-08-24 08:30:00,CST",
+                                   "9999-12-31 23:00:00,9999-12-31 23:00:00,EST"),
+            encoding="utf-8",
+        )
+        reason = "line 3: timestamp 9999-12-31T23:00:00-05:00 is outside years 1-9999 UTC"
+        if strict:
+            err = self.refused(capsys, "ingest-error", "ingest", "storm", str(path), "--strict",
+                               "--workspace", workspace)
+            assert err == f"error[ingest-error]: {reason}\n"
+        else:
+            code, out, _ = run(capsys, "ingest", "storm", str(path), "--workspace", workspace)
+            assert code == 0
+            assert f"  {reason}" in out.splitlines()
+
+    def test_observation_row_before_year_1_utc_is_rejected(self, capsys, tmp_path, workspace):
+        path = tmp_path / "obs.csv"
+        path.write_text(OBS_TEXT.replace("2005-08-23T00:00:00Z", "0001-01-01T00:00:00+05:00"), encoding="utf-8")
+        code, out, _ = run(capsys, "ingest", "obs", str(path), "--workspace", workspace)
+        assert code == 0
+        assert "  line 2: timestamp 0001-01-01T00:00:00+05:00 is outside years 1-9999 UTC" in out
+
+    def test_workspace_record_before_year_1_utc_is_parse_error(self, capsys, workspace):
+        with open(workspace, "w", encoding="utf-8") as handle:
+            handle.write("ENT a event Rain\n"
+                         "ENT s situation - .start=0001-01-01T00:00:00+05:00 .end=2000-01-01T00:00:00Z\n")
+        err = self.refused(capsys, "parse-error", "validate", "--workspace", workspace)
+        assert err.startswith("error[parse-error]: line 2: ")
+
+    def test_max_gap_out_of_range(self, capsys, tmp_path, workspace, storm_file):
+        run(capsys, "ingest", "storm", storm_file, "--workspace", workspace)
+        before = (tmp_path / "test.graph").read_bytes()
+        code, out, err = run(capsys, "infer", "--max-gap", "99999999999d", "--workspace", workspace)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "error[parse-error]: duration '99999999999d' is out of range"
+        assert (tmp_path / "test.graph").read_bytes() == before
+
+    def test_rule_duration_out_of_range(self, capsys, tmp_path):
+        path = tmp_path / "big.gcr"
+        path.write_text("rule R1: A causes B when precedes within 99999999999999d\n", encoding="utf-8")
+        err = self.refused(capsys, "parse-error", "rules", "check", str(path))
+        assert err.startswith("error[parse-error]: line 1, column 42: duration ")
+
+    def test_non_utf8_rules_path_is_refused_before_inference(
+        self, capsys, tmp_path, workspace, storm_file
+    ):
+        # A non-UTF-8 argv byte such as b"\xff" reaches argparse as a lone surrogate.
+        rules_path = os.fsdecode(os.fsencode(tmp_path) + b"/r\xff.gcr")
+        with open(rules_path, "w", encoding="utf-8") as handle:
+            handle.write(RULES_TEXT)
+        run(capsys, "ingest", "storm", storm_file, "--workspace", workspace)
+        before = (tmp_path / "test.graph").read_bytes()
+        code, out, err = run(capsys, "infer", "--rules", rules_path, "--workspace", workspace)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[config-error]: ") and "not valid UTF-8" in err
+        assert (tmp_path / "test.graph").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["why"], "the following arguments are required: event_id"),
+            (["why", "x", "--depth", "abc"], "argument --depth: invalid int value: 'abc'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            ([], "the following arguments are required: command"),
+            (["validate", "a\nb"], "unrecognized arguments: a\\nb"),
+        ],
+    )
+    def test_usage_errors_exit_1(self, capsys, argv, message):
+        assert self.refused(capsys, "usage", *argv).startswith(f"error[usage]: {message}")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: geocausal")
+
+
+# ---------------------------------------------------------------------------
+# Mutated inputs: every byte or argument the CLI reads exits 0 or 1
+# ---------------------------------------------------------------------------
+
+_CHAIN_GRAPH, _CHAIN_RULES = build_chain_case()
+infer(_CHAIN_GRAPH, _CHAIN_RULES, EngineConfig())
+_BASE_FILES = {
+    "workspace": dump_graph(_CHAIN_GRAPH),  # prefixed with its "# rules:" header per example
+    "storm": katrina_csv(8),
+    "obs": OBS_TEXT + "s2,2005-08-23T00:00:00Z,2005-08-24T00:00:00Z,WaterLevel,12,m,29.5,-90\n",
+    "rules": print_rules(_CHAIN_RULES),
+}
+_COMMANDS = [
+    ["ingest", "storm", "{storm}"],
+    ["ingest", "storm", "{storm}", "--strict", "--prefix", "x:"],
+    ["ingest", "obs", "{obs}", "--json"],
+    ["ingest", "obs", "{obs}", "--strict"],
+    ["rules", "check", "{rules}"],
+    ["infer", "--rules", "{rules}", "--max-gap", "12h"],
+    ["infer"],
+    ["why", "ev:flashflood", "--depth", "3", "--format", "json"],
+    ["query", "? causes ?"],
+    ["export", "--format", "dot"],
+    ["validate"],
+]
+#: Byte strings spliced into input files: a non-UTF-8 byte, NUL, CSV and
+#: record syntax, digits that push a timestamp or duration out of range,
+#: and a field over the csv module's 131,072-byte limit.
+_BYTE_PIECES = [b"\xff", b"\xc3", b"\x00", b'"', b"\n", b"\r", b",", b" ", b"=", b"-", b"#",
+                b"9999", b"99999999999", b"e999", b"+05:00", b"x" * 131073]
+#: Strings spliced into argv tokens. A non-UTF-8 argv byte arrives as a
+#: lone surrogate; argv cannot hold NUL, so it is not among them.
+_ARG_PIECES = ["\udcff", "\n", "", "-", "--", "x", "99999999999d", "abc", "-1", "?", '"', " ", "=", "é"]
+
+
+def _mutate(data, seq, pieces):
+    for _ in range(data.draw(st.integers(1, 3))):
+        start = data.draw(st.integers(0, len(seq)))
+        end = data.draw(st.integers(start, min(len(seq), start + 4)))
+        seq = seq[:start] + data.draw(st.sampled_from(pieces)) + seq[end:]
+    return seq
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_inputs_exit_0_or_1(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)  # a mutated relative path lands here
+    with tempfile.TemporaryDirectory(dir=tmp_path) as directory:
+        paths = {name: os.path.join(directory, name) for name in _BASE_FILES}
+        contents = {name: text.encode() for name, text in _BASE_FILES.items()}
+        contents["workspace"] = f"# rules: {paths['rules']}\n".encode() + contents["workspace"]
+        target = data.draw(st.sampled_from([None, *_BASE_FILES]))
+        if target is not None:
+            contents[target] = _mutate(data, contents[target], _BYTE_PIECES)
+        for name, content in contents.items():
+            with open(paths[name], "wb") as handle:
+                handle.write(content)
+        argv = [token.format(**paths) for token in data.draw(st.sampled_from(_COMMANDS))]
+        argv += ["--workspace", paths["workspace"]]
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(argv) - 1))
+            argv[i] = _mutate(data, argv[i], _ARG_PIECES)
+        listing = sorted(os.listdir(directory))
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+
+        assert code in (0, 1), err
+        out.encode("utf-8")  # a real stdout encodes strictly; a failure there is exit 2
+        if code == 1:
+            errors = [line for line in err.split("\n") if line.startswith("error[")]
+            assert len(errors) == 1 and err.split("\n")[-2] == errors[0], err
+            with open(paths["workspace"], "rb") as handle:
+                assert handle.read() == contents["workspace"]
+            assert sorted(os.listdir(directory)) == listing

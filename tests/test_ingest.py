@@ -125,6 +125,15 @@ class TestStormIngestion:
             storm(text, strictness=Strictness.STRICT)
         assert exc.value.line == 2
 
+    def test_malformed_csv_names_its_physical_line(self):
+        text = STORM_HEADER + '1,101,"Flood\nTwo",2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n'
+        text += "1,102," + "x" * 131073 + "\n"
+        for strictness in Strictness:
+            with pytest.raises(IngestError) as exc:
+                storm(text, strictness=strictness)
+            assert exc.value.line == 4
+            assert "field larger than field limit" in str(exc.value)
+
     def test_strict_abort_leaves_graph_untouched(self):
         text = (
             STORM_HEADER

@@ -38,7 +38,11 @@ class TestTimestamps:
     def test_subsecond_truncated(self):
         assert format_timestamp(parse_timestamp("2005-08-23T12:00:00.75Z")) == "2005-08-23T12:00:00Z"
 
-    @pytest.mark.parametrize("bad", ["not-a-date", "2005-13-01", "2005-08-23T25:00:00Z", ""])
+    @pytest.mark.parametrize(
+        "bad",
+        ["not-a-date", "2005-13-01", "2005-08-23T25:00:00Z", "",
+         "0001-01-01T00:00:00+05:00", "9999-12-31T23:00:00-05:00"],
+    )
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_timestamp(bad)

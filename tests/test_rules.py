@@ -194,7 +194,7 @@ class TestDurations:
     def test_parse(self, text, seconds):
         assert parse_duration(text).total_seconds() == seconds
 
-    @pytest.mark.parametrize("text", ["", "h", "5 h", "5w", "1.5"])
+    @pytest.mark.parametrize("text", ["", "h", "5 h", "5w", "1.5", "99999999999d"])
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_duration(text)

@@ -375,3 +375,28 @@ def test_round_trip_property(graph):
     from_json = graph_from_json(document)
     assert graphs_equal(graph, from_json)
     assert graph_to_json(from_json) == document
+
+
+def test_only_storage_opens_files():
+    """``storage.read_text`` is the one place a file's bytes become text and
+    ``write_text_atomic`` the one write path, so no other module of the
+    package opens a file or calls a Path read or write method."""
+    import ast
+    from pathlib import Path
+
+    import geocausal
+
+    file_calls = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+    found = []
+    for module in sorted(Path(geocausal.__file__).parent.glob("*.py")):
+        if module.name == "storage.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in file_calls) or (
+                isinstance(func, ast.Name) and func.id == "open"
+            ):
+                found.append(f"{module.name}:{node.lineno}")
+    assert found == []
