@@ -93,6 +93,10 @@ def _cmd_infer(args) -> int:
     if args.rules and any("\ud800" <= c <= "\udfff" for c in args.rules):  # a non-UTF-8 argv byte
         raise ConfigError(f"rules path {args.rules!r} is not valid UTF-8; "
                           "it could not be recorded in the workspace")
+    config = EngineConfig(
+        max_gap=parse_duration(args.max_gap),
+        require_spatial_overlap=not args.no_spatial,
+    )
     path = _workspace_path(args)
     graph, recorded_rules = _load_workspace(path)
     rules_path = args.rules or recorded_rules
@@ -101,10 +105,6 @@ def _cmd_infer(args) -> int:
         ruleset = RuleSet()
         print("note: no rules file given or recorded; inferring with an empty rule set",
               file=sys.stderr)
-    config = EngineConfig(
-        max_gap=parse_duration(args.max_gap),
-        require_spatial_overlap=not args.no_spatial,
-    )
     result = infer(graph, ruleset, config)
     _save_workspace(path, graph, rules_path)
     print(f"derived {len(result.derived)} triple(s) in {result.iterations} iteration(s)")

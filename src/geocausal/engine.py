@@ -13,6 +13,20 @@ Four monotone rules close the graph:
   R-AFF  a situation that is the setting of an event affects that event's
          participating objects.
 
+R-EFF and R-CAU are joins over events. ``infer`` sorts each event kind's
+(event, region) pairs by interval start once, and each join bisects the
+window of starts that a partner can have, then runs the exact test on
+every event in it:
+
+  precedes within g   starts in [a.end, a.end + g]
+  precedes            starts >= a.end (this output is itself quadratic)
+  co-occurs           starts in [a.start - longest, a.end], where longest
+                      is the longest interval among the effect kind's events
+  R-EFF               starts in [s.end, s.end + max_gap] for situation s
+
+Each window holds every event that can pass the test, so the output is the
+all-pairs output, and the work grows with the windows, not the pairs.
+
 The rules are stratified. R-SAT reads situations and their observations.
 R-EFF reads the satisfies edges, asserted or derived by R-SAT. R-CAU reads
 only events and their regions, and R-AFF only the asserted setting and
@@ -28,12 +42,13 @@ no-spatial-overlap.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 from .errors import ConfigError, ProvenanceCycle
 from .graph import Derived, KnowledgeGraph, RelationKind, Role, Triple, TripleKey, triple_sort_key
-from .model import GeoEvent, GeoObject
+from .model import GeoEvent, GeoObject, SpatioTemporalRegion, TimeInterval
 from .rules import CoOccurs, Precedes, PrecedesWithin, RuleSet, Truth, evaluate
 from .spatiotemporal import co_occurs, gap_between, precedes, spatial_overlap
 
@@ -77,29 +92,59 @@ def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = N
     reads causes, effects or affects, so one pass in the order SAT, EFF,
     CAU, AFF reaches it and ``iterations`` is always 1. A new rule that
     reads a derived predicate must run after the rule that derives it.
+
+    R-EFF and R-CAU read one index of each event kind sorted by interval
+    start, built here, and test only the events whose start falls in the
+    window the constraint allows (see the module docstring); the exact
+    test still runs on every one of them.
     """
     if config is None:
         config = EngineConfig()
 
     # No rule adds entities or spatio-temporally-present triples, so this
     # index holds for the pass.
-    events_by_kind = {}  # event kind -> (id, region) of the events that have a region
+    events_by_kind: dict[str, list[tuple[str, SpatioTemporalRegion]]] = {}
     for event in graph.entities(Role.EVENT):
         region = graph.region_of(event.id)
         if region is not None:
             events_by_kind.setdefault(event.kind, []).append((event.id, region))
+    by_start = {kind: _ByStart(pairs) for kind, pairs in events_by_kind.items()}
 
     derived: list[Triple] = []
     diagnostics: set[Diagnostic] = set()
     _rule_sat(graph, rules, derived, diagnostics)
-    _rule_eff(graph, rules, config, events_by_kind, derived, diagnostics)
-    _rule_cau(graph, rules, events_by_kind, derived)
+    _rule_eff(graph, rules, config, by_start, derived, diagnostics)
+    _rule_cau(graph, rules, by_start, derived)
     _rule_aff(graph, derived)
     return InferenceResult(
         derived=sorted(derived, key=triple_sort_key),
         iterations=1,
         diagnostics=sorted(diagnostics),
     )
+
+
+class _ByStart:
+    """One event kind's (event id, region) pairs sorted by (start, id), with
+    their starts beside them for bisection."""
+
+    def __init__(self, pairs: list[tuple[str, SpatioTemporalRegion]]) -> None:
+        self.pairs = sorted(pairs, key=lambda p: (p[1].interval.start, p[0]))
+        self.starts = [region.interval.start for _, region in self.pairs]
+        self.longest = max(region.interval.end - region.interval.start for _, region in self.pairs)
+
+    def starting(self, low: datetime | None, high: datetime | None):
+        """The pairs whose start lies in [low, high]; None leaves that side open."""
+        lo = 0 if low is None else bisect_left(self.starts, low)
+        hi = len(self.starts) if high is None else bisect_right(self.starts, high)
+        return self.pairs[lo:hi]
+
+
+def _shift(instant: datetime, delta: timedelta) -> datetime | None:
+    """``instant + delta``, or None (an open bound) past the datetime range."""
+    try:
+        return instant + delta
+    except OverflowError:
+        return None
 
 
 def _derive(
@@ -137,7 +182,7 @@ def _rule_sat(graph, rules, derived, diagnostics) -> None:
                 )
 
 
-def _rule_eff(graph, rules, config, events_by_kind, derived, diagnostics) -> None:
+def _rule_eff(graph, rules, config, by_start, derived, diagnostics) -> None:
     for satisfies in graph.match(predicate=RelationKind.SATISFIES):
         situation = graph.entity(satisfies.subject)  # a situation, by the satisfies schema
         pc = rules.precondition(satisfies.object)
@@ -149,8 +194,11 @@ def _rule_eff(graph, rules, config, events_by_kind, derived, diagnostics) -> Non
             diagnostics.add(Diagnostic("R-EFF", (situation.id, pc.id), "mixed-setting"))
             continue
         setter_regions = [(x.id, r) for x in setters if (r := graph.region_of(x.id)) is not None]
+        events = by_start.get(pc.event_kind)
+        end = situation.holds_during.end
+        window = events.starting(end, _shift(end, config.max_gap)) if events else ()
         candidates = []
-        for event_id, region in events_by_kind.get(pc.event_kind, ()):
+        for event_id, region in window:
             if not precedes(situation.holds_during, region.interval):
                 continue
             if gap_between(situation.holds_during, region.interval) > config.max_gap:
@@ -194,11 +242,28 @@ def _constraint_holds(constraint, region_a, region_b) -> bool:
     raise TypeError(f"unknown constraint {constraint!r}")
 
 
-def _rule_cau(graph, rules, events_by_kind, derived) -> None:
+def _effect_window(constraint, cause: TimeInterval, longest: timedelta):
+    """The (low, high) starts an effect needs to meet the constraint against
+    a cause over ``cause``; every effect that meets it starts in there."""
+    if isinstance(constraint, CoOccurs):
+        # Co-occurring needs effect.start <= cause.end and effect.end >= cause.start.
+        return _shift(cause.start, -longest), cause.end
+    if isinstance(constraint, Precedes):
+        return cause.end, None
+    if isinstance(constraint, PrecedesWithin):
+        return cause.end, _shift(cause.end, constraint.max_gap)
+    raise TypeError(f"unknown constraint {constraint!r}")
+
+
+def _rule_cau(graph, rules, by_start, derived) -> None:
     for rule in rules.cause_rules:
-        effects = events_by_kind.get(rule.effect_kind, ())
-        for a, region_a in events_by_kind.get(rule.cause_kind, ()):
-            for b, region_b in effects:
+        causes = by_start.get(rule.cause_kind)
+        effects = by_start.get(rule.effect_kind)
+        if causes is None or effects is None:
+            continue
+        for a, region_a in causes.pairs:
+            window = _effect_window(rule.constraint, region_a.interval, effects.longest)
+            for b, region_b in effects.starting(*window):
                 if _constraint_holds(rule.constraint, region_a, region_b):
                     _derive(
                         graph,

@@ -259,20 +259,25 @@ class KnowledgeGraph:
         predicate: RelationKind | None = None,
         object: EntityId | None = None,
     ) -> list[Triple]:
-        """All triples matching the pattern, ordered (subject, predicate, object)."""
-        candidates: set[TripleKey] | None = None
-        if subject is not None:
-            candidates = set(self._by_subject.get(subject, ()))
-        if predicate is not None:
-            keys = self._by_predicate.get(predicate, set())
-            candidates = set(keys) if candidates is None else candidates & keys
-        if object is not None:
-            keys = self._by_object.get(object, set())
-            candidates = set(keys) if candidates is None else candidates & keys
-        if candidates is None:
-            found = list(self._triples.values())
+        """All triples matching the pattern, ordered (subject, predicate, object).
+
+        Walks the smallest bound index and tests membership in the others,
+        so no index set is copied.
+        """
+        bound = [
+            index.get(key, ())
+            for index, key in (
+                (self._by_subject, subject),
+                (self._by_predicate, predicate),
+                (self._by_object, object),
+            )
+            if key is not None
+        ]
+        if not bound:
+            found = self._triples.values()
         else:
-            found = [self._triples[k] for k in candidates]
+            smallest, *others = sorted(bound, key=len)
+            found = [self._triples[k] for k in smallest if all(k in keys for keys in others)]
         return sorted(found, key=triple_sort_key)
 
     def triples(self) -> list[Triple]:

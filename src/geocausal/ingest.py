@@ -206,16 +206,24 @@ def _parse_local_timestamp(text: str, tz_token: str) -> datetime:
 
 def _open_rows(source: str | Path | IO[str], required: tuple[str, ...]):
     handle = source if hasattr(source, "read") else io.StringIO(read_text(source), newline="")
-    reader = csv.DictReader(handle)
+    reader = csv.reader(handle)
     try:
-        header = reader.fieldnames or []
+        header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise MissingColumn(f"missing required column(s): {', '.join(missing)}")
-        return [(lineno, row) for lineno, row in enumerate(reader, 2)]
+        # Each row is numbered by the physical line it starts on: a quoted
+        # field may hold line breaks, and a blank line holds no row.
+        rows = []
+        lines_read = reader.line_num
+        for fields in reader:
+            if fields:
+                rows.append((lines_read + 1, dict(zip(header, fields))))
+            lines_read = reader.line_num
+        return rows
     except csv.Error as exc:
-        # DictReader.line_num stops at the last record read whole
-        raise IngestError(f"malformed CSV: {exc}", reader.reader.line_num) from None
+        # line_num counts the lines read, up to the one the reader stopped in
+        raise IngestError(f"malformed CSV: {exc}", reader.line_num) from None
 
 
 def _cell(row: dict, column: str) -> str:

@@ -349,6 +349,19 @@ class TestHostileInput:
         assert err.splitlines()[-1] == "error[parse-error]: duration '99999999999d' is out of range"
         assert (tmp_path / "test.graph").read_bytes() == before
 
+    def test_bad_max_gap_is_refused_before_the_workspace_is_read(self, capsys, tmp_path, workspace, storm_file):
+        run(capsys, "ingest", "storm", storm_file, "--workspace", workspace)
+        before = (tmp_path / "test.graph").read_bytes()
+        refusal = "error[parse-error]: invalid duration 'x' (expected <n><s|min|h|d>)\n"
+        err = self.refused(capsys, "parse-error", "infer", "--max-gap", "x", "--workspace", workspace)
+        assert err == refusal
+        assert (tmp_path / "test.graph").read_bytes() == before
+        # Over a corrupt workspace, the argument is still what gets reported.
+        (tmp_path / "test.graph").write_bytes(b"ENT a\xff event Rain\n")
+        err = self.refused(capsys, "parse-error", "infer", "--max-gap", "x", "--workspace", workspace)
+        assert err == refusal
+        assert (tmp_path / "test.graph").read_bytes() == b"ENT a\xff event Rain\n"
+
     def test_rule_duration_out_of_range(self, capsys, tmp_path):
         path = tmp_path / "big.gcr"
         path.write_text("rule R1: A causes B when precedes within 99999999999999d\n", encoding="utf-8")

@@ -1,14 +1,18 @@
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geocausal import engine
 from geocausal.engine import Diagnostic, EngineConfig, explain, infer
 from geocausal.errors import ConfigError, ProvenanceCycle, UnknownTriple
-from geocausal.graph import KnowledgeGraph, RelationKind
-from geocausal.model import BBox, GeoEvent, GeoObject, GeoSituation, Measurement, Point, SpatioTemporalRegion
-from geocausal.rules import RuleSet, parse_rules
+from geocausal.graph import KnowledgeGraph, RelationKind, Role
+from geocausal.model import BBox, GeoEvent, GeoObject, GeoSituation, Measurement, Point, SpatioTemporalRegion, TimeInterval
+from geocausal.rules import CauseRule, Condition, CoOccurs, Precedes, PrecedesWithin, PreconditionSet, RuleSet, parse_rules
+from geocausal.spatiotemporal import gap_between, precedes
 from geocausal.storage import dump_graph, loads_graph
+from geocausal.units import Comparator
 
 from support import brute_force_closure, build_chain_case, iv, q, random_engine_case, schema_violations
 
@@ -283,6 +287,152 @@ class TestFixpointProperties:
             infer(graph_a, rules_a)
             infer(graph_b, rules_b)
             assert dump_graph(graph_a) == dump_graph(graph_b)
+
+
+#: Few places, so that most pairs overlap in space and some do not.
+_GRID_GEOMETRIES = (Point(30.0, -90.0), BBox(29.0, -91.0, 31.0, -89.0), Point(40.0, -70.0))
+_GRID_KINDS = ("Rain", "Flood")
+_grid_hours = st.integers(0, 4)
+
+
+@st.composite
+def grid_cases(draw):
+    """Events and situations on a 12-hour grid of whole-hour endpoints, with
+    one cause rule of each constraint kind and an effects rule per kind.
+
+    The grid makes the window edges common: point intervals, an event that
+    starts where another ends, equal starts, a gap equal to a rule's limit
+    and a zero limit.
+    """
+    graph = KnowledgeGraph()
+    events = draw(st.lists(
+        st.tuples(st.sampled_from(_GRID_KINDS), st.integers(0, 12), st.integers(0, 3),
+                  st.sampled_from(_GRID_GEOMETRIES), st.integers(0, 9)),
+        min_size=20, max_size=60,
+    ))
+    for i, (kind, start, length, geometry, placed) in enumerate(events):
+        graph.add_entity(GeoEvent(f"ev:{i:02d}", kind))
+        if placed:  # one event in ten has no region
+            graph.add_entity(SpatioTemporalRegion(f"reg:{i:02d}", geometry, iv(start, start + length)))
+            graph.assert_triple(f"ev:{i:02d}", STP, f"reg:{i:02d}")
+    situations = draw(st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 3), st.sampled_from(_GRID_GEOMETRIES),
+                  st.sampled_from([8.0, 12.0])),
+        max_size=4,
+    ))
+    for i, (start, length, geometry, level) in enumerate(situations):
+        graph.add_entity(GeoObject(f"obj:{i}", "Gauge"))
+        graph.add_entity(SpatioTemporalRegion(f"reg:obj{i}", geometry, iv(0, 16)))
+        graph.assert_triple(f"obj:{i}", STP, f"reg:obj{i}")
+        measurements = (Measurement("WaterLevel", q(level, "m")),)
+        graph.add_entity(GeoSituation(f"sit:{i}", iv(start, start + length), measurements))
+        graph.assert_triple(f"obj:{i}", RelationKind.SETTING, f"sit:{i}")
+
+    def kinds():
+        return draw(st.sampled_from(_GRID_KINDS)), draw(st.sampled_from(_GRID_KINDS))
+
+    co_occurring = draw(st.permutations(_GRID_KINDS))  # co-occurs needs two kinds
+    cause_rules = (
+        CauseRule("R1", *co_occurring, CoOccurs()),
+        CauseRule("R2", *kinds(), PrecedesWithin(timedelta(hours=draw(_grid_hours)))),
+        CauseRule("R3", *kinds(), Precedes()),
+    )
+    level_over_10m = (Condition("WaterLevel", Comparator.GT, q(10, "m")),)
+    preconditions = tuple(PreconditionSet(f"PC_{kind}", kind, level_over_10m) for kind in _GRID_KINDS)
+    config = EngineConfig(timedelta(hours=draw(_grid_hours)), draw(st.booleans()))
+    return graph, RuleSet(preconditions, cause_rules), config
+
+
+class TestOutputSensitiveJoins:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(grid_cases())
+    def test_windows_lose_no_edge_at_their_boundaries(self, case):
+        graph, rules, config = case
+        expected = brute_force_closure(graph, rules, config)
+
+        def temporally_adjacent(situation, pc):
+            for event in graph.entities(Role.EVENT):
+                region = graph.region_of(event.id)
+                if event.kind == pc.event_kind and region is not None and precedes(
+                    situation.holds_during, region.interval
+                ) and gap_between(situation.holds_during, region.interval) <= config.max_gap:
+                    return True
+            return False
+
+        expected_no_adjacency = {
+            (situation.id, pc.id)
+            for situation in graph.entities(Role.SITUATION)
+            for pc in rules.preconditions
+            if (situation.id, RelationKind.SATISFIES, pc.id) in expected
+            and not temporally_adjacent(situation, pc)
+        }
+        result = infer(graph, rules, config)
+        assert derived_keys(result) == expected
+        assert {
+            d.entities for d in result.diagnostics if d.reason == "no-temporal-adjacency"
+        } == expected_no_adjacency
+
+    def test_windows_past_the_datetime_range_stay_open(self):
+        # Each window bound below year 1 or past year 9999 is left open.
+        def at(year, month, day):
+            return datetime(year, month, day, tzinfo=timezone.utc)
+
+        graph = KnowledgeGraph()
+        spans = {
+            "ev:rain": ("Rain", at(1, 1, 3), at(1, 1, 4)),
+            "ev:long": ("Flood", at(1, 1, 2), at(9999, 12, 30)),
+            "ev:last": ("Flood", at(9999, 12, 31), at(9999, 12, 31)),
+        }
+        for event_id, (kind, start, end) in spans.items():
+            graph.add_entity(GeoEvent(event_id, kind))
+            graph.add_entity(SpatioTemporalRegion(f"reg:{event_id}", Point(30.0, -90.0), TimeInterval(start, end)))
+            graph.assert_triple(event_id, STP, f"reg:{event_id}")
+        graph.add_entity(GeoObject("obj:gauge", "Gauge"))
+        graph.add_entity(SpatioTemporalRegion("reg:gauge", Point(30.0, -90.0), iv(0, 1)))
+        graph.assert_triple("obj:gauge", STP, "reg:gauge")
+        graph.add_entity(GeoSituation("sit:s", TimeInterval(at(1, 1, 1), at(1, 1, 2)),
+                                      (Measurement("WaterLevel", q(12, "m")),)))
+        graph.assert_triple("obj:gauge", RelationKind.SETTING, "sit:s")
+        rules = parse_rules(
+            "precondition PC effects Flood { WaterLevel > 10 m }\n"
+            "rule R1: Rain causes Flood when co-occurs\n"
+            "rule R2: Rain causes Flood when precedes within 3700000d\n"
+        )
+        config = EngineConfig(max_gap=timedelta(days=3_700_000), require_spatial_overlap=False)
+        expected = brute_force_closure(graph, rules, config)
+        result = infer(graph, rules, config)
+        assert derived_keys(result) == expected
+        assert {
+            ("ev:rain", RelationKind.CAUSES, "ev:long"),
+            ("ev:rain", RelationKind.CAUSES, "ev:last"),
+            ("sit:s", RelationKind.EFFECTS, "ev:last"),
+        } <= expected
+
+    def test_constraint_checks_grow_with_output_not_pairs(self, monkeypatch):
+        # A count, not a time, so it holds on any machine. Testing all pairs
+        # would take about n^2 / 4 checks per rule here.
+        graph = KnowledgeGraph()
+        n = 2000
+        for i in range(n):
+            graph.add_entity(GeoEvent(f"ev:{i:04d}", "Rain" if i % 2 else "Flood"))
+            graph.add_entity(SpatioTemporalRegion(f"reg:{i:04d}", Point(30.0, -90.0), iv(3 * i, 3 * i + i % 7)))
+            graph.assert_triple(f"ev:{i:04d}", STP, f"reg:{i:04d}")
+        rules = parse_rules(
+            "rule R1: Rain causes Flood when co-occurs\n"
+            "rule R2: Rain causes Flood when precedes within 6h\n"
+        )
+        calls = 0
+        constraint_holds = engine._constraint_holds
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return constraint_holds(*args)
+
+        monkeypatch.setattr(engine, "_constraint_holds", counted)
+        result = infer(graph, rules)
+        assert {t.provenance.rule_id for t in result.derived} == {"R-CAU:R1", "R-CAU:R2"}
+        assert calls <= 4 * (n + len(result.derived))
 
 
 class TestExplain:

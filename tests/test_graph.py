@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geocausal.errors import DuplicateId, InvariantViolation, SchemaViolation, UnknownEntity
 from geocausal.graph import ASSERTED, Derived, KnowledgeGraph, RelationKind, Role, role_of
@@ -180,6 +182,30 @@ class TestMatch:
                     (x for x in triples if x.subject == sample_subject),
                     key=lambda x: (x.subject, x.predicate.value, x.object),
                 )
+
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 80), st.data())
+    def test_every_pattern_equals_a_filtered_scan(self, seed, size, data):
+        g = random_storage_graph(random.Random(seed), size)
+        triples = g.triples()
+        # Each position takes the value of one stored triple or any other
+        # value (an id that is absent included), so that bound sets of every
+        # size meet, overlap or miss one another.
+        base = data.draw(st.sampled_from(triples)).key if triples else ("ev:absent", STP, "ev:absent")
+        pools = (
+            [t.subject for t in triples] + ["ev:absent"],
+            list(RelationKind),
+            [t.object for t in triples] + ["ev:absent"],
+        )
+        values = [
+            data.draw(st.sampled_from([fixed, *pool]) if pool else st.just(fixed))
+            for fixed, pool in zip(base, pools)
+        ]
+        for bound in itertools.product((False, True), repeat=3):
+            pattern = [value if b else None for value, b in zip(values, bound)]
+            expected = [t for t in triples if all(v is None or v == x for v, x in zip(pattern, t.key))]
+            assert g.match(*pattern) == expected, pattern
 
 
 class TestRegionOf:

@@ -134,6 +134,17 @@ class TestStormIngestion:
             assert exc.value.line == 4
             assert "field larger than field limit" in str(exc.value)
 
+    def test_bad_row_names_the_physical_line_it_starts_on(self):
+        # Row 1 spans lines 2-3 (a quoted line break), line 4 is blank, and
+        # the bad row starts on line 5.
+        text = STORM_HEADER + '1,101,"Flash\nFlood",2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n'
+        text += "\n1,102,Flood,bad,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+        graph, report = storm(text)
+        assert report.errors == [(5, "invalid timestamp 'bad'")]
+        with pytest.raises(IngestError) as exc:
+            storm(text, strictness=Strictness.STRICT)
+        assert exc.value.line == 5
+
     def test_strict_abort_leaves_graph_untouched(self):
         text = (
             STORM_HEADER
