@@ -46,7 +46,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
-from .errors import ConfigError, ProvenanceCycle
+from .errors import ConfigError
 from .graph import Derived, KnowledgeGraph, RelationKind, Role, Triple, TripleKey, triple_sort_key
 from .model import GeoEvent, GeoObject, SpatioTemporalRegion, TimeInterval
 from .rules import CoOccurs, Precedes, PrecedesWithin, RuleSet, Truth, evaluate
@@ -323,12 +323,10 @@ class ProvenanceTree:
 
 def explain(graph: KnowledgeGraph, triple: Triple | TripleKey) -> ProvenanceTree:
     """Expand a triple's provenance, each premise once (shared premises share
-    their tree) and without recursion, so a chain of any depth expands. A
-    premise key that names no stored triple raises UnknownTriple, and a
-    hand-edited cycle raises ProvenanceCycle."""
+    their tree) and without recursion, so a chain of any depth expands. An
+    unstored key raises UnknownTriple; premises are stored before their citers."""
     root = triple.key if isinstance(triple, Triple) else triple
     trees: dict[TripleKey, ProvenanceTree] = {}
-    expanding: set[TripleKey] = set()  # keys whose premises are not all expanded yet
     stack = [root]
     while stack:
         key = stack[-1]
@@ -337,14 +335,11 @@ def explain(graph: KnowledgeGraph, triple: Triple | TripleKey) -> ProvenanceTree
             continue
         stored = graph.triple(key)  # raises UnknownTriple
         premises = stored.provenance.premises if stored.is_derived else ()
-        if key not in expanding:
-            expanding.add(key)
-            if any(premise in expanding for premise in premises):
-                raise ProvenanceCycle(f"({key[0]} {key[1].value} {key[2]}) is among its own premises")
-            stack.extend(premise for premise in premises if premise not in trees)
+        pending = [premise for premise in premises if premise not in trees]
+        if pending:
+            stack.extend(pending)
             continue
         stack.pop()
-        expanding.discard(key)
         rule_id = stored.provenance.rule_id if stored.is_derived else None
         trees[key] = ProvenanceTree(stored, rule_id, [trees[k] for k in premises])
     return trees[root]

@@ -84,12 +84,6 @@ class UnknownTriple(GeoCausalError):
     code = "unknown-triple"
 
 
-class ProvenanceCycle(GeoCausalError):
-    """A derived triple is, through its premises, a premise of itself."""
-
-    code = "provenance-cycle"
-
-
 class DuplicateRuleId(GeoCausalError):
     """A rule or precondition id occurs twice in one rule set."""
 

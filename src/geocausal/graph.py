@@ -113,8 +113,8 @@ class Derived:
     """Provenance of an inferred triple: the rule and its premise triples.
 
     The rule id is a bare token, like an entity id, so that it persists
-    without escaping. The premise keys are stored, persisted and reloaded
-    in order; a graph loaded from a version 1 document has none.
+    without escaping. The premise keys, each naming a triple stored before
+    this one, persist and reload in order; version 1 documents kept none.
     """
 
     rule_id: str
@@ -221,14 +221,17 @@ class KnowledgeGraph:
     ) -> Triple:
         """Store a triple after schema checks; repeats are idempotent.
 
-        The provenance of an existing triple is immutable: re-adding the
-        same (subject, predicate, object) returns the stored triple.
+        An existing triple's provenance is immutable: re-adding its key returns
+        it unchanged. A premise that is not already stored raises UnknownTriple.
         """
         key = (subject, predicate, object)
         existing = self._triples.get(key)
         if existing is not None:
             return existing
         self._check_schema(subject, predicate, object)
+        for premise in getattr(provenance, "premises", ()):
+            if premise not in self._triples:
+                self.triple(premise)  # raises UnknownTriple
         triple = Triple(subject, predicate, object, provenance)
         self._triples[key] = triple
         self._by_subject.setdefault(subject, set()).add(key)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotAnEvent, PatternParseError, UnknownRelation
-from .engine import explain
 from .graph import KnowledgeGraph, RelationKind, RELATION_TOKENS, Triple
 from .model import GeoEvent, GeoObject, GeoSituation
 from .rules import RuleSet, Truth, evaluate
@@ -133,7 +132,6 @@ def why(
                 if reachable(triple.object, triple.subject):
                     continue  # would close a cycle; break it here
                 successors.setdefault(triple.subject, set()).add(triple.object)
-                explain(graph, triple)  # raises ProvenanceCycle on a premise cycle
                 edge = ExplanationEdge(triple, depth)
                 if triple.predicate is RelationKind.EFFECTS:
                     edge.precondition_id, edge.evidence = _evidence_for(graph, triple, rules)
@@ -170,36 +168,34 @@ def _entity_label(graph: KnowledgeGraph, entity_id: str) -> str:
 def render_explanation_text(explanation: Explanation, graph: KnowledgeGraph) -> str:
     """Indented tree, one causal edge per line, evidence as sub-lines."""
     by_target: dict[str, list[ExplanationEdge]] = {}
-    for edge in explanation.edges:
+    for edge in sorted(explanation.edges, key=lambda e: (e.triple.predicate.value, e.triple.subject)):
         by_target.setdefault(edge.triple.object, []).append(edge)
     affects_by_situation: dict[str, list[Triple]] = {}
     for side in explanation.affects:
         affects_by_situation.setdefault(side.subject, []).append(side)
 
     lines = [_entity_label(graph, explanation.root)]
-
-    def walk(node: str, indent: int) -> None:
+    stack = [(edge, 1) for edge in reversed(by_target.get(explanation.root, []))]  # no recursion limit
+    while stack:
+        edge, indent = stack.pop()
         pad = "  " * indent
-        for edge in sorted(by_target.get(node, []), key=lambda e: (e.triple.predicate.value, e.triple.subject)):
-            arrow = f"<- {edge.triple.predicate.value} --"
-            lines.append(f"{pad}{arrow} {_entity_label(graph, edge.triple.subject)}")
-            if edge.triple.predicate is RelationKind.EFFECTS:
-                for ev in edge.evidence:
-                    condition = f"{ev.attribute} {ev.comparator}"
-                    if ev.threshold is not None:
-                        condition += f" {ev.threshold}"
-                    observed = f"observed {ev.observed}" if ev.observed is not None else "not observed"
-                    status = {Truth.TRUE: "true", Truth.FALSE: "false", Truth.UNKNOWN: "unknown"}[ev.status]
-                    label = f" [{edge.precondition_id}]" if edge.precondition_id else ""
-                    lines.append(f"{pad}     evidence{label}: {condition} ({observed}) => {status}")
-                for side in sorted(
-                    affects_by_situation.get(edge.triple.subject, []), key=lambda t: t.object
-                ):
-                    lines.append(f"{pad}     affects: {_entity_label(graph, side.object)}")
-            else:
-                walk(edge.triple.subject, indent + 1)
-
-    walk(explanation.root, 1)
+        arrow = f"<- {edge.triple.predicate.value} --"
+        lines.append(f"{pad}{arrow} {_entity_label(graph, edge.triple.subject)}")
+        if edge.triple.predicate is RelationKind.EFFECTS:
+            for ev in edge.evidence:
+                condition = f"{ev.attribute} {ev.comparator}"
+                if ev.threshold is not None:
+                    condition += f" {ev.threshold}"
+                observed = f"observed {ev.observed}" if ev.observed is not None else "not observed"
+                status = {Truth.TRUE: "true", Truth.FALSE: "false", Truth.UNKNOWN: "unknown"}[ev.status]
+                label = f" [{edge.precondition_id}]" if edge.precondition_id else ""
+                lines.append(f"{pad}     evidence{label}: {condition} ({observed}) => {status}")
+            for side in sorted(
+                affects_by_situation.get(edge.triple.subject, []), key=lambda t: t.object
+            ):
+                lines.append(f"{pad}     affects: {_entity_label(graph, side.object)}")
+        else:
+            stack.extend((e, indent + 1) for e in reversed(by_target.get(edge.triple.subject, [])))
     if explanation.truncated:
         lines.append(f"... truncated at depth {explanation.depth_reached}")
     return "\n".join(lines)

@@ -197,25 +197,40 @@ def graph_from_docs(
     entities: Iterable[tuple[int | str, dict]], triples: Iterable[tuple[int | str, dict]]
 ) -> KnowledgeGraph:
     """Build a graph from entity and triple documents, each paired with
-    where it came from (a line number or a JSON entry name). Every premise
-    key must name a stored triple. Errors name the offending record."""
+    where it came from (a line number or a JSON entry name). Triple records
+    may come in any order; a premise that names no record, or leads back to
+    its own, raises ParseError. Errors name the offending record."""
     graph = KnowledgeGraph()
-    derived: list[tuple[int | str, Derived]] = []
     try:
         for where, doc in entities:
             try:
                 graph.add_entity(_entity_from_doc(doc))
             except DuplicateId as exc:
                 raise ParseError(str(exc)) from None
+        records: list[tuple[int | str, TripleKey, Provenance]] = []
+        first: dict[TripleKey, int] = {}
         for where, doc in triples:
             key, provenance = _triple_from_doc(doc)
-            graph.add_triple(*key, provenance)
-            if provenance is not ASSERTED:
-                derived.append((where, provenance))
-        for where, provenance in derived:
-            for s, p, o in provenance.premises:
-                if not graph.has_triple(s, p, o):
-                    raise ParseError(f"premise ({s} {p.value} {o}) is not a stored triple")
+            first.setdefault(key, len(records))
+            records.append((where, key, provenance))
+        # An explicit stack, so any depth loads; document order, so a repeated
+        # triple keeps its first record. Open records are the top's premise-ancestors.
+        state = [0] * len(records)  # 0 new, 1 open, 2 added
+        stack = list(reversed(range(len(records))))
+        while stack:
+            where, key, provenance = records[j := stack.pop()]
+            if state[j] == 0:
+                state[j] = 1
+                stack.append(j)
+                for s, p, o in getattr(provenance, "premises", ()):
+                    k = first.get((s, p, o))
+                    if k is None or state[k] == 1:
+                        fault = "is not a stored triple" if k is None else "leads back to this triple"
+                        raise ParseError(f"premise ({s} {p.value} {o}) {fault}")
+                    stack.append(k)
+            elif state[j] == 1:
+                state[j] = 2
+                graph.add_triple(*key, provenance)
     except GeoCausalError as exc:
         raise _located(exc, where) from None
     return graph
@@ -243,14 +258,10 @@ def _triple_line(t: Triple) -> str:
 
 
 def dump_graph(graph: KnowledgeGraph) -> str:
-    """The graph as a text document. A premise key that names no stored
-    triple raises UnknownTriple here, because the reader would reject it."""
+    """The graph as a text document; add_triple keeps every premise stored."""
     lines = [HEADER]
     lines.extend(_entity_line(e) for e in graph.entities())
-    for t in graph.triples():
-        for premise in getattr(t.provenance, "premises", ()):
-            graph.triple(premise)
-        lines.append(_triple_line(t))
+    lines.extend(_triple_line(t) for t in graph.triples())
     return "\n".join(lines) + "\n"
 
 

@@ -90,7 +90,20 @@ class TestSubcommands:
             handle.write("ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED rule=R a causes b\n")
         code, _, err = run(capsys, "why", "b", "--workspace", workspace)
         assert code == 1
-        assert err.startswith("error[provenance-cycle]: ")
+        assert err.startswith("error[parse-error]: line 3: ")
+
+    def test_why_text_over_a_deep_chain(self, capsys, workspace):
+        # deeper than the interpreter's recursion limit
+        n = 1200
+        lines = [f"ENT e{i} event Rain" for i in range(n)]
+        lines += [f"TRI e{i} causes e{i + 1}" for i in range(n - 1)]
+        with open(workspace, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        code, out, err = run(
+            capsys, "why", f"e{n - 1}", "--format", "text", "--depth", "5000", "--workspace", workspace
+        )
+        assert (code, err) == (0, "")
+        assert sum(line.lstrip().startswith("<- ") for line in out.splitlines()) == n - 1
 
     def test_rules_check_ok(self, capsys, rules_file, workspace):
         code, out, _ = run(capsys, "rules", "check", rules_file)

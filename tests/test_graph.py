@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geocausal.errors import DuplicateId, InvariantViolation, SchemaViolation, UnknownEntity
+from geocausal.errors import DuplicateId, InvariantViolation, SchemaViolation, UnknownEntity, UnknownTriple
 from geocausal.graph import ASSERTED, Derived, KnowledgeGraph, RelationKind, Role, role_of
 from geocausal.model import (
     GeoEvent,
@@ -101,6 +101,20 @@ class TestAssert:
         g.add_triple("ev:rain", RelationKind.CAUSES, "ev:flood", Derived("R-CAU:R1", ()))
         kept = g.assert_triple("ev:rain", RelationKind.CAUSES, "ev:flood")
         assert kept.is_derived
+
+    @pytest.mark.parametrize(
+        "premise",
+        [("ev:rain", RelationKind.CAUSES, "ev:flood"), ("ev:flood", STP, "reg:r1")],
+        ids=["not-stored", "own-key"],
+    )
+    def test_premise_must_already_be_stored(self, premise):
+        g = small_graph()
+        g.assert_triple("ev:rain", STP, "reg:r1")
+        before = (g.triple_count, g.match(), g.region_of("ev:rain"), g.region_of("ev:flood"))
+        with pytest.raises(UnknownTriple):
+            g.add_triple("ev:flood", STP, "reg:r1", Derived("R", (("ev:rain", STP, "reg:r1"), premise)))
+        assert (g.triple_count, g.match(), g.region_of("ev:rain"), g.region_of("ev:flood")) == before
+        assert before[3] is None
 
     @pytest.mark.parametrize("rule_id", ["", "my rule", "R\tX", 'R"X', "R\x00"])
     def test_rule_id_is_a_bare_token(self, rule_id):

@@ -1,10 +1,12 @@
+import json
 import random
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geocausal.errors import InvariantViolation, ParseError, SchemaViolation, UnknownEntity, UnknownTriple
+from geocausal.engine import infer
+from geocausal.errors import InvariantViolation, ParseError, SchemaViolation, UnknownEntity
 from geocausal.export import graph_from_json, graph_to_json
 from geocausal.graph import ASSERTED, Derived, KnowledgeGraph, RelationKind
 from geocausal.model import (
@@ -21,7 +23,7 @@ from geocausal.model import (
 from geocausal.storage import dump_graph, graphs_equal, load_graph, loads_graph, save_graph
 from geocausal.units import REGISTRY, Categorical, Quantity
 
-from support import iv, q, random_storage_graph
+from support import iv, q, random_engine_case, random_storage_graph
 
 
 class TestRoundTrip:
@@ -78,17 +80,6 @@ class TestRoundTrip:
         t = loaded.match(predicate=RelationKind.CAUSES)[0]
         assert t.provenance == Derived("R-CAU:R1", premises)  # keys kept, in stored order
         assert dump_graph(loaded) == text
-
-    def test_dangling_premise_is_not_written(self, tmp_path):
-        g = KnowledgeGraph()
-        g.add_entity(GeoEvent("ev:a", "Rain"))
-        g.add_entity(GeoEvent("ev:b", "Flood"))
-        g.add_triple("ev:a", RelationKind.CAUSES, "ev:b", Derived("R", (("x", RelationKind.CAUSES, "y"),)))
-        target = tmp_path / "graph.txt"
-        target.write_text("kept\n", encoding="utf-8")
-        with pytest.raises(UnknownTriple):
-            save_graph(g, target)
-        assert target.read_text(encoding="utf-8") == "kept\n"
 
     def test_file_round_trip(self, tmp_path, flood_case_a):
         g, _ = flood_case_a
@@ -238,6 +229,64 @@ class TestDocumentErrors:
         with pytest.raises(ParseError) as exc:
             loads_graph(doc)
         assert exc.value.line == 3
+
+
+class TestPremiseOrder:
+    """Triple records may come in any order: each is added after its premises."""
+
+    def test_shuffled_records_load_equal(self):
+        with_premises = 0
+        for seed in range(100):
+            graph, rules = random_engine_case(random.Random(seed))
+            infer(graph, rules)
+            text = dump_graph(graph)
+            lines = text.splitlines()
+            triples = [line for line in lines if line.startswith("TRI ")]
+            with_premises += any(" DERIVED " in line and "=R-SAT" not in line for line in triples)
+            for shuffle_seed in range(4):
+                random.Random(shuffle_seed).shuffle(triples)
+                shuffled = [line for line in lines if not line.startswith("TRI ")] + triples
+                loaded = loads_graph("\n".join(shuffled) + "\n")
+                assert graphs_equal(graph, loaded)
+                assert dump_graph(loaded) == text
+        assert with_premises >= 10
+
+    def test_deep_chain_written_premise_last(self):
+        depth = 3000
+        lines = [f"ENT e{i} event Rain" for i in range(depth + 2)]
+        for i in range(depth, 0, -1):
+            lines.append(f"TRI e{i} causes e{i + 1} DERIVED rule=R e{i - 1} causes e{i}")
+        lines.append("TRI e0 causes e1")
+        graph = loads_graph("\n".join(lines) + "\n")
+        assert graph.triple_count == depth + 1
+        assert dump_graph(graph) == dump_graph(loads_graph(dump_graph(graph)))
+
+    @pytest.mark.parametrize(
+        "records, line",
+        [
+            (["TRI a causes b DERIVED rule=R a causes b"], 3),
+            (["TRI a causes b DERIVED rule=R b causes a", "TRI b causes a DERIVED rule=R a causes b"], 4),
+        ],
+        ids=["self", "two-record"],
+    )
+    def test_premise_cycle_names_a_record(self, records, line):
+        with pytest.raises(ParseError) as exc:
+            loads_graph("\n".join(["ENT a event Rain", "ENT b event Flood", *records]) + "\n")
+        assert exc.value.line == line
+        assert "leads back" in str(exc.value)
+        triples = []
+        for record in records:  # the same records as JSON entries
+            _, s, p, o, _, _, *premise = record.split()
+            triples.append({"subject": s, "predicate": p, "object": o, "provenance": "derived", "rule": "R",
+                            "premises": [premise]})
+        document = {
+            "format": "geocausal-graph",
+            "version": 2,
+            "entities": [{"id": "a", "role": "event", "kind": "Rain"}, {"id": "b", "role": "event", "kind": "Flood"}],
+            "triples": triples,
+        }
+        with pytest.raises(ParseError, match=rf"^triples\[{line - 3}\]: premise .* leads back"):
+            graph_from_json(json.dumps(document))
 
 
 class TestFormatDetails:
