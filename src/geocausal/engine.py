@@ -310,14 +310,20 @@ class ProvenanceTree:
     rule_id: str | None = None
     premises: list[ProvenanceTree] = field(default_factory=list)
 
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        t = self.triple
-        head = f"{pad}({t.subject} {t.predicate.value} {t.object})"
-        if self.rule_id is None:
-            return head + " [asserted]"
-        lines = [head + f" [derived by {self.rule_id}]"]
-        lines.extend(premise.render(indent + 1) for premise in self.premises)
+    def render(self) -> str:
+        """One line per premise, indented under the triple that cites it. A
+        triple's premises are listed where it is first printed, not again;
+        a premise cited twice by one triple gets one line. No recursion."""
+        lines, expanded, stack = [], set(), [(self, 0)]
+        while stack:
+            tree, indent = stack.pop()
+            t = tree.triple
+            rule = " [asserted]" if tree.rule_id is None else f" [derived by {tree.rule_id}]"
+            lines.append(f"{'  ' * indent}({t.subject} {t.predicate.value} {t.object}){rule}")
+            if tree.rule_id is not None and t.key not in expanded:
+                expanded.add(t.key)
+                premises = {p.triple.key: p for p in tree.premises}
+                stack.extend((p, indent + 1) for p in reversed(premises.values()))
         return "\n".join(lines)
 
 

@@ -63,10 +63,7 @@ def explanation_to_dot(explanation: Explanation, graph: KnowledgeGraph) -> str:
     lines = ["digraph explanation {", "  rankdir=RL;"]
     for node in explanation.nodes:
         lines.append(_dot_node(graph, node))
-    extra_nodes = []
-    for side in explanation.affects:
-        if side.object not in explanation.nodes and side.object not in extra_nodes:
-            extra_nodes.append(side.object)
+    extra_nodes = {side.object for side in explanation.affects} - set(explanation.nodes)
     for node in sorted(extra_nodes):
         lines.append(_dot_node(graph, node))
     for edge in explanation.edges:

@@ -147,7 +147,6 @@ class StormEventRow:
     line: int
     episode_id: str
     event_id: str
-    event_type: str
     kind: str
     interval: TimeInterval
     geometry: Geometry | None
@@ -287,7 +286,7 @@ def _parse_storm_row(lineno: int, row: dict) -> StormEventRow:
         impacts.append(Measurement(name, Quantity(float(magnitude), get_unit("1"))))
 
     return StormEventRow(
-        lineno, episode_id, event_id, event_type, kind, interval, geometry, tuple(impacts)
+        lineno, episode_id, event_id, kind, interval, geometry, tuple(impacts)
     )
 
 

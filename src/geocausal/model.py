@@ -94,7 +94,7 @@ class TimeInterval:
 
 def make_interval(start: str | datetime, end: str | datetime) -> TimeInterval:
     """Build an interval from timestamps or parseable timestamp strings."""
-    return TimeInterval(parse_timestamp(start), parse_timestamp(end))
+    return TimeInterval(start, end)
 
 
 def interval_envelope(intervals: Iterable[TimeInterval]) -> TimeInterval:

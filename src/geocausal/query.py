@@ -49,10 +49,6 @@ class Explanation:
     truncated: bool = False
 
 
-def _satisfies_ids(graph: KnowledgeGraph, situation_id: str) -> list[str]:
-    return [t.object for t in graph.match(subject=situation_id, predicate=RelationKind.SATISFIES)]
-
-
 def _evidence_for(
     graph: KnowledgeGraph, triple: Triple, rules: RuleSet | None
 ) -> tuple[str | None, tuple[EvidenceLine, ...]]:
@@ -61,9 +57,9 @@ def _evidence_for(
     if triple.is_derived and triple.provenance.rule_id.startswith("R-EFF:"):
         pc_id = triple.provenance.rule_id.split(":", 1)[1]
     if pc_id is None:
-        candidates = _satisfies_ids(graph, triple.subject)
+        candidates = graph.match(subject=triple.subject, predicate=RelationKind.SATISFIES)
         if candidates:
-            pc_id = candidates[0]
+            pc_id = candidates[0].object
     if pc_id is None or rules is None:
         return pc_id, ()
     pc = rules.precondition(pc_id)
@@ -84,6 +80,20 @@ def _evidence_for(
     return pc_id, lines
 
 
+def reachable(successors: dict[str, set[str]], start: str, goal: str) -> bool:
+    """Whether ``goal`` can be reached from ``start`` along ``successors``."""
+    stack, seen = [start], {start}
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        for nxt in successors.get(node, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
 def why(
     graph: KnowledgeGraph,
     event_id: str,
@@ -91,6 +101,9 @@ def why(
     rules: RuleSet | None = None,
 ) -> Explanation:
     """Explain an event by walking its incoming causal edges backward.
+
+    Each node is expanded once. Only an edge from a node already in the
+    explanation can close a cycle, so only such an edge pays for a walk.
 
     Monotone in ``max_depth``: the edges found at depth d are a subset of
     those found at any greater depth.
@@ -101,20 +114,7 @@ def why(
 
     explanation = Explanation(root=event_id)
     visited_nodes = {event_id}
-    seen_edges: set[tuple] = set()
     successors: dict[str, set[str]] = {}  # included edges, subject -> objects
-
-    def reachable(start: str, goal: str) -> bool:
-        stack, seen = [start], {start}
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            for nxt in successors.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
 
     frontier = [event_id]
     depth = 0
@@ -126,25 +126,22 @@ def why(
                 predicate=RelationKind.EFFECTS, object=node
             )
             for triple in incoming:
-                if triple.key in seen_edges:
-                    continue
-                seen_edges.add(triple.key)
-                if reachable(triple.object, triple.subject):
+                if triple.subject in visited_nodes and reachable(successors, triple.object, triple.subject):
                     continue  # would close a cycle; break it here
                 successors.setdefault(triple.subject, set()).add(triple.object)
                 edge = ExplanationEdge(triple, depth)
                 if triple.predicate is RelationKind.EFFECTS:
                     edge.precondition_id, edge.evidence = _evidence_for(graph, triple, rules)
-                    visited_nodes.add(triple.subject)
-                    for side in graph.match(subject=triple.subject, predicate=RelationKind.AFFECTS):
-                        if side not in explanation.affects:
-                            explanation.affects.append(side)
-                else:
                     if triple.subject not in visited_nodes:
                         visited_nodes.add(triple.subject)
-                        next_frontier.append(triple.subject)
+                        explanation.affects.extend(
+                            graph.match(subject=triple.subject, predicate=RelationKind.AFFECTS)
+                        )
+                elif triple.subject not in visited_nodes:
+                    visited_nodes.add(triple.subject)
+                    next_frontier.append(triple.subject)
                 explanation.edges.append(edge)
-        frontier = sorted(set(next_frontier))
+        frontier = sorted(next_frontier)
 
     explanation.depth_reached = max((e.depth for e in explanation.edges), default=0)
     explanation.truncated = any(
@@ -166,7 +163,9 @@ def _entity_label(graph: KnowledgeGraph, entity_id: str) -> str:
 
 
 def render_explanation_text(explanation: Explanation, graph: KnowledgeGraph) -> str:
-    """Indented tree, one causal edge per line, evidence as sub-lines."""
+    """Indented tree, one causal edge per line, evidence as sub-lines. A
+    cause is expanded where it is first printed; a later edge from it gets
+    its own line, but not the cause's causes or affects again."""
     by_target: dict[str, list[ExplanationEdge]] = {}
     for edge in sorted(explanation.edges, key=lambda e: (e.triple.predicate.value, e.triple.subject)):
         by_target.setdefault(edge.triple.object, []).append(edge)
@@ -175,27 +174,26 @@ def render_explanation_text(explanation: Explanation, graph: KnowledgeGraph) -> 
         affects_by_situation.setdefault(side.subject, []).append(side)
 
     lines = [_entity_label(graph, explanation.root)]
+    expanded: set[str] = set()
     stack = [(edge, 1) for edge in reversed(by_target.get(explanation.root, []))]  # no recursion limit
     while stack:
         edge, indent = stack.pop()
         pad = "  " * indent
-        arrow = f"<- {edge.triple.predicate.value} --"
-        lines.append(f"{pad}{arrow} {_entity_label(graph, edge.triple.subject)}")
-        if edge.triple.predicate is RelationKind.EFFECTS:
-            for ev in edge.evidence:
-                condition = f"{ev.attribute} {ev.comparator}"
-                if ev.threshold is not None:
-                    condition += f" {ev.threshold}"
-                observed = f"observed {ev.observed}" if ev.observed is not None else "not observed"
-                status = {Truth.TRUE: "true", Truth.FALSE: "false", Truth.UNKNOWN: "unknown"}[ev.status]
-                label = f" [{edge.precondition_id}]" if edge.precondition_id else ""
-                lines.append(f"{pad}     evidence{label}: {condition} ({observed}) => {status}")
-            for side in sorted(
-                affects_by_situation.get(edge.triple.subject, []), key=lambda t: t.object
-            ):
-                lines.append(f"{pad}     affects: {_entity_label(graph, side.object)}")
-        else:
-            stack.extend((e, indent + 1) for e in reversed(by_target.get(edge.triple.subject, [])))
+        cause = edge.triple.subject
+        lines.append(f"{pad}<- {edge.triple.predicate.value} -- {_entity_label(graph, cause)}")
+        for ev in edge.evidence:
+            condition = f"{ev.attribute} {ev.comparator}"
+            if ev.threshold is not None:
+                condition += f" {ev.threshold}"
+            observed = f"observed {ev.observed}" if ev.observed is not None else "not observed"
+            label = f" [{edge.precondition_id}]" if edge.precondition_id else ""
+            lines.append(f"{pad}     evidence{label}: {condition} ({observed}) => {ev.status.name.lower()}")
+        if cause in expanded:
+            continue
+        expanded.add(cause)
+        for side in sorted(affects_by_situation.get(cause, []), key=lambda t: t.object):
+            lines.append(f"{pad}     affects: {_entity_label(graph, side.object)}")
+        stack.extend((e, indent + 1) for e in reversed(by_target.get(cause, [])))
     if explanation.truncated:
         lines.append(f"... truncated at depth {explanation.depth_reached}")
     return "\n".join(lines)

@@ -172,7 +172,6 @@ class RuleSet:
 class ConditionOutcome:
     status: Truth
     observed: Value | None = None
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ def evaluate(pc: PreconditionSet, situation: GeoSituation) -> SatisfactionResult
         try:
             holds = compare(observed, cond.comparator, cond.threshold)
         except (DimensionMismatch, TypeMismatch) as exc:
-            outcomes.append((cond, ConditionOutcome(Truth.FALSE, observed, str(exc))))
+            outcomes.append((cond, ConditionOutcome(Truth.FALSE, observed)))
             diagnostics.append(f"{cond.attribute}: {exc}")
             continue
         outcomes.append(

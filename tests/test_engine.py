@@ -489,11 +489,32 @@ class TestExplain:
             lines.append(f"TRI e{i} causes e{i + 1} DERIVED rule=R {below} {below}")
         graph = loads_graph("\n".join(lines) + "\n")
         tree = explain(graph, (f"e{depth}", RelationKind.CAUSES, f"e{depth + 1}"))
+        rendered = tree.render().splitlines()
+        assert len(rendered) == depth + 1  # each triple expanded once, each premise listed once
+        assert rendered[-1] == "  " * depth + "(e0 causes e1) [asserted]"
         levels = 0
         while tree.premises:
             assert tree.premises[0] is tree.premises[1]
             tree, levels = tree.premises[0], levels + 1
         assert levels == depth and tree.rule_id is None
+
+    def test_render_expands_a_shared_premise_once(self):
+        graph = loads_graph(
+            "ENT a event Rain\nENT b event Rain\nENT c event Rain\nENT d event Rain\n"
+            "TRI a causes b\n"
+            "TRI b causes c DERIVED rule=S a causes b\n"
+            "TRI b causes d DERIVED rule=L b causes c\n"
+            "TRI c causes d DERIVED rule=R b causes c\n"
+            "TRI a causes d DERIVED rule=T b causes d c causes d\n"
+        )
+        assert explain(graph, ("a", RelationKind.CAUSES, "d")).render() == (
+            "(a causes d) [derived by T]\n"
+            "  (b causes d) [derived by L]\n"
+            "    (b causes c) [derived by S]\n"
+            "      (a causes b) [asserted]\n"
+            "  (c causes d) [derived by R]\n"
+            "    (b causes c) [derived by S]"
+        )
 
     def test_unknown_triple(self, flood_case_a):
         graph, _ = flood_case_a

@@ -1,11 +1,44 @@
+import importlib
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geocausal.engine import infer
 from geocausal.errors import NotAnEvent, PatternParseError, UnknownEntity, UnknownRelation
-from geocausal.graph import KnowledgeGraph, RelationKind
+from geocausal.graph import KnowledgeGraph, RelationKind, Role
 from geocausal.model import GeoEvent
 from geocausal.query import parse_pattern, query, render_explanation_text, why
 from geocausal.rules import Truth
+
+from support import random_engine_case
+
+# The package binds the name ``query`` to the function.
+query_module = importlib.import_module("geocausal.query")
+
+
+def causes_graph(n: int, edges) -> KnowledgeGraph:
+    """Events ev:0 .. ev:<n-1>, with an asserted causes edge for each
+    (cause, effect) pair of ``edges``."""
+    graph = KnowledgeGraph()
+    for i in range(n):
+        graph.add_entity(GeoEvent(f"ev:{i}", "Storm"))
+    for a, b in edges:
+        graph.assert_triple(f"ev:{a}", RelationKind.CAUSES, f"ev:{b}")
+    return graph
+
+
+@st.composite
+def why_cases(draw):
+    """An inferred ``random_engine_case`` graph, or asserted causes edges
+    among a few events: cycles, self-loops and diamonds included."""
+    if draw(st.booleans()):
+        graph, rules = random_engine_case(random.Random(draw(st.integers(0, 2**32 - 1))))
+        infer(graph, rules)
+        return graph, rules
+    n = draw(st.integers(1, 7))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    return causes_graph(n, sorted(edges)), None
 
 
 class TestWhy:
@@ -84,6 +117,58 @@ class TestWhy:
         rain_line = next(l for l in text.splitlines() if "ev:heavyrain" in l and "causes" in l)
         storm_line = next(l for l in text.splitlines() if "ev:tropicalstorm" in l)
         assert len(storm_line) - len(storm_line.lstrip()) > len(rain_line) - len(rain_line.lstrip())
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(why_cases())
+    def test_text_has_one_line_per_edge(self, case):
+        graph, rules = case
+        for event in graph.entities(Role.EVENT):
+            for depth in (1, 3, 10):
+                explanation = why(graph, event.id, max_depth=depth, rules=rules)
+                text = render_explanation_text(explanation, graph)
+                arrows = [line.split() for line in text.splitlines() if line.lstrip().startswith("<- ")]
+                assert sorted((a[1], a[3]) for a in arrows) == sorted(
+                    (e.triple.predicate.value, e.triple.subject) for e in explanation.edges
+                )
+
+    def test_stacked_diamonds_print_each_edge_once(self):
+        # 2**16 paths from the top to the bottom over 64 edges
+        edges = []
+        for k in range(16):
+            edges += [(3 * k, 3 * k + 1), (3 * k, 3 * k + 2), (3 * k + 1, 3 * k + 3), (3 * k + 2, 3 * k + 3)]
+        graph = causes_graph(49, edges)
+        explanation = why(graph, "ev:48", max_depth=32)
+        assert len(explanation.edges) == 64 and not explanation.truncated
+        lines = render_explanation_text(explanation, graph).splitlines()
+        assert len(lines) == 65
+        # the shared cause ev:45 is expanded under its first edge only
+        assert lines[:4] == [
+            "ev:48 (Storm)",
+            "  <- causes -- ev:46 (Storm)",
+            "    <- causes -- ev:45 (Storm)",
+            "      <- causes -- ev:43 (Storm)",
+        ]
+        assert lines.count("  <- causes -- ev:47 (Storm)") == 1
+        assert lines[lines.index("  <- causes -- ev:47 (Storm)") + 1] == "    <- causes -- ev:45 (Storm)"
+
+    def test_reachability_walks_only_where_a_cycle_can_close(self, monkeypatch):
+        # A count, not a time, so it holds on any machine. A walk for every
+        # edge would make a why down a chain quadratic.
+        n = 2000
+        graph = causes_graph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)])
+        walks = 0
+        reachable = query_module.reachable
+
+        def counted(*args):
+            nonlocal walks
+            walks += 1
+            return reachable(*args)
+
+        monkeypatch.setattr(query_module, "reachable", counted)
+        explanation = why(graph, f"ev:{n - 1}", max_depth=n)
+        assert len(explanation.edges) == n - 1 and not explanation.truncated
+        assert (f"ev:{n - 1}", RelationKind.CAUSES, "ev:0") not in {e.triple.key for e in explanation.edges}
+        assert walks == 1  # only the edge back to the root is met from a node already reached
 
     def test_why_never_mutates_the_graph(self, chain_case):
         from geocausal.storage import dump_graph
