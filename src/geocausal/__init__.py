@@ -31,7 +31,6 @@ from .model import (
     Point,
     SpatioTemporalRegion,
     TimeInterval,
-    make_interval,
 )
 from .query import Explanation, query, render_explanation_text, why
 from .rules import (

@@ -225,7 +225,7 @@ def _rule_eff(graph, rules, config, by_start, derived, diagnostics) -> None:
                 RelationKind.EFFECTS,
                 event_id,
                 f"R-EFF:{pc.id}",
-                tuple(sorted(set(premises), key=lambda k: (k[0], k[1].value, k[2]))),
+                tuple(sorted(premises, key=lambda k: (k[0], k[1].value, k[2]))),
             )
 
 

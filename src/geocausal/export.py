@@ -97,6 +97,7 @@ def _entries(doc: dict, name: str) -> list[tuple[str, dict]]:
 
 
 def graph_from_json(text: str) -> KnowledgeGraph:
+    """Read a JSON graph document; any fault raises ParseError, naming the entry at fault."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -52,7 +52,7 @@ from .model import (
     interval_envelope,
     parse_timestamp,
 )
-from .spatiotemporal import bbox_union
+from .spatiotemporal import as_bbox, bbox_union
 from .storage import read_text
 from .units import Categorical, Quantity, get_unit
 
@@ -326,6 +326,8 @@ def ingest_storm_csv(
     default_bbox = bbox_union(with_coords) if with_coords else WORLD_BBOX
 
     # Phase 2: apply.
+    report.entities_created = len(parsed)
+    triples_before = graph.triple_count
     episodes: dict[str, str] = {}
     for storm_row in parsed:
         episode_entity_id = f"{id_prefix}episode-{storm_row.episode_id}"
@@ -337,26 +339,33 @@ def ingest_storm_csv(
         event_id = f"{id_prefix}event-{storm_row.event_id}"
         region_id = f"{id_prefix}region-{storm_row.event_id}"
         graph.add_entity(GeoEvent(event_id, storm_row.kind))
-        report.entities_created += 1
         geometry = storm_row.geometry
         if geometry is None:
             geometry = default_bbox
             report.warnings.append(
                 (storm_row.line, "no coordinates; using file-level default bbox")
             )
+        envelope = graph.region_of(episode_entity_id)  # built by an earlier ingest, if any
+        if envelope is not None and (
+            bbox_union((envelope.geometry, geometry)) != as_bbox(envelope.geometry)
+            or interval_envelope((envelope.interval, storm_row.interval)) != envelope.interval
+        ):
+            report.warnings.append((storm_row.line, (
+                f"event lies outside episode envelope {envelope.id!r} from an earlier ingest; "
+                "envelopes are not widened"
+            )))
         graph.add_entity(SpatioTemporalRegion(region_id, geometry, storm_row.interval))
         graph.assert_triple(event_id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id)
         graph.assert_triple(event_id, RelationKind.PART_OF, episode_entity_id)
-        report.triples_created += 2
         if storm_row.impacts:
             impact_id = f"{id_prefix}impact-{storm_row.event_id}"
             graph.add_entity(GeoObject(impact_id, "ImpactRecord", storm_row.impacts))
             graph.assert_triple(impact_id, RelationKind.PARTICIPANT_IN, event_id)
             # Participants share their event's region.
             graph.assert_triple(impact_id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id)
-            report.triples_created += 2
 
-    # Episode envelopes, computed over all children present after this pass.
+    # Envelopes for the episodes that have none yet, over all their children
+    # present now. Regions are immutable, so an envelope is never widened.
     for episode_entity_id in sorted(set(episodes.values())):
         if graph.region_of(episode_entity_id) is not None:
             continue
@@ -381,8 +390,7 @@ def ingest_storm_csv(
         graph.assert_triple(
             episode_entity_id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id
         )
-        report.triples_created += 1
-
+    report.triples_created = graph.triple_count - triples_before
     return report
 
 
@@ -454,5 +462,5 @@ def ingest_observations_csv(
                 tuple(r.measurement for r in rows),
             )
         )
-        report.entities_created += 1
+    report.entities_created = len(grouped)
     return report

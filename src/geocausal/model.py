@@ -92,11 +92,6 @@ class TimeInterval:
         return self.start == self.end
 
 
-def make_interval(start: str | datetime, end: str | datetime) -> TimeInterval:
-    """Build an interval from timestamps or parseable timestamp strings."""
-    return TimeInterval(start, end)
-
-
 def interval_envelope(intervals: Iterable[TimeInterval]) -> TimeInterval:
     items = list(intervals)
     if not items:

@@ -63,10 +63,9 @@ def _evidence_for(
     if pc_id is None or rules is None:
         return pc_id, ()
     pc = rules.precondition(pc_id)
-    situation = graph.entity(triple.subject)
-    if pc is None or not isinstance(situation, GeoSituation):
+    if pc is None:
         return pc_id, ()
-    result = evaluate(pc, situation)
+    result = evaluate(pc, graph.entity(triple.subject))  # a situation, by the effects schema
     lines = tuple(
         EvidenceLine(
             attribute=cond.attribute,

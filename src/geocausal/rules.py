@@ -347,19 +347,20 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def document(self) -> RuleSet:
-        preconditions: list[PreconditionSet] = []
-        cause_rules: list[CauseRule] = []
-        while True:
-            token = self.peek()
-            if token.kind == "eof":
-                break
-            if token.kind == "word" and token.text == "precondition":
-                preconditions.append(self.precondition())
-            elif token.kind == "word" and token.text == "rule":
-                cause_rules.append(self.cause_rule())
-            else:
+        statements: list[PreconditionSet | CauseRule] = []
+        seen: set[str] = set()
+        while (token := self.peek()).kind != "eof":
+            if token.kind != "word" or token.text not in ("precondition", "rule"):
                 self.fail(token, "'precondition' or 'rule'")
-        return RuleSet(tuple(preconditions), tuple(cause_rules))
+            statement = self.precondition() if token.text == "precondition" else self.cause_rule()
+            if statement.id in seen:
+                raise ParseError(f"rule id {statement.id!r} defined twice", token.line, token.column)
+            seen.add(statement.id)
+            statements.append(statement)
+        return RuleSet(
+            tuple(s for s in statements if isinstance(s, PreconditionSet)),
+            tuple(s for s in statements if isinstance(s, CauseRule)),
+        )
 
     def identifier(self, what: str) -> str:
         token = self.expect_kind("word", what)
@@ -466,7 +467,8 @@ class _Parser:
 
 
 def parse_rules(text: str) -> RuleSet:
-    """Parse a rule document; raises ParseError with line/column on failure."""
+    """Parse a rule document; any fault, a repeated id included, raises
+    ParseError with line/column."""
     return _Parser(text).document()
 
 

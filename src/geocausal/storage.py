@@ -34,7 +34,7 @@ import re
 from pathlib import Path
 from typing import IO, Iterable
 
-from .errors import DuplicateId, GeoCausalError, InvariantViolation, ParseError
+from .errors import GeoCausalError, ParseError
 from .graph import ASSERTED, Derived, KnowledgeGraph, Provenance, RELATION_TOKENS, Triple, TripleKey
 from .model import (
     BBox,
@@ -144,23 +144,18 @@ def _measurements(doc: dict, name: str) -> tuple[Measurement, ...]:
 
 def _entity_from_doc(doc: dict) -> Entity:
     role = doc.get("role")
-    try:
-        if role == "event":
-            if doc.get("attributes"):
-                raise ParseError("event records carry no attributes")
-            return GeoEvent(_string(doc, "id"), _string(doc, "kind"))
-        if role == "object":
-            return GeoObject(_string(doc, "id"), _string(doc, "kind"), _measurements(doc, "attributes"))
-        if role in ("situation", "region"):
-            interval = TimeInterval(_string(doc, "start"), _string(doc, "end"))
-            if role == "situation":
-                return GeoSituation(_string(doc, "id"), interval, _measurements(doc, "observations"))
-            geometry = parse_geometry(_string(doc, "geometry"))
-            return SpatioTemporalRegion(_string(doc, "id"), geometry, interval)
-    except ParseError:
-        raise
-    except GeoCausalError as exc:
-        raise ParseError(str(exc)) from None
+    if role == "event":
+        if doc.get("attributes"):
+            raise ParseError("event records carry no attributes")
+        return GeoEvent(_string(doc, "id"), _string(doc, "kind"))
+    if role == "object":
+        return GeoObject(_string(doc, "id"), _string(doc, "kind"), _measurements(doc, "attributes"))
+    if role in ("situation", "region"):
+        interval = TimeInterval(_string(doc, "start"), _string(doc, "end"))
+        if role == "situation":
+            return GeoSituation(_string(doc, "id"), interval, _measurements(doc, "observations"))
+        geometry = parse_geometry(_string(doc, "geometry"))
+        return SpatioTemporalRegion(_string(doc, "id"), geometry, interval)
     raise ParseError(f"unknown entity role {role!r}")
 
 
@@ -180,17 +175,14 @@ def _triple_from_doc(doc: dict) -> tuple[TripleKey, Provenance]:
     premises = doc.get("premises", [])
     if not isinstance(premises, list) or any(not isinstance(p, list) or len(p) != 3 for p in premises):
         raise ParseError("premises must be a list of [subject, predicate, object]")
-    try:
-        return key, Derived(doc.get("rule"), tuple(_triple_key(*p) for p in premises))
-    except InvariantViolation as exc:
-        raise ParseError(str(exc)) from None
+    return key, Derived(doc.get("rule"), tuple(_triple_key(*p) for p in premises))
 
 
-def _located(exc: GeoCausalError, where: int | str) -> GeoCausalError:
-    """``exc`` naming the record it came from: a text line or a JSON entry."""
-    if isinstance(where, int) and isinstance(exc, ParseError):
+def _located(exc: GeoCausalError, where: int | str) -> ParseError:
+    """``exc`` as a ParseError naming its record: a text line or a JSON entry."""
+    if isinstance(where, int):
         return ParseError(str(exc), where)
-    return type(exc)(f"{f'line {where}' if isinstance(where, int) else where}: {exc}")
+    return ParseError(f"{where}: {exc}")
 
 
 def graph_from_docs(
@@ -198,15 +190,13 @@ def graph_from_docs(
 ) -> KnowledgeGraph:
     """Build a graph from entity and triple documents, each paired with
     where it came from (a line number or a JSON entry name). Triple records
-    may come in any order; a premise that names no record, or leads back to
-    its own, raises ParseError. Errors name the offending record."""
+    may come in any order. Every fault (a bad field, a repeated id, a schema
+    break, a missing entity or premise, a premise cycle) is a ParseError
+    naming its record."""
     graph = KnowledgeGraph()
     try:
         for where, doc in entities:
-            try:
-                graph.add_entity(_entity_from_doc(doc))
-            except DuplicateId as exc:
-                raise ParseError(str(exc)) from None
+            graph.add_entity(_entity_from_doc(doc))
         records: list[tuple[int | str, TripleKey, Provenance]] = []
         first: dict[TripleKey, int] = {}
         for where, doc in triples:
@@ -266,13 +256,14 @@ def dump_graph(graph: KnowledgeGraph) -> str:
 
 
 def read_text(path: str | Path) -> str:
-    """The one place a file's bytes become text: strict UTF-8, line breaks
-    kept as they are. A byte that is not UTF-8 raises ParseError naming its
-    line; a missing or unreadable file raises OSError."""
+    """The one place a file's bytes become text: strict UTF-8, one leading
+    byte-order mark (U+FEFF, as spreadsheet programs write it) dropped, line
+    breaks kept as they are. A byte that is not UTF-8 raises ParseError
+    naming its line; a missing or unreadable file raises OSError."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8", line) from None
@@ -355,6 +346,7 @@ def _triple_record(tokens: list[str], lineno: int) -> dict:
 
 
 def loads_graph(text: str) -> KnowledgeGraph:
+    """Read a text document; any fault raises ParseError with ``.line`` set."""
     entities: list[tuple[int, dict]] = []
     triples: list[tuple[int, dict]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -374,6 +366,7 @@ def loads_graph(text: str) -> KnowledgeGraph:
 
 
 def load_graph(source: str | Path | IO[str]) -> KnowledgeGraph:
+    """``loads_graph`` over a path (read through ``read_text``) or a text stream."""
     return loads_graph(source.read() if hasattr(source, "read") else read_text(source))
 
 

@@ -2,11 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import geocausal
 from geocausal.cli import main
 from geocausal.engine import EngineConfig, infer
 from geocausal.rules import print_rules
@@ -109,6 +113,13 @@ class TestSubcommands:
         code, out, _ = run(capsys, "rules", "check", rules_file)
         assert code == 0
         assert "1 precondition set(s), 2 cause rule(s)" in out
+
+    def test_rules_check_repeated_id_names_its_statement(self, capsys, tmp_path):
+        path = tmp_path / "twice.gcr"
+        path.write_text("rule R1: A causes B when precedes\n  rule R1: B causes C when precedes\n",
+                        encoding="utf-8")
+        code, _, err = run(capsys, "rules", "check", str(path))
+        assert (code, err) == (1, "error[parse-error]: line 2, column 3: rule id 'R1' defined twice\n")
 
     def test_rules_check_bad_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.gcr"
@@ -293,6 +304,38 @@ class TestHostileInput:
         assert code == 1, err
         assert err.startswith(f"error[{code_name}]: ") and err.count("\n") == 1, err
         return err
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ("ENT a object Dam\nENT b event Flood\nTRI a causes b",
+             "line 3: causes: expected event -> event, got object -> event"),
+            ("ENT a event Rain\nTRI a causes ghost", "line 2: no entity with id 'ghost'"),
+            ("ENT a event Rain\nENT a event Flood", "line 2: entity id 'a' already present"),
+        ],
+        ids=["schema", "missing-entity", "repeated-id"],
+    )
+    def test_any_workspace_fault_is_a_parse_error(self, capsys, workspace, records, message):
+        with open(workspace, "w", encoding="utf-8") as handle:
+            handle.write(records + "\n")
+        assert self.refused(capsys, "parse-error", "validate", "--workspace", workspace) == (
+            f"error[parse-error]: {message}\n"
+        )
+
+    @pytest.mark.parametrize("name", ["storm.csv", "rules.gcr"])
+    def test_leading_byte_order_mark_is_ignored(self, capsys, tmp_path, name):
+        text = katrina_csv(3) if name == "storm.csv" else RULES_TEXT
+        outputs = []
+        for prefix in ("", "\ufeff"):
+            path = tmp_path / f"{len(prefix)}{name}"
+            path.write_text(prefix + text, encoding="utf-8")  # "\ufeff" is written as EF BB BF
+            if name == "storm.csv":
+                argv = ["ingest", "storm", str(path), "--workspace", str(tmp_path / f"{len(prefix)}.graph")]
+            else:
+                argv = ["rules", "check", str(path)]
+            outputs.append(run(capsys, *argv))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("name", ["workspace", "storm.csv", "obs.csv", "rules.gcr"])
     def test_non_utf8_byte_names_its_line(self, capsys, tmp_path, name):
@@ -493,3 +536,36 @@ def test_mutated_inputs_exit_0_or_1(tmp_path, monkeypatch, data):
             with open(paths["workspace"], "rb") as handle:
                 assert handle.read() == contents["workspace"]
             assert sorted(os.listdir(directory)) == listing
+
+
+def test_outputs_are_byte_stable_across_hash_seeds(tmp_path):
+    """ingest -> infer -> why -> export in child interpreters with different
+    PYTHONHASHSEED values: every output and the saved workspace are the same
+    bytes, so nothing the program writes follows set or dict hash order."""
+    graph, rules = build_chain_case()
+    (tmp_path / "storm.csv").write_text(katrina_csv(), encoding="utf-8")
+    (tmp_path / "obs.csv").write_text(_BASE_FILES["obs"], encoding="utf-8")
+    (tmp_path / "rules.gcr").write_text(print_rules(rules), encoding="utf-8")
+    src = str(Path(geocausal.__file__).resolve().parents[1])
+    commands = [
+        ["ingest", "storm", "storm.csv"],
+        ["ingest", "obs", "obs.csv"],
+        ["infer", "--rules", "rules.gcr"],
+        ["why", "ev:flashflood", "--format", "json"],
+        ["why", "ev:flashflood"],
+        ["export", "--format", "json"],
+        ["export", "--format", "dot"],
+    ]
+    runs = []
+    for hash_seed in ("0", "1"):
+        workspace = tmp_path / f"seed{hash_seed}.graph"
+        workspace.write_text(dump_graph(graph), encoding="utf-8")
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        outputs = [
+            subprocess.run([sys.executable, "-m", "geocausal", *argv, "--workspace", str(workspace)],
+                           cwd=tmp_path, env=env, capture_output=True, check=True)
+            for argv in commands
+        ]
+        runs.append(([(done.stdout, done.stderr) for done in outputs], workspace.read_bytes()))
+    assert b"DERIVED rule=R-EFF:PC_DAM" in runs[0][1]
+    assert runs[0] == runs[1]

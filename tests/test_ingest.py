@@ -89,6 +89,20 @@ class TestStormIngestion:
             assert envelope.interval.start <= child.interval.start
             assert child.interval.end <= envelope.interval.end
 
+    def test_later_child_outside_the_envelope_is_warned_about(self):
+        graph, _ = storm(STORM_HEADER + "1,10,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n")
+        envelope = graph.region_of("ev:episode-1")
+        inside = "1,11,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+        outside = "1,12,Flood,2005-09-01 00:00:00,2005-09-01 01:00:00,UTC,40,-80,,,,,,\n"
+        _, report = storm(STORM_HEADER + inside + outside, graph)
+        # regions are immutable: the envelope stays as the first ingest built it
+        assert graph.region_of("ev:episode-1") == envelope
+        assert report.errors == []
+        assert report.warnings == [
+            (3, "event lies outside episode envelope 'ev:region-episode-1' from an earlier ingest; "
+                "envelopes are not widened")
+        ]
+
     def test_impact_records(self, katrina_csv_text):
         graph, _ = storm(katrina_csv_text)
         impacts = graph.entities(Role.OBJECT)
@@ -211,6 +225,15 @@ class TestStormIngestion:
         assert graph.entity_count == entities_before
         assert len(report.errors) == 23
         assert all("already present" in reason for _, reason in report.errors)
+
+    def test_counts_match_the_graph(self, katrina_csv_text):
+        graph, report = storm(katrina_csv_text)
+        events = graph.match(predicate=RelationKind.PART_OF, object="ev:episode-1")
+        assert (report.entities_created, report.triples_created) == (len(events), graph.triple_count)
+        before = graph.triple_count
+        _, appended = storm(STORM_HEADER + "2,9,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,1K,,,\n", graph)
+        # event presence, part-of, two impact triples and the new episode's envelope
+        assert (appended.entities_created, appended.triples_created) == (1, 5) == (1, graph.triple_count - before)
 
     def test_count_conservation(self, katrina_csv_text):
         bad_row = "1,9999,Flood,2005-08-02 12:00:00,2005-08-01 12:00:00,CST,30,-90,,,,,,\n"

@@ -11,9 +11,9 @@ from geocausal.model import (
     Measurement,
     Point,
     SpatioTemporalRegion,
+    TimeInterval,
     format_timestamp,
     interval_envelope,
-    make_interval,
     parse_timestamp,
 )
 
@@ -50,16 +50,16 @@ class TestTimestamps:
 
 class TestMakeInterval:
     def test_valid(self):
-        interval = make_interval("2005-08-23T00:00:00Z", "2005-08-31T00:00:00Z")
+        interval = TimeInterval("2005-08-23T00:00:00Z", "2005-08-31T00:00:00Z")
         assert interval.start < interval.end
 
     def test_point_interval(self):
-        interval = make_interval("2005-08-23T00:00:00Z", "2005-08-23T00:00:00Z")
+        interval = TimeInterval("2005-08-23T00:00:00Z", "2005-08-23T00:00:00Z")
         assert interval.is_instant()
 
     def test_order_violation(self):
         with pytest.raises(OrderViolation):
-            make_interval("2005-09-01", "2005-08-01")
+            TimeInterval("2005-09-01", "2005-08-01")
 
     def test_envelope(self):
         env = interval_envelope([iv(2, 5), iv(0, 3), iv(4, 9)])

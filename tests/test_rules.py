@@ -91,10 +91,12 @@ class TestParse:
         assert "unknown unit" in str(exc.value)
 
     def test_duplicate_rule_id(self):
-        with pytest.raises(DuplicateRuleId):
+        with pytest.raises(ParseError) as exc:
             parse_rules(
                 "rule R1: A causes B when precedes\nrule R1: B causes C when precedes"
             )
+        assert (exc.value.line, exc.value.column) == (2, 1)
+        assert str(exc.value) == "line 2, column 1: rule id 'R1' defined twice"
 
     def test_self_cause_co_occurs_rejected(self):
         with pytest.raises(ParseError):

@@ -1,14 +1,16 @@
+import functools
 import json
 import random
+import re
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geocausal.engine import infer
-from geocausal.errors import InvariantViolation, ParseError, SchemaViolation, UnknownEntity
+from geocausal.errors import InvariantViolation, ParseError, SchemaViolation
 from geocausal.export import graph_from_json, graph_to_json
-from geocausal.graph import ASSERTED, Derived, KnowledgeGraph, RelationKind
+from geocausal.graph import ASSERTED, RELATION_TOKENS, Derived, KnowledgeGraph, RelationKind
 from geocausal.model import (
     BBox,
     GeoEvent,
@@ -179,13 +181,16 @@ class TestDocumentErrors:
                 "TRI obj:dam causes ev:flood",
             ]
         )
-        with pytest.raises(SchemaViolation) as exc:
+        with pytest.raises(ParseError) as exc:
             loads_graph(doc)
-        assert "line 3" in str(exc.value)
+        assert exc.value.line == 3
+        assert str(exc.value) == "line 3: causes: expected event -> event, got object -> event"
 
     def test_unknown_reference(self):
-        with pytest.raises(UnknownEntity):
+        with pytest.raises(ParseError) as exc:
             loads_graph("ENT ev:a event Rain\nTRI ev:a causes ev:ghost\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: no entity with id 'ev:ghost'"
 
     def test_unknown_tag(self):
         with pytest.raises(ParseError):
@@ -424,6 +429,50 @@ def test_round_trip_property(graph):
     from_json = graph_from_json(document)
     assert graphs_equal(graph, from_json)
     assert graph_to_json(from_json) == document
+
+
+@functools.cache
+def _inferred_documents(seed: int) -> tuple[str, str, tuple[str, ...]]:
+    """An inferred ``random_engine_case`` graph as text and as JSON, and
+    the tokens a mutation may swap in: its entity ids and the relation tokens."""
+    graph, rules = random_engine_case(random.Random(seed))
+    infer(graph, rules)
+    vocabulary = tuple(sorted(e.id for e in graph.entities())) + tuple(sorted(RELATION_TOKENS))
+    return dump_graph(graph), graph_to_json(graph), vocabulary
+
+
+_MUTABLE_TOKEN = re.compile(r'[^\s"\[\],:{}]+')
+
+
+@st.composite
+def mutated_documents(draw):
+    """A text or JSON document with one line deleted, duplicated, or with one
+    token replaced by an entity id or a relation token."""
+    text, document, vocabulary = _inferred_documents(draw(st.integers(0, 39)))
+    as_json = draw(st.booleans())
+    lines = (document if as_json else text).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+    if mutation == "delete":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif tokens := list(_MUTABLE_TOKEN.finditer(lines[i])):
+        token = tokens[draw(st.integers(0, len(tokens) - 1))]
+        lines[i] = lines[i][: token.start()] + draw(st.sampled_from(vocabulary)) + lines[i][token.end():]
+    return as_json, "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_a_document_loads_or_raises_parse_error(case):
+    """Whatever is wrong with a record (syntax, schema, a missing entity or
+    premise, a repeated id), loading fails with ParseError naming the record."""
+    as_json, document = case
+    try:
+        graph_from_json(document) if as_json else loads_graph(document)
+    except ParseError as exc:
+        assert as_json or exc.line is not None
 
 
 def test_only_storage_opens_files():
