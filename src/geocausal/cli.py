@@ -16,16 +16,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 from pathlib import Path
 
-from .engine import EngineConfig, infer
+# Each command imports what it runs inside its handler, so a process pays
+# start-up only for the modules of its command. (The module docstring is
+# the --help text.)
 from .errors import ConfigError, GeoCausalError, UsageError
-from .export import explanation_to_dot, explanation_to_json, graph_to_dot, graph_to_json
 from .graph import KnowledgeGraph
-from .ingest import Strictness, ingest_observations_csv, ingest_storm_csv
-from .query import query, render_explanation_text, why
-from .rules import RuleSet, parse_duration, parse_rules
 from .storage import dump_graph, loads_graph, read_text, write_text_atomic
 
 DEFAULT_WORKSPACE = "geocausal.graph"
@@ -61,10 +58,14 @@ def _save_workspace(path: Path, graph: KnowledgeGraph, rules_path: str | None) -
 def _load_rules(rules_path: str | None):
     if rules_path is None:
         return None
+    from .rules import parse_rules
+
     return parse_rules(read_text(Path(rules_path)))
 
 
 def _cmd_ingest(args) -> int:
+    from .ingest import Strictness, ingest_observations_csv, ingest_storm_csv
+
     path = _workspace_path(args)
     graph, rules_path = _load_workspace(path)
     strictness = Strictness.STRICT if args.strict else Strictness.LENIENT
@@ -93,6 +94,9 @@ def _cmd_infer(args) -> int:
     if args.rules and any("\ud800" <= c <= "\udfff" for c in args.rules):  # a non-UTF-8 argv byte
         raise ConfigError(f"rules path {args.rules!r} is not valid UTF-8; "
                           "it could not be recorded in the workspace")
+    from .engine import EngineConfig, infer
+    from .rules import RuleSet, parse_duration
+
     config = EngineConfig(
         max_gap=parse_duration(args.max_gap),
         require_spatial_overlap=not args.no_spatial,
@@ -114,20 +118,27 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_why(args) -> int:
+    if args.depth < 0:
+        raise UsageError(f"argument --depth: must be 0 or more, got {args.depth}")
+    from .query import render_explanation_text, why
+
     path = _workspace_path(args)
     graph, rules_path = _load_workspace(path)
     ruleset = _load_rules(rules_path)
     explanation = why(graph, args.event_id, max_depth=args.depth, rules=ruleset)
-    if args.format == "dot":
-        print(explanation_to_dot(explanation, graph), end="")
-    elif args.format == "json":
-        print(explanation_to_json(explanation, graph), end="")
-    else:
+    if args.format == "text":
         print(render_explanation_text(explanation, graph))
+    else:
+        from .export import explanation_to_dot, explanation_to_json
+
+        render = explanation_to_dot if args.format == "dot" else explanation_to_json
+        print(render(explanation, graph), end="")
     return 0
 
 
 def _cmd_query(args) -> int:
+    from .query import query
+
     path = _workspace_path(args)
     graph, _ = _load_workspace(path)
     for triple in query(graph, args.pattern):
@@ -139,6 +150,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .export import graph_to_dot, graph_to_json
+
     path = _workspace_path(args)
     graph, _ = _load_workspace(path)
     if args.format == "dot":
@@ -223,6 +236,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 2
 

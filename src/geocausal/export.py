@@ -9,12 +9,15 @@ documented in docs/json-output.md.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .graph import KnowledgeGraph, Role, Triple, role_of
 from .model import GeoEvent, GeoObject
-from .query import Explanation
 from .storage import entity_doc, graph_from_docs, triple_doc
+
+if TYPE_CHECKING:
+    from .query import Explanation
 
 _DOT_SHAPES = {
     Role.EVENT: "box",

@@ -156,6 +156,7 @@ class KnowledgeGraph:
 
     def __init__(self) -> None:
         self._entities: dict[str, Entity] = {}
+        self._roles: dict[str, Role] = {}  # entity id -> role_of(entity)
         self._triples: dict[TripleKey, Triple] = {}
         self._by_subject: dict[str, set[TripleKey]] = {}
         self._by_predicate: dict[RelationKind, set[TripleKey]] = {}
@@ -165,10 +166,11 @@ class KnowledgeGraph:
     # -- entities ----------------------------------------------------------
 
     def add_entity(self, entity: Entity) -> Entity:
-        role_of(entity)  # reject foreign types early
+        role = role_of(entity)  # rejects foreign types early
         if entity.id in self._entities:
             raise DuplicateId(f"entity id {entity.id!r} already present")
         self._entities[entity.id] = entity
+        self._roles[entity.id] = role
         return entity
 
     def has_entity(self, entity_id: EntityId) -> bool:
@@ -183,12 +185,18 @@ class KnowledgeGraph:
     def entities(self, role: Role | None = None) -> list[Entity]:
         items = self._entities.values()
         if role is not None:
-            items = (e for e in items if role_of(e) is role)
+            items = (e for e in items if self._roles[e.id] is role)
         return sorted(items, key=lambda e: e.id)
 
     @property
     def entity_count(self) -> int:
         return len(self._entities)
+
+    def _role(self, entity_id: EntityId) -> Role:
+        role = self._roles.get(entity_id)
+        if role is None:
+            self.entity(entity_id)  # raises UnknownEntity
+        return role
 
     # -- triples -----------------------------------------------------------
 
@@ -197,7 +205,7 @@ class KnowledgeGraph:
             raise SchemaViolation(
                 f"{predicate.value} is {describe_signature(predicate)}"
             )
-        subject_role = role_of(self.entity(subject))
+        subject_role = self._role(subject)
         if predicate is RelationKind.SATISFIES:
             if subject_role is not Role.SITUATION:
                 raise SchemaViolation(
@@ -205,7 +213,7 @@ class KnowledgeGraph:
                 )
             validate_entity_id(object)  # external precondition-set id
             return
-        object_role = role_of(self.entity(object))
+        object_role = self._role(object)
         if (subject_role, object_role) not in SIGNATURES[predicate]:
             raise SchemaViolation(
                 f"{predicate.value}: expected {describe_signature(predicate)}, "

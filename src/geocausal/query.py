@@ -10,12 +10,15 @@ edges leaving those situations are reported as side information.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import NotAnEvent, PatternParseError, UnknownRelation
 from .graph import KnowledgeGraph, RelationKind, RELATION_TOKENS, Triple
 from .model import GeoEvent, GeoObject, GeoSituation
-from .rules import RuleSet, Truth, evaluate
 from .units import format_value
+
+if TYPE_CHECKING:
+    from .rules import RuleSet, Truth
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,8 @@ def _evidence_for(
     pc = rules.precondition(pc_id)
     if pc is None:
         return pc_id, ()
+    from .rules import evaluate  # loaded only where evidence is re-evaluated
+
     result = evaluate(pc, graph.entity(triple.subject))  # a situation, by the effects schema
     lines = tuple(
         EvidenceLine(

@@ -446,6 +446,7 @@ class TestHostileInput:
             (["bogus"], "argument command: invalid choice: 'bogus'"),
             ([], "the following arguments are required: command"),
             (["validate", "a\nb"], "unrecognized arguments: a\\nb"),
+            (["why", "x", "--depth", "-1"], "argument --depth: must be 0 or more, got -1"),
         ],
     )
     def test_usage_errors_exit_1(self, capsys, argv, message):
@@ -569,3 +570,46 @@ def test_outputs_are_byte_stable_across_hash_seeds(tmp_path):
         runs.append(([(done.stdout, done.stderr) for done in outputs], workspace.read_bytes()))
     assert b"DERIVED rule=R-EFF:PC_DAM" in runs[0][1]
     assert runs[0] == runs[1]
+
+
+_PRINT_PACKAGE_MODULES = (
+    "import json, sys\n"
+    "from geocausal.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('geocausal.'))))\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    """Each command, run by ``cli.main`` in a new interpreter, never loads
+    the modules of the other commands."""
+    graph, rules = build_chain_case()
+    workspace = tmp_path / "test.graph"
+    workspace.write_text(dump_graph(graph), encoding="utf-8")
+    (tmp_path / "storm.csv").write_text(katrina_csv(), encoding="utf-8")
+    (tmp_path / "obs.csv").write_text(_BASE_FILES["obs"], encoding="utf-8")
+    (tmp_path / "rules.gcr").write_text(print_rules(rules), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(geocausal.__file__).resolve().parents[1])}
+    never_loaded = [
+        (["ingest", "storm", "storm.csv"], {"engine", "rules", "export"}),
+        (["ingest", "obs", "obs.csv"], {"engine", "rules", "export"}),
+        (["infer", "--rules", "rules.gcr"], {"ingest", "export"}),
+        (["why", "ev:flashflood"], {"engine", "ingest", "export"}),  # re-evaluates PC_DAM
+        (["export", "--format", "json"], {"engine", "ingest", "rules"}),
+        (["export", "--format", "dot"], {"engine", "ingest", "rules"}),
+        (["query", "? causes ?"], {"engine", "ingest", "rules", "export"}),
+        (["validate"], {"engine", "ingest", "rules", "export"}),
+        (["rules", "check", "rules.gcr"], {"engine", "ingest", "export"}),
+    ]
+    for argv, absent in never_loaded:
+        done = subprocess.run(
+            [sys.executable, "-c", _PRINT_PACKAGE_MODULES, *argv, "--workspace", str(workspace)],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, (argv, done.stderr)
+        *output, modules = done.stdout.splitlines()
+        loaded = {name.removeprefix("geocausal.") for name in json.loads(modules)}
+        assert not loaded & absent, (argv, sorted(loaded & absent))
+        if argv[0] == "why":
+            assert "evidence [PC_DAM]: WaterLevel > 10 m (observed 12 m) => true" in "\n".join(output)

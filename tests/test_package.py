@@ -1,0 +1,81 @@
+"""The package's public names, each checked in a new interpreter, because
+this one has already imported every submodule."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import geocausal
+
+#: submodule -> the public names ``import geocausal`` has always exported from it.
+EXPORTS = {
+    "engine": ["Diagnostic", "EngineConfig", "InferenceResult", "ProvenanceTree", "explain", "infer"],
+    "graph": ["ASSERTED", "Asserted", "Derived", "KnowledgeGraph", "RelationKind", "Role", "Triple"],
+    "ingest": ["IngestReport", "Strictness", "ingest_observations_csv", "ingest_storm_csv"],
+    "model": [
+        "BBox", "GeoEvent", "GeoObject", "GeoSituation", "Geometry", "Measurement", "Point",
+        "SpatioTemporalRegion", "TimeInterval",
+    ],
+    "query": ["Explanation", "query", "render_explanation_text", "why"],
+    "rules": [
+        "CauseRule", "CoOccurs", "Condition", "Precedes", "PrecedesWithin", "PreconditionSet",
+        "RuleSet", "SatisfactionResult", "Truth", "evaluate", "parse_rules", "print_rules",
+    ],
+    "spatiotemporal": [
+        "IntervalRelation", "co_occurs", "interval_relation", "precedes", "spatial_overlap",
+        "temporally_nested",
+    ],
+    "storage": ["dump_graph", "load_graph", "loads_graph", "save_graph"],
+    "units": [
+        "Categorical", "Comparator", "Dimension", "Quantity", "Unit", "compare", "convert", "get_unit",
+    ],
+}
+
+
+def run_fresh(code: str) -> None:
+    env = {**os.environ, "PYTHONPATH": str(Path(geocausal.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_public_names_are_the_submodules_objects():
+    assert sum(map(len, EXPORTS.values())) == 60
+    run_fresh(f"""
+        import importlib, sys
+        import geocausal
+        assert "geocausal.engine" not in sys.modules
+        assert set(dir(geocausal)) >= set(geocausal.__all__)
+        exports = {EXPORTS!r}
+        assert sorted(geocausal.__all__) == sorted(n for names in exports.values() for n in names)
+        for module, names in exports.items():
+            source = importlib.import_module("geocausal." + module)
+            for name in names:
+                assert getattr(geocausal, name) is getattr(source, name), name
+    """)
+
+
+def test_query_stays_the_function():
+    for first in ("import geocausal.query", "import geocausal; geocausal.why"):
+        run_fresh(f"""
+            import sys
+            {first}
+            import geocausal.query
+            assert geocausal.query is sys.modules["geocausal.query"].query, geocausal.query
+        """)
+
+
+def test_an_unknown_name_raises_attribute_error_and_submodules_still_import():
+    run_fresh("""
+        import geocausal
+        try:
+            geocausal.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("no AttributeError")
+        from geocausal import engine
+        assert engine.__name__ == "geocausal.engine"
+    """)
