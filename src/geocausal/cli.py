@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from .storage import dump_graph, loads_graph, read_text, write_text_atomic
 
 DEFAULT_WORKSPACE = "geocausal.graph"
 _RULES_HEADER = "# rules: "
+# Blank and "#" lines, split where str.splitlines splits.
+_LEADING_COMMENTS = re.compile("(?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])*")
 
 
 def _workspace_path(args) -> Path:
@@ -40,14 +43,13 @@ def _load_workspace(path: Path) -> tuple[KnowledgeGraph, str | None]:
     if not path.exists():
         return KnowledgeGraph(), None
     text = read_text(path)
-    rules_path = None
-    for line in text.splitlines():
-        if line.startswith(_RULES_HEADER):
-            rules_path = line[len(_RULES_HEADER):]
-            break
-        if line and not line.startswith("#"):
-            break
-    return loads_graph(text), rules_path
+    return loads_graph(text), _recorded_rules(text)
+
+
+def _recorded_rules(text: str) -> str | None:
+    """The ``# rules:`` path among the leading comment lines; no later line is split."""
+    leading = text[:_LEADING_COMMENTS.match(text).end()].splitlines()
+    return next((line[len(_RULES_HEADER):] for line in leading if line.startswith(_RULES_HEADER)), None)
 
 
 def _save_workspace(path: Path, graph: KnowledgeGraph, rules_path: str | None) -> None:

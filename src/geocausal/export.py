@@ -12,7 +12,7 @@ import json
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .graph import KnowledgeGraph, Role, Triple, role_of
+from .graph import KnowledgeGraph, Role, Triple
 from .model import GeoEvent, GeoObject
 from .storage import entity_doc, graph_from_docs, triple_doc
 
@@ -33,11 +33,10 @@ def _dot_escape(text: str) -> str:
 
 def _dot_node(graph: KnowledgeGraph, entity_id: str) -> str:
     entity = graph.entity(entity_id)
-    role = role_of(entity)
     label = _dot_escape(entity_id)
     if isinstance(entity, (GeoEvent, GeoObject)):
         label += f"\\n{_dot_escape(entity.kind)}"
-    return f'  "{_dot_escape(entity_id)}" [shape={_DOT_SHAPES[role]} label="{label}"];'
+    return f'  "{_dot_escape(entity_id)}" [shape={_DOT_SHAPES[graph.role(entity_id)]} label="{label}"];'
 
 
 def _dot_edge(t: Triple) -> str:

@@ -36,6 +36,7 @@ class Role(Enum):
     EVENT = "event"
     SITUATION = "situation"
     REGION = "region"
+    __hash__ = object.__hash__  # members are singletons: hash them by identity, in C
 
 
 def role_of(entity: Entity) -> Role:
@@ -61,6 +62,7 @@ class RelationKind(Enum):
     CAUSES = "causes"
     EFFECTS = "effects"
     AFFECTS = "affects"
+    __hash__ = object.__hash__  # as for Role: triple keys hash in C
 
 
 RELATION_TOKENS: dict[str, RelationKind] = {r.value: r for r in RelationKind}
@@ -192,7 +194,8 @@ class KnowledgeGraph:
     def entity_count(self) -> int:
         return len(self._entities)
 
-    def _role(self, entity_id: EntityId) -> Role:
+    def role(self, entity_id: EntityId) -> Role:
+        """The role of a stored entity; UnknownEntity if there is none."""
         role = self._roles.get(entity_id)
         if role is None:
             self.entity(entity_id)  # raises UnknownEntity
@@ -205,7 +208,7 @@ class KnowledgeGraph:
             raise SchemaViolation(
                 f"{predicate.value} is {describe_signature(predicate)}"
             )
-        subject_role = self._role(subject)
+        subject_role = self.role(subject)
         if predicate is RelationKind.SATISFIES:
             if subject_role is not Role.SITUATION:
                 raise SchemaViolation(
@@ -213,7 +216,7 @@ class KnowledgeGraph:
                 )
             validate_entity_id(object)  # external precondition-set id
             return
-        object_role = self._role(object)
+        object_role = self.role(object)
         if (subject_role, object_role) not in SIGNATURES[predicate]:
             raise SchemaViolation(
                 f"{predicate.value}: expected {describe_signature(predicate)}, "
@@ -237,9 +240,10 @@ class KnowledgeGraph:
         if existing is not None:
             return existing
         self._check_schema(subject, predicate, object)
-        for premise in getattr(provenance, "premises", ()):
-            if premise not in self._triples:
-                self.triple(premise)  # raises UnknownTriple
+        if isinstance(provenance, Derived):
+            for premise in provenance.premises:
+                if premise not in self._triples:
+                    self.triple(premise)  # raises UnknownTriple
         triple = Triple(subject, predicate, object, provenance)
         self._triples[key] = triple
         self._by_subject.setdefault(subject, set()).add(key)

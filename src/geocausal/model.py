@@ -17,6 +17,7 @@ from .units import Value
 _ID_FORBIDDEN = re.compile(r'[\s\x00-\x1f\x7f"\ud800-\udfff]')
 ATTR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _DATE_ONLY = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
+_FRACTION = re.compile(r"(:\d{2})\.\d+")
 
 #: Entity identifiers are IRI-like opaque strings, e.g. "ev:Katrina".
 EntityId = str
@@ -49,8 +50,8 @@ def parse_timestamp(value: str | datetime) -> datetime:
             text += "T00:00:00+00:00"
         elif text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"
-        # fractional seconds are truncated, so drop them before parsing
-        text = re.sub(r"(:\d{2})\.\d+", r"\1", text, count=1)
+        if "." in text:  # fractional seconds are truncated, so drop them before parsing
+            text = _FRACTION.sub(r"\1", text, count=1)
         try:
             dt = datetime.fromisoformat(text)
         except ValueError:
@@ -58,9 +59,10 @@ def parse_timestamp(value: str | datetime) -> datetime:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     try:
-        return dt.astimezone(timezone.utc).replace(microsecond=0)
+        dt = dt.astimezone(timezone.utc)
     except OverflowError:
         raise ParseError(f"timestamp {dt.isoformat()} is outside years 1-9999 UTC") from None
+    return dt.replace(microsecond=0) if dt.microsecond else dt
 
 
 def format_timestamp(dt: datetime) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import NotAnEvent, PatternParseError, UnknownRelation
+from .errors import ConfigError, NotAnEvent, PatternParseError, UnknownRelation
 from .graph import KnowledgeGraph, RelationKind, RELATION_TOKENS, Triple
 from .model import GeoEvent, GeoObject, GeoSituation
 from .units import format_value
@@ -110,8 +110,10 @@ def why(
     explanation can close a cycle, so only such an edge pays for a walk.
 
     Monotone in ``max_depth``: the edges found at depth d are a subset of
-    those found at any greater depth.
+    those found at any greater depth. A negative depth raises ConfigError.
     """
+    if max_depth < 0:
+        raise ConfigError(f"max_depth must be 0 or more, got {max_depth}")
     entity = graph.entity(event_id)  # raises UnknownEntity
     if not isinstance(entity, GeoEvent):
         raise NotAnEvent(f"{event_id!r} is not a geo-event")

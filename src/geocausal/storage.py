@@ -24,15 +24,17 @@ premises, because version 1 never stored which triples they were.
 
 Text records and the JSON export share one document form, plain dicts
 and lists of strings: ``entity_doc`` and ``triple_doc`` encode it, and
-``graph_from_docs`` decodes it.
+``graph_from_docs`` decodes it. The text reader decodes each line as it
+reads it, and both readers build the graph through ``_build_graph``.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 from .errors import GeoCausalError, ParseError
 from .graph import ASSERTED, Derived, KnowledgeGraph, Provenance, RELATION_TOKENS, Triple, TripleKey
@@ -53,11 +55,12 @@ from .units import format_magnitude, format_value, parse_value
 
 HEADER = "# geocausal graph v2"
 
-_TOKEN_RE = re.compile(r'(?:[^\s"]|"[^"]*")+')
+_TOKEN_RE = re.compile(r'(?:[^\s"]+|"[^"]*")+')
 _REG_RE = re.compile(
     r"REG\s+(?P<id>\S+)\s+(?P<geometry>(?:POINT|BBOX)\([^)]*\))\s+(?P<start>\S+)\s+(?P<end>\S+)\s*\Z"
 )
 _V1_PREMISE_COUNT = re.compile(r"premises=\d+\Z")
+_GEOMETRY_RE = re.compile(r"(POINT|BBOX)\(([^)]*)\)")
 
 
 def format_geometry(geometry: Geometry) -> str:
@@ -71,7 +74,7 @@ def format_geometry(geometry: Geometry) -> str:
 
 def parse_geometry(text: str) -> Geometry:
     text = text.strip()
-    m = re.fullmatch(r"(POINT|BBOX)\(([^)]*)\)", text)
+    m = _GEOMETRY_RE.fullmatch(text)
     if not m:
         raise ParseError(f"invalid geometry literal {text!r}")
     shape, body = m.groups()
@@ -160,7 +163,7 @@ def _entity_from_doc(doc: dict) -> Entity:
 
 
 def _triple_key(subject, predicate, object_) -> TripleKey:
-    if not all(isinstance(term, str) for term in (subject, predicate, object_)):
+    if not (isinstance(subject, str) and isinstance(predicate, str) and isinstance(object_, str)):
         raise ParseError("a triple needs string subject, predicate and object")
     relation = RELATION_TOKENS.get(predicate)
     if relation is None:
@@ -185,45 +188,57 @@ def _located(exc: GeoCausalError, where: int | str) -> ParseError:
     return ParseError(f"{where}: {exc}")
 
 
-def graph_from_docs(
-    entities: Iterable[tuple[int | str, dict]], triples: Iterable[tuple[int | str, dict]]
-) -> KnowledgeGraph:
-    """Build a graph from entity and triple documents, each paired with
-    where it came from (a line number or a JSON entry name). Triple records
-    may come in any order. Every fault (a bad field, a repeated id, a schema
-    break, a missing entity or premise, a premise cycle) is a ParseError
-    naming its record."""
+def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> KnowledgeGraph:
+    """Build a graph from ``(where, decode, payload)`` records, ``where`` a line
+    number or JSON entry name. ``decode(payload)`` gives an entity, added at once,
+    a triple's ``(key, provenance)``, added after the records its premises name,
+    or None. Every fault is a ParseError naming its record. The cyclic collector
+    is paused meanwhile and then restored: the values built hold no cycles."""
     graph = KnowledgeGraph()
+    held: list[tuple[int | str, TripleKey, Provenance]] = []
+    first: dict[TripleKey, int] = {}
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        for where, doc in entities:
-            graph.add_entity(_entity_from_doc(doc))
-        records: list[tuple[int | str, TripleKey, Provenance]] = []
-        first: dict[TripleKey, int] = {}
-        for where, doc in triples:
-            key, provenance = _triple_from_doc(doc)
-            first.setdefault(key, len(records))
-            records.append((where, key, provenance))
+        for where, decode, payload in records:
+            record = decode(payload)
+            if type(record) is tuple:
+                first.setdefault(record[0], len(held))
+                held.append((where, *record))
+            elif record is not None:
+                graph.add_entity(record)
         # An explicit stack, so any depth loads; document order, so a repeated
         # triple keeps its first record. Open records are the top's premise-ancestors.
-        state = [0] * len(records)  # 0 new, 1 open, 2 added
-        stack = list(reversed(range(len(records))))
+        state = [0] * len(held)  # 0 new, 1 open, 2 added
+        stack = list(reversed(range(len(held))))
         while stack:
-            where, key, provenance = records[j := stack.pop()]
-            if state[j] == 0:
+            where, key, provenance = held[j := stack.pop()]
+            if state[j] == 0 and isinstance(provenance, Derived):
                 state[j] = 1
                 stack.append(j)
-                for s, p, o in getattr(provenance, "premises", ()):
+                for s, p, o in provenance.premises:
                     k = first.get((s, p, o))
                     if k is None or state[k] == 1:
                         fault = "is not a stored triple" if k is None else "leads back to this triple"
                         raise ParseError(f"premise ({s} {p.value} {o}) {fault}")
                     stack.append(k)
-            elif state[j] == 1:
+            elif state[j] != 2:  # open, or new with no premises to wait for
                 state[j] = 2
                 graph.add_triple(*key, provenance)
     except GeoCausalError as exc:
         raise _located(exc, where) from None
+    finally:
+        if collecting:
+            gc.enable()
     return graph
+
+
+def graph_from_docs(
+    entities: Iterable[tuple[int | str, dict]], triples: Iterable[tuple[int | str, dict]]
+) -> KnowledgeGraph:
+    """Build a graph from entity and triple documents, each paired with its JSON entry name."""
+    entity_records = [(where, _entity_from_doc, doc) for where, doc in entities]
+    return _build_graph(entity_records + [(where, _triple_from_doc, doc) for where, doc in triples])
 
 
 def _entity_line(entity: Entity) -> str:
@@ -291,25 +306,25 @@ def save_graph(graph: KnowledgeGraph, sink: str | Path | IO[str]) -> None:
         sink.write(text)
 
 
-def _split_record(line: str, lineno: int) -> list[str]:
-    """Split on whitespace outside double quotes, then drop the quotes. The
-    writer escapes nothing, so the reader processes no escapes."""
-    if line.count('"') % 2:
-        raise ParseError("unbalanced double quote", lineno)
-    return [token.replace('"', "") for token in _TOKEN_RE.findall(line)]
-
-
-def _entity_record(tokens: list[str], lineno: int) -> dict:
+def _entity_record(line: str) -> dict:
+    """An ENT line's fields. It splits on whitespace outside double quotes, then
+    drops the quotes: the writer escapes nothing, so the reader processes no escapes."""
+    if '"' not in line:
+        tokens = line.split()  # the same tokens: str.split and \s agree on whitespace
+    elif line.count('"') % 2:
+        raise ParseError("unbalanced double quote")
+    else:
+        tokens = [token.replace('"', "") for token in _TOKEN_RE.findall(line)]
     if len(tokens) < 4:
-        raise ParseError("ENT record needs at least <id> <role> <kind>", lineno)
+        raise ParseError("ENT record needs at least <id> <role> <kind>")
     _, entity_id, role, kind, *rest = tokens
     values: dict[str, str] = {}
     for token in rest:
         key, equals, value = token.partition("=")
         if not equals:
-            raise ParseError(f"expected key=value attribute, got {token!r}", lineno)
+            raise ParseError(f"expected key=value attribute, got {token!r}")
         if key in values:
-            raise ParseError(f"duplicate attribute key {key!r}", lineno)
+            raise ParseError(f"duplicate attribute key {key!r}")
         values[key] = value
     if role == "situation":
         start, end = values.pop(".start", None), values.pop(".end", None)
@@ -317,52 +332,47 @@ def _entity_record(tokens: list[str], lineno: int) -> dict:
     return {"id": entity_id, "role": role, "kind": kind, "attributes": values}
 
 
-def _region_record(line: str, lineno: int) -> dict:
-    m = _REG_RE.fullmatch(line)
-    if not m:
-        raise ParseError("malformed REG record", lineno)
-    return {"role": "region", **m.groupdict()}
-
-
-def _triple_record(tokens: list[str], lineno: int) -> dict:
+def _triple_record(tokens: list[str]) -> tuple[TripleKey, Provenance]:
     if len(tokens) < 4 or len(tokens) == 5:
-        raise ParseError("TRI record needs <subject> <predicate> <object>", lineno)
+        raise ParseError("TRI record needs <subject> <predicate> <object>")
     _, subject, predicate, object_, *rest = tokens
-    doc = {"subject": subject, "predicate": predicate, "object": object_}
-    if rest:
-        marker, rule, *premises = rest
-        if marker != "DERIVED" or not rule.startswith("rule="):
-            raise ParseError("expected DERIVED rule=<id> after the object", lineno)
-        if len(premises) == 1 and _V1_PREMISE_COUNT.match(premises[0]):
-            premises = []  # version 1 kept a premise count, never the premise keys
-        elif len(premises) % 3:
-            raise ParseError(
-                f"premises take three tokens each (<s> <p> <o>), got {len(premises)}", lineno
-            )
-        doc["provenance"] = "derived"
-        doc["rule"] = rule[len("rule="):]
-        doc["premises"] = [premises[i:i + 3] for i in range(0, len(premises), 3)]
-    return doc
+    if not rest:
+        return _triple_key(subject, predicate, object_), ASSERTED
+    marker, rule, *premises = rest
+    if marker != "DERIVED" or not rule.startswith("rule="):
+        raise ParseError("expected DERIVED rule=<id> after the object")
+    if len(premises) == 1 and _V1_PREMISE_COUNT.match(premises[0]):
+        premises = []  # version 1 kept a premise count, never the premise keys
+    elif len(premises) % 3:
+        raise ParseError(f"premises take three tokens each (<s> <p> <o>), got {len(premises)}")
+    key = _triple_key(subject, predicate, object_)
+    keys = tuple(_triple_key(*premises[i:i + 3]) for i in range(0, len(premises), 3))
+    return key, Derived(rule[len("rule="):], keys)
+
+
+def _text_record(raw: str) -> Entity | tuple[TripleKey, Provenance] | None:
+    """One text line decoded: an entity, a triple's key and provenance, or
+    None for a blank or comment line."""
+    line = raw.strip()
+    if not line or line.startswith("#"):
+        return None
+    tag = line.split(None, 1)[0]
+    if tag == "TRI":
+        return _triple_record(line.split())
+    if tag == "ENT":
+        return _entity_from_doc(_entity_record(line))
+    if tag != "REG":
+        raise ParseError(f"unknown record tag {tag!r}")
+    if not (m := _REG_RE.fullmatch(line)):
+        raise ParseError("malformed REG record")
+    interval = TimeInterval(m["start"], m["end"])  # checked first, as _entity_from_doc does
+    return SpatioTemporalRegion(m["id"], parse_geometry(m["geometry"]), interval)
 
 
 def loads_graph(text: str) -> KnowledgeGraph:
-    """Read a text document; any fault raises ParseError with ``.line`` set."""
-    entities: list[tuple[int, dict]] = []
-    triples: list[tuple[int, dict]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag = line.split(None, 1)[0]
-        if tag == "ENT":
-            entities.append((lineno, _entity_record(_split_record(line, lineno), lineno)))
-        elif tag == "REG":
-            entities.append((lineno, _region_record(line, lineno)))
-        elif tag == "TRI":
-            triples.append((lineno, _triple_record(line.split(), lineno)))
-        else:
-            raise ParseError(f"unknown record tag {tag!r}", lineno)
-    return graph_from_docs(entities, triples)
+    """Read a text document; any fault raises ParseError with ``.line`` set.
+    The cyclic garbage collector is paused during the load, then restored."""
+    return _build_graph((lineno, _text_record, raw) for lineno, raw in enumerate(text.splitlines(), 1))
 
 
 def load_graph(source: str | Path | IO[str]) -> KnowledgeGraph:

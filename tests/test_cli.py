@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import geocausal
-from geocausal.cli import main
+from geocausal.cli import _recorded_rules, main
 from geocausal.engine import EngineConfig, infer
 from geocausal.rules import print_rules
 from geocausal.storage import dump_graph
@@ -31,6 +31,22 @@ OBS_TEXT = (
     "SITUATION_ID,TIMESTAMP_START,TIMESTAMP_END,ATTRIBUTE,VALUE,UNIT,LAT,LON\n"
     "s1,2005-08-23T00:00:00Z,2005-08-23T06:00:00Z,SeaSurfaceTemp,83,degF,,\n"
 )
+
+
+@pytest.mark.parametrize(
+    "text, rules_path",
+    [
+        ("# rules: r.gcr\n# geocausal graph v2\nENT a event Rain\n", "r.gcr"),
+        ("# geocausal graph v2\nENT a event Rain\n# rules: late.gcr\n", None),
+        ("#" + "x" * 1000 + "\r\n\n# rules: " + "p" * 600 + "\r\nENT a event Rain\n", "p" * 600),
+        ("# c\r" * 200 + "# rules: cr.gcr\rENT a event Rain", "cr.gcr"),
+        ("# rules: tail.gcr", "tail.gcr"),
+        ("", None),
+    ],
+    ids=["first-line", "after-a-record", "long-comments", "carriage-returns", "no-newline", "empty"],
+)
+def test_recorded_rules_path_comes_from_the_leading_comments(text, rules_path):
+    assert _recorded_rules(text) == rules_path
 
 
 @pytest.fixture

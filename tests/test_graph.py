@@ -275,6 +275,20 @@ class TestValidate:
         assert g.validate() == []
 
 
+def test_role_reads_the_stored_role():
+    g = small_graph()
+    assert {e.id: g.role(e.id) for e in g.entities()} == {e.id: role_of(e) for e in g.entities()}
+    with pytest.raises(UnknownEntity):
+        g.role("ev:absent")
+
+
+@pytest.mark.parametrize("enum", [Role, RelationKind])
+def test_vocabulary_members_hash_by_identity(enum):
+    """Triple keys hash their relation in C; each member is still one set element."""
+    assert enum.__hash__ is object.__hash__
+    assert len({*enum, *enum}) == len(enum)
+
+
 def test_role_of_rejects_foreign_values():
     with pytest.raises(TypeError):
         role_of("ev:string")

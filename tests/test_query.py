@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geocausal.engine import infer
-from geocausal.errors import NotAnEvent, PatternParseError, UnknownEntity, UnknownRelation
+from geocausal.errors import ConfigError, NotAnEvent, PatternParseError, UnknownEntity, UnknownRelation
 from geocausal.graph import KnowledgeGraph, RelationKind, Role
 from geocausal.model import GeoEvent
 from geocausal.query import parse_pattern, query, render_explanation_text, why
@@ -85,6 +85,14 @@ class TestWhy:
         }
         assert full.depth_reached == 2
         assert "sit:overflow" in full.nodes and "ev:tropicalstorm" in full.nodes
+
+    def test_negative_depth_is_refused(self, chain_case):
+        graph, rules = chain_case
+        infer(graph, rules)
+        with pytest.raises(ConfigError) as exc:
+            why(graph, "ev:flashflood", max_depth=-1, rules=rules)
+        assert str(exc.value) == "max_depth must be 0 or more, got -1"
+        assert why(graph, "ev:flashflood", max_depth=0).edges == []
 
     def test_monotone_in_depth(self, chain_case):
         graph, rules = chain_case

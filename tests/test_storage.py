@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import gc
 import json
 import random
 import re
@@ -167,7 +169,66 @@ class TestVersion1Migration:
         ]
 
 
+# One single-fault document per fault ``loads_graph`` can reach, with the
+# exact message it reports: the loader's own record checks, then the model,
+# unit and graph faults raised while a record is built or added.
+LOADER_FAULTS = [
+    pytest.param('FOO bar\n', 1, "unknown record tag 'FOO'", id='unknown-tag'),
+    pytest.param('# header\nENT a event\n', 2, 'ENT record needs at least <id> <role> <kind>', id='ent-too-short'),
+    pytest.param('ENT o object Gauge Level="3 m\n', 1, 'unbalanced double quote', id='unbalanced-quote'),
+    pytest.param('ENT o object Gauge Level\n', 1, "expected key=value attribute, got 'Level'", id='attribute-not-key-value'),
+    pytest.param('ENT o object Gauge Level="3 m" Level="4 m"\n', 1, "duplicate attribute key 'Level'", id='duplicate-attribute-key'),
+    pytest.param('ENT x thing Rain\n', 1, "unknown entity role 'thing'", id='unknown-role'),
+    pytest.param('ENT a event Rain Level="3 m"\n', 1, 'event records carry no attributes', id='event-with-attributes'),
+    pytest.param('ENT s situation - .end=2005-08-02T00:00:00Z\n', 1, "situation record needs a string 'start'", id='situation-without-start'),
+    pytest.param('ENT s situation - .start=2005-08-01T00:00:00Z\n', 1, "situation record needs a string 'end'", id='situation-without-end'),
+    pytest.param('ENT s situation - .start=yesterday .end=2005-08-02T00:00:00Z\n', 1, "invalid timestamp 'yesterday'", id='invalid-timestamp'),
+    pytest.param('ENT s situation - .start=0001-01-01T00:00:00+01:00 .end=2005-08-02T00:00:00Z\n', 1, 'timestamp 0001-01-01T00:00:00+01:00 is outside years 1-9999 UTC', id='timestamp-before-year-1'),
+    pytest.param('ENT s situation - .start=2005-08-02T00:00:00Z .end=2005-08-01T00:00:00Z\n', 1, 'interval start 2005-08-02T00:00:00Z is after end 2005-08-01T00:00:00Z', id='interval-order'),
+    pytest.param('ENT o object Gauge 1x="3 m"\n', 1, "attribute name '1x' must match [A-Za-z][A-Za-z0-9_]*", id='attribute-name'),
+    pytest.param('ENT o object Gauge Level=""\n', 1, 'empty measurement value', id='empty-value'),
+    pytest.param('ENT o object Gauge Level="x m"\n', 1, "invalid quantity literal 'x m'", id='invalid-quantity'),
+    pytest.param('ENT o object Gauge Level="3 furlong"\n', 1, "unknown unit 'furlong' (registered: 1, K, Pa, atm, degC, degF, hPa, km, km/h, kn, m, m/s, mb, mi, mph)", id='unknown-unit'),
+    pytest.param('ENT o object Gauge Level="inf m"\n', 1, 'quantity magnitude must be finite, got inf', id='non-finite-magnitude'),
+    pytest.param('ENT o object Gauge Level="a\tb"\n', 1, "categorical token 'a\\tb' must be a single bare word", id='categorical-token'),
+    pytest.param('ENT a\x01 event Rain\n', 1, "entity id 'a\\x01' must not contain whitespace, control, quote or surrogate characters", id='id-control-character'),
+    pytest.param('ENT a event Ra\x01in\n', 1, "kind 'Ra\\x01in' must not contain whitespace, control, quote or surrogate characters", id='kind-control-character'),
+    pytest.param('ENT a event Rain\nENT a event Flood\n', 2, "entity id 'a' already present", id='repeated-id'),
+    pytest.param('REG r POINT(1 2)\n', 1, 'malformed REG record', id='malformed-region'),
+    pytest.param('REG r POINT(x 2) 2005-08-01T00:00:00Z 2005-08-02T00:00:00Z\n', 1, "invalid coordinates in 'POINT(x 2)'", id='invalid-coordinates'),
+    pytest.param('REG r POINT(1) 2005-08-01T00:00:00Z 2005-08-02T00:00:00Z\n', 1, 'POINT takes 2 coordinates, got 1', id='point-arity'),
+    pytest.param('REG r BBOX(1 2 3) 2005-08-01T00:00:00Z 2005-08-02T00:00:00Z\n', 1, 'BBOX takes 4 coordinates, got 3', id='bbox-arity'),
+    pytest.param('REG r POINT(91 0) 2005-08-01T00:00:00Z 2005-08-02T00:00:00Z\n', 1, 'latitude 91.0 outside [-90, 90]', id='latitude'),
+    pytest.param('REG r POINT(0 181) 2005-08-01T00:00:00Z 2005-08-02T00:00:00Z\n', 1, 'longitude 181.0 outside [-180, 180]', id='longitude'),
+    pytest.param('REG r BBOX(2 0 1 1) 2005-08-01T00:00:00Z 2005-08-02T00:00:00Z\n', 1, 'bbox min corner must not exceed max corner', id='bbox-corners'),
+    pytest.param('REG r POINT(0 0) never 2005-08-02T00:00:00Z\n', 1, "invalid timestamp 'never'", id='region-timestamp'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes\n', 3, 'TRI record needs <subject> <predicate> <object>', id='triple-too-short'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED\n', 3, 'TRI record needs <subject> <predicate> <object>', id='triple-five-tokens'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b INFERRED rule=R\n', 3, 'expected DERIVED rule=<id> after the object', id='derived-marker'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED R\n', 3, 'expected DERIVED rule=<id> after the object', id='derived-rule-prefix'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED rule=R a causes\n', 3, 'premises take three tokens each (<s> <p> <o>), got 2', id='premise-arity'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a explodes b\n', 3, "unknown relation 'explodes'", id='unknown-relation'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED rule=R a explodes b\n', 3, "unknown relation 'explodes'", id='unknown-premise-relation'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED rule=\n', 3, 'rule id must be a non-empty string', id='empty-rule-id'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED rule=R"x\n', 3, 'rule id \'R"x\' must not contain whitespace, control, quote or surrogate characters', id='rule-id-quote'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes ghost\n', 3, "no entity with id 'ghost'", id='unknown-entity'),
+    pytest.param('ENT o object Dam\nENT b event Flood\nTRI o causes b\n', 3, 'causes: expected event -> event, got object -> event', id='signature'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a has-geometry b\n', 3, 'has-geometry is structural (held as region fields, not assertable)', id='structural-relation'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a satisfies P\n', 3, 'satisfies: subject must be a situation, got event', id='satisfies-subject'),
+    pytest.param('ENT s situation - .start=2005-08-01T00:00:00Z .end=2005-08-02T00:00:00Z\nTRI s satisfies P\x01\n', 2, "entity id 'P\\x01' must not contain whitespace, control, quote or surrogate characters", id='satisfies-object'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED rule=R b causes a\n', 3, 'premise (b causes a) is not a stored triple', id='premise-not-stored'),
+    pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED rule=R a causes b\n', 3, 'premise (a causes b) leads back to this triple', id='premise-cycle'),
+]
+
+
 class TestDocumentErrors:
+    @pytest.mark.parametrize("document, line, message", LOADER_FAULTS)
+    def test_every_fault_names_its_line_and_message(self, document, line, message):
+        with pytest.raises(ParseError) as exc:
+            loads_graph(document)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError) as exc:
             loads_graph("# ok\nENT ev:x event\n")
@@ -234,6 +295,47 @@ class TestDocumentErrors:
         with pytest.raises(ParseError) as exc:
             loads_graph(doc)
         assert exc.value.line == 3
+
+
+class TestCollectorPause:
+    """A load pauses the cyclic collector and restores it as it was."""
+
+    BAD = LOADER_FAULTS[-1].values[0]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("document", ["ENT a event Rain\n", BAD], ids=["loads", "fails"])
+    def test_collector_state_is_restored(self, enabled, document):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with contextlib.suppress(ParseError):
+                loads_graph(document)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_loaded_values_hold_no_cycles(self):
+        texts = []
+        for seed in range(20):
+            graph, rules = random_engine_case(random.Random(seed))
+            infer(graph, rules)
+            texts.append(dump_graph(graph))
+        derived = [line.split() for text in texts for line in text.splitlines() if " DERIVED " in line]
+        assert any(len(tokens) > 6 for tokens in derived)  # some records cite premises
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            loaded = [loads_graph(text) for text in texts]
+            del loaded
+            assert gc.collect() == 0
+            for text in texts:
+                with contextlib.suppress(ParseError):
+                    loads_graph(text + self.BAD)
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
 
 
 class TestPremiseOrder:
