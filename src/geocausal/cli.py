@@ -52,9 +52,24 @@ def _recorded_rules(text: str) -> str | None:
     return next((line[len(_RULES_HEADER):] for line in leading if line.startswith(_RULES_HEADER)), None)
 
 
-def _save_workspace(path: Path, graph: KnowledgeGraph, rules_path: str | None) -> None:
+def _stamp(path: Path) -> tuple[int, int, int] | None:
+    """What tells one write of the workspace from another; None when absent."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
+def _save_workspace(path: Path, graph: KnowledgeGraph, rules_path: str | None, loaded) -> None:
+    """Write the workspace unless it changed since its ``_stamp`` was ``loaded``:
+    another command wrote it meanwhile, and replacing it would drop that change."""
     header = f"{_RULES_HEADER}{rules_path}\n" if rules_path else ""
-    write_text_atomic(path, header + dump_graph(graph))
+    text = header + dump_graph(graph)
+    if _stamp(path) != loaded:
+        raise OSError(f"workspace {path} changed while this command ran; "
+                      "it was left as it is, run the command again")
+    write_text_atomic(path, text)
 
 
 def _load_rules(rules_path: str | None):
@@ -69,13 +84,14 @@ def _cmd_ingest(args) -> int:
     from .ingest import Strictness, ingest_observations_csv, ingest_storm_csv
 
     path = _workspace_path(args)
+    loaded = _stamp(path)
     graph, rules_path = _load_workspace(path)
     strictness = Strictness.STRICT if args.strict else Strictness.LENIENT
     if args.kind == "storm":
         report = ingest_storm_csv(graph, args.file, strictness, args.prefix)
     else:
         report = ingest_observations_csv(graph, args.file, strictness, args.prefix)
-    _save_workspace(path, graph, rules_path)
+    _save_workspace(path, graph, rules_path, loaded)
     print(report.to_json() if args.json else report.render())
     return 0
 
@@ -104,6 +120,7 @@ def _cmd_infer(args) -> int:
         require_spatial_overlap=not args.no_spatial,
     )
     path = _workspace_path(args)
+    loaded = _stamp(path)
     graph, recorded_rules = _load_workspace(path)
     rules_path = args.rules or recorded_rules
     ruleset = _load_rules(rules_path)
@@ -112,7 +129,7 @@ def _cmd_infer(args) -> int:
         print("note: no rules file given or recorded; inferring with an empty rule set",
               file=sys.stderr)
     result = infer(graph, ruleset, config)
-    _save_workspace(path, graph, rules_path)
+    _save_workspace(path, graph, rules_path, loaded)
     print(f"derived {len(result.derived)} triple(s) in {result.iterations} iteration(s)")
     for diagnostic in result.diagnostics:
         print(diagnostic.render())

@@ -34,15 +34,19 @@ participant-in edges. No rule reads causes, effects or affects. So one pass
 in the order SAT, EFF, CAU, AFF reaches the least fixpoint. A new rule that
 reads a derived predicate must run after the rule that derives it.
 
-Every derived triple records its rule id and premise triples. Candidates
-that were considered but rejected are reported as diagnostics with one of
-the reason codes: unknown-satisfaction, mixed-setting, no-temporal-adjacency,
-no-spatial-overlap.
+Each rule is a generator that only reads the graph: per candidate it yields
+a derivation (subject, predicate, object, rule id, premise keys) or a
+Diagnostic with a reason code (unknown-satisfaction, mixed-setting,
+no-temporal-adjacency, no-spatial-overlap). ``infer`` alone writes: it runs
+each rule to exhaustion before the next, and stores each derivation whose
+triple is not stored yet, so the first derivation of a triple owns it.
+Rules walk their sets in id order, so that is the rule id that sorts first.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
@@ -88,9 +92,11 @@ def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = N
     """Close the graph under the four rules; mutates the graph in place.
 
     The result is the least fixpoint, deterministic for a given graph and
-    rule set. R-EFF reads the satisfies edges R-SAT derives and no rule
-    reads causes, effects or affects, so one pass in the order SAT, EFF,
-    CAU, AFF reaches it and ``iterations`` is always 1. A new rule that
+    rule set. This is the one writer: each rule runs to exhaustion before
+    the next, in the order SAT, EFF, CAU, AFF, and each derivation whose
+    triple is not stored yet is added. R-EFF reads the satisfies edges R-SAT
+    derives and no rule reads causes, effects or affects, so that one pass
+    reaches the fixpoint and ``iterations`` is always 1. A new rule that
     reads a derived predicate must run after the rule that derives it.
 
     R-EFF and R-CAU read one index of each event kind sorted by interval
@@ -101,8 +107,8 @@ def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = N
     if config is None:
         config = EngineConfig()
 
-    # No rule adds entities or spatio-temporally-present triples, so this
-    # index holds for the pass.
+    # No derivation adds an entity or a spatio-temporally-present triple, so
+    # this index holds for the pass.
     events_by_kind: dict[str, list[tuple[str, SpatioTemporalRegion]]] = {}
     for event in graph.entities(Role.EVENT):
         region = graph.region_of(event.id)
@@ -112,10 +118,14 @@ def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = N
 
     derived: list[Triple] = []
     diagnostics: set[Diagnostic] = set()
-    _rule_sat(graph, rules, derived, diagnostics)
-    _rule_eff(graph, rules, config, by_start, derived, diagnostics)
-    _rule_cau(graph, rules, by_start, derived)
-    _rule_aff(graph, derived)
+    for rule in (_rule_sat(graph, rules), _rule_eff(graph, rules, config, by_start),
+                 _rule_cau(rules, by_start), _rule_aff(graph)):
+        for outcome in rule:
+            if isinstance(outcome, Diagnostic):
+                diagnostics.add(outcome)
+            elif not graph.has_triple(*outcome[:3]):
+                subject, predicate, object, rule_id, premises = outcome
+                derived.append(graph.add_triple(subject, predicate, object, Derived(rule_id, premises)))
     return InferenceResult(
         derived=sorted(derived, key=triple_sort_key),
         iterations=1,
@@ -147,42 +157,28 @@ def _shift(instant: datetime, delta: timedelta) -> datetime | None:
         return None
 
 
-def _derive(
-    graph: KnowledgeGraph,
-    derived: list[Triple],
-    subject: str,
-    predicate: RelationKind,
-    object: str,
-    rule_id: str,
-    premises: tuple[TripleKey, ...],
-) -> None:
-    if not graph.has_triple(subject, predicate, object):
-        derived.append(graph.add_triple(subject, predicate, object, Derived(rule_id, premises)))
+# What a rule yields: a derivation (subject, predicate, object, rule id, premises) or a rejection.
+_Outcome = tuple[str, RelationKind, str, str, tuple[TripleKey, ...]] | Diagnostic
 
 
-def _rule_sat(graph, rules, derived, diagnostics) -> None:
+def _premises(keys) -> tuple[TripleKey, ...]:
+    """Premise keys in (subject, predicate, object) order."""
+    return tuple(sorted(keys, key=lambda k: (k[0], k[1].value, k[2])))
+
+
+def _rule_sat(graph, rules) -> Iterator[_Outcome]:
     for situation in graph.entities(Role.SITUATION):
         for pc in rules.preconditions:
             if graph.has_triple(situation.id, RelationKind.SATISFIES, pc.id):
                 continue
             result = evaluate(pc, situation)
             if result.satisfied is Truth.TRUE:
-                _derive(
-                    graph,
-                    derived,
-                    situation.id,
-                    RelationKind.SATISFIES,
-                    pc.id,
-                    f"R-SAT:{pc.id}",
-                    (),
-                )
+                yield situation.id, RelationKind.SATISFIES, pc.id, f"R-SAT:{pc.id}", ()
             elif result.satisfied is Truth.UNKNOWN:
-                diagnostics.add(
-                    Diagnostic("R-SAT", (situation.id, pc.id), "unknown-satisfaction")
-                )
+                yield Diagnostic("R-SAT", (situation.id, pc.id), "unknown-satisfaction")
 
 
-def _rule_eff(graph, rules, config, by_start, derived, diagnostics) -> None:
+def _rule_eff(graph, rules, config, by_start) -> Iterator[_Outcome]:
     for satisfies in graph.match(predicate=RelationKind.SATISFIES):
         situation = graph.entity(satisfies.subject)  # a situation, by the satisfies schema
         pc = rules.precondition(satisfies.object)
@@ -191,7 +187,7 @@ def _rule_eff(graph, rules, config, by_start, derived, diagnostics) -> None:
         setting_triples = graph.match(predicate=RelationKind.SETTING, object=situation.id)
         setters = [graph.entity(t.subject) for t in setting_triples]
         if any(not isinstance(x, GeoObject) for x in setters):
-            diagnostics.add(Diagnostic("R-EFF", (situation.id, pc.id), "mixed-setting"))
+            yield Diagnostic("R-EFF", (situation.id, pc.id), "mixed-setting")
             continue
         setter_regions = [(x.id, r) for x in setters if (r := graph.region_of(x.id)) is not None]
         events = by_start.get(pc.event_kind)
@@ -205,28 +201,18 @@ def _rule_eff(graph, rules, config, by_start, derived, diagnostics) -> None:
                 continue
             candidates.append((event_id, region))
         if not candidates:
-            diagnostics.add(Diagnostic("R-EFF", (situation.id, pc.id), "no-temporal-adjacency"))
+            yield Diagnostic("R-EFF", (situation.id, pc.id), "no-temporal-adjacency")
             continue
         for event_id, region in candidates:
             if config.require_spatial_overlap and not any(
                 spatial_overlap(region.geometry, r.geometry) for _, r in setter_regions
             ):
-                diagnostics.add(
-                    Diagnostic("R-EFF", (situation.id, pc.id, event_id), "no-spatial-overlap")
-                )
+                yield Diagnostic("R-EFF", (situation.id, pc.id, event_id), "no-spatial-overlap")
                 continue
             premises = [satisfies.key, (event_id, _STP, region.id)]
             premises.extend(t.key for t in setting_triples)
             premises.extend((x, _STP, r.id) for x, r in setter_regions)
-            _derive(
-                graph,
-                derived,
-                situation.id,
-                RelationKind.EFFECTS,
-                event_id,
-                f"R-EFF:{pc.id}",
-                tuple(sorted(premises, key=lambda k: (k[0], k[1].value, k[2]))),
-            )
+            yield situation.id, RelationKind.EFFECTS, event_id, f"R-EFF:{pc.id}", _premises(premises)
 
 
 def _constraint_holds(constraint, region_a, region_b) -> bool:
@@ -255,7 +241,7 @@ def _effect_window(constraint, cause: TimeInterval, longest: timedelta):
     raise TypeError(f"unknown constraint {constraint!r}")
 
 
-def _rule_cau(graph, rules, by_start, derived) -> None:
+def _rule_cau(rules, by_start) -> Iterator[_Outcome]:
     for rule in rules.cause_rules:
         causes = by_start.get(rule.cause_kind)
         effects = by_start.get(rule.effect_kind)
@@ -265,32 +251,18 @@ def _rule_cau(graph, rules, by_start, derived) -> None:
             window = _effect_window(rule.constraint, region_a.interval, effects.longest)
             for b, region_b in effects.starting(*window):
                 if _constraint_holds(rule.constraint, region_a, region_b):
-                    _derive(
-                        graph,
-                        derived,
-                        a,
-                        RelationKind.CAUSES,
-                        b,
-                        f"R-CAU:{rule.id}",
-                        ((a, _STP, region_a.id), (b, _STP, region_b.id)),
-                    )
+                    premises = ((a, _STP, region_a.id), (b, _STP, region_b.id))
+                    yield a, RelationKind.CAUSES, b, f"R-CAU:{rule.id}", premises
 
 
-def _rule_aff(graph, derived) -> None:
+def _rule_aff(graph) -> Iterator[_Outcome]:
     for setting in graph.match(predicate=RelationKind.SETTING):
         event = graph.entity(setting.subject)
         if not isinstance(event, GeoEvent):
             continue
         for participant in graph.match(predicate=RelationKind.PARTICIPANT_IN, object=event.id):
-            _derive(
-                graph,
-                derived,
-                setting.object,
-                RelationKind.AFFECTS,
-                participant.subject,
-                "R-AFF",
-                tuple(sorted((setting.key, participant.key), key=lambda k: (k[0], k[1].value, k[2]))),
-            )
+            premises = _premises((setting.key, participant.key))
+            yield setting.object, RelationKind.AFFECTS, participant.subject, "R-AFF", premises
 
 
 # --------------------------------------------------------------------------

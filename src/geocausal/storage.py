@@ -287,11 +287,19 @@ def read_text(path: str | Path) -> str:
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` through a temporary file in the same
     directory, so a crash or a concurrent writer never leaves a truncated
-    file. No fsync: this guards against process failures, not power loss."""
+    file. The new file keeps the permission bits of the one it replaces.
+    No fsync: this guards against process failures, not power loss."""
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temporary.write_text(text, encoding="utf-8")
+        mode = os.stat(path).st_mode & 0o7777
+    except OSError:  # absent; any other fault surfaces from the write
+        mode = None
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            if mode is not None:
+                os.chmod(temporary, mode)  # before the text is in it
+            handle.write(text)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)

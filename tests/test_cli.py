@@ -189,6 +189,55 @@ class TestSubcommands:
         assert (tmp_path / "test.graph").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    @pytest.mark.parametrize("command", ["ingest", "infer"])
+    def test_a_write_keeps_the_workspace_mode(self, capsys, tmp_path, workspace, storm_file, rules_file, command):
+        previous = os.umask(0o022)
+        try:
+            run(capsys, "ingest", "storm", storm_file, "--workspace", workspace)
+            assert os.stat(workspace).st_mode & 0o777 == 0o644  # a new workspace follows the umask
+            os.chmod(workspace, 0o600)
+            argv = (["ingest", "storm", storm_file, "--prefix", "ev2:"] if command == "ingest"
+                    else ["infer", "--rules", rules_file])
+            code, _, err = run(capsys, *argv, "--workspace", workspace)
+        finally:
+            os.umask(previous)
+        assert (code, err) == (0, "")
+        assert os.stat(workspace).st_mode & 0o777 == 0o600
+
+    @pytest.mark.parametrize("command", ["ingest", "infer"])
+    def test_a_concurrent_write_is_not_overwritten(
+        self, capsys, tmp_path, workspace, storm_file, rules_file, monkeypatch, command
+    ):
+        """A command refuses to replace a workspace that another command wrote
+        after this one loaded it; the other command's change survives."""
+        import geocausal.cli as cli_module
+
+        if command == "infer":
+            run(capsys, "ingest", "storm", storm_file, "--workspace", workspace)
+        dump = cli_module.dump_graph
+        written = []
+
+        def other_command_first(graph):
+            monkeypatch.setattr(cli_module, "dump_graph", dump)
+            assert cli_module.main(["ingest", "storm", storm_file, "--prefix", "ev2:",
+                                    "--workspace", workspace]) == 0
+            capsys.readouterr()  # the other command's report
+            written.append(Path(workspace).read_bytes())
+            return dump(graph)
+
+        monkeypatch.setattr(cli_module, "dump_graph", other_command_first)
+        argv = (["ingest", "storm", storm_file] if command == "ingest"
+                else ["infer", "--rules", rules_file])
+        code, out, err = run(capsys, *argv, "--workspace", workspace)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error[io]: workspace {workspace} changed while this command ran")
+        assert Path(workspace).read_bytes() == written[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["storm.csv", "rules.gcr", "test.graph"])
+        code, out, _ = run(capsys, "query", "? ? ?", "--workspace", workspace)
+        assert code == 0 and "ev2:" in out
+
     def test_surrogate_prefix_is_rejected(self, capsys, tmp_path, workspace, storm_file):
         # A non-UTF-8 argv byte such as b"\xff" reaches argparse as a lone surrogate.
         listing = sorted(p.name for p in tmp_path.iterdir())

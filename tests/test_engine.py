@@ -216,6 +216,38 @@ class TestEdgeCases:
         )
 
 
+    def test_the_rule_id_sorted_first_owns_a_triple_two_rules_derive(self, flood_case_b):
+        # Both precondition sets effect Flood and both cause rules link
+        # ev:rain to ev:flood; each set is written with the later id first.
+        graph, _ = flood_case_b
+        graph.add_entity(GeoEvent("ev:rain", "Rain"))
+        graph.add_entity(SpatioTemporalRegion("reg:rain", Point(30.0, -90.0), iv(0, 6)))
+        graph.assert_triple("ev:rain", STP, "reg:rain")
+        rules = parse_rules(
+            """
+            precondition PC_STEADY effects Flood { WaterLevel > 5 m }
+            precondition PC_BREACH effects Flood { WaterLevel > 10 m }
+            rule R_LATE: Rain causes Flood when precedes
+            rule R_EARLY: Rain causes Flood when precedes within 12h
+            """
+        )
+        owners = {
+            ("sit:overflow", RelationKind.EFFECTS, "ev:flood"): "R-EFF:PC_BREACH",
+            ("ev:rain", RelationKind.CAUSES, "ev:flood"): "R-CAU:R_EARLY",
+        }
+
+        result = infer(graph, rules)
+        assert derived_keys(result) >= set(owners)
+        for key, rule_id in owners.items():
+            assert graph.triple(key).provenance.rule_id == rule_id
+
+        reloaded = loads_graph(dump_graph(graph))
+        assert infer(reloaded, rules).derived == []
+        for key, rule_id in owners.items():
+            assert reloaded.triple(key).provenance.rule_id == rule_id
+        assert dump_graph(reloaded) == dump_graph(graph)
+
+
 class TestFixpointProperties:
     def test_rerun_derives_nothing(self, chain_case):
         graph, rules = chain_case

@@ -79,3 +79,25 @@ def test_an_unknown_name_raises_attribute_error_and_submodules_still_import():
         from geocausal import engine
         assert engine.__name__ == "geocausal.engine"
     """)
+
+
+def test_the_package_imports_only_the_standard_library():
+    """Every module the package imports is in the standard library or is
+    geocausal itself (relative imports are)."""
+    import ast
+
+    allowed = set(sys.stdlib_module_names) | {"geocausal"}
+    modules = sorted(Path(geocausal.__file__).parent.rglob("*.py"))
+    foreign = []
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{module.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert len(modules) >= 10
+    assert foreign == []
