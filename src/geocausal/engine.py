@@ -16,16 +16,11 @@ Four monotone rules close the graph:
 R-EFF and R-CAU are joins over events. ``infer`` sorts each event kind's
 (event, region) pairs by interval start once, and each join bisects the
 window of starts that a partner can have, then runs the exact test on
-every event in it:
-
-  precedes within g   starts in [a.end, a.end + g]
-  precedes            starts >= a.end (this output is itself quadratic)
-  co-occurs           starts in [a.start - longest, a.end], where longest
-                      is the longest interval among the effect kind's events
-  R-EFF               starts in [s.end, s.end + max_gap] for situation s
-
-Each window holds every event that can pass the test, so the output is the
-all-pairs output, and the work grows with the windows, not the pairs.
+every event in it. A cause rule's constraint gives both (``starts`` and
+``holds`` in ``geocausal.rules``); R-EFF's gate is ``precedes within
+max_gap`` between the situation's interval and the event's. Each window
+holds every event that can pass the test, so the output is the all-pairs
+output, and the work grows with the windows, not the pairs.
 
 The rules are stratified. R-SAT reads situations and their observations.
 R-EFF reads the satisfies edges, asserted or derived by R-SAT. R-CAU reads
@@ -52,9 +47,9 @@ from datetime import datetime, timedelta
 
 from .errors import ConfigError
 from .graph import Derived, KnowledgeGraph, RelationKind, Role, Triple, TripleKey, triple_sort_key
-from .model import GeoEvent, GeoObject, SpatioTemporalRegion, TimeInterval
-from .rules import CoOccurs, Precedes, PrecedesWithin, RuleSet, Truth, evaluate
-from .spatiotemporal import co_occurs, gap_between, precedes, spatial_overlap
+from .model import GeoEvent, GeoObject, SpatioTemporalRegion
+from .rules import PrecedesWithin, RuleSet, Truth, evaluate
+from .spatiotemporal import spatial_overlap
 
 _STP = RelationKind.SPATIO_TEMPORALLY_PRESENT
 
@@ -101,8 +96,8 @@ def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = N
 
     R-EFF and R-CAU read one index of each event kind sorted by interval
     start, built here, and test only the events whose start falls in the
-    window the constraint allows (see the module docstring); the exact
-    test still runs on every one of them.
+    window the constraint allows; the exact test still runs on every one
+    of them.
     """
     if config is None:
         config = EngineConfig()
@@ -149,14 +144,6 @@ class _ByStart:
         return self.pairs[lo:hi]
 
 
-def _shift(instant: datetime, delta: timedelta) -> datetime | None:
-    """``instant + delta``, or None (an open bound) past the datetime range."""
-    try:
-        return instant + delta
-    except OverflowError:
-        return None
-
-
 # What a rule yields: a derivation (subject, predicate, object, rule id, premises) or a rejection.
 _Outcome = tuple[str, RelationKind, str, str, tuple[TripleKey, ...]] | Diagnostic
 
@@ -179,6 +166,7 @@ def _rule_sat(graph, rules) -> Iterator[_Outcome]:
 
 
 def _rule_eff(graph, rules, config, by_start) -> Iterator[_Outcome]:
+    gate = PrecedesWithin(config.max_gap)
     for satisfies in graph.match(predicate=RelationKind.SATISFIES):
         situation = graph.entity(satisfies.subject)  # a situation, by the satisfies schema
         pc = rules.precondition(satisfies.object)
@@ -190,16 +178,10 @@ def _rule_eff(graph, rules, config, by_start) -> Iterator[_Outcome]:
             yield Diagnostic("R-EFF", (situation.id, pc.id), "mixed-setting")
             continue
         setter_regions = [(x.id, r) for x in setters if (r := graph.region_of(x.id)) is not None]
+        during = situation.holds_during
         events = by_start.get(pc.event_kind)
-        end = situation.holds_during.end
-        window = events.starting(end, _shift(end, config.max_gap)) if events else ()
-        candidates = []
-        for event_id, region in window:
-            if not precedes(situation.holds_during, region.interval):
-                continue
-            if gap_between(situation.holds_during, region.interval) > config.max_gap:
-                continue
-            candidates.append((event_id, region))
+        window = events.starting(*gate.starts(during, events.longest)) if events else ()
+        candidates = [(e, region) for e, region in window if gate.holds_between(during, region.interval)]
         if not candidates:
             yield Diagnostic("R-EFF", (situation.id, pc.id), "no-temporal-adjacency")
             continue
@@ -215,32 +197,6 @@ def _rule_eff(graph, rules, config, by_start) -> Iterator[_Outcome]:
             yield situation.id, RelationKind.EFFECTS, event_id, f"R-EFF:{pc.id}", _premises(premises)
 
 
-def _constraint_holds(constraint, region_a, region_b) -> bool:
-    if isinstance(constraint, CoOccurs):
-        return co_occurs(region_a, region_b)
-    if isinstance(constraint, Precedes):
-        return precedes(region_a.interval, region_b.interval)
-    if isinstance(constraint, PrecedesWithin):
-        return (
-            precedes(region_a.interval, region_b.interval)
-            and gap_between(region_a.interval, region_b.interval) <= constraint.max_gap
-        )
-    raise TypeError(f"unknown constraint {constraint!r}")
-
-
-def _effect_window(constraint, cause: TimeInterval, longest: timedelta):
-    """The (low, high) starts an effect needs to meet the constraint against
-    a cause over ``cause``; every effect that meets it starts in there."""
-    if isinstance(constraint, CoOccurs):
-        # Co-occurring needs effect.start <= cause.end and effect.end >= cause.start.
-        return _shift(cause.start, -longest), cause.end
-    if isinstance(constraint, Precedes):
-        return cause.end, None
-    if isinstance(constraint, PrecedesWithin):
-        return cause.end, _shift(cause.end, constraint.max_gap)
-    raise TypeError(f"unknown constraint {constraint!r}")
-
-
 def _rule_cau(rules, by_start) -> Iterator[_Outcome]:
     for rule in rules.cause_rules:
         causes = by_start.get(rule.cause_kind)
@@ -248,9 +204,8 @@ def _rule_cau(rules, by_start) -> Iterator[_Outcome]:
         if causes is None or effects is None:
             continue
         for a, region_a in causes.pairs:
-            window = _effect_window(rule.constraint, region_a.interval, effects.longest)
-            for b, region_b in effects.starting(*window):
-                if _constraint_holds(rule.constraint, region_a, region_b):
+            for b, region_b in effects.starting(*rule.constraint.starts(region_a.interval, effects.longest)):
+                if rule.constraint.holds(region_a, region_b):
                     premises = ((a, _STP, region_a.id), (b, _STP, region_b.id))
                     yield a, RelationKind.CAUSES, b, f"R-CAU:{rule.id}", premises
 

@@ -23,6 +23,7 @@ situations carry no geometry of their own.
 
 Strict mode aborts on the first bad row, before anything is applied to
 the graph; lenient mode skips bad rows and records them in the report.
+A row whose id cells make an invalid entity id is a bad row.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .model import (
     TimeInterval,
     interval_envelope,
     parse_timestamp,
+    validate_entity_id,
 )
 from .spatiotemporal import as_bbox, bbox_union
 from .storage import read_text
@@ -229,6 +231,12 @@ def _cell(row: dict, column: str) -> str:
     return (row.get(column) or "").strip()
 
 
+def _check_prefix(id_prefix: str) -> None:
+    """A bad prefix fails every row, so it fails the whole ingest instead."""
+    if id_prefix:
+        validate_entity_id(id_prefix, "id prefix")
+
+
 def _row_error(report: IngestReport, strictness: Strictness, line: int, reason: str) -> None:
     if strictness is Strictness.STRICT:
         raise IngestError(reason, line)
@@ -296,6 +304,7 @@ def ingest_storm_csv(
     strictness: Strictness = Strictness.LENIENT,
     id_prefix: str = "ev:",
 ) -> IngestReport:
+    _check_prefix(id_prefix)
     report = IngestReport(strictness=strictness)
     raw_rows = _open_rows(source, STORM_REQUIRED)
     report.rows_read = len(raw_rows)
@@ -309,12 +318,13 @@ def ingest_storm_csv(
             storm_row = _parse_storm_row(lineno, row)
             if storm_row.event_id in seen_event_ids:
                 raise ValueError(f"EVENT_ID {storm_row.event_id!r} occurs twice in this file")
+            validate_entity_id(f"{id_prefix}episode-{storm_row.episode_id}")
             for entity_id in (
                 f"{id_prefix}event-{storm_row.event_id}",
                 f"{id_prefix}region-{storm_row.event_id}",
                 f"{id_prefix}impact-{storm_row.event_id}",
             ):
-                if graph.has_entity(entity_id):
+                if graph.has_entity(validate_entity_id(entity_id)):
                     raise ValueError(f"entity id {entity_id!r} already present")
         except (ValueError, GeoCausalError) as exc:
             _row_error(report, strictness, lineno, str(exc))
@@ -430,6 +440,7 @@ def ingest_observations_csv(
     strictness: Strictness = Strictness.LENIENT,
     id_prefix: str = "ev:",
 ) -> IngestReport:
+    _check_prefix(id_prefix)
     report = IngestReport(strictness=strictness)
     raw_rows = _open_rows(source, OBSERVATION_REQUIRED)
     report.rows_read = len(raw_rows)
@@ -439,7 +450,7 @@ def ingest_observations_csv(
         try:
             obs = _parse_observation_row(lineno, row)
             situation_entity_id = f"{id_prefix}situation-{obs.situation_id}"
-            if graph.has_entity(situation_entity_id):
+            if graph.has_entity(validate_entity_id(situation_entity_id)):
                 raise ValueError(f"entity id {situation_entity_id!r} already present")
             previous = grouped.get(obs.situation_id, [])
             if any(p.measurement.attribute == obs.measurement.attribute for p in previous):

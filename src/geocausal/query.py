@@ -122,18 +122,23 @@ def why(
     visited_nodes = {event_id}
     successors: dict[str, set[str]] = {}  # included edges, subject -> objects
 
+    def incoming(node: str) -> list[Triple]:
+        return graph.match(predicate=RelationKind.CAUSES, object=node) + graph.match(
+            predicate=RelationKind.EFFECTS, object=node
+        )
+
+    def closes_cycle(triple: Triple) -> bool:
+        return triple.subject in visited_nodes and reachable(successors, triple.object, triple.subject)
+
     frontier = [event_id]
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
         next_frontier: list[str] = []
         for node in frontier:
-            incoming = graph.match(predicate=RelationKind.CAUSES, object=node) + graph.match(
-                predicate=RelationKind.EFFECTS, object=node
-            )
-            for triple in incoming:
-                if triple.subject in visited_nodes and reachable(successors, triple.object, triple.subject):
-                    continue  # would close a cycle; break it here
+            for triple in incoming(node):
+                if closes_cycle(triple):
+                    continue  # break the cycle here
                 successors.setdefault(triple.subject, set()).add(triple.object)
                 edge = ExplanationEdge(triple, depth)
                 if triple.predicate is RelationKind.EFFECTS:
@@ -150,10 +155,10 @@ def why(
         frontier = sorted(next_frontier)
 
     explanation.depth_reached = max((e.depth for e in explanation.edges), default=0)
+    # Truncated when one more level would add an edge. An edge the walk drops
+    # now it would drop then too, as included edges only add paths.
     explanation.truncated = any(
-        graph.match(predicate=RelationKind.CAUSES, object=node)
-        or graph.match(predicate=RelationKind.EFFECTS, object=node)
-        for node in frontier
+        not closes_cycle(triple) for node in frontier for triple in incoming(node)
     )
     explanation.nodes = sorted(visited_nodes)
     return explanation

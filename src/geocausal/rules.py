@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import datetime, timedelta
 from enum import IntEnum
 
 from .errors import (
@@ -40,7 +40,8 @@ from .errors import (
     TypeMismatch,
     UnknownUnit,
 )
-from .model import ATTR_NAME, GeoSituation
+from .model import ATTR_NAME, GeoSituation, SpatioTemporalRegion, TimeInterval
+from .spatiotemporal import co_occurs, gap_between, precedes
 from .units import Categorical, Comparator, Quantity, Value, compare, format_magnitude, format_value, get_unit
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
@@ -95,14 +96,44 @@ class PreconditionSet:
             raise InvariantViolation(f"precondition {self.id}: duplicate condition attributes")
 
 
+def _shift(instant: datetime, delta: timedelta) -> datetime | None:
+    """``instant + delta``, or None (an open bound) past the datetime range."""
+    try:
+        return instant + delta
+    except OverflowError:
+        return None
+
+
+# A cause constraint's ``holds(a, b)`` tests a cause region against an effect
+# region. ``starts(cause, longest)`` is the (low, high) window, None for an
+# open side, where every passing effect lasting at most ``longest`` starts.
+
+
 @dataclass(frozen=True)
 class CoOccurs:
-    pass
+    def holds(self, a: SpatioTemporalRegion, b: SpatioTemporalRegion) -> bool:
+        return co_occurs(a, b)
+
+    def starts(self, cause: TimeInterval, longest: timedelta):
+        """[cause.start - longest, cause.end]: an effect that shares duration
+        starts by the cause's end and ends at or after its start."""
+        return _shift(cause.start, -longest), cause.end
+
+    def __str__(self) -> str:
+        return "co-occurs"
 
 
 @dataclass(frozen=True)
 class Precedes:
-    pass
+    def holds(self, a: SpatioTemporalRegion, b: SpatioTemporalRegion) -> bool:
+        return precedes(a.interval, b.interval)
+
+    def starts(self, cause: TimeInterval, longest: timedelta):
+        """[cause.end, open): a join over this window is itself quadratic."""
+        return cause.end, None
+
+    def __str__(self) -> str:
+        return "precedes"
 
 
 @dataclass(frozen=True)
@@ -112,6 +143,20 @@ class PrecedesWithin:
     def __post_init__(self):
         if self.max_gap < timedelta(0):
             raise InvariantViolation("precedes-within gap must be non-negative")
+
+    def holds(self, a: SpatioTemporalRegion, b: SpatioTemporalRegion) -> bool:
+        return self.holds_between(a.interval, b.interval)
+
+    def holds_between(self, a: TimeInterval, b: TimeInterval) -> bool:
+        """The test on bare intervals, as R-EFF applies it to a situation."""
+        return precedes(a, b) and gap_between(a, b) <= self.max_gap
+
+    def starts(self, cause: TimeInterval, longest: timedelta):
+        """[cause.end, cause.end + max_gap]."""
+        return cause.end, _shift(cause.end, self.max_gap)
+
+    def __str__(self) -> str:
+        return f"precedes within {format_duration(self.max_gap)}"
 
 
 CauseConstraint = CoOccurs | Precedes | PrecedesWithin
@@ -421,7 +466,10 @@ class _Parser:
                 unit = get_unit(unit_token.text)
             except UnknownUnit as exc:
                 raise ParseError(str(exc), unit_token.line, unit_token.column) from None
-            return Quantity(float(token.text), unit)
+            try:
+                return Quantity(float(token.text), unit)
+            except InvariantViolation as exc:  # a magnitude that overflows to infinity
+                raise ParseError(str(exc), token.line, token.column) from None
         if token.kind == "word":
             if comparator in (Comparator.EQ, Comparator.NE):
                 self.next()
@@ -483,14 +531,6 @@ def _condition_text(cond: Condition) -> str:
     return f"{cond.attribute} {cond.comparator.value} {format_value(cond.threshold)}"
 
 
-def _constraint_text(constraint: CauseConstraint) -> str:
-    if isinstance(constraint, CoOccurs):
-        return "co-occurs"
-    if isinstance(constraint, Precedes):
-        return "precedes"
-    return f"precedes within {format_duration(constraint.max_gap)}"
-
-
 def print_rules(ruleset: RuleSet) -> str:
     """Render a rule set with bit-exact ordering; re-parsing yields an equal set."""
     blocks: list[str] = []
@@ -500,6 +540,6 @@ def print_rules(ruleset: RuleSet) -> str:
     for rule in ruleset.cause_rules:
         blocks.append(
             f"rule {rule.id}: {rule.cause_kind} causes {rule.effect_kind} "
-            f"when {_constraint_text(rule.constraint)}"
+            f"when {rule.constraint}"
         )
     return "\n\n".join(blocks) + ("\n" if blocks else "")

@@ -89,7 +89,9 @@ _TEMPORALLY_DISJOINT = {
 
 
 def precedes(a: TimeInterval, b: TimeInterval) -> bool:
-    """True when a lies entirely before b; ending exactly where b starts counts."""
+    """True when a is before or meets b: a ends before b starts, or ends
+    where b starts and neither is a point. A point a at b's start starts b,
+    and a point b at a's end finishes a; neither counts."""
     return interval_relation(a, b) in _PRECEDING
 
 

@@ -455,6 +455,40 @@ class TestHostileInput:
         assert code == 0
         assert "  line 2: timestamp 0001-01-01T00:00:00+05:00 is outside years 1-9999 UTC" in out
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize(
+        "kind, text, reason",
+        [
+            ("storm", katrina_csv(2).replace("\n1,101,", "\n1,10 1,"),
+             "line 3: entity id 'ev:event-10 1' must not contain whitespace, control, quote or "
+             "surrogate characters"),
+            ("obs", OBS_TEXT.replace("\ns1,", "\nb c,"),
+             "line 2: entity id 'ev:situation-b c' must not contain whitespace, control, quote or "
+             "surrogate characters"),
+        ],
+        ids=["storm", "obs"],
+    )
+    def test_id_cell_that_makes_an_invalid_entity_id_is_a_bad_row(
+        self, capsys, tmp_path, workspace, kind, text, reason, strict
+    ):
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8")
+        if strict:
+            err = self.refused(capsys, "ingest-error", "ingest", kind, str(path), "--strict",
+                               "--workspace", workspace)
+            assert err == f"error[ingest-error]: {reason}\n"
+            assert not (tmp_path / "test.graph").exists()
+        else:
+            code, out, _ = run(capsys, "ingest", kind, str(path), "--workspace", workspace)
+            assert code == 0
+            assert f"  {reason}" in out.splitlines()
+
+    def test_threshold_that_overflows_is_a_positioned_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "big.gcr"
+        path.write_text("precondition P effects K { A > 1e400 degF }\n", encoding="utf-8")
+        err = self.refused(capsys, "parse-error", "rules", "check", str(path))
+        assert err == "error[parse-error]: line 1, column 32: quantity magnitude must be finite, got inf\n"
+
     def test_workspace_record_before_year_1_utc_is_parse_error(self, capsys, workspace):
         with open(workspace, "w", encoding="utf-8") as handle:
             handle.write("ENT a event Rain\n"

@@ -4,7 +4,6 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geocausal import engine
 from geocausal.engine import Diagnostic, EngineConfig, explain, infer
 from geocausal.errors import ConfigError, ParseError, UnknownTriple
 from geocausal.graph import KnowledgeGraph, RelationKind, Role
@@ -454,14 +453,16 @@ class TestOutputSensitiveJoins:
             "rule R2: Rain causes Flood when precedes within 6h\n"
         )
         calls = 0
-        constraint_holds = engine._constraint_holds
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return constraint_holds(*args)
+        def counting(holds):
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return holds(*args)
+            return counted
 
-        monkeypatch.setattr(engine, "_constraint_holds", counted)
+        for constraint in (CoOccurs, Precedes, PrecedesWithin):
+            monkeypatch.setattr(constraint, "holds", counting(constraint.holds))
         result = infer(graph, rules)
         assert {t.provenance.rule_id for t in result.derived} == {"R-CAU:R1", "R-CAU:R2"}
         assert calls <= 4 * (n + len(result.derived))

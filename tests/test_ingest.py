@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from geocausal.errors import IngestError, MissingColumn
+from geocausal.errors import IngestError, InvariantViolation, MissingColumn
 from geocausal.graph import KnowledgeGraph, RelationKind, Role
 from geocausal.ingest import (
     Strictness,
@@ -170,6 +170,39 @@ class TestStormIngestion:
             ingest_storm_csv(graph, io.StringIO(text), Strictness.STRICT)
         assert graph.entity_count == 0 and graph.triple_count == 0
 
+    @pytest.mark.parametrize(
+        "episode_id, event_id, bad_id",
+        [("1", "10 1", "ev:event-10 1"), ("2 x", "102", "ev:episode-2 x")],
+        ids=["event-id", "episode-id"],
+    )
+    def test_id_cell_that_makes_an_invalid_entity_id_is_a_bad_row(self, episode_id, event_id, bad_id):
+        text = (
+            STORM_HEADER
+            + "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+            + f"{episode_id},{event_id},Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,1,,\n"
+        )
+        reason = f"entity id {bad_id!r} must not contain whitespace, control, quote or surrogate characters"
+        graph, report = storm(text)
+        assert report.errors == [(3, reason)]
+        assert report.entities_created == 1 and graph.has_entity("ev:event-101")
+        assert schema_violations(graph) == []
+        graph = KnowledgeGraph()
+        with pytest.raises(IngestError) as exc:
+            storm(text, graph=graph, strictness=Strictness.STRICT)
+        assert str(exc.value) == f"line 3: {reason}"
+        assert graph.entity_count == 0 and graph.triple_count == 0
+
+    @pytest.mark.parametrize("strictness", list(Strictness))
+    def test_invalid_prefix_fails_the_whole_ingest(self, strictness):
+        text = STORM_HEADER + "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+        graph = KnowledgeGraph()
+        with pytest.raises(InvariantViolation) as exc:
+            storm(text, graph=graph, strictness=strictness, id_prefix="a b:")
+        assert str(exc.value) == (
+            "id prefix 'a b:' must not contain whitespace, control, quote or surrogate characters"
+        )
+        assert graph.entity_count == 0
+
     def test_timezone_normalization(self):
         text = (
             STORM_HEADER
@@ -304,6 +337,19 @@ class TestObservationIngestion:
     def test_missing_column(self):
         with pytest.raises(MissingColumn):
             obs("SITUATION_ID,VALUE\ns1,3\n")
+
+    def test_situation_id_that_makes_an_invalid_entity_id_is_a_bad_row(self):
+        text = OBS_HEADER + "a,2005-08-23,2005-08-24,Temp,10,degC,,\nb c,2005-08-23,2005-08-24,Temp,10,degC,,\n"
+        reason = ("entity id 'ev:situation-b c' must not contain whitespace, control, quote or "
+                  "surrogate characters")
+        graph, report = obs(text)
+        assert report.errors == [(3, reason)]
+        assert [e.id for e in graph.entities(Role.SITUATION)] == ["ev:situation-a"]
+        graph = KnowledgeGraph()
+        with pytest.raises(IngestError) as exc:
+            obs(text, graph=graph, strictness=Strictness.STRICT)
+        assert str(exc.value) == f"line 3: {reason}"
+        assert graph.entity_count == 0
 
     def test_reingest_is_flagged(self):
         text = OBS_HEADER + "s1,2005-08-23,2005-08-24,Temp,10,degC,,\n"

@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from geocausal.engine import infer
 from geocausal.errors import ConfigError, NotAnEvent, PatternParseError, UnknownEntity, UnknownRelation
+from geocausal.export import explanation_to_json
 from geocausal.graph import KnowledgeGraph, RelationKind, Role
 from geocausal.model import GeoEvent
 from geocausal.query import parse_pattern, query, render_explanation_text, why
@@ -113,6 +115,34 @@ class TestWhy:
         explanation = why(graph, "ev:b", max_depth=10)
         keys = {e.triple.key for e in explanation.edges}
         assert keys == {("ev:a", RelationKind.CAUSES, "ev:b")}
+
+    def test_truncated_only_when_a_deeper_walk_adds_an_edge(self):
+        # Back from ev:1, the edge ev:1 -> ev:0 closes a cycle, so depth 1
+        # already holds every edge there is.
+        cycle = causes_graph(2, [(0, 1), (1, 0)])
+        for depth in (1, 2, 3):
+            explanation = why(cycle, "ev:1", max_depth=depth)
+            assert len(explanation.edges) == 1 and not explanation.truncated
+        explanation = why(cycle, "ev:1", max_depth=1)
+        assert "truncated" not in render_explanation_text(explanation, cycle)
+        assert json.loads(explanation_to_json(explanation, cycle))["truncated"] is False
+        # A chain cut off by the bound is still truncated.
+        chain = causes_graph(3, [(0, 1), (1, 2)])
+        explanation = why(chain, "ev:2", max_depth=1)
+        assert explanation.truncated
+        assert render_explanation_text(explanation, chain).endswith("... truncated at depth 1")
+        assert json.loads(explanation_to_json(explanation, chain))["truncated"] is True
+        assert not why(chain, "ev:2", max_depth=2).truncated
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(why_cases())
+    def test_truncated_exactly_when_one_more_level_adds_an_edge(self, case):
+        graph, rules = case
+        for event in graph.entities(Role.EVENT):
+            for depth in (0, 1, 2, 3):
+                explanation = why(graph, event.id, max_depth=depth, rules=rules)
+                deeper = why(graph, event.id, max_depth=depth + 1, rules=rules)
+                assert explanation.truncated == (len(deeper.edges) > len(explanation.edges))
 
     def test_text_rendering(self, chain_case):
         graph, rules = chain_case

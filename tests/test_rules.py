@@ -1,11 +1,15 @@
+import importlib
 import random
-from datetime import timedelta
+import re
+import textwrap
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from geocausal.errors import DuplicateRuleId, InvariantViolation, ParseError
-from geocausal.model import GeoSituation, Measurement
+from geocausal.model import GeoSituation, Measurement, Point, SpatioTemporalRegion, TimeInterval
 from geocausal.rules import (
     CauseRule,
     CoOccurs,
@@ -124,6 +128,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_rules("precondition P effects X { Temp > solid }")
 
+    @pytest.mark.parametrize("number", ["1e400", "-1e400"])
+    def test_threshold_that_overflows_is_a_positioned_parse_error(self, number):
+        with pytest.raises(ParseError) as exc:
+            parse_rules(f"precondition P effects K {{ A > {number} degF }}")
+        assert str(exc.value) == (
+            f"line 1, column 32: quantity magnitude must be finite, got {float(number)}"
+        )
+
     def test_dimensionless_threshold(self):
         ruleset = parse_rules("precondition P effects X { DeathsDirect > 0 1 }")
         assert ruleset.preconditions[0].conditions[0].threshold == q(0, "1")
@@ -186,6 +198,75 @@ class TestPrint:
             cause_rules.append(CauseRule(f"R{i}", "KindA", "KindB", constraint))
         ruleset = RuleSet(tuple(preconditions), tuple(cause_rules))
         assert parse_rules(print_rules(ruleset)) == ruleset
+
+
+def documented_examples() -> list[str]:
+    """The rule-file examples in README.md and in the rules module docstring."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    blocks += re.findall(r"(?:^    .*\n)+", importlib.import_module("geocausal.rules").__doc__, re.M)
+    texts = [textwrap.dedent(block) for block in blocks]
+    return [text for text in texts if re.match(r"(precondition|rule)\s", text)]
+
+
+def test_documented_examples_parse_and_round_trip():
+    examples = documented_examples()
+    assert len(examples) >= 3  # README's precondition; the docstring's precondition and rules
+    for text in examples:
+        ruleset = parse_rules(text)
+        assert parse_rules(print_rules(ruleset)) == ruleset
+
+
+# Whole hours near both ends of the datetime range, where a window's bound
+# overflows to open, and mid-range.
+_FIRST = datetime(1, 1, 1, tzinfo=timezone.utc)
+_MIDDLE = datetime(2005, 8, 29, tzinfo=timezone.utc)
+_LAST = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc)
+_HOURS = st.integers(0, 72).map(lambda h: timedelta(hours=h))
+_FEW_HOURS = st.integers(0, 3).map(lambda h: timedelta(hours=h))
+_HUGE = st.integers(0, 990_000_000).map(lambda d: timedelta(days=d))
+_starts = st.one_of(
+    _HOURS.map(lambda h: _FIRST + h),
+    _HOURS.map(lambda h: _MIDDLE + h),
+    _HOURS.map(lambda h: _LAST - timedelta(hours=3) - h),
+)
+_intervals = st.builds(lambda start, length: TimeInterval(start, start + length), _starts, _FEW_HOURS)
+_constraints = st.one_of(
+    st.just(CoOccurs()), st.just(Precedes()), st.one_of(_FEW_HOURS, _HUGE).map(PrecedesWithin)
+)
+
+
+@st.composite
+def _interval_pairs(draw):
+    """Two intervals; the second mostly starts within an hour of the first's
+    start or end, so that they meet, overlap or share an endpoint."""
+    a = draw(_intervals)
+    if draw(st.integers(0, 3)):
+        anchor = draw(st.sampled_from([a.start, a.end]))
+        offset, length = timedelta(hours=draw(st.integers(-1, 1))), draw(_FEW_HOURS)
+        try:
+            return a, TimeInterval(anchor + offset, anchor + offset + length)
+        except OverflowError:
+            pass  # past the datetime range
+    return a, draw(_intervals)
+
+
+class TestConstraints:
+    @settings(derandomize=True, max_examples=1000)
+    @given(_constraints, _interval_pairs(), st.one_of(_FEW_HOURS, _HUGE))
+    def test_every_effect_that_passes_starts_in_the_window(self, constraint, pair, slack):
+        a, b = pair
+        region_a = SpatioTemporalRegion("reg:a", Point(30.0, -90.0), a)
+        region_b = SpatioTemporalRegion("reg:b", Point(30.0, -90.0), b)
+        low, high = constraint.starts(a, b.duration + slack)
+        if constraint.holds(region_a, region_b):
+            assert low is None or low <= b.start
+            assert high is None or b.start <= high
+
+    @given(_constraints)
+    def test_printed_form_parses_back(self, constraint):
+        rule = parse_rules(f"rule R1: A causes B when {constraint}").cause_rules[0]
+        assert rule.constraint == constraint
 
 
 class TestDurations:
