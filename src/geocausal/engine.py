@@ -42,45 +42,56 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 from .errors import ConfigError
 from .graph import Derived, KnowledgeGraph, RelationKind, Role, Triple, TripleKey, triple_sort_key
 from .model import GeoEvent, GeoObject, SpatioTemporalRegion
 from .rules import PrecedesWithin, RuleSet, Truth, evaluate
+from .slotted import Frozen, Ordered, Slotted, store
 from .spatiotemporal import spatial_overlap
 
 _STP = RelationKind.SPATIO_TEMPORALLY_PRESENT
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Frozen):
     """Inference knobs: temporal adjacency window and the spatial gate."""
 
-    max_gap: timedelta = timedelta(hours=24)
-    require_spatial_overlap: bool = True
+    __slots__ = ("max_gap", "require_spatial_overlap")
 
-    def __post_init__(self):
-        if self.max_gap < timedelta(0):
-            raise ConfigError(f"max_gap must be non-negative, got {self.max_gap}")
+    def __init__(
+        self, max_gap: timedelta = timedelta(hours=24), require_spatial_overlap: bool = True
+    ):
+        if max_gap < timedelta(0):
+            raise ConfigError(f"max_gap must be non-negative, got {max_gap}")
+        store(self, "max_gap", max_gap)
+        store(self, "require_spatial_overlap", require_spatial_overlap)
 
 
-@dataclass(frozen=True, order=True)
-class Diagnostic:
-    rule: str
-    entities: tuple[str, ...]
-    reason: str
+class Diagnostic(Ordered):
+    __slots__ = ("rule", "entities", "reason")
+
+    def __init__(self, rule: str, entities: tuple[str, ...], reason: str):
+        store(self, "rule", rule)
+        store(self, "entities", entities)
+        store(self, "reason", reason)
 
     def render(self) -> str:
         return f"SKIP {self.rule} {' '.join(self.entities)} reason={self.reason}"
 
 
-@dataclass
-class InferenceResult:
-    derived: list[Triple] = field(default_factory=list)
-    iterations: int = 0
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class InferenceResult(Slotted):
+    __slots__ = ("derived", "iterations", "diagnostics")
+
+    def __init__(
+        self,
+        derived: list[Triple] | None = None,
+        iterations: int = 0,
+        diagnostics: list[Diagnostic] | None = None,
+    ):
+        self.derived = [] if derived is None else derived
+        self.iterations = iterations
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = None) -> InferenceResult:
@@ -225,17 +236,24 @@ def _rule_aff(graph) -> Iterator[_Outcome]:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class ProvenanceTree:
+class ProvenanceTree(Slotted):
     """Why a triple is in the graph: a rule application over premise trees.
 
     Asserted triples are leaves. Premise keys persist, so a tree built from
     a reloaded workspace is the tree built before the save.
     """
 
-    triple: Triple
-    rule_id: str | None = None
-    premises: list[ProvenanceTree] = field(default_factory=list)
+    __slots__ = ("triple", "rule_id", "premises")
+
+    def __init__(
+        self,
+        triple: Triple,
+        rule_id: str | None = None,
+        premises: list[ProvenanceTree] | None = None,
+    ):
+        self.triple = triple
+        self.rule_id = rule_id
+        self.premises = [] if premises is None else premises
 
     def render(self) -> str:
         """One line per premise, indented under the triple that cites it. A

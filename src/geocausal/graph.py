@@ -15,7 +15,6 @@ entity table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DuplicateId, SchemaViolation, UnknownEntity, UnknownTriple
@@ -28,6 +27,7 @@ from .model import (
     SpatioTemporalRegion,
     validate_entity_id,
 )
+from .slotted import Frozen, store
 from .spatiotemporal import co_occurs
 
 
@@ -102,16 +102,16 @@ def describe_signature(predicate: RelationKind) -> str:
 TripleKey = tuple[str, RelationKind, str]
 
 
-@dataclass(frozen=True)
-class Asserted:
+class Asserted(Frozen):
     """Provenance of a triple stated directly by a user or data source."""
+
+    __slots__ = ()
 
 
 ASSERTED = Asserted()
 
 
-@dataclass(frozen=True)
-class Derived:
+class Derived(Frozen):
     """Provenance of an inferred triple: the rule and its premise triples.
 
     The rule id is a bare token, like an entity id, so that it persists
@@ -119,22 +119,30 @@ class Derived:
     this one, persist and reload in order; version 1 documents kept none.
     """
 
-    rule_id: str
-    premises: tuple[TripleKey, ...] = ()
+    __slots__ = ("rule_id", "premises")
 
-    def __post_init__(self):
-        validate_entity_id(self.rule_id, "rule id")
+    def __init__(self, rule_id: str, premises: tuple[TripleKey, ...] = ()):
+        store(self, "rule_id", validate_entity_id(rule_id, "rule id"))
+        store(self, "premises", premises)
 
 
 Provenance = Asserted | Derived
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: EntityId
-    predicate: RelationKind
-    object: EntityId
-    provenance: Provenance = ASSERTED
+class Triple(Frozen):
+    __slots__ = ("subject", "predicate", "object", "provenance")
+
+    def __init__(
+        self,
+        subject: EntityId,
+        predicate: RelationKind,
+        object: EntityId,
+        provenance: Provenance = ASSERTED,
+    ):
+        store(self, "subject", subject)
+        store(self, "predicate", predicate)
+        store(self, "object", object)
+        store(self, "provenance", provenance)
 
     @property
     def key(self) -> TripleKey:

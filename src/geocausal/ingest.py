@@ -32,7 +32,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
@@ -54,6 +53,7 @@ from .model import (
     parse_timestamp,
     validate_entity_id,
 )
+from .slotted import Frozen, Slotted, store
 from .spatiotemporal import as_bbox, bbox_union
 from .storage import read_text
 from .units import Categorical, Quantity, get_unit
@@ -102,18 +102,30 @@ class Strictness(Enum):
     LENIENT = "lenient"
 
 
-@dataclass
-class IngestReport:
+class IngestReport(Slotted):
     """Counts plus per-line problems. ``entities_created`` counts the
     primary entities (one per accepted storm row / one per situation);
     parents, regions and impact objects are auxiliary."""
 
-    rows_read: int = 0
-    entities_created: int = 0
-    triples_created: int = 0
-    errors: list[tuple[int, str]] = field(default_factory=list)
-    warnings: list[tuple[int, str]] = field(default_factory=list)
-    strictness: Strictness = Strictness.LENIENT
+    __slots__ = (
+        "rows_read", "entities_created", "triples_created", "errors", "warnings", "strictness",
+    )
+
+    def __init__(
+        self,
+        rows_read: int = 0,
+        entities_created: int = 0,
+        triples_created: int = 0,
+        errors: list[tuple[int, str]] | None = None,
+        warnings: list[tuple[int, str]] | None = None,
+        strictness: Strictness = Strictness.LENIENT,
+    ):
+        self.rows_read = rows_read
+        self.entities_created = entities_created
+        self.triples_created = triples_created
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
+        self.strictness = strictness
 
     def render(self) -> str:
         lines = [
@@ -142,25 +154,40 @@ class IngestReport:
         )
 
 
-@dataclass(frozen=True)
-class StormEventRow:
+class StormEventRow(Frozen):
     """One storm CSV row after parsing and normalization."""
 
-    line: int
-    episode_id: str
-    event_id: str
-    kind: str
-    interval: TimeInterval
-    geometry: Geometry | None
-    impacts: tuple[Measurement, ...]
+    __slots__ = ("line", "episode_id", "event_id", "kind", "interval", "geometry", "impacts")
+
+    def __init__(
+        self,
+        line: int,
+        episode_id: str,
+        event_id: str,
+        kind: str,
+        interval: TimeInterval,
+        geometry: Geometry | None,
+        impacts: tuple[Measurement, ...],
+    ):
+        store(self, "line", line)
+        store(self, "episode_id", episode_id)
+        store(self, "event_id", event_id)
+        store(self, "kind", kind)
+        store(self, "interval", interval)
+        store(self, "geometry", geometry)
+        store(self, "impacts", impacts)
 
 
-@dataclass(frozen=True)
-class ObservationRow:
-    line: int
-    situation_id: str
-    interval: TimeInterval
-    measurement: Measurement
+class ObservationRow(Frozen):
+    __slots__ = ("line", "situation_id", "interval", "measurement")
+
+    def __init__(
+        self, line: int, situation_id: str, interval: TimeInterval, measurement: Measurement
+    ):
+        store(self, "line", line)
+        store(self, "situation_id", situation_id)
+        store(self, "interval", interval)
+        store(self, "measurement", measurement)
 
 
 def sanitize_kind(text: str) -> str:

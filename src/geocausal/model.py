@@ -1,17 +1,19 @@
 """Core domain vocabulary: identifiers, time intervals, geometry, entities.
 
-All types are immutable values; constructors reject invariant violations
-outright, so an instance that exists is always well-formed.
+All types are immutable values: slotted classes (``geocausal.slotted``),
+not dataclasses, equal and hashed by their fields. Each constructor
+rejects invariant violations outright, so an instance that exists is
+always well-formed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable
 
 from .errors import InvariantViolation, OrderViolation, ParseError
+from .slotted import Frozen, Ordered, store
 from .units import Value
 
 _ID_FORBIDDEN = re.compile(r'[\s\x00-\x1f\x7f"\ud800-\udfff]')
@@ -70,21 +72,20 @@ def format_timestamp(dt: datetime) -> str:
     return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}Z"  # %Y does not zero-pad years before 1000
 
 
-@dataclass(frozen=True, order=True)
-class TimeInterval:
+class TimeInterval(Ordered):
     """A closed UTC interval; point instants are allowed (start == end)."""
 
-    start: datetime
-    end: datetime
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        object.__setattr__(self, "start", parse_timestamp(self.start))
-        object.__setattr__(self, "end", parse_timestamp(self.end))
-        if self.start > self.end:
+    def __init__(self, start: datetime | str, end: datetime | str):
+        start = parse_timestamp(start)
+        end = parse_timestamp(end)
+        if start > end:
             raise OrderViolation(
-                f"interval start {format_timestamp(self.start)} is after end "
-                f"{format_timestamp(self.end)}"
+                f"interval start {format_timestamp(start)} is after end {format_timestamp(end)}"
             )
+        store(self, "start", start)
+        store(self, "end", end)
 
     @property
     def duration(self):
@@ -115,75 +116,70 @@ def _check_lon(lon: float) -> float:
     return lon
 
 
-@dataclass(frozen=True)
-class Point:
-    lat: float
-    lon: float
+class Point(Frozen):
+    __slots__ = ("lat", "lon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lat", _check_lat(self.lat))
-        object.__setattr__(self, "lon", _check_lon(self.lon))
+    def __init__(self, lat: float, lon: float):
+        store(self, "lat", _check_lat(lat))
+        store(self, "lon", _check_lon(lon))
 
 
-@dataclass(frozen=True)
-class BBox:
+class BBox(Frozen):
     """An axis-aligned WGS-84 rectangle; no antimeridian wrap."""
 
-    min_lat: float
-    min_lon: float
-    max_lat: float
-    max_lon: float
+    __slots__ = ("min_lat", "min_lon", "max_lat", "max_lon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "min_lat", _check_lat(self.min_lat))
-        object.__setattr__(self, "max_lat", _check_lat(self.max_lat))
-        object.__setattr__(self, "min_lon", _check_lon(self.min_lon))
-        object.__setattr__(self, "max_lon", _check_lon(self.max_lon))
-        if self.min_lat > self.max_lat or self.min_lon > self.max_lon:
+    def __init__(self, min_lat: float, min_lon: float, max_lat: float, max_lon: float):
+        min_lat = _check_lat(min_lat)
+        max_lat = _check_lat(max_lat)
+        min_lon = _check_lon(min_lon)
+        max_lon = _check_lon(max_lon)
+        if min_lat > max_lat or min_lon > max_lon:
             raise InvariantViolation("bbox min corner must not exceed max corner")
+        store(self, "min_lat", min_lat)
+        store(self, "min_lon", min_lon)
+        store(self, "max_lat", max_lat)
+        store(self, "max_lon", max_lon)
 
 
 Geometry = Point | BBox
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(Frozen):
     """A named observation: attribute plus a quantity or categorical value."""
 
-    attribute: str
-    value: Value
+    __slots__ = ("attribute", "value")
 
-    def __post_init__(self):
-        if not ATTR_NAME.fullmatch(self.attribute or ""):
+    def __init__(self, attribute: str, value: Value):
+        if not ATTR_NAME.fullmatch(attribute or ""):
             raise InvariantViolation(
-                f"attribute name {self.attribute!r} must match [A-Za-z][A-Za-z0-9_]*"
+                f"attribute name {attribute!r} must match [A-Za-z][A-Za-z0-9_]*"
             )
+        store(self, "attribute", attribute)
+        store(self, "value", value)
 
 
 def _measurement_tuple(items: Iterable[Measurement], what: str) -> tuple[Measurement, ...]:
-    ordered = tuple(sorted(items, key=lambda m: m.attribute))
-    seen: set[str] = set()
+    ordered = list(items)
     for m in ordered:
         if not isinstance(m, Measurement):
             raise InvariantViolation(f"{what} must be Measurement instances")
-        if m.attribute in seen:
+    ordered.sort(key=lambda m: m.attribute)
+    for before, m in zip(ordered, ordered[1:]):
+        if m.attribute == before.attribute:
             raise InvariantViolation(f"duplicate {what} attribute {m.attribute!r}")
-        seen.add(m.attribute)
-    return ordered
+    return tuple(ordered)
 
 
-@dataclass(frozen=True)
-class GeoObject:
+class GeoObject(Frozen):
     """An endurant geographic entity (dam, atmosphere snapshot, ...)."""
 
-    id: EntityId
-    kind: str
-    attributes: tuple[Measurement, ...] = ()
+    __slots__ = ("id", "kind", "attributes")
 
-    def __post_init__(self):
-        validate_entity_id(self.id)
-        validate_entity_id(self.kind, "kind")
-        object.__setattr__(self, "attributes", _measurement_tuple(self.attributes, "attribute"))
+    def __init__(self, id: EntityId, kind: str, attributes: Iterable[Measurement] = ()):
+        store(self, "id", validate_entity_id(id))
+        store(self, "kind", validate_entity_id(kind, "kind"))
+        store(self, "attributes", _measurement_tuple(attributes, "attribute"))
 
     def attribute(self, name: str) -> Value | None:
         for m in self.attributes:
@@ -192,33 +188,30 @@ class GeoObject:
         return None
 
 
-@dataclass(frozen=True)
-class GeoEvent:
+class GeoEvent(Frozen):
     """A perdurant geographic occurrence (hurricane, flash flood, ...)."""
 
-    id: EntityId
-    kind: str
+    __slots__ = ("id", "kind")
 
-    def __post_init__(self):
-        validate_entity_id(self.id)
-        validate_entity_id(self.kind, "kind")
+    def __init__(self, id: EntityId, kind: str):
+        store(self, "id", validate_entity_id(id))
+        store(self, "kind", validate_entity_id(kind, "kind"))
 
 
-@dataclass(frozen=True)
-class GeoSituation:
+class GeoSituation(Frozen):
     """A state of the world over an interval, characterized by observations."""
 
-    id: EntityId
-    holds_during: TimeInterval
-    observations: tuple[Measurement, ...] = ()
+    __slots__ = ("id", "holds_during", "observations")
 
-    def __post_init__(self):
-        validate_entity_id(self.id)
-        if not isinstance(self.holds_during, TimeInterval):
+    def __init__(
+        self, id: EntityId, holds_during: TimeInterval, observations: Iterable[Measurement] = ()
+    ):
+        validate_entity_id(id)
+        if not isinstance(holds_during, TimeInterval):
             raise InvariantViolation("holds_during must be a TimeInterval")
-        object.__setattr__(
-            self, "observations", _measurement_tuple(self.observations, "observation")
-        )
+        store(self, "id", id)
+        store(self, "holds_during", holds_during)
+        store(self, "observations", _measurement_tuple(observations, "observation"))
 
     def observation(self, name: str) -> Value | None:
         for m in self.observations:
@@ -227,20 +220,20 @@ class GeoSituation:
         return None
 
 
-@dataclass(frozen=True)
-class SpatioTemporalRegion:
+class SpatioTemporalRegion(Frozen):
     """A paired spatial and temporal footprint; never one without the other."""
 
-    id: EntityId
-    geometry: Geometry
-    interval: TimeInterval
+    __slots__ = ("id", "geometry", "interval")
 
-    def __post_init__(self):
-        validate_entity_id(self.id)
-        if not isinstance(self.geometry, (Point, BBox)):
+    def __init__(self, id: EntityId, geometry: Geometry, interval: TimeInterval):
+        validate_entity_id(id)
+        if not isinstance(geometry, (Point, BBox)):
             raise InvariantViolation("region geometry must be a Point or BBox")
-        if not isinstance(self.interval, TimeInterval):
+        if not isinstance(interval, TimeInterval):
             raise InvariantViolation("region interval must be a TimeInterval")
+        store(self, "id", id)
+        store(self, "geometry", geometry)
+        store(self, "interval", interval)
 
 
 Entity = GeoObject | GeoEvent | GeoSituation | SpatioTemporalRegion

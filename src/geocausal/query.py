@@ -9,47 +9,74 @@ edges leaving those situations are reported as side information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, NotAnEvent, PatternParseError, UnknownRelation
 from .graph import KnowledgeGraph, RelationKind, RELATION_TOKENS, Triple
 from .model import GeoEvent, GeoObject, GeoSituation
+from .slotted import Frozen, Slotted, store
 from .units import format_value
 
 if TYPE_CHECKING:
     from .rules import RuleSet, Truth
 
 
-@dataclass(frozen=True)
-class EvidenceLine:
+class EvidenceLine(Frozen):
     """One condition of a satisfied precondition set and what was observed."""
 
-    attribute: str
-    comparator: str
-    threshold: str | None
-    observed: str | None
-    status: Truth
+    __slots__ = ("attribute", "comparator", "threshold", "observed", "status")
+
+    def __init__(
+        self,
+        attribute: str,
+        comparator: str,
+        threshold: str | None,
+        observed: str | None,
+        status: Truth,
+    ):
+        store(self, "attribute", attribute)
+        store(self, "comparator", comparator)
+        store(self, "threshold", threshold)
+        store(self, "observed", observed)
+        store(self, "status", status)
 
 
-@dataclass
-class ExplanationEdge:
-    triple: Triple
-    depth: int
-    precondition_id: str | None = None
-    evidence: tuple[EvidenceLine, ...] = ()
+class ExplanationEdge(Slotted):
+    __slots__ = ("triple", "depth", "precondition_id", "evidence")
+
+    def __init__(
+        self,
+        triple: Triple,
+        depth: int,
+        precondition_id: str | None = None,
+        evidence: tuple[EvidenceLine, ...] = (),
+    ):
+        self.triple = triple
+        self.depth = depth
+        self.precondition_id = precondition_id
+        self.evidence = evidence
 
 
-@dataclass
-class Explanation:
+class Explanation(Slotted):
     """A backward causal DAG rooted at the queried event."""
 
-    root: str
-    nodes: list[str] = field(default_factory=list)
-    edges: list[ExplanationEdge] = field(default_factory=list)
-    affects: list[Triple] = field(default_factory=list)
-    depth_reached: int = 0
-    truncated: bool = False
+    __slots__ = ("root", "nodes", "edges", "affects", "depth_reached", "truncated")
+
+    def __init__(
+        self,
+        root: str,
+        nodes: list[str] | None = None,
+        edges: list[ExplanationEdge] | None = None,
+        affects: list[Triple] | None = None,
+        depth_reached: int = 0,
+        truncated: bool = False,
+    ):
+        self.root = root
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+        self.affects = [] if affects is None else affects
+        self.depth_reached = depth_reached
+        self.truncated = truncated
 
 
 def _evidence_for(

@@ -28,7 +28,6 @@ missing data never silently counts as failure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from enum import IntEnum
 
@@ -41,8 +40,9 @@ from .errors import (
     UnknownUnit,
 )
 from .model import ATTR_NAME, GeoSituation, SpatioTemporalRegion, TimeInterval
+from .slotted import Frozen, store
 from .spatiotemporal import co_occurs, gap_between, precedes
-from .units import Categorical, Comparator, Quantity, Value, compare, format_magnitude, format_value, get_unit
+from .units import Categorical, Comparator, Quantity, Value, compare, format_value, get_unit
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 
@@ -57,43 +57,41 @@ class Truth(IntEnum):
     TRUE = 2
 
 
-@dataclass(frozen=True)
-class Condition:
-    attribute: str
-    comparator: Comparator
-    threshold: Value | None = None
+class Condition(Frozen):
+    __slots__ = ("attribute", "comparator", "threshold")
 
-    def __post_init__(self):
-        if not ATTR_NAME.fullmatch(self.attribute or ""):
-            raise InvariantViolation(f"invalid attribute name {self.attribute!r}")
-        unary = self.comparator in (Comparator.PRESENT, Comparator.ABSENT)
-        if unary and self.threshold is not None:
-            raise InvariantViolation(f"{self.comparator.value} conditions carry no threshold")
-        if not unary and self.threshold is None:
-            raise InvariantViolation(f"{self.comparator.value} conditions need a threshold")
-        if self.comparator in (Comparator.LT, Comparator.LE, Comparator.GT, Comparator.GE):
-            if not isinstance(self.threshold, Quantity):
-                raise InvariantViolation(
-                    f"{self.comparator.value} conditions need a quantity threshold"
-                )
+    def __init__(self, attribute: str, comparator: Comparator, threshold: Value | None = None):
+        if not ATTR_NAME.fullmatch(attribute or ""):
+            raise InvariantViolation(f"invalid attribute name {attribute!r}")
+        unary = comparator in (Comparator.PRESENT, Comparator.ABSENT)
+        if unary and threshold is not None:
+            raise InvariantViolation(f"{comparator.value} conditions carry no threshold")
+        if not unary and threshold is None:
+            raise InvariantViolation(f"{comparator.value} conditions need a threshold")
+        if comparator in (Comparator.LT, Comparator.LE, Comparator.GT, Comparator.GE):
+            if not isinstance(threshold, Quantity):
+                raise InvariantViolation(f"{comparator.value} conditions need a quantity threshold")
+        store(self, "attribute", attribute)
+        store(self, "comparator", comparator)
+        store(self, "threshold", threshold)
 
 
-@dataclass(frozen=True)
-class PreconditionSet:
+class PreconditionSet(Frozen):
     """A conjunction of conditions that, when satisfied, effects an event kind."""
 
-    id: str
-    event_kind: str
-    conditions: tuple[Condition, ...]
+    __slots__ = ("id", "event_kind", "conditions")
 
-    def __post_init__(self):
-        _check_rule_id(self.id)
-        if not self.conditions:
-            raise InvariantViolation(f"precondition {self.id}: needs at least one condition")
-        object.__setattr__(self, "conditions", tuple(self.conditions))
-        names = [c.attribute for c in self.conditions]
+    def __init__(self, id: str, event_kind: str, conditions: tuple[Condition, ...]):
+        _check_rule_id(id)
+        if not conditions:
+            raise InvariantViolation(f"precondition {id}: needs at least one condition")
+        conditions = tuple(conditions)
+        names = [c.attribute for c in conditions]
         if len(set(names)) != len(names):
-            raise InvariantViolation(f"precondition {self.id}: duplicate condition attributes")
+            raise InvariantViolation(f"precondition {id}: duplicate condition attributes")
+        store(self, "id", id)
+        store(self, "event_kind", event_kind)
+        store(self, "conditions", conditions)
 
 
 def _shift(instant: datetime, delta: timedelta) -> datetime | None:
@@ -109,8 +107,9 @@ def _shift(instant: datetime, delta: timedelta) -> datetime | None:
 # open side, where every passing effect lasting at most ``longest`` starts.
 
 
-@dataclass(frozen=True)
-class CoOccurs:
+class CoOccurs(Frozen):
+    __slots__ = ()
+
     def holds(self, a: SpatioTemporalRegion, b: SpatioTemporalRegion) -> bool:
         return co_occurs(a, b)
 
@@ -123,8 +122,9 @@ class CoOccurs:
         return "co-occurs"
 
 
-@dataclass(frozen=True)
-class Precedes:
+class Precedes(Frozen):
+    __slots__ = ()
+
     def holds(self, a: SpatioTemporalRegion, b: SpatioTemporalRegion) -> bool:
         return precedes(a.interval, b.interval)
 
@@ -136,13 +136,13 @@ class Precedes:
         return "precedes"
 
 
-@dataclass(frozen=True)
-class PrecedesWithin:
-    max_gap: timedelta
+class PrecedesWithin(Frozen):
+    __slots__ = ("max_gap",)
 
-    def __post_init__(self):
-        if self.max_gap < timedelta(0):
+    def __init__(self, max_gap: timedelta):
+        if max_gap < timedelta(0):
             raise InvariantViolation("precedes-within gap must be non-negative")
+        store(self, "max_gap", max_gap)
 
     def holds(self, a: SpatioTemporalRegion, b: SpatioTemporalRegion) -> bool:
         return self.holds_between(a.interval, b.interval)
@@ -162,20 +162,20 @@ class PrecedesWithin:
 CauseConstraint = CoOccurs | Precedes | PrecedesWithin
 
 
-@dataclass(frozen=True)
-class CauseRule:
-    id: str
-    cause_kind: str
-    effect_kind: str
-    constraint: CauseConstraint
+class CauseRule(Frozen):
+    __slots__ = ("id", "cause_kind", "effect_kind", "constraint")
 
-    def __post_init__(self):
-        _check_rule_id(self.id)
+    def __init__(self, id: str, cause_kind: str, effect_kind: str, constraint: CauseConstraint):
+        _check_rule_id(id)
         # A kind co-occurs with itself; only distinct kinds may use co-occurs.
-        if self.cause_kind == self.effect_kind and isinstance(self.constraint, CoOccurs):
+        if cause_kind == effect_kind and isinstance(constraint, CoOccurs):
             raise InvariantViolation(
-                f"rule {self.id}: co-occurs between a kind and itself would be a self-cause"
+                f"rule {id}: co-occurs between a kind and itself would be a self-cause"
             )
+        store(self, "id", id)
+        store(self, "cause_kind", cause_kind)
+        store(self, "effect_kind", effect_kind)
+        store(self, "constraint", constraint)
 
 
 def _check_rule_id(rule_id: str) -> None:
@@ -183,23 +183,23 @@ def _check_rule_id(rule_id: str) -> None:
         raise InvariantViolation(f"invalid rule id {rule_id!r}")
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    preconditions: tuple[PreconditionSet, ...] = ()
-    cause_rules: tuple[CauseRule, ...] = ()
+class RuleSet(Frozen):
+    __slots__ = ("preconditions", "cause_rules")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "preconditions", tuple(sorted(self.preconditions, key=lambda p: p.id))
-        )
-        object.__setattr__(
-            self, "cause_rules", tuple(sorted(self.cause_rules, key=lambda r: r.id))
-        )
+    def __init__(
+        self,
+        preconditions: tuple[PreconditionSet, ...] = (),
+        cause_rules: tuple[CauseRule, ...] = (),
+    ):
+        preconditions = tuple(sorted(preconditions, key=lambda p: p.id))
+        cause_rules = tuple(sorted(cause_rules, key=lambda r: r.id))
         seen: set[str] = set()
-        for rule_id in [p.id for p in self.preconditions] + [r.id for r in self.cause_rules]:
+        for rule_id in [p.id for p in preconditions] + [r.id for r in cause_rules]:
             if rule_id in seen:
                 raise DuplicateRuleId(f"rule id {rule_id!r} defined twice")
             seen.add(rule_id)
+        store(self, "preconditions", preconditions)
+        store(self, "cause_rules", cause_rules)
 
     def precondition(self, rule_id: str) -> PreconditionSet | None:
         for p in self.preconditions:
@@ -213,17 +213,26 @@ class RuleSet:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionOutcome:
-    status: Truth
-    observed: Value | None = None
+class ConditionOutcome(Frozen):
+    __slots__ = ("status", "observed")
+
+    def __init__(self, status: Truth, observed: Value | None = None):
+        store(self, "status", status)
+        store(self, "observed", observed)
 
 
-@dataclass(frozen=True)
-class SatisfactionResult:
-    satisfied: Truth
-    per_condition: tuple[tuple[Condition, ConditionOutcome], ...]
-    diagnostics: tuple[str, ...] = ()
+class SatisfactionResult(Frozen):
+    __slots__ = ("satisfied", "per_condition", "diagnostics")
+
+    def __init__(
+        self,
+        satisfied: Truth,
+        per_condition: tuple[tuple[Condition, ConditionOutcome], ...],
+        diagnostics: tuple[str, ...] = (),
+    ):
+        store(self, "satisfied", satisfied)
+        store(self, "per_condition", per_condition)
+        store(self, "diagnostics", diagnostics)
 
 
 def evaluate(pc: PreconditionSet, situation: GeoSituation) -> SatisfactionResult:
@@ -264,14 +273,42 @@ def evaluate(pc: PreconditionSet, situation: GeoSituation) -> SatisfactionResult
 # Durations
 # --------------------------------------------------------------------------
 
-_DURATION_RE = re.compile(r"(?P<sign>[+-]?)(?P<number>\d+(?:\.\d+)?)(?P<unit>s|min|h|d)\Z")
+_DURATION_RE = re.compile(r"(?P<number>[+-]?\d+(?:\.\d+)?)(?P<unit>s|min|h|d)\Z")
+_DECIMAL_RE = re.compile(r"([+-]?)(\d+)(?:\.(\d+))?(?:[eE]([+-]?)(\d+))?\Z")
 
 
-def _duration(seconds: float, literal: str, line: int | None = None, column: int | None = None) -> timedelta:
-    """The one duration constructor: a literal past timedelta's range is a
-    ParseError, not an OverflowError."""
+def _duration(number: str, unit: str, literal: str, line: int | None = None,
+              column: int | None = None) -> timedelta:
+    """The one duration constructor: ``number`` (a decimal, maybe signed or
+    with an exponent) of ``unit``, exact to the microsecond, ties to even. A
+    literal past timedelta's range is a ParseError, not an OverflowError."""
+    sign, whole, fraction, exponent_sign, exponent = _DECIMAL_RE.match(number).groups()
+    fraction = fraction or ""
+    digits = (whole + fraction).lstrip("0")
+    significant = digits.rstrip("0")
+    if not significant:
+        return timedelta(0)
+    exponent = (exponent or "").lstrip("0") or "0"
+    power = int(exponent) if len(exponent) <= 30 else 10**30  # either way past any bound
+    # The value is int(significant) * 10**shift, below 10**top and not below 10**(top - 1).
+    shift = (-power if exponent_sign == "-" else power) - len(fraction)
+    shift += len(digits) - len(significant)
+    top = shift + len(significant)
+    if top > 21:  # at least 10**21 of any unit
+        raise ParseError(f"duration {literal!r} is out of range", line, column)
+    if top < -15:  # under 10**-4 microseconds even in days
+        return timedelta(0)
+    mantissa = 0
+    for start in range(0, len(significant), 4000):  # int() refuses longer digit strings
+        chunk = significant[start:start + 4000]
+        mantissa = mantissa * 10 ** len(chunk) + int(chunk)
+    exact = mantissa * _DURATION_UNITS[unit] * 1_000_000 * 10 ** max(shift, 0)
+    scale = 10 ** max(-shift, 0)
+    microseconds, rest = divmod(exact, scale)
+    if 2 * rest > scale or (2 * rest == scale and microseconds % 2):
+        microseconds += 1
     try:
-        return timedelta(seconds=seconds)
+        return timedelta(microseconds=-microseconds if sign == "-" else microseconds)
     except OverflowError:
         raise ParseError(f"duration {literal!r} is out of range", line, column) from None
 
@@ -281,21 +318,22 @@ def parse_duration(text: str) -> timedelta:
     m = _DURATION_RE.fullmatch(text.strip())
     if not m:
         raise ParseError(f"invalid duration {text!r} (expected <n><s|min|h|d>)")
-    seconds = float(m.group("number")) * _DURATION_UNITS[m.group("unit")]
-    if m.group("sign") == "-":
-        seconds = -seconds
-    return _duration(seconds, text)
+    return _duration(m.group("number"), m.group("unit"), text)
 
 
 def format_duration(value: timedelta) -> str:
-    seconds = value.total_seconds()
-    if seconds == int(seconds):
-        total = int(seconds)
-        for symbol, factor in (("d", 86400), ("h", 3600), ("min", 60)):
-            if total and total % factor == 0:
-                return f"{total // factor}{symbol}"
-        return f"{total}s"
-    return f"{format_magnitude(seconds)}s"
+    """The literal in the largest unit that holds ``value`` whole, else in
+    seconds with up to six decimals. It is built from the integer days,
+    seconds and microseconds, so ``parse_duration`` gives ``value`` back."""
+    sign = "-" if value < timedelta(0) else ""
+    value = abs(value)
+    total = value.days * 86400 + value.seconds
+    if value.microseconds:
+        return f"{sign}{total}.{value.microseconds:06d}".rstrip("0") + "s"
+    for symbol, factor in (("d", 86400), ("h", 3600), ("min", 60)):
+        if total and total % factor == 0:
+            return f"{sign}{total // factor}{symbol}"
+    return f"{sign}{total}s"
 
 
 # --------------------------------------------------------------------------
@@ -326,12 +364,14 @@ _OP_COMPARATORS = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "word" | "op" | "eof"
-    text: str
-    line: int
-    column: int
+class _Token(Frozen):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        store(self, "kind", kind)  # "number" | "word" | "op" | "eof"
+        store(self, "text", text)
+        store(self, "line", line)
+        store(self, "column", column)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -508,10 +548,10 @@ class _Parser:
         unit_token = self.next()
         if unit_token.kind != "word" or unit_token.text not in _DURATION_UNITS:
             self.fail(unit_token, "a duration unit (s, min, h, d)")
-        value = float(number.text) * _DURATION_UNITS[unit_token.text]
-        if value < 0:
+        if float(number.text) < 0:
             raise ParseError("duration must be non-negative", number.line, number.column)
-        return _duration(value, number.text + unit_token.text, number.line, number.column)
+        literal = number.text + unit_token.text
+        return _duration(number.text, unit_token.text, literal, number.line, number.column)
 
 
 def parse_rules(text: str) -> RuleSet:

@@ -15,10 +15,10 @@ conversion chains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DimensionMismatch, InvariantViolation, ParseError, TypeMismatch, UnknownUnit
+from .slotted import Frozen, store
 
 #: Absolute tolerance, in canonical units, applied by every comparator.
 EQ_TOLERANCE = 1e-9
@@ -32,21 +32,21 @@ class Dimension(Enum):
     DIMENSIONLESS = "dimensionless"
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(Frozen):
     """A named unit with an affine map into its dimension's canonical unit.
 
     canonical = scale * magnitude + offset, with scale > 0.
     """
 
-    symbol: str
-    dimension: Dimension
-    scale: float
-    offset: float = 0.0
+    __slots__ = ("symbol", "dimension", "scale", "offset")
 
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise InvariantViolation(f"unit {self.symbol!r}: scale must be positive")
+    def __init__(self, symbol: str, dimension: Dimension, scale: float, offset: float = 0.0):
+        if scale <= 0:
+            raise InvariantViolation(f"unit {symbol!r}: scale must be positive")
+        store(self, "symbol", symbol)
+        store(self, "dimension", dimension)
+        store(self, "scale", scale)
+        store(self, "offset", offset)
 
     def to_canonical(self, magnitude: float) -> float:
         return self.scale * magnitude + self.offset
@@ -96,33 +96,31 @@ def get_unit(symbol: str) -> Unit:
         raise UnknownUnit(f"unknown unit {symbol!r} (registered: {known})") from None
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(Frozen):
     """A finite magnitude paired with a registered unit."""
 
-    magnitude: float
-    unit: Unit
+    __slots__ = ("magnitude", "unit")
 
-    def __post_init__(self):
-        object.__setattr__(self, "magnitude", float(self.magnitude))
-        if not math.isfinite(self.magnitude):
-            raise InvariantViolation(f"quantity magnitude must be finite, got {self.magnitude!r}")
+    def __init__(self, magnitude: float, unit: Unit):
+        magnitude = float(magnitude)
+        if not math.isfinite(magnitude):
+            raise InvariantViolation(f"quantity magnitude must be finite, got {magnitude!r}")
+        store(self, "magnitude", magnitude)
+        store(self, "unit", unit)
 
     def canonical(self) -> float:
         return self.unit.to_canonical(self.magnitude)
 
 
-@dataclass(frozen=True)
-class Categorical:
+class Categorical(Frozen):
     """A categorical observation value such as "present" or "absent"."""
 
-    token: str
+    __slots__ = ("token",)
 
-    def __post_init__(self):
-        if not self.token or any(
-            c.isspace() or c == '"' or "\ud800" <= c <= "\udfff" for c in self.token
-        ):
-            raise InvariantViolation(f"categorical token {self.token!r} must be a single bare word")
+    def __init__(self, token: str):
+        if not token or any(c.isspace() or c == '"' or "\ud800" <= c <= "\udfff" for c in token):
+            raise InvariantViolation(f"categorical token {token!r} must be a single bare word")
+        store(self, "token", token)
 
 
 Value = Quantity | Categorical

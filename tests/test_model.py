@@ -112,6 +112,14 @@ class TestEntities:
                 "sit:x", iv(0, 1), (Measurement("A", q(1, "m")), Measurement("A", q(2, "m")))
             )
 
+    @pytest.mark.parametrize("foreign", [("x", 1), None, "A"])
+    def test_foreign_measurement_items_rejected(self, foreign):
+        measurement = Measurement("A", q(1, "m"))
+        with pytest.raises(InvariantViolation, match="attribute must be Measurement instances"):
+            GeoObject("ev:a", "Dam", attributes=[measurement, foreign])
+        with pytest.raises(InvariantViolation, match="observation must be Measurement instances"):
+            GeoSituation("sit:x", iv(0, 1), observations=[foreign])
+
     def test_attributes_sorted_canonically(self):
         obj = GeoObject(
             "obj:x", "Dam", (Measurement("B", q(2, "m")), Measurement("A", q(1, "m")))

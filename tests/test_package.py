@@ -101,3 +101,38 @@ def test_the_package_imports_only_the_standard_library():
                         if name.split(".")[0] not in allowed]
     assert len(modules) >= 10
     assert foreign == []
+
+
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    """Value classes are plain slotted classes: no command generates code
+    with dataclasses, which would import inspect, at start-up. Modules that
+    site loaded before the command ran do not count."""
+    from support import build_chain_case, katrina_csv
+
+    from geocausal.rules import print_rules
+    from geocausal.storage import dump_graph
+
+    graph, rules = build_chain_case()
+    (tmp_path / "chain.graph").write_text(dump_graph(graph), encoding="utf-8")
+    (tmp_path / "rules.gcr").write_text(print_rules(rules), encoding="utf-8")
+    (tmp_path / "storm.csv").write_text(katrina_csv(8), encoding="utf-8")
+    commands = [
+        ["rules", "check", "rules.gcr"],
+        ["ingest", "storm", "storm.csv"],
+        ["infer", "--rules", "rules.gcr"],
+        ["why", "ev:flashflood"],
+        ["query", "? causes ?"],
+        ["validate"],
+        ["export", "--format", "json"],
+        ["export", "--format", "dot"],
+    ]
+    for argv in commands:
+        run_fresh(f"""
+            import os, sys
+            before = set(sys.modules)
+            from geocausal.cli import main
+            os.chdir({str(tmp_path)!r})
+            assert main({argv!r} + ["--workspace", "chain.graph"]) == 0
+            loaded = set(sys.modules) - before
+            assert not loaded & {{"dataclasses", "inspect"}}, {argv!r}
+        """)

@@ -286,6 +286,74 @@ class TestDurations:
     def test_format_round_trip(self, text):
         assert format_duration(parse_duration(text)) == text
 
+    @pytest.mark.parametrize(
+        "duration,text",
+        [
+            (timedelta(days=999999, microseconds=7), "86399913600.000007s"),
+            (timedelta(days=100000, microseconds=1), "8640000000.000001s"),
+            (timedelta.max, "86399999999999.999999s"),
+            (timedelta(microseconds=1), "0.000001s"),
+            (timedelta(seconds=-1.5), "-1.5s"),
+        ],
+    )
+    def test_format_keeps_every_microsecond(self, duration, text):
+        assert format_duration(duration) == text
+
+    @given(st.timedeltas())
+    def test_every_duration_round_trips(self, duration):
+        assert parse_duration(format_duration(duration)) == duration
+
+    @given(st.timedeltas(min_value=timedelta(0)))
+    def test_every_gap_round_trips_through_a_rule(self, gap):
+        rule = parse_rules(f"rule R1: A causes B when {PrecedesWithin(gap)}").cause_rules[0]
+        assert rule.constraint == PrecedesWithin(gap)
+
+    @pytest.mark.parametrize(
+        "text,duration",
+        [
+            ("2.0000005s", timedelta(seconds=2)),
+            ("2.0000015s", timedelta(seconds=2, microseconds=2)),
+            ("0.5min", timedelta(seconds=30)),
+            ("86399913600.000007s", timedelta(days=999999, microseconds=7)),
+        ],
+    )
+    def test_decimals_parse_exactly_with_ties_to_even(self, text, duration):
+        assert parse_duration(text) == duration
+        rule = parse_rules(f"rule R1: A causes B when precedes within {text}").cause_rules[0]
+        assert rule.constraint == PrecedesWithin(duration)
+
+    @pytest.mark.parametrize(
+        "text,duration",
+        [
+            ("1.5e3s", timedelta(minutes=25)),
+            ("1e-99999999999h", timedelta(0)),
+            ("1e-1000000000000000000h", timedelta(0)),
+            ("0.0000025e0s", timedelta(microseconds=2)),
+            pytest.param("1" + "0" * 5000 + "e-5000h", timedelta(hours=1), id="5000-trailing-zeros"),
+            pytest.param(
+                "2.0000005" + "0" * 5000 + "1s",
+                timedelta(seconds=2, microseconds=1),
+                id="just-past-a-tie",
+            ),
+        ],
+    )
+    def test_rule_durations_take_an_exponent(self, text, duration):
+        rule = parse_rules(f"rule R1: A causes B when precedes within {text}").cause_rules[0]
+        assert rule.constraint == PrecedesWithin(duration)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e1000000000000000000h",
+            "1e21s",
+            pytest.param("1e" + "9" * 5000 + "s", id="5000-digit-exponent"),
+        ],
+    )
+    def test_rule_duration_past_the_range_is_a_positioned_parse_error(self, text):
+        with pytest.raises(ParseError, match="out of range") as caught:
+            parse_rules(f"rule R1: A causes B when precedes within {text}")
+        assert (caught.value.line, caught.value.column) == (1, 42)
+
 
 class TestEvaluate:
     def test_all_conditions_hold(self, pc_tc):

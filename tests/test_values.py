@@ -1,0 +1,183 @@
+"""Value semantics of every public value class: equality and hash by field,
+immutability, ``Name(field=value, ...)`` repr, ordering where defined, and
+no per-instance ``__dict__``."""
+
+import copy
+import pickle
+from datetime import timedelta
+
+import pytest
+
+from geocausal.engine import Diagnostic, EngineConfig, InferenceResult, ProvenanceTree
+from geocausal.graph import ASSERTED, Asserted, Derived, RelationKind, Triple
+from geocausal.ingest import IngestReport, ObservationRow, StormEventRow, Strictness
+from geocausal.model import (
+    BBox,
+    GeoEvent,
+    GeoObject,
+    GeoSituation,
+    Measurement,
+    Point,
+    SpatioTemporalRegion,
+    TimeInterval,
+)
+from geocausal.query import EvidenceLine, Explanation, ExplanationEdge
+from geocausal.rules import (
+    CauseRule,
+    CoOccurs,
+    Condition,
+    ConditionOutcome,
+    Precedes,
+    PrecedesWithin,
+    PreconditionSet,
+    RuleSet,
+    SatisfactionResult,
+    Truth,
+)
+from geocausal.units import Categorical, Comparator, Dimension, Quantity, Unit
+
+from support import iv, q
+
+_CAUSES = RelationKind.CAUSES
+_TRIPLE = Triple("ev:a", _CAUSES, "ev:b", Derived("R-CAU:R1", (("ev:x", _CAUSES, "ev:a"),)))
+_CONDITION = Condition("Temp", Comparator.GT, q(3, "K"))
+
+#: class -> (a factory of one value, its fields in constructor order). Each
+#: factory call builds a new value equal to the last.
+IMMUTABLE = {
+    TimeInterval: (lambda: iv(0, 2), ["start", "end"]),
+    Point: (lambda: Point(30.0, -90.0), ["lat", "lon"]),
+    BBox: (lambda: BBox(29.0, -91.0, 31.0, -89.0), ["min_lat", "min_lon", "max_lat", "max_lon"]),
+    Measurement: (lambda: Measurement("WaterLevel", q(12, "m")), ["attribute", "value"]),
+    GeoObject: (lambda: GeoObject("obj:dam", "Dam", (Measurement("H", q(1, "m")),)),
+                ["id", "kind", "attributes"]),
+    GeoEvent: (lambda: GeoEvent("ev:a", "Rain"), ["id", "kind"]),
+    GeoSituation: (lambda: GeoSituation("sit:a", iv(0, 1), (Measurement("T", q(1, "K")),)),
+                   ["id", "holds_during", "observations"]),
+    SpatioTemporalRegion: (lambda: SpatioTemporalRegion("reg:a", Point(30.0, -90.0), iv(0, 1)),
+                           ["id", "geometry", "interval"]),
+    Unit: (lambda: Unit("kn", Dimension.SPEED, 0.5, 1.0), ["symbol", "dimension", "scale", "offset"]),
+    Quantity: (lambda: q(82, "degF"), ["magnitude", "unit"]),
+    Categorical: (lambda: Categorical("present"), ["token"]),
+    Asserted: (Asserted, []),
+    Derived: (lambda: Derived("R-CAU:R1", (("ev:x", _CAUSES, "ev:a"),)), ["rule_id", "premises"]),
+    Triple: (lambda: Triple("ev:a", _CAUSES, "ev:b"), ["subject", "predicate", "object", "provenance"]),
+    Condition: (lambda: Condition("Temp", Comparator.GT, q(3, "K")),
+                ["attribute", "comparator", "threshold"]),
+    PreconditionSet: (lambda: PreconditionSet("PC", "Flood", (_CONDITION,)),
+                      ["id", "event_kind", "conditions"]),
+    CoOccurs: (CoOccurs, []),
+    Precedes: (Precedes, []),
+    PrecedesWithin: (lambda: PrecedesWithin(timedelta(hours=12)), ["max_gap"]),
+    CauseRule: (lambda: CauseRule("R1", "Rain", "Flood", CoOccurs()),
+                ["id", "cause_kind", "effect_kind", "constraint"]),
+    RuleSet: (lambda: RuleSet((PreconditionSet("PC", "Flood", (_CONDITION,)),)),
+              ["preconditions", "cause_rules"]),
+    ConditionOutcome: (lambda: ConditionOutcome(Truth.TRUE, q(4, "K")), ["status", "observed"]),
+    SatisfactionResult: (
+        lambda: SatisfactionResult(Truth.TRUE, ((_CONDITION, ConditionOutcome(Truth.TRUE)),)),
+        ["satisfied", "per_condition", "diagnostics"],
+    ),
+    EngineConfig: (lambda: EngineConfig(timedelta(hours=6)), ["max_gap", "require_spatial_overlap"]),
+    Diagnostic: (lambda: Diagnostic("R-EFF", ("sit:a", "ev:b"), "mixed-setting"),
+                 ["rule", "entities", "reason"]),
+    EvidenceLine: (lambda: EvidenceLine("T", ">", "3 K", "4 K", Truth.TRUE),
+                   ["attribute", "comparator", "threshold", "observed", "status"]),
+    StormEventRow: (
+        lambda: StormEventRow(2, "1", "100", "Rain", iv(0, 1), None, (Measurement("D", q(1, "1")),)),
+        ["line", "episode_id", "event_id", "kind", "interval", "geometry", "impacts"],
+    ),
+    ObservationRow: (lambda: ObservationRow(2, "s1", iv(0, 1), Measurement("T", q(1, "K"))),
+                     ["line", "situation_id", "interval", "measurement"]),
+}
+
+MUTABLE = {
+    InferenceResult: (lambda: InferenceResult([_TRIPLE], 1, []), ["derived", "iterations", "diagnostics"]),
+    ProvenanceTree: (lambda: ProvenanceTree(_TRIPLE, "R-CAU:R1", [ProvenanceTree(_TRIPLE)]),
+                     ["triple", "rule_id", "premises"]),
+    IngestReport: (lambda: IngestReport(3, 2, 5, [(4, "bad")], [], Strictness.STRICT),
+                   ["rows_read", "entities_created", "triples_created", "errors", "warnings",
+                    "strictness"]),
+    ExplanationEdge: (lambda: ExplanationEdge(_TRIPLE, 1, "PC", ()),
+                      ["triple", "depth", "precondition_id", "evidence"]),
+    Explanation: (lambda: Explanation("ev:b", ["ev:a"], [], [], 1, False),
+                  ["root", "nodes", "edges", "affects", "depth_reached", "truncated"]),
+}
+
+ALL = {**IMMUTABLE, **MUTABLE}
+
+
+@pytest.mark.parametrize("cls", ALL, ids=lambda cls: cls.__name__)
+def test_equal_fields_give_equal_values(cls):
+    make, fields = ALL[cls]
+    a, b = make(), make()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert cls.__match_args__ == tuple(fields)
+    if cls in IMMUTABLE:
+        assert hash(a) == hash(b)
+    else:
+        assert cls.__hash__ is None
+
+
+@pytest.mark.parametrize("cls", ALL, ids=lambda cls: cls.__name__)
+def test_values_of_different_classes_are_not_equal(cls):
+    value = ALL[cls][0]()
+    others = [make() for other, (make, _) in ALL.items() if other is not cls]
+    assert all(value != other and not value == other for other in others)
+    assert CoOccurs() != Precedes() and Asserted() != CoOccurs()
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=lambda cls: cls.__name__)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    make, fields = IMMUTABLE[cls]
+    value = make()
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == make()
+
+
+@pytest.mark.parametrize("cls", ALL, ids=lambda cls: cls.__name__)
+def test_repr_names_each_field(cls):
+    make, fields = ALL[cls]
+    value = make()
+    shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
+    assert repr(value) == f"{cls.__qualname__}({shown})"
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=lambda cls: cls.__name__)
+def test_copy_and_pickle_give_an_equal_value(cls):
+    value = IMMUTABLE[cls][0]()
+    assert copy.copy(value) == value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_intervals_and_diagnostics_sort_by_their_field_tuple():
+    intervals = [iv(2, 3), iv(0, 5), iv(0, 1), iv(2, 2)]
+    assert sorted(intervals) == sorted(intervals, key=lambda i: (i.start, i.end))
+    assert iv(0, 1) < iv(0, 2) <= iv(0, 2) < iv(1, 1) and iv(1, 1) >= iv(0, 9) > iv(0, 8)
+    diagnostics = [
+        Diagnostic("R-EFF", ("sit:b", "ev:a"), "mixed-setting"),
+        Diagnostic("R-EFF", ("sit:a", "ev:b"), "no-spatial-overlap"),
+        Diagnostic("R-EFF", ("sit:a", "ev:b"), "mixed-setting"),
+        Diagnostic("R-CAU", ("ev:z",), "no-temporal-adjacency"),
+    ]
+    assert sorted(diagnostics) == sorted(diagnostics, key=lambda d: (d.rule, d.entities, d.reason))
+    with pytest.raises(TypeError):
+        iv(0, 1) < Point(0.0, 0.0)
+
+
+@pytest.mark.parametrize("cls", ALL, ids=lambda cls: cls.__name__)
+def test_no_instance_has_a_dict(cls):
+    assert not hasattr(ALL[cls][0](), "__dict__")
+
+
+def test_default_lists_are_fresh():
+    first, second = InferenceResult(), InferenceResult()
+    first.derived.append(_TRIPLE)
+    assert second.derived == [] and Explanation("ev:a").nodes == []
+    assert Triple("ev:a", _CAUSES, "ev:b").provenance is ASSERTED
