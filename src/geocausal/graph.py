@@ -1,9 +1,9 @@
 """Schema-enforcing typed knowledge graph.
 
-Entities play one of four roles (object, event, situation, region) and
-every relation carries a closed domain/range signature; a triple that
-does not fit its signature is rejected, never stored. Derived triples
-remember the rule and premises that produced them.
+Entities play one of four roles (object, event, situation, region), each
+entity class its own, and every relation carries a closed domain/range
+signature; a triple that does not fit its signature is rejected, never
+stored. Derived triples remember the rule and premises that produced them.
 
 Two relations from the vocabulary, has-geometry and time, are structural:
 a region carries its geometry and interval as fields, so these relations
@@ -17,38 +17,16 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import DuplicateId, SchemaViolation, UnknownEntity, UnknownTriple
-from .model import (
-    Entity,
-    EntityId,
-    GeoEvent,
-    GeoObject,
-    GeoSituation,
-    SpatioTemporalRegion,
-    validate_entity_id,
-)
+from .errors import DuplicateId, InvariantViolation, SchemaViolation, UnknownEntity, UnknownTriple
+from .model import Entity, EntityId, Role, SpatioTemporalRegion, validate_entity_id
 from .slotted import Frozen, store
 from .spatiotemporal import co_occurs
 
 
-class Role(Enum):
-    OBJECT = "object"
-    EVENT = "event"
-    SITUATION = "situation"
-    REGION = "region"
-    __hash__ = object.__hash__  # members are singletons: hash them by identity, in C
-
-
 def role_of(entity: Entity) -> Role:
-    if isinstance(entity, GeoObject):
-        return Role.OBJECT
-    if isinstance(entity, GeoEvent):
-        return Role.EVENT
-    if isinstance(entity, GeoSituation):
-        return Role.SITUATION
-    if isinstance(entity, SpatioTemporalRegion):
-        return Role.REGION
-    raise TypeError(f"not a graph entity: {entity!r}")
+    if not isinstance(entity, Entity):
+        raise TypeError(f"not a graph entity: {entity!r}")
+    return entity.role
 
 
 class RelationKind(Enum):
@@ -117,13 +95,18 @@ class Derived(Frozen):
     The rule id is a bare token, like an entity id, so that it persists
     without escaping. The premise keys, each naming a triple stored before
     this one, persist and reload in order; version 1 documents kept none.
+    They are held as a tuple of 3-tuples, so the value hashes.
     """
 
     __slots__ = ("rule_id", "premises")
 
     def __init__(self, rule_id: str, premises: tuple[TripleKey, ...] = ()):
         store(self, "rule_id", validate_entity_id(rule_id, "rule id"))
-        store(self, "premises", premises)
+        keys = tuple(tuple(k) if isinstance(k, list) else k for k in premises)
+        if not all(isinstance(k, tuple) and len(k) == 3 and isinstance(k[1], RelationKind)
+                   for k in keys):
+            raise InvariantViolation(f"premises must be (subject, relation, object) keys, got {premises!r}")
+        store(self, "premises", keys)
 
 
 Provenance = Asserted | Derived
@@ -160,27 +143,30 @@ def triple_sort_key(t: Triple) -> tuple[str, str, str]:
 class KnowledgeGraph:
     """In-memory entity and triple store with always-consistent indexes.
 
+    Entities are held by id; an entity's role is its class's. Triples are
+    held by key, and indexed by subject and by object, so a pattern that
+    binds either walks only that entity's triples. A pattern that binds
+    neither scans every key. Each entity's region (see ``region_of``) is
+    kept as triples are added.
+
     Single-writer / multiple-reader: mutating calls need exclusive access,
     reads may run concurrently on an unchanging graph.
     """
 
     def __init__(self) -> None:
         self._entities: dict[str, Entity] = {}
-        self._roles: dict[str, Role] = {}  # entity id -> role_of(entity)
         self._triples: dict[TripleKey, Triple] = {}
         self._by_subject: dict[str, set[TripleKey]] = {}
-        self._by_predicate: dict[RelationKind, set[TripleKey]] = {}
         self._by_object: dict[str, set[TripleKey]] = {}
         self._region: dict[str, str] = {}  # entity id -> id of its region (see region_of)
 
     # -- entities ----------------------------------------------------------
 
     def add_entity(self, entity: Entity) -> Entity:
-        role = role_of(entity)  # rejects foreign types early
+        role_of(entity)  # rejects foreign types early
         if entity.id in self._entities:
             raise DuplicateId(f"entity id {entity.id!r} already present")
         self._entities[entity.id] = entity
-        self._roles[entity.id] = role
         return entity
 
     def has_entity(self, entity_id: EntityId) -> bool:
@@ -195,7 +181,7 @@ class KnowledgeGraph:
     def entities(self, role: Role | None = None) -> list[Entity]:
         items = self._entities.values()
         if role is not None:
-            items = (e for e in items if self._roles[e.id] is role)
+            items = (e for e in items if e.role is role)
         return sorted(items, key=lambda e: e.id)
 
     @property
@@ -204,10 +190,7 @@ class KnowledgeGraph:
 
     def role(self, entity_id: EntityId) -> Role:
         """The role of a stored entity; UnknownEntity if there is none."""
-        role = self._roles.get(entity_id)
-        if role is None:
-            self.entity(entity_id)  # raises UnknownEntity
-        return role
+        return self.entity(entity_id).role
 
     # -- triples -----------------------------------------------------------
 
@@ -255,7 +238,6 @@ class KnowledgeGraph:
         triple = Triple(subject, predicate, object, provenance)
         self._triples[key] = triple
         self._by_subject.setdefault(subject, set()).add(key)
-        self._by_predicate.setdefault(predicate, set()).add(key)
         self._by_object.setdefault(object, set()).add(key)
         if predicate is RelationKind.SPATIO_TEMPORALLY_PRESENT:
             self._region[subject] = min(object, self._region.get(subject, object))
@@ -284,23 +266,18 @@ class KnowledgeGraph:
     ) -> list[Triple]:
         """All triples matching the pattern, ordered (subject, predicate, object).
 
-        Walks the smallest bound index and tests membership in the others,
-        so no index set is copied.
+        Walks the smaller of the bound subject and object index entries, or
+        every key when neither is bound, and tests the rest of the pattern
+        on each key, so no index set is copied.
         """
-        bound = [
-            index.get(key, ())
-            for index, key in (
-                (self._by_subject, subject),
-                (self._by_predicate, predicate),
-                (self._by_object, object),
-            )
-            if key is not None
+        bound = [index.get(key, ()) for index, key in
+                 ((self._by_subject, subject), (self._by_object, object)) if key is not None]
+        found = [
+            self._triples[k] for k in (min(bound, key=len) if bound else self._triples)
+            if (subject is None or k[0] == subject)
+            and (predicate is None or k[1] is predicate)
+            and (object is None or k[2] == object)
         ]
-        if not bound:
-            found = self._triples.values()
-        else:
-            smallest, *others = sorted(bound, key=len)
-            found = [self._triples[k] for k in smallest if all(k in keys for keys in others)]
         return sorted(found, key=triple_sort_key)
 
     def triples(self) -> list[Triple]:

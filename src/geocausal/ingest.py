@@ -345,7 +345,9 @@ def ingest_storm_csv(
             storm_row = _parse_storm_row(lineno, row)
             if storm_row.event_id in seen_event_ids:
                 raise ValueError(f"EVENT_ID {storm_row.event_id!r} occurs twice in this file")
-            validate_entity_id(f"{id_prefix}episode-{storm_row.episode_id}")
+            episode_id = validate_entity_id(f"{id_prefix}episode-{storm_row.episode_id}")
+            if graph.has_entity(episode_id) and not isinstance(graph.entity(episode_id), GeoEvent):
+                raise ValueError(f"episode id {episode_id!r} names an entity that is not an event")
             for entity_id in (
                 f"{id_prefix}event-{storm_row.event_id}",
                 f"{id_prefix}region-{storm_row.event_id}",

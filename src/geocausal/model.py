@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from datetime import datetime, timezone
+from enum import Enum
 from typing import Iterable
 
 from .errors import InvariantViolation, OrderViolation, ParseError
@@ -23,6 +24,16 @@ _FRACTION = re.compile(r"(:\d{2})\.\d+")
 
 #: Entity identifiers are IRI-like opaque strings, e.g. "ev:Katrina".
 EntityId = str
+
+
+class Role(Enum):
+    """The part an entity plays in the graph; each entity class has one."""
+
+    OBJECT = "object"
+    EVENT = "event"
+    SITUATION = "situation"
+    REGION = "region"
+    __hash__ = object.__hash__  # members are singletons: hash them by identity, in C
 
 
 def validate_entity_id(value: str, what: str = "entity id") -> str:
@@ -151,10 +162,12 @@ class Measurement(Frozen):
     __slots__ = ("attribute", "value")
 
     def __init__(self, attribute: str, value: Value):
-        if not ATTR_NAME.fullmatch(attribute or ""):
+        if not isinstance(attribute, str) or not ATTR_NAME.fullmatch(attribute):
             raise InvariantViolation(
                 f"attribute name {attribute!r} must match [A-Za-z][A-Za-z0-9_]*"
             )
+        if not isinstance(value, Value):
+            raise InvariantViolation(f"measurement value must be a Quantity or Categorical, got {value!r}")
         store(self, "attribute", attribute)
         store(self, "value", value)
 
@@ -175,6 +188,7 @@ class GeoObject(Frozen):
     """An endurant geographic entity (dam, atmosphere snapshot, ...)."""
 
     __slots__ = ("id", "kind", "attributes")
+    role = Role.OBJECT
 
     def __init__(self, id: EntityId, kind: str, attributes: Iterable[Measurement] = ()):
         store(self, "id", validate_entity_id(id))
@@ -192,6 +206,7 @@ class GeoEvent(Frozen):
     """A perdurant geographic occurrence (hurricane, flash flood, ...)."""
 
     __slots__ = ("id", "kind")
+    role = Role.EVENT
 
     def __init__(self, id: EntityId, kind: str):
         store(self, "id", validate_entity_id(id))
@@ -202,6 +217,7 @@ class GeoSituation(Frozen):
     """A state of the world over an interval, characterized by observations."""
 
     __slots__ = ("id", "holds_during", "observations")
+    role = Role.SITUATION
 
     def __init__(
         self, id: EntityId, holds_during: TimeInterval, observations: Iterable[Measurement] = ()
@@ -224,6 +240,7 @@ class SpatioTemporalRegion(Frozen):
     """A paired spatial and temporal footprint; never one without the other."""
 
     __slots__ = ("id", "geometry", "interval")
+    role = Role.REGION
 
     def __init__(self, id: EntityId, geometry: Geometry, interval: TimeInterval):
         validate_entity_id(id)

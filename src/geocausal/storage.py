@@ -173,8 +173,11 @@ def _triple_key(subject, predicate, object_) -> TripleKey:
 
 def _triple_from_doc(doc: dict) -> tuple[TripleKey, Provenance]:
     key = _triple_key(doc.get("subject"), doc.get("predicate"), doc.get("object"))
-    if doc.get("provenance") != "derived":
+    provenance = doc.get("provenance")
+    if provenance == "asserted":
         return key, ASSERTED
+    if provenance != "derived":
+        raise ParseError(f"provenance must be 'asserted' or 'derived', got {provenance!r}")
     premises = doc.get("premises", [])
     if not isinstance(premises, list) or any(not isinstance(p, list) or len(p) != 3 for p in premises):
         raise ParseError("premises must be a list of [subject, predicate, object]")

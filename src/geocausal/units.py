@@ -105,6 +105,8 @@ class Quantity(Frozen):
         magnitude = float(magnitude)
         if not math.isfinite(magnitude):
             raise InvariantViolation(f"quantity magnitude must be finite, got {magnitude!r}")
+        if not isinstance(unit, Unit):
+            raise InvariantViolation(f"quantity unit must be a Unit, got {unit!r}")
         store(self, "magnitude", magnitude)
         store(self, "unit", unit)
 
@@ -118,7 +120,9 @@ class Categorical(Frozen):
     __slots__ = ("token",)
 
     def __init__(self, token: str):
-        if not token or any(c.isspace() or c == '"' or "\ud800" <= c <= "\udfff" for c in token):
+        if not isinstance(token, str) or not token or any(
+            c.isspace() or c == '"' or "\ud800" <= c <= "\udfff" for c in token
+        ):
             raise InvariantViolation(f"categorical token {token!r} must be a single bare word")
         store(self, "token", token)
 

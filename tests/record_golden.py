@@ -1,0 +1,181 @@
+"""The output gate: one sha256 per named output of the library and the CLI.
+
+``tests/test_golden.py`` recomputes every digest and compares it with
+``tests/golden.json``. Run this script to rewrite that file:
+
+    PYTHONPATH=src python tests/record_golden.py
+
+It prints the name of each entry that moved, appeared or disappeared.
+A change that re-records an entry must say which and why.
+
+Library outputs cover ``random_engine_case`` seeds 0-299 under the default
+engine configuration and under a 3 h gap with the spatial gate off. CLI
+outputs cover the benchmark's three workloads at the sizes of
+``bench/test_bench.py``, each command run in-process through ``cli.main``.
+The benchmark's generator and command sequence are imported, not copied.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+for path in (TESTS, ROOT / "src", ROOT / "bench"):
+    if str(path) not in sys.path:
+        sys.path.append(str(path))
+
+from geocausal.cli import main as cli_main  # noqa: E402
+from geocausal.engine import EngineConfig, explain, infer  # noqa: E402
+from geocausal.export import (  # noqa: E402
+    explanation_to_dot, explanation_to_json, graph_to_dot, graph_to_json,
+)
+from geocausal.graph import Role  # noqa: E402
+from geocausal.query import render_explanation_text, why  # noqa: E402
+from geocausal.storage import dump_graph, loads_graph  # noqa: E402
+
+from support import random_engine_case  # noqa: E402
+
+GOLDEN = TESTS / "golden.json"
+ENGINE_SEEDS = range(300)
+CONFIGS = {
+    "default": EngineConfig(),
+    "gap3h-nospatial": EngineConfig(max_gap=timedelta(hours=3), require_spatial_overlap=False),
+}
+WHY_DEPTHS = {"1": 1, "3": 3, "10": 10, "unbounded": sys.maxsize}
+CLI_SIZES = {"storm-causal": 40, "dam-effects": 30, "append-reinfer": 36}  # bench/test_bench.py SMALL
+CLI_SEEDS = (1, 2, 3)
+
+
+class _Digests:
+    def __init__(self) -> None:
+        self._hashes: dict = {}  # name -> sha256 object
+
+    def add(self, name: str, *parts: str | bytes) -> None:
+        h = self._hashes.setdefault(name, hashlib.sha256())
+        for part in parts:
+            h.update(part if isinstance(part, bytes) else part.encode("utf-8", "surrogatepass"))
+            h.update(b"\x1e")
+        h.update(b"\x1d")
+
+    def result(self) -> dict[str, str]:
+        return {name: h.hexdigest() for name, h in sorted(self._hashes.items())}
+
+
+def _triple_text(t) -> str:
+    if not t.is_derived:
+        return f"{t.subject} {t.predicate.value} {t.object} asserted"
+    premises = " ".join(f"({s},{p.value},{o})" for s, p, o in t.provenance.premises)
+    return f"{t.subject} {t.predicate.value} {t.object} {t.provenance.rule_id} {premises}"
+
+
+def library_digests() -> dict[str, str]:
+    digests = _Digests()
+    for config_name, config in CONFIGS.items():
+        def add(output: str, *parts) -> None:
+            digests.add(f"library/{config_name}/{output}", f"seed {seed}", *parts)
+
+        for seed in ENGINE_SEEDS:
+            graph, rules = random_engine_case(random.Random(seed))
+            result = infer(graph, rules, config)
+            add("derived", *map(_triple_text, result.derived))
+            add("skips", *(d.render() for d in result.diagnostics))
+            dump = dump_graph(graph)
+            add("dump", dump)
+            add("json", graph_to_json(graph))
+            add("dot", graph_to_dot(graph))
+            add("reload-dump", dump_graph(loads_graph(dump)))
+            add("explain", *(explain(graph, t).render() for t in result.derived))
+            for event in graph.entities(Role.EVENT):
+                for depth_name, depth in WHY_DEPTHS.items():
+                    explanation = why(graph, event.id, max_depth=depth, rules=rules)
+                    add(f"why-text/depth-{depth_name}", event.id,
+                        render_explanation_text(explanation, graph))
+                    add(f"why-json/depth-{depth_name}", event.id,
+                        explanation_to_json(explanation, graph))
+                    add(f"why-dot/depth-{depth_name}", event.id,
+                        explanation_to_dot(explanation, graph))
+    return digests.result()
+
+
+def _cli_commands(inputs, workspace: Path) -> list[list[str]]:
+    """The benchmark's command sequence, then a few read-only commands it
+    does not run: validate, predicate-only queries and why in every format."""
+    from pipeline import build_steps, closures_for
+
+    steps = build_steps(inputs, closures_for(inputs), Path("."))
+    commands = [step.argv(workspace) for step in steps]
+    ws = ["--workspace", str(workspace)]
+    commands.append(["validate", *ws])
+    for predicate in ("causes", "effects", "participant-in", "?"):
+        commands.append(["query", f"? {predicate} ?", *ws])
+    targets = sorted(step.target for step in steps if step.kind == "why")[:1]
+    for target in targets:
+        for fmt in ("json", "dot"):
+            commands.append(["why", target, "--depth", "3", "--format", fmt, *ws])
+    return commands
+
+
+def _run_workload(digests: _Digests, inputs, prefix: str) -> None:
+    """Run the commands in the current directory, which holds nothing else."""
+    inputs.write(Path("."))
+    workspace = Path("workspace.graph")
+    if inputs.base_workspace:
+        workspace.write_bytes(inputs.files[inputs.base_workspace])
+    for i, argv in enumerate(_cli_commands(inputs, workspace)):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main(argv)
+        state = workspace.read_bytes() if workspace.exists() else b""
+        digests.add(f"{prefix}/{i:02d}-{argv[0]}",
+                    " ".join(argv), str(code), out.getvalue(), err.getvalue(), state)
+
+
+def cli_digests() -> dict[str, str]:
+    from generate import generate
+
+    digests = _Digests()
+    cwd = os.getcwd()
+    for workload, size in CLI_SIZES.items():
+        for seed in CLI_SEEDS:
+            inputs = generate(workload, seed, size)
+            with tempfile.TemporaryDirectory() as tmp:
+                os.chdir(tmp)  # relative paths keep outputs free of the directory name
+                try:
+                    _run_workload(digests, inputs, f"cli/{workload}/seed-{seed}")
+                finally:
+                    os.chdir(cwd)
+    return digests.result()
+
+
+def all_digests() -> dict[str, str]:
+    return {**library_digests(), **cli_digests()}
+
+
+def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """Names whose digest differs, or that are in only one of the two."""
+    return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+
+
+def main() -> int:
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    new = all_digests()
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    changed = moved(old, new)
+    for name in changed:
+        print(name)
+    print(f"{len(new)} entries, {len(changed)} moved", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

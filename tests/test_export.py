@@ -134,6 +134,18 @@ class TestJson:
                 [{"subject": "ev:a", "predicate": ["part-of"], "object": "ev:a"}],
                 "triples[0]",
             ),
+            (
+                [{"id": "ev:a", "role": "event", "kind": "Rain"}],
+                [{"subject": "ev:a", "predicate": "part-of", "object": "ev:a", "provenance": "asserted"},
+                 {"subject": "ev:a", "predicate": "causes", "object": "ev:a",
+                  "provenance": "derivd", "rule": "R", "premises": [["ev:a", "part-of", "ev:a"]]}],
+                "triples[1]",
+            ),
+            (
+                [{"id": "ev:a", "role": "event", "kind": "Rain"}],
+                [{"subject": "ev:a", "predicate": "part-of", "object": "ev:a"}],
+                "triples[0]",
+            ),
         ],
     )
     def test_malformed_entries_are_parse_errors(self, entities, triples, where):

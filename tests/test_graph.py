@@ -294,11 +294,24 @@ def test_role_of_rejects_foreign_values():
         role_of("ev:string")
 
 
+def test_each_entity_class_owns_its_role():
+    from geocausal import model
+
+    assert Role is model.Role
+    assert [cls.role for cls in (GeoObject, GeoEvent, GeoSituation, SpatioTemporalRegion)] == [
+        Role.OBJECT, Role.EVENT, Role.SITUATION, Role.REGION,
+    ]
+
+
+def test_the_store_keeps_entities_triples_and_two_indexes():
+    g = small_graph()
+    assert set(vars(g)) == {"_entities", "_triples", "_by_subject", "_by_object", "_region"}
+
+
 def test_indexes_stay_in_sync_with_triple_set():
     rng = random.Random(17)
     for _ in range(10):
         g = random_storage_graph(rng, rng.randint(0, 80))
         all_keys = {t.key for t in g.triples()}
         assert set().union(*g._by_subject.values(), set()) == all_keys
-        assert set().union(*g._by_predicate.values(), set()) == all_keys
         assert set().union(*g._by_object.values(), set()) == all_keys

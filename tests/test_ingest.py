@@ -12,7 +12,7 @@ from geocausal.ingest import (
     parse_damage,
     sanitize_kind,
 )
-from geocausal.model import BBox, format_timestamp
+from geocausal.model import BBox, GeoObject, format_timestamp
 from geocausal.units import Categorical
 
 from support import q, schema_violations
@@ -191,6 +191,29 @@ class TestStormIngestion:
             storm(text, graph=graph, strictness=Strictness.STRICT)
         assert str(exc.value) == f"line 3: {reason}"
         assert graph.entity_count == 0 and graph.triple_count == 0
+
+    def test_episode_id_that_names_a_non_event_is_a_bad_row(self):
+        text = (
+            STORM_HEADER
+            + "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+            + "2,102,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+        )
+        reason = "episode id 'ev:episode-2' names an entity that is not an event"
+
+        def with_object():
+            graph = KnowledgeGraph()
+            graph.add_entity(GeoObject("ev:episode-2", "Dam"))
+            return graph
+
+        graph = with_object()
+        with pytest.raises(IngestError) as exc:
+            storm(text, graph=graph, strictness=Strictness.STRICT)
+        assert str(exc.value) == f"line 3: {reason}"
+        assert (graph.entity_count, graph.triple_count) == (1, 0)
+        graph, report = storm(text, graph=with_object())
+        assert report.errors == [(3, reason)]
+        assert report.entities_created == 1 and graph.has_entity("ev:event-101")
+        assert not graph.has_entity("ev:event-102") and schema_violations(graph) == []
 
     @pytest.mark.parametrize("strictness", list(Strictness))
     def test_invalid_prefix_fails_the_whole_ingest(self, strictness):

@@ -9,6 +9,7 @@ from datetime import timedelta
 import pytest
 
 from geocausal.engine import Diagnostic, EngineConfig, InferenceResult, ProvenanceTree
+from geocausal.errors import InvariantViolation
 from geocausal.graph import ASSERTED, Asserted, Derived, RelationKind, Triple
 from geocausal.ingest import IngestReport, ObservationRow, StormEventRow, Strictness
 from geocausal.model import (
@@ -181,3 +182,27 @@ def test_default_lists_are_fresh():
     first.derived.append(_TRIPLE)
     assert second.derived == [] and Explanation("ev:a").nodes == []
     assert Triple("ev:a", _CAUSES, "ev:b").provenance is ASSERTED
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Measurement("H", 5),
+    lambda: Measurement("H", Quantity(5.0, "m")),
+    lambda: Measurement(5, Categorical("present")),
+    lambda: Categorical(5),
+    lambda: Derived("R", [("ev:x", _CAUSES)]),
+    lambda: Derived("R", ["ev:x"]),
+    lambda: Derived("R", [("ev:x", "causes", "ev:a")]),
+], ids=["int-value", "str-unit", "int-attribute", "int-token", "short-premise", "str-premise",
+        "str-predicate"])
+def test_constructors_reject_values_that_cannot_be_saved(build):
+    with pytest.raises(InvariantViolation):
+        build()
+
+
+def test_derived_holds_its_premises_as_a_tuple_of_keys():
+    key = ("ev:x", _CAUSES, "ev:a")
+    derived = Derived("R", [key, list(key)])
+    assert derived.premises == (key, key) and type(derived.premises) is tuple
+    assert all(type(premise) is tuple for premise in derived.premises)
+    triple = Triple("ev:a", _CAUSES, "ev:b", derived)
+    assert hash(triple) == hash(Triple("ev:a", _CAUSES, "ev:b", Derived("R", (key, key))))
