@@ -135,7 +135,7 @@ def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = N
     return InferenceResult(
         derived=sorted(derived, key=triple_sort_key),
         iterations=1,
-        diagnostics=sorted(diagnostics),
+        diagnostics=sorted(diagnostics, key=Diagnostic._key),  # the tuple Ordered compares, got in C
     )
 
 
@@ -276,7 +276,7 @@ def explain(graph: KnowledgeGraph, triple: Triple | TripleKey) -> ProvenanceTree
     """Expand a triple's provenance, each premise once (shared premises share
     their tree) and without recursion, so a chain of any depth expands. An
     unstored key raises UnknownTriple; premises are stored before their citers."""
-    root = triple.key if isinstance(triple, Triple) else triple
+    root = (triple if isinstance(triple, Triple) else graph.triple(triple)).key
     trees: dict[TripleKey, ProvenanceTree] = {}
     stack = [root]
     while stack:

@@ -143,11 +143,11 @@ def triple_sort_key(t: Triple) -> tuple[str, str, str]:
 class KnowledgeGraph:
     """In-memory entity and triple store with always-consistent indexes.
 
-    Entities are held by id; an entity's role is its class's. Triples are
-    held by key, and indexed by subject and by object, so a pattern that
-    binds either walks only that entity's triples. A pattern that binds
-    neither scans every key. Each entity's region (see ``region_of``) is
-    kept as triples are added.
+    Four fields: entities by id, triples by key, and a list of keys per
+    subject and per object, so a pattern that binds either walks only that
+    entity's triples; one that binds neither scans every key. Each key is
+    held once, built from the stored entities' own id strings. An entity's
+    role is its class's; ``region_of`` reads the subject index.
 
     Single-writer / multiple-reader: mutating calls need exclusive access,
     reads may run concurrently on an unchanging graph.
@@ -156,9 +156,8 @@ class KnowledgeGraph:
     def __init__(self) -> None:
         self._entities: dict[str, Entity] = {}
         self._triples: dict[TripleKey, Triple] = {}
-        self._by_subject: dict[str, set[TripleKey]] = {}
-        self._by_object: dict[str, set[TripleKey]] = {}
-        self._region: dict[str, str] = {}  # entity id -> id of its region (see region_of)
+        self._by_subject: dict[str, list[TripleKey]] = {}
+        self._by_object: dict[str, list[TripleKey]] = {}
 
     # -- entities ----------------------------------------------------------
 
@@ -194,25 +193,26 @@ class KnowledgeGraph:
 
     # -- triples -----------------------------------------------------------
 
-    def _check_schema(self, subject: str, predicate: RelationKind, object: str) -> None:
+    def _check_schema(self, subject: str, predicate: RelationKind, object: str) -> tuple[str, str]:
+        """The stored entities' ids; a satisfies object, an external id, as given."""
         if predicate in _STRUCTURAL:
             raise SchemaViolation(
                 f"{predicate.value} is {describe_signature(predicate)}"
             )
-        subject_role = self.role(subject)
+        s = self.entity(subject)
         if predicate is RelationKind.SATISFIES:
-            if subject_role is not Role.SITUATION:
+            if s.role is not Role.SITUATION:
                 raise SchemaViolation(
-                    f"satisfies: subject must be a situation, got {subject_role.value}"
+                    f"satisfies: subject must be a situation, got {s.role.value}"
                 )
-            validate_entity_id(object)  # external precondition-set id
-            return
-        object_role = self.role(object)
-        if (subject_role, object_role) not in SIGNATURES[predicate]:
+            return s.id, validate_entity_id(object)  # external precondition-set id
+        o = self.entity(object)
+        if (s.role, o.role) not in SIGNATURES[predicate]:
             raise SchemaViolation(
                 f"{predicate.value}: expected {describe_signature(predicate)}, "
-                f"got {subject_role.value} -> {object_role.value}"
+                f"got {s.role.value} -> {o.role.value}"
             )
+        return s.id, o.id
 
     def add_triple(
         self,
@@ -226,21 +226,19 @@ class KnowledgeGraph:
         An existing triple's provenance is immutable: re-adding its key returns
         it unchanged. A premise that is not already stored raises UnknownTriple.
         """
-        key = (subject, predicate, object)
-        existing = self._triples.get(key)
+        existing = self._triples.get((subject, predicate, object))
         if existing is not None:
             return existing
-        self._check_schema(subject, predicate, object)
+        subject, object = self._check_schema(subject, predicate, object)
         if isinstance(provenance, Derived):
             for premise in provenance.premises:
                 if premise not in self._triples:
                     self.triple(premise)  # raises UnknownTriple
         triple = Triple(subject, predicate, object, provenance)
+        key = (subject, predicate, object)
         self._triples[key] = triple
-        self._by_subject.setdefault(subject, set()).add(key)
-        self._by_object.setdefault(object, set()).add(key)
-        if predicate is RelationKind.SPATIO_TEMPORALLY_PRESENT:
-            self._region[subject] = min(object, self._region.get(subject, object))
+        self._by_subject.setdefault(subject, []).append(key)
+        self._by_object.setdefault(object, []).append(key)
         return triple
 
     def assert_triple(
@@ -254,9 +252,11 @@ class KnowledgeGraph:
     def triple(self, key: TripleKey) -> Triple:
         try:
             return self._triples[key]
-        except KeyError:
-            s, p, o = key
-            raise UnknownTriple(f"no triple ({s}, {p.value}, {o})") from None
+        except (KeyError, TypeError):  # TypeError: an unhashable key
+            pass
+        if type(key) is tuple and len(key) == 3 and isinstance(key[1], RelationKind):
+            raise UnknownTriple(f"no triple ({key[0]}, {key[1].value}, {key[2]})")
+        raise UnknownTriple(f"no triple {key!r}")
 
     def match(
         self,
@@ -268,7 +268,7 @@ class KnowledgeGraph:
 
         Walks the smaller of the bound subject and object index entries, or
         every key when neither is bound, and tests the rest of the pattern
-        on each key, so no index set is copied.
+        on each key, so no index list is copied.
         """
         bound = [index.get(key, ()) for index, key in
                  ((self._by_subject, subject), (self._by_object, object)) if key is not None]
@@ -296,7 +296,8 @@ class KnowledgeGraph:
         placed at the one whose id sorts first.
         """
         self.entity(entity_id)
-        region_id = self._region.get(entity_id)
+        region_id = min((o for _, p, o in self._by_subject.get(entity_id, ())
+                         if p is RelationKind.SPATIO_TEMPORALLY_PRESENT), default=None)
         return None if region_id is None else self._entities[region_id]
 
     def validate(self) -> list[str]:

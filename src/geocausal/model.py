@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import InvariantViolation, OrderViolation, ParseError
 from .slotted import Frozen, Ordered, store
-from .units import Value
+from .units import Value, to_float
 
 _ID_FORBIDDEN = re.compile(r'[\s\x00-\x1f\x7f"\ud800-\udfff]')
 ATTR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -114,14 +114,14 @@ def interval_envelope(intervals: Iterable[TimeInterval]) -> TimeInterval:
 
 
 def _check_lat(lat: float) -> float:
-    lat = float(lat)
+    lat = to_float(lat, "latitude")
     if not -90.0 <= lat <= 90.0:
         raise InvariantViolation(f"latitude {lat} outside [-90, 90]")
     return lat
 
 
 def _check_lon(lon: float) -> float:
-    lon = float(lon)
+    lon = to_float(lon, "longitude")
     if not -180.0 <= lon <= 180.0:
         raise InvariantViolation(f"longitude {lon} outside [-180, 180]")
     return lon

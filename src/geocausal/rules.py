@@ -45,6 +45,7 @@ from .spatiotemporal import co_occurs, gap_between, precedes
 from .units import Categorical, Comparator, Quantity, Value, compare, format_value, get_unit
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
+_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_/-]*\Z")  # the grammar's token: the lexer's word
 
 _DURATION_UNITS = {"s": 1, "min": 60, "h": 3600, "d": 86400}
 
@@ -61,8 +62,10 @@ class Condition(Frozen):
     __slots__ = ("attribute", "comparator", "threshold")
 
     def __init__(self, attribute: str, comparator: Comparator, threshold: Value | None = None):
-        if not ATTR_NAME.fullmatch(attribute or ""):
+        if not isinstance(attribute, str) or not ATTR_NAME.fullmatch(attribute):
             raise InvariantViolation(f"invalid attribute name {attribute!r}")
+        if not isinstance(comparator, Comparator):
+            raise InvariantViolation(f"invalid comparator {comparator!r}")
         unary = comparator in (Comparator.PRESENT, Comparator.ABSENT)
         if unary and threshold is not None:
             raise InvariantViolation(f"{comparator.value} conditions carry no threshold")
@@ -71,6 +74,10 @@ class Condition(Frozen):
         if comparator in (Comparator.LT, Comparator.LE, Comparator.GT, Comparator.GE):
             if not isinstance(threshold, Quantity):
                 raise InvariantViolation(f"{comparator.value} conditions need a quantity threshold")
+        if not unary and not isinstance(threshold, (Quantity, Categorical)):
+            raise InvariantViolation(f"a threshold is a Quantity or Categorical, got {threshold!r}")
+        if isinstance(threshold, Categorical) and not _WORD_RE.fullmatch(threshold.token):
+            raise InvariantViolation(f"categorical threshold {threshold.token!r} is not a token")
         store(self, "attribute", attribute)
         store(self, "comparator", comparator)
         store(self, "threshold", threshold)
@@ -82,10 +89,11 @@ class PreconditionSet(Frozen):
     __slots__ = ("id", "event_kind", "conditions")
 
     def __init__(self, id: str, event_kind: str, conditions: tuple[Condition, ...]):
-        _check_rule_id(id)
+        _check_id(id, "rule id")
+        _check_id(event_kind, "event kind")
+        conditions = _members(conditions, Condition, f"precondition {id}: conditions")
         if not conditions:
             raise InvariantViolation(f"precondition {id}: needs at least one condition")
-        conditions = tuple(conditions)
         names = [c.attribute for c in conditions]
         if len(set(names)) != len(names):
             raise InvariantViolation(f"precondition {id}: duplicate condition attributes")
@@ -140,6 +148,8 @@ class PrecedesWithin(Frozen):
     __slots__ = ("max_gap",)
 
     def __init__(self, max_gap: timedelta):
+        if not isinstance(max_gap, timedelta):
+            raise InvariantViolation(f"precedes-within gap must be a timedelta, got {max_gap!r}")
         if max_gap < timedelta(0):
             raise InvariantViolation("precedes-within gap must be non-negative")
         store(self, "max_gap", max_gap)
@@ -166,7 +176,11 @@ class CauseRule(Frozen):
     __slots__ = ("id", "cause_kind", "effect_kind", "constraint")
 
     def __init__(self, id: str, cause_kind: str, effect_kind: str, constraint: CauseConstraint):
-        _check_rule_id(id)
+        _check_id(id, "rule id")
+        _check_id(cause_kind, "cause event kind")
+        _check_id(effect_kind, "effect event kind")
+        if not isinstance(constraint, (CoOccurs, Precedes, PrecedesWithin)):
+            raise InvariantViolation(f"rule {id}: not a cause constraint: {constraint!r}")
         # A kind co-occurs with itself; only distinct kinds may use co-occurs.
         if cause_kind == effect_kind and isinstance(constraint, CoOccurs):
             raise InvariantViolation(
@@ -178,9 +192,20 @@ class CauseRule(Frozen):
         store(self, "constraint", constraint)
 
 
-def _check_rule_id(rule_id: str) -> None:
-    if not _ID_RE.fullmatch(rule_id or ""):
-        raise InvariantViolation(f"invalid rule id {rule_id!r}")
+def _check_id(value: str, what: str) -> None:
+    if not isinstance(value, str) or not _ID_RE.fullmatch(value):
+        raise InvariantViolation(f"invalid {what} {value!r}")
+
+
+def _members(values, cls: type, what: str) -> tuple:
+    """``values`` as a tuple of ``cls`` instances; else InvariantViolation."""
+    try:
+        members = tuple(values)
+    except TypeError:
+        members = None
+    if members is None or not all(isinstance(m, cls) for m in members):
+        raise InvariantViolation(f"{what} must be {cls.__name__} values, got {values!r}")
+    return members
 
 
 class RuleSet(Frozen):
@@ -191,8 +216,9 @@ class RuleSet(Frozen):
         preconditions: tuple[PreconditionSet, ...] = (),
         cause_rules: tuple[CauseRule, ...] = (),
     ):
-        preconditions = tuple(sorted(preconditions, key=lambda p: p.id))
-        cause_rules = tuple(sorted(cause_rules, key=lambda r: r.id))
+        preconditions = tuple(sorted(_members(preconditions, PreconditionSet, "preconditions"),
+                                     key=lambda p: p.id))
+        cause_rules = tuple(sorted(_members(cause_rules, CauseRule, "cause rules"), key=lambda r: r.id))
         seen: set[str] = set()
         for rule_id in [p.id for p in preconditions] + [r.id for r in cause_rules]:
             if rule_id in seen:
@@ -259,13 +285,7 @@ def evaluate(pc: PreconditionSet, situation: GeoSituation) -> SatisfactionResult
         outcomes.append(
             (cond, ConditionOutcome(Truth.TRUE if holds else Truth.FALSE, observed))
         )
-    statuses = [o.status for _, o in outcomes]
-    if any(s is Truth.FALSE for s in statuses):
-        satisfied = Truth.FALSE
-    elif all(s is Truth.TRUE for s in statuses):
-        satisfied = Truth.TRUE
-    else:
-        satisfied = Truth.UNKNOWN
+    satisfied = min(o.status for _, o in outcomes)  # FALSE < UNKNOWN < TRUE; never empty
     return SatisfactionResult(satisfied, tuple(outcomes), tuple(diagnostics))
 
 
@@ -411,22 +431,15 @@ class _Parser:
         found = f"{token.text!r}" if token.kind != "eof" else "end of input"
         raise ParseError(f"expected {expected}, found {found}", token.line, token.column)
 
-    def expect_word(self, text: str) -> _Token:
-        token = self.next()
-        if token.kind != "word" or token.text != text:
-            self.fail(token, f"{text!r}")
-        return token
+    def at(self, kind: str, text: str) -> bool:
+        token = self.peek()
+        return token.kind == kind and token.text == text
 
-    def expect_kind(self, kind: str, expected: str) -> _Token:
+    def expect(self, kind: str, text: str | None = None, expected: str | None = None) -> _Token:
+        """The next token, which must be of ``kind`` (and be ``text``, if given)."""
         token = self.next()
-        if token.kind != kind:
-            self.fail(token, expected)
-        return token
-
-    def expect_op(self, text: str) -> _Token:
-        token = self.next()
-        if token.kind != "op" or token.text != text:
-            self.fail(token, f"{text!r}")
+        if token.kind != kind or (text is not None and token.text != text):
+            self.fail(token, expected or f"{text!r}")
         return token
 
     # -- grammar -----------------------------------------------------------
@@ -448,37 +461,30 @@ class _Parser:
         )
 
     def identifier(self, what: str) -> str:
-        token = self.expect_kind("word", what)
+        token = self.expect("word", expected=what)
         if not _ID_RE.fullmatch(token.text):
             raise ParseError(f"invalid {what} {token.text!r}", token.line, token.column)
         return token.text
 
     def precondition(self) -> PreconditionSet:
-        start = self.expect_word("precondition")
+        start = self.expect("word", "precondition")
         pc_id = self.identifier("precondition id")
-        self.expect_word("effects")
+        self.expect("word", "effects")
         event_kind = self.identifier("event kind")
-        self.expect_op("{")
+        self.expect("op", "{")
         conditions = [self.condition()]
-        while True:
-            token = self.peek()
-            if token.kind == "op" and token.text == ";":
-                self.next()
-                if self.peek().kind == "op" and self.peek().text == "}":
-                    break  # trailing separator
+        while not self.at("op", "}"):
+            self.expect("op", ";", "';' or '}'")
+            if not self.at("op", "}"):  # a trailing separator is allowed
                 conditions.append(self.condition())
-            elif token.kind == "op" and token.text == "}":
-                break
-            else:
-                self.fail(token, "';' or '}'")
-        self.expect_op("}")
+        self.expect("op", "}")
         try:
             return PreconditionSet(pc_id, event_kind, tuple(conditions))
         except InvariantViolation as exc:
             raise ParseError(str(exc), start.line, start.column) from None
 
     def condition(self) -> Condition:
-        attr_token = self.expect_kind("word", "attribute name")
+        attr_token = self.expect("word", expected="attribute name")
         if not ATTR_NAME.fullmatch(attr_token.text):
             raise ParseError(
                 f"invalid attribute name {attr_token.text!r}", attr_token.line, attr_token.column
@@ -518,13 +524,13 @@ class _Parser:
         self.fail(token, "a number or categorical token")
 
     def cause_rule(self) -> CauseRule:
-        start = self.expect_word("rule")
+        start = self.expect("word", "rule")
         rule_id = self.identifier("rule id")
-        self.expect_op(":")
+        self.expect("op", ":")
         cause_kind = self.identifier("cause event kind")
-        self.expect_word("causes")
+        self.expect("word", "causes")
         effect_kind = self.identifier("effect event kind")
-        self.expect_word("when")
+        self.expect("word", "when")
         constraint = self.constraint()
         try:
             return CauseRule(rule_id, cause_kind, effect_kind, constraint)
@@ -532,19 +538,17 @@ class _Parser:
             raise ParseError(str(exc), start.line, start.column) from None
 
     def constraint(self) -> CauseConstraint:
-        token = self.next()
-        if token.kind == "word" and token.text == "co-occurs":
+        if self.at("word", "co-occurs"):
+            self.next()
             return CoOccurs()
-        if token.kind == "word" and token.text == "precedes":
-            following = self.peek()
-            if following.kind == "word" and following.text == "within":
-                self.next()
-                return PrecedesWithin(self.duration())
+        self.expect("word", "precedes", "'co-occurs' or 'precedes'")
+        if not self.at("word", "within"):
             return Precedes()
-        self.fail(token, "'co-occurs' or 'precedes'")
+        self.next()
+        return PrecedesWithin(self.duration())
 
     def duration(self) -> timedelta:
-        number = self.expect_kind("number", "a duration like 2h or 30min")
+        number = self.expect("number", expected="a duration like 2h or 30min")
         unit_token = self.next()
         if unit_token.kind != "word" or unit_token.text not in _DURATION_UNITS:
             self.fail(unit_token, "a duration unit (s, min, h, d)")

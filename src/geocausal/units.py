@@ -96,17 +96,27 @@ def get_unit(symbol: str) -> Unit:
         raise UnknownUnit(f"unknown unit {symbol!r} (registered: {known})") from None
 
 
+def to_float(value: object, what: str) -> float:
+    """``float(value)``; InvariantViolation naming ``what`` if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantViolation(f"{what} must be a number, got {value!r}") from None
+
+
 class Quantity(Frozen):
     """A finite magnitude paired with a registered unit."""
 
     __slots__ = ("magnitude", "unit")
 
     def __init__(self, magnitude: float, unit: Unit):
-        magnitude = float(magnitude)
+        magnitude = to_float(magnitude, "quantity magnitude")
         if not math.isfinite(magnitude):
             raise InvariantViolation(f"quantity magnitude must be finite, got {magnitude!r}")
-        if not isinstance(unit, Unit):
-            raise InvariantViolation(f"quantity unit must be a Unit, got {unit!r}")
+        # A pickled unit comes back as an equal copy, not the registry's own.
+        registered = REGISTRY.get(unit.symbol) if isinstance(unit, Unit) else None
+        if registered is None or (registered is not unit and registered != unit):
+            raise InvariantViolation(f"quantity unit must be a registered Unit, got {unit!r}")
         store(self, "magnitude", magnitude)
         store(self, "unit", unit)
 

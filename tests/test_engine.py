@@ -558,3 +558,16 @@ class TestExplain:
 def test_diagnostic_render_format():
     d = Diagnostic("R-EFF", ("sit:overflow", "PC_DAM", "ev:remote"), "no-spatial-overlap")
     assert d.render() == "SKIP R-EFF sit:overflow PC_DAM ev:remote reason=no-spatial-overlap"
+
+
+def test_diagnostics_sort_by_their_field_tuple_without_comparing_values(monkeypatch):
+    def compare(self, other):
+        raise AssertionError("a Python-level comparison per pair of diagnostics")
+
+    monkeypatch.setattr(Diagnostic, "__lt__", compare)
+    longest = 0
+    for seed in range(40):
+        diagnostics = infer(*random_engine_case(random.Random(seed))).diagnostics
+        assert diagnostics == sorted(diagnostics, key=lambda d: (d.rule, d.entities, d.reason))
+        longest = max(longest, len(diagnostics))
+    assert longest > 1

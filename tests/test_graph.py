@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geocausal.engine import explain, infer
 from geocausal.errors import DuplicateId, InvariantViolation, SchemaViolation, UnknownEntity, UnknownTriple
 from geocausal.graph import ASSERTED, Derived, KnowledgeGraph, RelationKind, Role, role_of
 from geocausal.model import (
@@ -13,8 +14,9 @@ from geocausal.model import (
     Point,
     SpatioTemporalRegion,
 )
+from geocausal.storage import dump_graph, loads_graph
 
-from support import iv, random_storage_graph
+from support import build_chain_case, iv, random_storage_graph
 
 STP = RelationKind.SPATIO_TEMPORALLY_PRESENT
 
@@ -148,6 +150,21 @@ class TestAssert:
         g.assert_triple("obj:dam", RelationKind.PARTICIPANT_IN, "ev:flood")
         with pytest.raises(SchemaViolation):
             g.assert_triple("ev:flood", RelationKind.PARTICIPANT_IN, "ev:rain")
+
+
+@pytest.mark.parametrize("key,message", [
+    (("ev:rain", RelationKind.CAUSES, "ev:flood"), "no triple (ev:rain, causes, ev:flood)"),
+    (("ev:rain", "causes", "ev:flood"), "no triple ('ev:rain', 'causes', 'ev:flood')"),
+    (("ev:rain", RelationKind.CAUSES), "no triple ('ev:rain', <RelationKind.CAUSES: 'causes'>)"),
+    (["ev:rain", RelationKind.CAUSES, "ev:flood"],
+     "no triple ['ev:rain', <RelationKind.CAUSES: 'causes'>, 'ev:flood']"),
+], ids=["unstored", "str-predicate", "two-elements", "list"])
+def test_every_key_not_held_is_an_unknown_triple(key, message):
+    g = small_graph()
+    for read in (g.triple, lambda key: explain(g, key)):
+        with pytest.raises(UnknownTriple) as caught:
+            read(key)
+        assert str(caught.value) == message
 
 
 class TestMatch:
@@ -305,7 +322,7 @@ def test_each_entity_class_owns_its_role():
 
 def test_the_store_keeps_entities_triples_and_two_indexes():
     g = small_graph()
-    assert set(vars(g)) == {"_entities", "_triples", "_by_subject", "_by_object", "_region"}
+    assert set(vars(g)) == {"_entities", "_triples", "_by_subject", "_by_object"}
 
 
 def test_indexes_stay_in_sync_with_triple_set():
@@ -315,3 +332,25 @@ def test_indexes_stay_in_sync_with_triple_set():
         all_keys = {t.key for t in g.triples()}
         assert set().union(*g._by_subject.values(), set()) == all_keys
         assert set().union(*g._by_object.values(), set()) == all_keys
+
+
+def _assert_each_key_held_once_with_the_stored_ids(g):
+    stored = {id(key) for key in g._triples}
+    for index in (g._by_subject, g._by_object):
+        for keys in index.values():
+            assert type(keys) is list and len(set(keys)) == len(keys)
+            assert all(id(key) in stored for key in keys)  # the stored tuple, not a copy
+    for (s, p, o), t in g._triples.items():
+        assert s is t.subject is g._entities[s].id and o is t.object
+        if p is not RelationKind.SATISFIES:
+            assert o is g._entities[o].id
+
+
+def test_each_key_is_held_once_with_the_stored_entity_ids():
+    rng = random.Random(23)
+    graphs = [random_storage_graph(rng, rng.randint(0, 80)) for _ in range(10)]
+    chain, rules = build_chain_case()
+    infer(chain, rules)
+    for g in [*graphs, chain]:
+        _assert_each_key_held_once_with_the_stored_ids(g)
+        _assert_each_key_held_once_with_the_stored_ids(loads_graph(dump_graph(g)))

@@ -1,6 +1,7 @@
 import importlib
 import random
 import re
+import string
 import textwrap
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -25,7 +26,7 @@ from geocausal.rules import (
     parse_rules,
     print_rules,
 )
-from geocausal.units import Categorical, Comparator, convert, get_unit
+from geocausal.units import REGISTRY, Categorical, Comparator, Quantity, convert, get_unit
 
 from support import iv, q
 
@@ -141,6 +142,49 @@ class TestParse:
         assert ruleset.preconditions[0].conditions[0].threshold == q(0, "1")
 
 
+# Rule values drawn from the whole grammar of docs/rules-grammar.md.
+def _words(rest: str):
+    """A letter, then up to eight characters of ``rest``."""
+    return st.builds(str.__add__, st.sampled_from(string.ascii_letters), st.text(rest, max_size=8))
+
+
+_IDS = _words(string.ascii_letters + string.digits + "_-")
+_ATTRIBUTES = _words(string.ascii_letters + string.digits + "_")
+_TOKENS = _words(string.ascii_letters + string.digits + "_-/")
+_QUANTITIES = st.builds(Quantity, st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(sorted(REGISTRY.values(), key=lambda u: u.symbol)))
+_CONDITIONS = st.one_of(
+    st.builds(Condition, _ATTRIBUTES, st.sampled_from([c for c in Comparator if c.value[0] in "<>=!"]),
+              _QUANTITIES),
+    st.builds(Condition, _ATTRIBUTES, st.sampled_from([Comparator.EQ, Comparator.NE]),
+              _TOKENS.map(Categorical)),
+    st.builds(Condition, _ATTRIBUTES, st.sampled_from([Comparator.PRESENT, Comparator.ABSENT])),
+)
+_ANY_CONSTRAINT = st.one_of(st.just(CoOccurs()), st.just(Precedes()),
+                            st.timedeltas(min_value=timedelta(0)).map(PrecedesWithin))
+
+
+@st.composite
+def _rule_sets(draw):
+    ids = draw(st.lists(_IDS, unique=True, max_size=6))
+    split = draw(st.integers(0, len(ids)))
+    preconditions = [
+        PreconditionSet(rule_id, draw(_IDS), draw(
+            st.lists(_CONDITIONS, min_size=1, max_size=4, unique_by=lambda c: c.attribute)))
+        for rule_id in ids[:split]
+    ]
+    cause_rules = []
+    for rule_id in ids[split:]:
+        cause, effect, constraint = draw(_IDS), draw(_IDS), draw(_ANY_CONSTRAINT)
+        if cause == effect and constraint == CoOccurs():
+            constraint = Precedes()  # a kind does not co-occur with itself
+        cause_rules.append(CauseRule(rule_id, cause, effect, constraint))
+    return RuleSet(preconditions, cause_rules)
+
+
+_RULE_SETS = _rule_sets()
+
+
 class TestPrint:
     def test_round_trip_fixture(self):
         ruleset = parse_rules(PC_TC_TEXT + "\nrule R1: HeavyRain causes FlashFlood when co-occurs")
@@ -158,45 +202,8 @@ class TestPrint:
     def test_empty_rule_set(self):
         assert print_rules(RuleSet()) == ""
 
-    @given(st.data())
-    def test_round_trip_random(self, data):
-        preconditions = []
-        for i in range(data.draw(st.integers(0, 3))):
-            conditions = []
-            names = data.draw(
-                st.lists(
-                    st.sampled_from(["Temp", "WindSpeed", "WaterLevel", "Phase"]),
-                    min_size=1, max_size=3, unique=True,
-                )
-            )
-            for name in names:
-                style = data.draw(st.sampled_from(["num", "cat", "unary"]))
-                if style == "num":
-                    comparator = data.draw(
-                        st.sampled_from([Comparator.LT, Comparator.LE, Comparator.GT,
-                                         Comparator.GE, Comparator.EQ, Comparator.NE])
-                    )
-                    magnitude = data.draw(st.integers(-100, 100).map(lambda n: n / 4))
-                    symbol = data.draw(st.sampled_from(["K", "degC", "m/s", "m", "hPa"]))
-                    conditions.append(Condition(name, comparator, q(magnitude, symbol)))
-                elif style == "cat":
-                    comparator = data.draw(st.sampled_from([Comparator.EQ, Comparator.NE]))
-                    token = data.draw(st.sampled_from(["solid", "liquid", "rising"]))
-                    conditions.append(Condition(name, comparator, Categorical(token)))
-                else:
-                    comparator = data.draw(st.sampled_from([Comparator.PRESENT, Comparator.ABSENT]))
-                    conditions.append(Condition(name, comparator))
-            preconditions.append(PreconditionSet(f"P{i}", "Kind", tuple(conditions)))
-        cause_rules = []
-        for i in range(data.draw(st.integers(0, 3))):
-            constraint = data.draw(
-                st.sampled_from(
-                    [CoOccurs(), Precedes(), PrecedesWithin(timedelta(minutes=90)),
-                     PrecedesWithin(timedelta(hours=2))]
-                )
-            )
-            cause_rules.append(CauseRule(f"R{i}", "KindA", "KindB", constraint))
-        ruleset = RuleSet(tuple(preconditions), tuple(cause_rules))
+    @given(_RULE_SETS)
+    def test_round_trip_random(self, ruleset):
         assert parse_rules(print_rules(ruleset)) == ruleset
 
 
@@ -487,3 +494,29 @@ class TestInvariants:
     def test_negative_gap_rejected(self):
         with pytest.raises(InvariantViolation):
             PrecedesWithin(timedelta(hours=-1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PreconditionSet("P1", "Has Space", (Condition("A", Comparator.PRESENT),)),
+    lambda: PreconditionSet("P1", 5, (Condition("A", Comparator.PRESENT),)),
+    lambda: PreconditionSet("P", "K", ("x",)),
+    lambda: PreconditionSet("P", "K", None),
+    lambda: CauseRule("R1", "A B", "C", Precedes()),
+    lambda: CauseRule("R1", "A", None, Precedes()),
+    lambda: CauseRule("R1", "A", "C", "precedes"),
+    lambda: CauseRule(5, "A", "C", Precedes()),
+    lambda: Condition("A", Comparator.EQ, Categorical("5")),
+    lambda: Condition("A", Comparator.NE, Categorical("a=b")),
+    lambda: Condition("A", Comparator.EQ, 5),
+    lambda: Condition("A", ">", q(1, "m")),
+    lambda: Condition(5, Comparator.PRESENT),
+    lambda: PrecedesWithin(5),
+    lambda: RuleSet(("x",)),
+    lambda: RuleSet((), (PreconditionSet("P", "K", (Condition("A", Comparator.PRESENT),)),)),
+], ids=["spaced-kind", "int-kind", "str-condition", "no-conditions", "spaced-cause-kind",
+        "none-effect-kind", "str-constraint", "int-rule-id", "number-token", "token-with-equals",
+        "int-threshold", "str-comparator", "int-attribute", "int-gap", "str-precondition",
+        "precondition-as-cause-rule"])
+def test_rule_values_that_would_not_print_back_are_rejected(build):
+    with pytest.raises(InvariantViolation):
+        build()

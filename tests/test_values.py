@@ -192,8 +192,17 @@ def test_default_lists_are_fresh():
     lambda: Derived("R", [("ev:x", _CAUSES)]),
     lambda: Derived("R", ["ev:x"]),
     lambda: Derived("R", [("ev:x", "causes", "ev:a")]),
+    lambda: Quantity("x", q(1, "m").unit),
+    lambda: Quantity(None, q(1, "m").unit),
+    lambda: Quantity(10**400, q(1, "m").unit),
+    lambda: Quantity(5, Unit("furlong", Dimension.LENGTH, 201.0)),
+    lambda: Quantity(5, Unit("m", Dimension.LENGTH, 2.0)),
+    lambda: Point(None, 0),
+    lambda: Point(0, "east"),
+    lambda: BBox(29.0, None, 31.0, -89.0),
 ], ids=["int-value", "str-unit", "int-attribute", "int-token", "short-premise", "str-premise",
-        "str-predicate"])
+        "str-predicate", "str-magnitude", "none-magnitude", "huge-magnitude", "unregistered-unit",
+        "unit-unlike-its-registered-namesake", "none-latitude", "str-longitude", "none-bbox-corner"])
 def test_constructors_reject_values_that_cannot_be_saved(build):
     with pytest.raises(InvariantViolation):
         build()
