@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -55,7 +54,7 @@ from .model import (
 )
 from .slotted import Frozen, Slotted, store
 from .spatiotemporal import as_bbox, bbox_union
-from .storage import read_text
+from .storage import collector_paused, read_text
 from .units import Categorical, Quantity, get_unit
 
 #: Fixed UTC offsets, in hours, for the supported timezone tokens.
@@ -94,7 +93,22 @@ WORLD_BBOX = BBox(-90.0, -180.0, 90.0, 180.0)
 _DAMAGE_RE = re.compile(r"(?P<number>\d+(?:\.\d+)?)\s*(?P<suffix>[KMB]?)\Z", re.I)
 _DAMAGE_MULTIPLIER = {"": 1.0, "K": 1e3, "M": 1e6, "B": 1e9}
 
-_LOCAL_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%d-%b-%y %H:%M:%S")
+_ZONES = {token: timezone(timedelta(hours=hours)) for token, hours in TIMEZONES.items()}
+_ZONE_PREFIX = re.compile(r"[A-Z]+")
+
+# Local timestamps: "%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S" and
+# "%d-%b-%y %H:%M:%S", with the fields strptime accepts for them: Unicode
+# digits, one- or two-digit fields, " 5" days, a run of whitespace before the
+# time, seconds to 61 (which datetime then refuses), and letters in any case.
+# Under strptime's IGNORECASE, "T" matches only "T" and "t", and a month name
+# only its ASCII case variants and "ſ" for "s", which the name lookup refused.
+_TIME = r"(?P<H>2[0-3]|[0-1]\d|\d):(?P<M>[0-5]\d|\d):(?P<S>6[0-1]|[0-5]\d|\d)"
+_DAY = r"(?P<d>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+_ISO_LOCAL = re.compile(rf"(?P<Y>\d\d\d\d)-(?P<m>1[0-2]|0[1-9]|[1-9])-{_DAY}(?:\s+|[Tt]){_TIME}")
+_NOAA_LOCAL = re.compile(rf"{_DAY}-(?P<b>[A-Za-z]{{3}})-(?P<y>\d\d)\s+{_TIME}")
+_MONTHS = {name: number for number, name in enumerate(
+    ("jan", "feb", "mar", "apr", "may", "jun", "jul", "aug", "sep", "oct", "nov", "dec"), 1)}
+_KIND_SEPARATOR = re.compile(r"[^A-Za-z0-9]+")
 
 
 class Strictness(Enum):
@@ -141,6 +155,8 @@ class IngestReport(Slotted):
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json  # here, so that an ingest without --json does not import it
+
         return json.dumps(
             {
                 "rows_read": self.rows_read,
@@ -192,7 +208,7 @@ class ObservationRow(Frozen):
 
 def sanitize_kind(text: str) -> str:
     """Turn a free-form type string into a CamelCase kind label."""
-    parts = [p for p in re.split(r"[^A-Za-z0-9]+", text.strip()) if p]
+    parts = [p for p in _KIND_SEPARATOR.split(text.strip()) if p]
     out = []
     for part in parts:
         if part.isupper() or part.islower():
@@ -210,26 +226,31 @@ def parse_damage(text: str) -> float:
     return float(m.group("number")) * _DAMAGE_MULTIPLIER[m.group("suffix").upper()]
 
 
-def _parse_local_timestamp(text: str, tz_token: str) -> datetime:
+def _parse_local_timestamp(text: str) -> datetime:
+    """The naive local time a storm timestamp cell gives."""
     text = text.strip()
-    naive = None
-    for fmt in _LOCAL_FORMATS:
-        try:
-            naive = datetime.strptime(text, fmt)
-            break
-        except ValueError:
-            continue
-    if naive is None:
-        raise ValueError(f"invalid timestamp {text!r}")
+    try:
+        if m := _ISO_LOCAL.fullmatch(text):
+            year, month = int(m["Y"]), int(m["m"])
+        elif m := _NOAA_LOCAL.fullmatch(text):
+            year, month = int(m["y"]), _MONTHS[m["b"].lower()]
+            year += 2000 if year <= 68 else 1900
+        else:
+            raise ValueError
+        return datetime(year, month, int(m["d"]), int(m["H"]), int(m["M"]), int(m["S"]))
+    except (ValueError, KeyError):
+        raise ValueError(f"invalid timestamp {text!r}") from None
+
+
+def _zone(tz_token: str) -> timezone:
+    """The fixed offset a timezone cell names by its leading letters; blank is UTC."""
     token = tz_token.strip().upper()
     if not token:
-        offset = 0
-    else:
-        m = re.match(r"[A-Z]+", token)
-        if not m or m.group() not in TIMEZONES:
-            raise ValueError(f"unknown timezone token {tz_token!r}")
-        offset = TIMEZONES[m.group()]
-    return parse_timestamp(naive.replace(tzinfo=timezone(timedelta(hours=offset))))
+        return _ZONES["UTC"]
+    m = _ZONE_PREFIX.match(token)
+    if not m or m.group() not in _ZONES:
+        raise ValueError(f"unknown timezone token {tz_token!r}")
+    return _ZONES[m.group()]
 
 
 def _open_rows(source: str | Path | IO[str], required: tuple[str, ...]):
@@ -284,9 +305,11 @@ def _parse_storm_row(lineno: int, row: dict) -> StormEventRow:
     kind = sanitize_kind(event_type)
     if not kind:
         raise ValueError(f"EVENT_TYPE {event_type!r} yields an empty kind")
-    tz = _cell(row, "CZ_TIMEZONE")
-    begin = _parse_local_timestamp(_cell(row, "BEGIN_DATE_TIME"), tz)
-    end = _parse_local_timestamp(_cell(row, "END_DATE_TIME"), tz)
+    # Read in this order: a row with more than one bad cell here reports the first.
+    begin = _parse_local_timestamp(_cell(row, "BEGIN_DATE_TIME"))
+    zone = _zone(_cell(row, "CZ_TIMEZONE"))
+    begin = parse_timestamp(begin.replace(tzinfo=zone))
+    end = parse_timestamp(_parse_local_timestamp(_cell(row, "END_DATE_TIME")).replace(tzinfo=zone))
     if begin > end:
         raise ValueError("event ends before it begins")
     interval = TimeInterval(begin, end)
@@ -325,6 +348,7 @@ def _parse_storm_row(lineno: int, row: dict) -> StormEventRow:
     )
 
 
+@collector_paused()
 def ingest_storm_csv(
     graph: KnowledgeGraph,
     source: str | Path | IO[str],
@@ -463,6 +487,7 @@ def _parse_observation_row(lineno: int, row: dict) -> ObservationRow:
     return ObservationRow(lineno, situation_id, TimeInterval(start, end), Measurement(attribute, value))
 
 
+@collector_paused()
 def ingest_observations_csv(
     graph: KnowledgeGraph,
     source: str | Path | IO[str],

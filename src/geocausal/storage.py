@@ -33,6 +33,7 @@ from __future__ import annotations
 import gc
 import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable
 
@@ -191,17 +192,29 @@ def _located(exc: GeoCausalError, where: int | str) -> ParseError:
     return ParseError(f"{where}: {exc}")
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic collector, then restore it as it was. For code that
+    builds many values holding no cycles: a collection there finds nothing,
+    and at 10**5 records its passes take seconds. Also a function decorator."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@collector_paused()
 def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> KnowledgeGraph:
     """Build a graph from ``(where, decode, payload)`` records, ``where`` a line
     number or JSON entry name. ``decode(payload)`` gives an entity, added at once,
     a triple's ``(key, provenance)``, added after the records its premises name,
-    or None. Every fault is a ParseError naming its record. The cyclic collector
-    is paused meanwhile and then restored: the values built hold no cycles."""
+    or None. Every fault is a ParseError naming its record."""
     graph = KnowledgeGraph()
     held: list[tuple[int | str, TripleKey, Provenance]] = []
     first: dict[TripleKey, int] = {}
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         for where, decode, payload in records:
             record = decode(payload)
@@ -230,9 +243,6 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
                 graph.add_triple(*key, provenance)
     except GeoCausalError as exc:
         raise _located(exc, where) from None
-    finally:
-        if collecting:
-            gc.enable()
     return graph
 
 

@@ -32,15 +32,31 @@ class Dimension(Enum):
     DIMENSIONLESS = "dimensionless"
 
 
+def to_float(value: object, what: str) -> float:
+    """``float(value)``; InvariantViolation naming ``what`` if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantViolation(f"{what} must be a number, got {value!r}") from None
+
+
 class Unit(Frozen):
     """A named unit with an affine map into its dimension's canonical unit.
 
-    canonical = scale * magnitude + offset, with scale > 0.
+    canonical = scale * magnitude + offset, with scale > 0 and both finite.
     """
 
     __slots__ = ("symbol", "dimension", "scale", "offset")
 
     def __init__(self, symbol: str, dimension: Dimension, scale: float, offset: float = 0.0):
+        if not isinstance(symbol, str) or not symbol:
+            raise InvariantViolation(f"unit symbol must be a non-empty str, got {symbol!r}")
+        if not isinstance(dimension, Dimension):
+            raise InvariantViolation(f"unit {symbol!r}: dimension must be a Dimension, got {dimension!r}")
+        scale = to_float(scale, f"unit {symbol!r}: scale")
+        offset = to_float(offset, f"unit {symbol!r}: offset")
+        if not (math.isfinite(scale) and math.isfinite(offset)):
+            raise InvariantViolation(f"unit {symbol!r}: scale and offset must be finite")
         if scale <= 0:
             raise InvariantViolation(f"unit {symbol!r}: scale must be positive")
         store(self, "symbol", symbol)
@@ -94,14 +110,6 @@ def get_unit(symbol: str) -> Unit:
     except KeyError:
         known = ", ".join(sorted(REGISTRY))
         raise UnknownUnit(f"unknown unit {symbol!r} (registered: {known})") from None
-
-
-def to_float(value: object, what: str) -> float:
-    """``float(value)``; InvariantViolation naming ``what`` if it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvariantViolation(f"{what} must be a number, got {value!r}") from None
 
 
 class Quantity(Frozen):

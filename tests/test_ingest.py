@@ -1,12 +1,18 @@
+import contextlib
+import gc
 import io
 import json
+from datetime import datetime
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import geocausal.ingest
 from geocausal.errors import IngestError, InvariantViolation, MissingColumn
 from geocausal.graph import KnowledgeGraph, RelationKind, Role
 from geocausal.ingest import (
     Strictness,
+    _parse_local_timestamp,
     ingest_observations_csv,
     ingest_storm_csv,
     parse_damage,
@@ -379,3 +385,184 @@ class TestObservationIngestion:
         graph, _ = obs(text)
         _, report = obs(text, graph=graph)
         assert report.errors and "already present" in report.errors[0][1]
+
+
+# --------------------------------------------------------------------------
+# Local storm timestamps
+# --------------------------------------------------------------------------
+
+#: The strptime formats whose accepted set the storm reader keeps, tried in this order.
+STRPTIME_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%d-%b-%y %H:%M:%S")
+MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+#: The zero digits of three scripts beside ASCII: Arabic-Indic, Devanagari, fullwidth.
+OTHER_ZEROS = ("\u0660", "\u0966", "\uff10")
+
+
+def strptime_outcome(text):
+    text = text.strip()
+    for fmt in STRPTIME_FORMATS:
+        with contextlib.suppress(ValueError):
+            return datetime.strptime(text, fmt)
+    return f"invalid timestamp {text!r}"
+
+
+def parsed_outcome(text):
+    try:
+        return _parse_local_timestamp(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def near_local_timestamps(draw):
+    """Strings in the three shapes, most near-valid, some a character off."""
+
+    def number(n, width=2):
+        text = draw(st.sampled_from([str(n), str(n).zfill(width)]))  # one- or two-digit fields
+        if draw(st.integers(0, 3)) < 3:
+            return text
+        zero = draw(st.sampled_from(OTHER_ZEROS))
+        return "".join(chr(ord(zero) + int(c)) if draw(st.booleans()) else c for c in text)
+
+    noaa = draw(st.booleans())
+    if draw(st.integers(0, 3)) == 0:  # 29 February in leap and non-leap years
+        year = draw(st.sampled_from([1900, 1969, 2000, 2004, 2005, 2068, 2100]))
+        fields = (year, 2, 29, 0, 0, 0)
+    else:
+        moment = draw(st.datetimes(datetime(1969, 1, 1) if noaa else datetime.min,
+                                   datetime(2068, 12, 31) if noaa else datetime.max))
+        fields = (moment.year, moment.month, moment.day, moment.hour, moment.minute, moment.second)
+    year, month, day, hour, minute, second = fields
+    second = draw(st.sampled_from([second] * 4 + [60, 61]))
+    day_text = draw(st.sampled_from(["", "", " "])) + number(day)  # " 5" is a day
+    time = f"{number(hour)}:{number(minute)}:{number(second)}"
+    blank = st.text(" \t\n\u00a0\u2003", min_size=1, max_size=3)
+    if noaa:
+        name = draw(st.sampled_from([MONTHS[month - 1]] * 6 + ["Sept", "ſep"]))
+        name = "".join(draw(st.sampled_from([c.lower(), c.upper()])) for c in name)
+        text = f"{day_text}-{name}-{number(year % 100)}{draw(blank | st.just('T'))}{time}"
+    else:
+        separator = draw(st.sampled_from(["T", "t"]) | blank)
+        text = f"{number(year, 4)}-{number(month)}-{day_text}{separator}{time}"
+    if draw(st.integers(0, 3)) == 0:  # one character changed, dropped or added
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(st.sampled_from(["", "0", "1", "9", " ", "-", ":", "\u0661"])) + text[cut + 1:]
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " ", "\n"]))
+
+
+class TestLocalTimestamps:
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    @given(near_local_timestamps())
+    def test_the_reader_accepts_what_strptime_accepted(self, text):
+        assert parsed_outcome(text) == strptime_outcome(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("2005-08-29 06:10:00", datetime(2005, 8, 29, 6, 10)),
+        ("2005-08-29t06:10:00", datetime(2005, 8, 29, 6, 10)),
+        ("2005-8- 5 \t 6:1:0", datetime(2005, 8, 5, 6, 1)),
+        # any digit where strptime has \d, an ASCII one where it has a range
+        ("\u0662\u0660\u0660\u0665-8-2\u0669 \u0666:1\u0660:\u0665", datetime(2005, 8, 29, 6, 10, 5)),
+        ("29-aUg-05 06:10:00", datetime(2005, 8, 29, 6, 10)),
+        ("1-JAN-69 00:00:00", datetime(1969, 1, 1)),
+        ("31-Dec-68 23:59:59", datetime(2068, 12, 31, 23, 59, 59)),
+        ("29-Feb-04 00:00:00", datetime(2004, 2, 29)),
+        ("2000-02-29 00:00:00", datetime(2000, 2, 29)),
+    ])
+    def test_accepted_shapes(self, text, expected):
+        assert _parse_local_timestamp(text) == expected
+
+    @pytest.mark.parametrize("text", [
+        "29-Feb-05 00:00:00", "1900-02-29 00:00:00", "2005-08-29 06:10:60", "2005-08-29 06:10:61",
+        "2005-08-29 06:10:62", "2005-08-29T 06:10:00", "29-Aug-05T06:10:00", "29-ſep-05 06:10:00",
+        "0000-01-01 00:00:00", "2005-\u0660\u0668-29 06:10:00", "2005-08-29", "",
+    ])
+    def test_rejected_shapes(self, text):
+        with pytest.raises(ValueError, match=r"\Ainvalid timestamp "):
+            _parse_local_timestamp(text)
+
+    def test_a_row_reports_its_first_fault(self):
+        bad_begin = "1,101,Flood,bad,2005-08-01 01:00:00,XST,30,-90,,,,,,\n"
+        bad_zone = "1,102,Flood,2005-08-01 00:00:00,bad,XST,30,-90,,,,,,\n"
+        bad_end = "1,103,Flood,9999-12-31 23:00:00,bad,EST,30,-90,,,,,,\n"
+        _, report = storm(STORM_HEADER + bad_begin + bad_zone + bad_end)
+        assert report.errors == [
+            (2, "invalid timestamp 'bad'"),
+            (3, "unknown timezone token 'XST'"),
+            (4, "timestamp 9999-12-31T23:00:00-05:00 is outside years 1-9999 UTC"),
+        ]
+
+
+# --------------------------------------------------------------------------
+# The cyclic collector
+# --------------------------------------------------------------------------
+
+STORM_ROWS = (
+    STORM_HEADER
+    + "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,10K,1,,\n"
+    + "1,102,Flood,bad,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+)
+OBS_ROWS = (
+    OBS_HEADER
+    + "s1,2005-08-23,2005-08-24,Temp,10,degC,,\n"
+    + "s2,2005-08-23,2005-08-24,Speed,3,furlongs/fortnight,,\n"
+)
+
+#: Ingests that succeed with rejected rows, abort in strict mode, or miss a column.
+INGESTS = {
+    "storm-lenient": lambda: storm(STORM_ROWS),
+    "storm-strict": lambda: storm(STORM_ROWS, strictness=Strictness.STRICT),
+    "storm-missing-column": lambda: storm("EPISODE_ID,EVENT_ID\n1,2\n"),
+    "obs-lenient": lambda: obs(OBS_ROWS),
+    "obs-strict": lambda: obs(OBS_ROWS, strictness=Strictness.STRICT),
+    "obs-missing-column": lambda: obs("SITUATION_ID,VALUE\ns1,3\n"),
+}
+
+
+class TestCollectorPause:
+    """An ingest pauses the cyclic collector and restores it as it was."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("run", INGESTS.values(), ids=list(INGESTS))
+    def test_collector_state_is_restored(self, enabled, run):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with contextlib.suppress(IngestError, MissingColumn):
+                run()
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_is_paused_while_rows_are_read(self, monkeypatch):
+        seen = []
+        open_rows = geocausal.ingest._open_rows
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return open_rows(*args)
+
+        monkeypatch.setattr(geocausal.ingest, "_open_rows", recording)
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            storm(STORM_ROWS)
+            obs(OBS_ROWS)
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
+
+    def test_ingested_values_hold_no_cycles(self, katrina_csv_text):
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            done = [storm(katrina_csv_text + STORM_ROWS.removeprefix(STORM_HEADER))]
+            assert done[0][1].errors  # some rows were rejected
+            for run in INGESTS.values():
+                with contextlib.suppress(IngestError, MissingColumn):
+                    done.append(run())
+            del done
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()

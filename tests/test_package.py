@@ -136,3 +136,28 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
             loaded = set(sys.modules) - before
             assert not loaded & {{"dataclasses", "inspect"}}, {argv!r}
         """)
+
+
+def test_ingest_imports_neither_strptime_nor_json(tmp_path):
+    """Storm timestamps are parsed without strptime, and json is imported
+    only to print a --json report. Modules that site loaded before the
+    command ran do not count."""
+    from support import katrina_csv
+
+    (tmp_path / "storm.csv").write_text(katrina_csv(8), encoding="utf-8")
+    (tmp_path / "obs.csv").write_text(
+        "SITUATION_ID,TIMESTAMP_START,TIMESTAMP_END,ATTRIBUTE,VALUE,UNIT\n"
+        "s1,2005-08-23T00:00:00Z,2005-08-23T09:00:00Z,Temp,30,degC\n",
+        encoding="utf-8",
+    )
+    for argv in (["ingest", "storm", "storm.csv"], ["ingest", "obs", "obs.csv"]):
+        run_fresh(f"""
+            import os, sys
+            before = set(sys.modules)
+            from geocausal.cli import main
+            os.chdir({str(tmp_path)!r})
+            assert main({argv!r} + ["--workspace", "ingested.graph"]) == 0
+            loaded = set(sys.modules) - before
+            assert not loaded & {{"_strptime", "json"}}, {argv!r}
+        """)
+    assert (tmp_path / "ingested.graph").read_text(encoding="utf-8").count("ENT ev:situation-s1 ") == 1

@@ -200,9 +200,24 @@ def test_default_lists_are_fresh():
     lambda: Point(None, 0),
     lambda: Point(0, "east"),
     lambda: BBox(29.0, None, 31.0, -89.0),
+    lambda: Unit(["m"], Dimension.LENGTH, 1.0),
+    lambda: Unit("", Dimension.LENGTH, 1.0),
+    lambda: Unit("m", "length", 1.0),
+    lambda: Unit("m", Dimension.LENGTH, None),
+    lambda: Unit("m", Dimension.LENGTH, "x"),
+    lambda: Unit("m", Dimension.LENGTH, float("nan")),
+    lambda: Unit("m", Dimension.LENGTH, float("inf")),
+    lambda: Unit("m", Dimension.LENGTH, 0.0),
+    lambda: Unit("m", Dimension.LENGTH, -1.0),
+    lambda: Unit("m", Dimension.LENGTH, 1.0, None),
+    lambda: Unit("m", Dimension.LENGTH, 1.0, float("-inf")),
+    lambda: Unit("m", Dimension.LENGTH, 1.0, float("nan")),
 ], ids=["int-value", "str-unit", "int-attribute", "int-token", "short-premise", "str-premise",
         "str-predicate", "str-magnitude", "none-magnitude", "huge-magnitude", "unregistered-unit",
-        "unit-unlike-its-registered-namesake", "none-latitude", "str-longitude", "none-bbox-corner"])
+        "unit-unlike-its-registered-namesake", "none-latitude", "str-longitude", "none-bbox-corner",
+        "list-unit-symbol", "empty-unit-symbol", "str-unit-dimension", "none-unit-scale",
+        "str-unit-scale", "nan-unit-scale", "inf-unit-scale", "zero-unit-scale", "negative-unit-scale",
+        "none-unit-offset", "inf-unit-offset", "nan-unit-offset"])
 def test_constructors_reject_values_that_cannot_be_saved(build):
     with pytest.raises(InvariantViolation):
         build()
