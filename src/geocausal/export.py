@@ -9,11 +9,12 @@ documented in docs/json-output.md.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _q
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .graph import KnowledgeGraph, Role, Triple
-from .model import GeoEvent, GeoObject
+from .model import Entity, GeoEvent, GeoObject
 from .storage import entity_doc, graph_from_docs, triple_doc
 
 if TYPE_CHECKING:
@@ -81,14 +82,57 @@ def explanation_to_dot(explanation: Explanation, graph: KnowledgeGraph) -> str:
 # --------------------------------------------------------------------------
 
 
+# The graph document is written record by record, byte for byte as
+# ``json.dumps(doc, indent=2)`` writes it: with ``indent`` set, json.dumps
+# runs its pure-Python encoder, one generator step per token.
+
+
+def _entity_json(entity: Entity) -> str:
+    fields = []
+    for key, value in entity_doc(entity).items():
+        if isinstance(value, dict):
+            members = ",\n".join(f"        {_q(k)}: {_q(v)}" for k, v in value.items())
+            value = f"{{\n{members}\n      }}" if members else "{}"
+        else:
+            value = _q(value)
+        fields.append(f'      "{key}": {value}')
+    return "    {\n" + ",\n".join(fields) + "\n    }"
+
+
+def _triple_json(t: Triple) -> str:
+    head = (
+        f'    {{\n      "subject": {_q(t.subject)},\n      "predicate": "{t.predicate.value}",\n'
+        f'      "object": {_q(t.object)},\n      "provenance": '
+    )
+    if not t.is_derived:
+        return head + '"asserted"\n    }'
+    premises = ",\n".join(
+        f'        [\n          {_q(s)},\n          "{p.value}",\n          {_q(o)}\n        ]'
+        for s, p, o in t.provenance.premises
+    )
+    premises = f"[\n{premises}\n      ]" if premises else "[]"
+    return f'{head}"derived",\n      "rule": {_q(t.provenance.rule_id)},\n      "premises": {premises}\n    }}'
+
+
+def _append_array(pieces: list[str], records) -> None:
+    start = len(pieces)
+    for record in records:
+        pieces += (",\n", record)
+    if len(pieces) == start:
+        pieces.append("[]")
+    else:
+        pieces[start] = "[\n"
+        pieces.append("\n  ]")
+
+
 def graph_to_json(graph: KnowledgeGraph) -> str:
-    doc = {
-        "format": "geocausal-graph",
-        "version": 2,
-        "entities": [entity_doc(e) for e in graph.entities()],
-        "triples": [triple_doc(t) for t in graph.triples()],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The graph document: exactly ``json.dumps(doc, indent=2) + "\\n"``."""
+    pieces = ['{\n  "format": "geocausal-graph",\n  "version": 2,\n  "entities": ']
+    _append_array(pieces, map(_entity_json, graph.entities()))
+    pieces.append(',\n  "triples": ')
+    _append_array(pieces, map(_triple_json, graph.triples()))
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def _entries(doc: dict, name: str) -> list[tuple[str, dict]]:

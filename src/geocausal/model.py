@@ -79,8 +79,7 @@ def parse_timestamp(value: str | datetime) -> datetime:
 
 
 def format_timestamp(dt: datetime) -> str:
-    dt = dt.astimezone(timezone.utc)
-    return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}Z"  # %Y does not zero-pad years before 1000
+    return dt.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None).isoformat() + "Z"
 
 
 class TimeInterval(Ordered):

@@ -24,7 +24,8 @@ premises, because version 1 never stored which triples they were.
 
 Text records and the JSON export share one document form, plain dicts
 and lists of strings: ``entity_doc`` and ``triple_doc`` encode it, and
-``graph_from_docs`` decodes it. The text reader decodes each line as it
+``graph_from_docs`` decodes it (the graph export writes ``triple_doc``'s
+form straight from each triple). The text reader decodes each line as it
 reads it, and both readers build the graph through ``_build_graph``.
 """
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
 
 from geocausal.engine import infer
 from geocausal.export import (
@@ -10,13 +11,15 @@ from geocausal.export import (
     graph_to_dot,
     graph_to_json,
 )
-from geocausal.graph import KnowledgeGraph, RelationKind
+from geocausal.graph import Derived, KnowledgeGraph, RelationKind
+from geocausal.model import GeoEvent, GeoObject, GeoSituation, Measurement
 from geocausal.query import why
-from geocausal.storage import dump_graph, graphs_equal
+from geocausal.storage import dump_graph, entity_doc, graphs_equal, loads_graph, triple_doc
+from geocausal.units import Categorical
 
 import random
 
-from support import random_storage_graph
+from support import graphs, iv, random_storage_graph
 
 
 class TestDot:
@@ -167,3 +170,47 @@ class TestJson:
             graph_from_json('{"format": "geocausal-graph", "version": 1}')
         with pytest.raises(ParseError):
             graph_from_json('{"format": "geocausal-graph", "version": 2, "entities": [1]}')
+
+
+def _escaped_graph() -> KnowledgeGraph:
+    """Ids, kinds, a rule id and a token that JSON escapes (a backslash,
+    non-ASCII and astral characters), an object with no attributes and a
+    situation with no observations."""
+    graph = KnowledgeGraph()
+    graph.add_entity(GeoEvent("ev:a\\b", "Str\u00f6m"))
+    graph.add_entity(GeoEvent("ev:\U0001f30a", "Flood"))
+    graph.add_entity(GeoObject("obj:\u00e9", "Dam"))
+    graph.add_entity(
+        GeoObject("obj:x", "Gauge", (Measurement("Note", Categorical("a\\\u00e9\U0001f30a")),))
+    )
+    graph.add_entity(GeoSituation("sit:\u2205", iv(0, 1), ()))
+    graph.assert_triple("obj:\u00e9", RelationKind.SETTING, "sit:\u2205")
+    graph.add_triple(
+        "ev:a\\b", RelationKind.CAUSES, "ev:\U0001f30a",
+        Derived("R-CAU:\u00e9\\", (("obj:\u00e9", RelationKind.SETTING, "sit:\u2205"),)),
+    )
+    return graph
+
+
+# Derived triples with no premises, as a version 1 workspace loads them.
+_V1 = (
+    "# geocausal graph v1\nENT ev:a event Rain\nENT ev:b event Flood\n"
+    "TRI ev:a causes ev:b DERIVED rule=R-CAU:R1 premises=2\n"
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(graphs())
+@example(KnowledgeGraph())
+@example(_escaped_graph())
+@example(loads_graph(_V1))
+def test_graph_json_is_json_dumps_indent_2(graph):
+    """The export writes, byte for byte, what ``json.dumps(indent=2)``
+    writes for the graph's document."""
+    doc = {
+        "format": "geocausal-graph",
+        "version": 2,
+        "entities": [entity_doc(e) for e in graph.entities()],
+        "triples": [triple_doc(t) for t in graph.triples()],
+    }
+    assert graph_to_json(graph) == json.dumps(doc, indent=2) + "\n"

@@ -1,6 +1,7 @@
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geocausal.errors import InvariantViolation, OrderViolation, ParseError
 from geocausal.model import (
@@ -37,6 +38,28 @@ class TestTimestamps:
 
     def test_subsecond_truncated(self):
         assert format_timestamp(parse_timestamp("2005-08-23T12:00:00.75Z")) == "2005-08-23T12:00:00Z"
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(
+        st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999999)),
+        st.integers(-(24 * 60 - 1), 24 * 60 - 1),
+    )
+    @example(datetime(1, 1, 1, 23, 59, 59, 1), 0)
+    @example(datetime(999, 12, 31, 23, 30, 0, 999999), -60)
+    @example(datetime(1000, 1, 1, 0, 30, 0, 500000), 60)
+    @example(datetime(1, 1, 1, 0, 0, 0, 1), 24 * 60 - 1)
+    @example(datetime(9999, 12, 31, 23, 59, 59, 999999), -(24 * 60 - 1))
+    def test_format_matches_strftime(self, naive, offset_minutes):
+        """``format_timestamp`` agrees with a strftime reference: the UTC
+        time to the second, years before 1000 zero-padded."""
+        dt = naive.replace(tzinfo=timezone(timedelta(minutes=offset_minutes)))
+        try:
+            utc = dt.astimezone(timezone.utc)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                format_timestamp(dt)
+        else:
+            assert format_timestamp(dt) == f"{utc.year:04d}-{utc:%m-%dT%H:%M:%S}Z"
 
     @pytest.mark.parametrize(
         "bad",

@@ -4,30 +4,26 @@ import gc
 import json
 import random
 import re
-from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geocausal.engine import infer
-from geocausal.errors import InvariantViolation, ParseError, SchemaViolation
+from geocausal.errors import ParseError
 from geocausal.export import graph_from_json, graph_to_json
-from geocausal.graph import ASSERTED, RELATION_TOKENS, Derived, KnowledgeGraph, RelationKind
+from geocausal.graph import RELATION_TOKENS, Derived, KnowledgeGraph, RelationKind
 from geocausal.model import (
-    BBox,
     GeoEvent,
     GeoObject,
     GeoSituation,
     Measurement,
     Point,
     SpatioTemporalRegion,
-    TimeInterval,
-    validate_entity_id,
 )
 from geocausal.storage import dump_graph, graphs_equal, load_graph, loads_graph, save_graph
-from geocausal.units import REGISTRY, Categorical, Quantity
+from geocausal.units import Categorical
 
-from support import iv, q, random_engine_case, random_storage_graph
+from support import graphs, iv, q, random_engine_case, random_storage_graph
 
 
 class TestRoundTrip:
@@ -425,99 +421,6 @@ class TestFormatDetails:
 # ---------------------------------------------------------------------------
 # Round-trip property over everything the model accepts
 # ---------------------------------------------------------------------------
-
-
-def _accepted_by(check):
-    def accepted(char):
-        try:
-            check(char)
-        except InvariantViolation:
-            return False
-        return True
-
-    return accepted
-
-
-# Each check is per character, so these are exactly the characters allowed
-# in ids and kinds (and rule ids), and in categorical tokens.
-_ID_CHARS = st.one_of(
-    st.sampled_from("'\\=#:-"),
-    st.characters().filter(_accepted_by(validate_entity_id)),
-)
-_TOKEN_CHARS = st.one_of(
-    st.sampled_from("'\\=#"),
-    st.characters().filter(_accepted_by(Categorical)),
-)
-IDS = st.text(_ID_CHARS, min_size=1, max_size=6)
-VALUES = st.one_of(
-    st.text(_TOKEN_CHARS, min_size=1, max_size=6).map(Categorical),
-    st.builds(
-        Quantity,
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.sampled_from(sorted(REGISTRY)).map(REGISTRY.get),
-    ),
-)
-MEASUREMENTS = st.dictionaries(
-    st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True), VALUES, max_size=3
-).map(lambda values: tuple(Measurement(name, value) for name, value in values.items()))
-INSTANTS = st.datetimes(
-    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
-    timezones=st.just(timezone.utc),
-)
-INTERVALS = st.lists(INSTANTS, min_size=2, max_size=2).map(lambda pair: TimeInterval(*sorted(pair)))
-LATS = st.floats(-90, 90)
-LONS = st.floats(-180, 180)
-GEOMETRIES = st.one_of(
-    st.builds(Point, LATS, LONS),
-    st.tuples(LATS, LATS, LONS, LONS).map(
-        lambda c: BBox(min(c[0], c[1]), min(c[2], c[3]), max(c[0], c[1]), max(c[2], c[3]))
-    ),
-)
-
-
-# (constructor, arguments after the id); strategies are built once, here,
-# because building them inside a draw makes Hypothesis validate them anew.
-ENTITY_PARTS = st.one_of(
-    st.tuples(st.just(GeoEvent), IDS),
-    st.tuples(st.just(GeoObject), IDS, MEASUREMENTS),
-    st.tuples(st.just(GeoSituation), INTERVALS, MEASUREMENTS),
-    st.tuples(st.just(SpatioTemporalRegion), GEOMETRIES, INTERVALS),
-)
-PREDICATES = st.sampled_from(
-    [r for r in RelationKind if r not in (RelationKind.HAS_GEOMETRY, RelationKind.TIME)]
-)
-PICKS = st.integers(0, 63)  # an index into a list, taken modulo its length
-
-
-@st.composite
-def graphs(draw):
-    """Any entities, and schema-valid triples; derived ones cite triples
-    added before them as premises."""
-    graph = KnowledgeGraph()
-    for entity_id in draw(st.lists(IDS, max_size=8, unique=True)):
-        constructor, *args = draw(ENTITY_PARTS)
-        graph.add_entity(constructor(entity_id, *args))
-    ids = [e.id for e in graph.entities()]
-    keys = []
-    for _ in range(draw(st.integers(0, 12)) if ids else 0):
-        predicate = draw(PREDICATES)
-        subject = ids[draw(PICKS) % len(ids)]
-        if predicate is RelationKind.SATISFIES:
-            object_ = draw(IDS)
-        else:
-            object_ = ids[draw(PICKS) % len(ids)]
-        provenance = ASSERTED
-        if draw(st.booleans()):
-            picks = draw(st.lists(PICKS, max_size=3)) if keys else []
-            provenance = Derived(draw(IDS), tuple(keys[i % len(keys)] for i in picks))
-        if graph.has_triple(subject, predicate, object_):
-            continue
-        try:
-            graph.add_triple(subject, predicate, object_, provenance)
-        except SchemaViolation:
-            continue
-        keys.append((subject, predicate, object_))
-    return graph
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
