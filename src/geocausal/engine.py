@@ -62,6 +62,8 @@ class EngineConfig(Frozen):
     def __init__(
         self, max_gap: timedelta = timedelta(hours=24), require_spatial_overlap: bool = True
     ):
+        if not isinstance(max_gap, timedelta):
+            raise ConfigError(f"max_gap must be a timedelta, got {max_gap!r}")
         if max_gap < timedelta(0):
             raise ConfigError(f"max_gap must be non-negative, got {max_gap}")
         store(self, "max_gap", max_gap)

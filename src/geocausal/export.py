@@ -15,10 +15,10 @@ from typing import TYPE_CHECKING
 from .errors import ParseError
 from .graph import KnowledgeGraph, Role, Triple
 from .model import Entity, GeoEvent, GeoObject
-from .storage import entity_doc, graph_from_docs, triple_doc
+from .storage import entity_doc, graph_from_docs
 
 if TYPE_CHECKING:
-    from .query import Explanation
+    from .query import EvidenceLine, Explanation, ExplanationEdge
 
 _DOT_SHAPES = {
     Role.EVENT: "box",
@@ -82,9 +82,10 @@ def explanation_to_dot(explanation: Explanation, graph: KnowledgeGraph) -> str:
 # --------------------------------------------------------------------------
 
 
-# The graph document is written record by record, byte for byte as
-# ``json.dumps(doc, indent=2)`` writes it: with ``indent`` set, json.dumps
-# runs its pure-Python encoder, one generator step per token.
+# Both documents are written record by record, byte for byte as the json
+# module's ``dumps(doc, indent=2)`` writes them, plus a newline: with
+# ``indent`` set, ``dumps`` runs its pure-Python encoder, one generator
+# step per token.
 
 
 def _entity_json(entity: Entity) -> str:
@@ -99,19 +100,20 @@ def _entity_json(entity: Entity) -> str:
     return "    {\n" + ",\n".join(fields) + "\n    }"
 
 
-def _triple_json(t: Triple) -> str:
+def _triple_json(t: Triple, tail: str = "") -> str:
+    """A triple record; ``tail`` holds any further fields, each after ``,\\n``."""
     head = (
         f'    {{\n      "subject": {_q(t.subject)},\n      "predicate": "{t.predicate.value}",\n'
         f'      "object": {_q(t.object)},\n      "provenance": '
     )
     if not t.is_derived:
-        return head + '"asserted"\n    }'
+        return f'{head}"asserted"{tail}\n    }}'
     premises = ",\n".join(
         f'        [\n          {_q(s)},\n          "{p.value}",\n          {_q(o)}\n        ]'
         for s, p, o in t.provenance.premises
     )
     premises = f"[\n{premises}\n      ]" if premises else "[]"
-    return f'{head}"derived",\n      "rule": {_q(t.provenance.rule_id)},\n      "premises": {premises}\n    }}'
+    return f'{head}"derived",\n      "rule": {_q(t.provenance.rule_id)},\n      "premises": {premises}{tail}\n    }}'
 
 
 def _append_array(pieces: list[str], records) -> None:
@@ -126,7 +128,7 @@ def _append_array(pieces: list[str], records) -> None:
 
 
 def graph_to_json(graph: KnowledgeGraph) -> str:
-    """The graph document: exactly ``json.dumps(doc, indent=2) + "\\n"``."""
+    """The graph document (docs/json-output.md)."""
     pieces = ['{\n  "format": "geocausal-graph",\n  "version": 2,\n  "entities": ']
     _append_array(pieces, map(_entity_json, graph.entities()))
     pieces.append(',\n  "triples": ')
@@ -155,32 +157,37 @@ def graph_from_json(text: str) -> KnowledgeGraph:
     return graph_from_docs(_entries(doc, "entities"), _entries(doc, "triples"))
 
 
+def _evidence_json(ev: EvidenceLine) -> str:
+    threshold = "null" if ev.threshold is None else _q(ev.threshold)
+    observed = "null" if ev.observed is None else _q(ev.observed)
+    return (
+        f'        {{\n          "attribute": {_q(ev.attribute)},\n          "comparator": {_q(ev.comparator)},\n'
+        f'          "threshold": {threshold},\n          "observed": {observed},\n'
+        f'          "status": "{ev.status.name.lower()}"\n        }}'
+    )
+
+
+def _edge_json(edge: ExplanationEdge) -> str:
+    precondition = "null" if edge.precondition_id is None else _q(edge.precondition_id)
+    evidence = ",\n".join(map(_evidence_json, edge.evidence))
+    evidence = f"[\n{evidence}\n      ]" if evidence else "[]"
+    return _triple_json(
+        edge.triple,
+        f',\n      "depth": {edge.depth},\n      "precondition": {precondition},\n      "evidence": {evidence}',
+    )
+
+
 def explanation_to_json(explanation: Explanation, graph: KnowledgeGraph) -> str:
-    doc = {
-        "format": "geocausal-explanation",
-        "version": 2,
-        "root": explanation.root,
-        "depth_reached": explanation.depth_reached,
-        "truncated": explanation.truncated,
-        "nodes": [entity_doc(graph.entity(n)) for n in explanation.nodes],
-        "edges": [
-            {
-                **triple_doc(edge.triple),
-                "depth": edge.depth,
-                "precondition": edge.precondition_id,
-                "evidence": [
-                    {
-                        "attribute": ev.attribute,
-                        "comparator": ev.comparator,
-                        "threshold": ev.threshold,
-                        "observed": ev.observed,
-                        "status": ev.status.name.lower(),
-                    }
-                    for ev in edge.evidence
-                ],
-            }
-            for edge in explanation.edges
-        ],
-        "affects": [triple_doc(t) for t in explanation.affects],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The why document (docs/json-output.md)."""
+    pieces = [
+        f'{{\n  "format": "geocausal-explanation",\n  "version": 2,\n  "root": {_q(explanation.root)},\n'
+        f'  "depth_reached": {explanation.depth_reached},\n'
+        f'  "truncated": {"true" if explanation.truncated else "false"},\n  "nodes": '
+    ]
+    _append_array(pieces, (_entity_json(graph.entity(n)) for n in explanation.nodes))
+    pieces.append(',\n  "edges": ')
+    _append_array(pieces, map(_edge_json, explanation.edges))
+    pieces.append(',\n  "affects": ')
+    _append_array(pieces, map(_triple_json, explanation.affects))
+    pieces.append("\n}\n")
+    return "".join(pieces)

@@ -102,9 +102,13 @@ class Derived(Frozen):
 
     def __init__(self, rule_id: str, premises: tuple[TripleKey, ...] = ()):
         store(self, "rule_id", validate_entity_id(rule_id, "rule id"))
-        keys = tuple(tuple(k) if isinstance(k, list) else k for k in premises)
-        if not all(isinstance(k, tuple) and len(k) == 3 and isinstance(k[1], RelationKind)
-                   for k in keys):
+        try:
+            keys = tuple(tuple(k) if isinstance(k, list) else k for k in premises)
+        except TypeError:
+            keys = None
+        if keys is None or not all(
+            isinstance(k, tuple) and len(k) == 3 and isinstance(k[1], RelationKind) for k in keys
+        ):
             raise InvariantViolation(f"premises must be (subject, relation, object) keys, got {premises!r}")
         store(self, "premises", keys)
 

@@ -172,10 +172,12 @@ class Measurement(Frozen):
 
 
 def _measurement_tuple(items: Iterable[Measurement], what: str) -> tuple[Measurement, ...]:
-    ordered = list(items)
-    for m in ordered:
-        if not isinstance(m, Measurement):
-            raise InvariantViolation(f"{what} must be Measurement instances")
+    try:
+        ordered = list(items)
+    except TypeError:
+        ordered = None
+    if ordered is None or not all(isinstance(m, Measurement) for m in ordered):
+        raise InvariantViolation(f"{what} must be Measurement instances")
     ordered.sort(key=lambda m: m.attribute)
     for before, m in zip(ordered, ordered[1:]):
         if m.attribute == before.attribute:

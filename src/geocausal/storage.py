@@ -23,9 +23,9 @@ derived triple with ``premises=<n>``; such a record loads with no
 premises, because version 1 never stored which triples they were.
 
 Text records and the JSON export share one document form, plain dicts
-and lists of strings: ``entity_doc`` and ``triple_doc`` encode it, and
-``graph_from_docs`` decodes it (the graph export writes ``triple_doc``'s
-form straight from each triple). The text reader decodes each line as it
+and lists of strings: ``entity_doc`` encodes an entity, and
+``graph_from_docs`` decodes a graph (the JSON export writes each triple's
+form straight from the triple). The text reader decodes each line as it
 reads it, and both readers build the graph through ``_build_graph``.
 """
 
@@ -119,18 +119,6 @@ def entity_doc(entity: Entity) -> dict:
         "start": format_timestamp(entity.interval.start),
         "end": format_timestamp(entity.interval.end),
     }
-
-
-def triple_doc(t: Triple) -> dict:
-    """A triple as a document, its premises as [subject, predicate, object] lists."""
-    doc = {"subject": t.subject, "predicate": t.predicate.value, "object": t.object}
-    if t.is_derived:
-        doc["provenance"] = "derived"
-        doc["rule"] = t.provenance.rule_id
-        doc["premises"] = [[s, p.value, o] for s, p, o in t.provenance.premises]
-    else:
-        doc["provenance"] = "asserted"
-    return doc
 
 
 def _string(doc: dict, name: str) -> str:

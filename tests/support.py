@@ -1,6 +1,6 @@
 """Shared test helpers: interval shorthand, random graph generators (among
-them the Hypothesis strategy ``graphs``) and the brute-force inference
-oracle the engine is checked against."""
+them the Hypothesis strategy ``graphs``), the JSON export's documents as
+dicts, and the brute-force inference oracle the engine is checked against."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from datetime import datetime, timedelta, timezone
 from hypothesis import strategies as st
 
 from geocausal.errors import InvariantViolation, SchemaViolation
-from geocausal.graph import SIGNATURES, KnowledgeGraph, RelationKind, Role, Derived, ASSERTED, role_of
+from geocausal.graph import SIGNATURES, KnowledgeGraph, RelationKind, Role, Derived, ASSERTED, Triple, role_of
 from geocausal.model import (
     BBox,
     GeoEvent,
@@ -22,6 +22,7 @@ from geocausal.model import (
     TimeInterval,
     validate_entity_id,
 )
+from geocausal.query import Explanation
 from geocausal.rules import (
     CauseRule,
     CoOccurs,
@@ -34,6 +35,7 @@ from geocausal.rules import (
     evaluate,
 )
 from geocausal.spatiotemporal import co_occurs, gap_between, precedes, spatial_overlap
+from geocausal.storage import entity_doc
 from geocausal.units import REGISTRY, Categorical, Comparator, Quantity, get_unit
 
 EPOCH = datetime(2005, 8, 1, tzinfo=timezone.utc)
@@ -110,6 +112,24 @@ def build_flood_case_b() -> tuple[KnowledgeGraph, RuleSet]:
     graph.add_entity(SpatioTemporalRegion("reg:flood", Point(30.0, -90.0), iv(12, 20)))
     graph.assert_triple("ev:flood", STP, "reg:flood")
     rules = parse_rules("precondition PC_DAM effects Flood { WaterLevel > 10 m }\n")
+    return graph, rules
+
+
+def build_affects_case() -> tuple[KnowledgeGraph, RuleSet]:
+    """``build_flood_case_b`` inferred, with an event in the overflow's
+    setting and an asserted effects edge to the flood.
+
+    The event setter lets R-AFF derive that the overflow affects the dam,
+    and stops R-EFF (a mixed setting), so the effects edge is asserted:
+    no rule derives both edges from one situation."""
+    from geocausal.engine import infer
+
+    graph, rules = build_flood_case_b()
+    graph.add_entity(GeoEvent("ev:companion", "Other"))
+    graph.assert_triple("ev:companion", RelationKind.SETTING, "sit:overflow")
+    graph.assert_triple("obj:dam", RelationKind.PARTICIPANT_IN, "ev:companion")
+    infer(graph, rules)
+    graph.assert_triple("sit:overflow", RelationKind.EFFECTS, "ev:flood")
     return graph, rules
 
 
@@ -514,6 +534,54 @@ def graphs(draw):
             continue
         keys.append((subject, predicate, object_))
     return graph
+
+
+# ---------------------------------------------------------------------------
+# JSON document oracles: what the export writes, as dicts for json.dumps
+# ---------------------------------------------------------------------------
+
+
+def triple_doc(t: Triple) -> dict:
+    """A triple as a document, its premises as [subject, predicate, object] lists."""
+    doc = {"subject": t.subject, "predicate": t.predicate.value, "object": t.object}
+    if t.is_derived:
+        doc["provenance"] = "derived"
+        doc["rule"] = t.provenance.rule_id
+        doc["premises"] = [[s, p.value, o] for s, p, o in t.provenance.premises]
+    else:
+        doc["provenance"] = "asserted"
+    return doc
+
+
+def explanation_doc(explanation: Explanation, graph: KnowledgeGraph) -> dict:
+    """The why document, as ``geocausal why --format json`` writes it."""
+    return {
+        "format": "geocausal-explanation",
+        "version": 2,
+        "root": explanation.root,
+        "depth_reached": explanation.depth_reached,
+        "truncated": explanation.truncated,
+        "nodes": [entity_doc(graph.entity(n)) for n in explanation.nodes],
+        "edges": [
+            {
+                **triple_doc(edge.triple),
+                "depth": edge.depth,
+                "precondition": edge.precondition_id,
+                "evidence": [
+                    {
+                        "attribute": ev.attribute,
+                        "comparator": ev.comparator,
+                        "threshold": ev.threshold,
+                        "observed": ev.observed,
+                        "status": ev.status.name.lower(),
+                    }
+                    for ev in edge.evidence
+                ],
+            }
+            for edge in explanation.edges
+        ],
+        "affects": [triple_doc(t) for t in explanation.affects],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import geocausal
 from geocausal.cli import _recorded_rules, main
 from geocausal.engine import EngineConfig, infer
+from geocausal.graph import KnowledgeGraph, RelationKind
+from geocausal.model import GeoEvent, GeoObject, Point, SpatioTemporalRegion
 from geocausal.rules import print_rules
 from geocausal.storage import dump_graph
 
-from support import build_chain_case, katrina_csv
+from support import build_chain_case, iv, katrina_csv
 
 RULES_TEXT = """precondition PC_DAM effects FlashFlood {
     WaterLevel > 10 m
@@ -164,6 +166,24 @@ class TestSubcommands:
         code, out, _ = run(capsys, "validate", "--workspace", workspace)
         assert code == 0
         assert out.startswith("ok:")
+
+    def test_validate_warns_of_a_participant_outside_its_event(self, capsys, workspace):
+        graph = KnowledgeGraph()
+        graph.add_entity(GeoObject("obj:dam", "Dam"))
+        graph.add_entity(GeoEvent("ev:flood", "Flood"))
+        graph.add_entity(SpatioTemporalRegion("reg:dam", Point(30.0, -90.0), iv(0, 1)))
+        graph.add_entity(SpatioTemporalRegion("reg:flood", Point(40.0, -80.0), iv(5, 6)))
+        graph.assert_triple("obj:dam", RelationKind.SPATIO_TEMPORALLY_PRESENT, "reg:dam")
+        graph.assert_triple("ev:flood", RelationKind.SPATIO_TEMPORALLY_PRESENT, "reg:flood")
+        graph.assert_triple("obj:dam", RelationKind.PARTICIPANT_IN, "ev:flood")
+        Path(workspace).write_text(dump_graph(graph), encoding="utf-8")
+        code, out, _ = run(capsys, "validate", "--workspace", workspace)
+        assert code == 0
+        assert out.splitlines() == [
+            "WARN participant-in(obj:dam, ev:flood): regions reg:dam and reg:flood "
+            "do not overlap spatio-temporally",
+            "ok: 4 entities, 3 triples",
+        ]
 
     def test_missing_file_is_user_error(self, capsys, workspace):
         code, _, err = run(capsys, "ingest", "storm", "/nonexistent.csv", "--workspace", workspace)

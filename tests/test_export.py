@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geocausal.engine import infer
 from geocausal.export import (
@@ -11,15 +11,25 @@ from geocausal.export import (
     graph_to_dot,
     graph_to_json,
 )
-from geocausal.graph import Derived, KnowledgeGraph, RelationKind
+from geocausal.graph import SIGNATURES, Derived, KnowledgeGraph, RelationKind, Role, role_of
 from geocausal.model import GeoEvent, GeoObject, GeoSituation, Measurement
-from geocausal.query import why
-from geocausal.storage import dump_graph, entity_doc, graphs_equal, loads_graph, triple_doc
+from geocausal.query import EvidenceLine, Explanation, ExplanationEdge, why
+from geocausal.rules import Truth
+from geocausal.storage import dump_graph, entity_doc, graphs_equal, loads_graph
 from geocausal.units import Categorical
 
 import random
 
-from support import graphs, iv, random_storage_graph
+from support import (
+    PICKS,
+    build_affects_case,
+    explanation_doc,
+    graphs,
+    iv,
+    random_engine_case,
+    random_storage_graph,
+    triple_doc,
+)
 
 
 class TestDot:
@@ -214,3 +224,74 @@ def test_graph_json_is_json_dumps_indent_2(graph):
         "triples": [triple_doc(t) for t in graph.triples()],
     }
     assert graph_to_json(graph) == json.dumps(doc, indent=2) + "\n"
+
+
+_WHY_RELATIONS = (RelationKind.CAUSES, RelationKind.EFFECTS, RelationKind.AFFECTS)
+
+
+@st.composite
+def explanations(draw):
+    """A why-query over an inferred ``random_engine_case`` graph, with up to
+    six causes, effects and affects edges asserted on top (cycles among
+    them), at depth 0, 1, 3, 10 or 100; and the graph. Half the roots are
+    picked among the events that have a cause."""
+    graph, rules = random_engine_case(random.Random(draw(st.integers(0, 2**32 - 1))))
+    infer(graph, rules)
+    ids: dict[Role, list[str]] = {}
+    for entity in graph.entities():
+        ids.setdefault(role_of(entity), []).append(entity.id)
+    for predicate in draw(st.lists(st.sampled_from(_WHY_RELATIONS), max_size=6)):
+        ((subject_role, object_role),) = SIGNATURES[predicate]
+        subjects, objects = ids.get(subject_role), ids.get(object_role)
+        if subjects and objects:
+            key = (subjects[draw(PICKS) % len(subjects)], predicate, objects[draw(PICKS) % len(objects)])
+            if not graph.has_triple(*key):
+                graph.assert_triple(*key)
+    events = [e.id for e in graph.entities() if isinstance(e, GeoEvent)]
+    caused = sorted({t.object for t in graph.triples()
+                     if t.predicate in (RelationKind.CAUSES, RelationKind.EFFECTS)})
+    if caused and draw(st.booleans()):
+        events = caused
+    assume(events)
+    root = events[draw(PICKS) % len(events)]
+    return why(graph, root, draw(st.sampled_from([0, 1, 3, 10, 100])), rules), graph
+
+
+def _affects_explanation():
+    graph, rules = build_affects_case()
+    return why(graph, "ev:flood", rules=rules), graph
+
+
+def _escaped_explanation():
+    """Over ``_escaped_graph``: escaped ids, precondition id and evidence
+    strings, null thresholds, observations and preconditions, and a
+    truncated walk."""
+    graph = _escaped_graph()
+    graph.assert_triple("sit:\u2205", RelationKind.EFFECTS, "ev:\U0001f30a")
+    graph.assert_triple("sit:\u2205", RelationKind.AFFECTS, "obj:\u00e9")
+    evidence = (
+        EvidenceLine("Note", "=", "a\\\u00e9\U0001f30a", None, Truth.UNKNOWN),
+        EvidenceLine("Debris", "present", None, "present", Truth.TRUE),
+    )
+    edges = [
+        ExplanationEdge(graph.triple(("ev:a\\b", RelationKind.CAUSES, "ev:\U0001f30a")), 1),
+        ExplanationEdge(
+            graph.triple(("sit:\u2205", RelationKind.EFFECTS, "ev:\U0001f30a")), 1, "PC:\u00e9\\", evidence
+        ),
+    ]
+    affects = graph.match(subject="sit:\u2205", predicate=RelationKind.AFFECTS)
+    nodes = ["ev:\U0001f30a", "ev:a\\b", "sit:\u2205"]
+    return Explanation("ev:\U0001f30a", nodes, edges, affects, depth_reached=1, truncated=True), graph
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(explanations())
+@example(_affects_explanation())
+@example(_escaped_explanation())
+@example((Explanation("ev:a"), KnowledgeGraph()))
+def test_explanation_json_is_json_dumps_indent_2(case):
+    """The why document is, byte for byte, what ``json.dumps(indent=2)``
+    writes for it."""
+    explanation, graph = case
+    doc = explanation_doc(explanation, graph)
+    assert explanation_to_json(explanation, graph) == json.dumps(doc, indent=2) + "\n"

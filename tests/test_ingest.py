@@ -18,7 +18,7 @@ from geocausal.ingest import (
     parse_damage,
     sanitize_kind,
 )
-from geocausal.model import BBox, GeoObject, format_timestamp
+from geocausal.model import BBox, GeoEvent, GeoObject, format_timestamp
 from geocausal.units import Categorical
 
 from support import q, schema_violations
@@ -274,6 +274,27 @@ class TestStormIngestion:
         # the file-level default is the envelope of rows that have coordinates
         assert isinstance(defaulted, BBox) or defaulted == graph.region_of("ev:event-101").geometry
 
+    def test_event_type_that_sanitizes_to_nothing_is_a_bad_row(self):
+        graph, report = storm(STORM_HEADER + "1,101,/,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n")
+        assert report.errors == [(2, "EVENT_TYPE '/' yields an empty kind")]
+        assert graph.entity_count == 0
+
+    def test_envelope_id_already_taken_is_warned_about(self):
+        graph = KnowledgeGraph()
+        graph.add_entity(GeoEvent("ev:region-episode-1", "Other"))
+        row = "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+        _, report = storm(STORM_HEADER + row, graph)
+        assert graph.region_of("ev:episode-1") is None
+        assert report.warnings == [(0, "cannot attach envelope region: id 'ev:region-episode-1' already taken")]
+        assert report.render().splitlines() == [
+            "rows read:        1",
+            "entities created: 1",
+            "triples created:  2",
+            "errors:           0",
+            "warnings:         1",
+            "  line 0: cannot attach envelope region: id 'ev:region-episode-1' already taken",
+        ]
+
     def test_noaa_style_datetime(self):
         text = STORM_HEADER + "1,101,Flood,28-AUG-05 06:00:00,29-AUG-05 06:00:00,CST,30,-90,,,,,,\n"
         graph, report = storm(text)
@@ -379,6 +400,28 @@ class TestObservationIngestion:
             obs(text, graph=graph, strictness=Strictness.STRICT)
         assert str(exc.value) == f"line 3: {reason}"
         assert graph.entity_count == 0
+
+    BAD_ROWS = [
+        (",2005-08-23,2005-08-24,Temp,10,degC,,\n", "SITUATION_ID must be non-empty"),
+        ("s1,2005-08-24,2005-08-23,Temp,10,degC,,\n", "observation ends before it starts"),
+        ("s1,2005-08-23,2005-08-24,Temp,,degC,,\n", "VALUE must be non-empty"),
+        ("s1,2005-08-23,2005-08-24,Temp,hot,degC,,\n", "non-numeric VALUE 'hot' with a unit"),
+    ]
+
+    def test_bad_rows_lenient(self):
+        graph, report = obs(OBS_HEADER + "".join(row for row, _ in self.BAD_ROWS))
+        assert report.errors == [(line, reason) for line, (_, reason) in enumerate(self.BAD_ROWS, 2)]
+        assert report.render().splitlines()[-1] == "  line 5: non-numeric VALUE 'hot' with a unit"
+        assert graph.entity_count == 0
+
+    @pytest.mark.parametrize("index", range(len(BAD_ROWS)))
+    def test_bad_rows_strict(self, index):
+        good = "".join(f"g{i},2005-08-23,2005-08-24,Temp,10,degC,,\n" for i in range(index))
+        row, reason = self.BAD_ROWS[index]
+        with pytest.raises(IngestError) as exc:
+            obs(OBS_HEADER + good + row, strictness=Strictness.STRICT)
+        assert exc.value.line == index + 2
+        assert str(exc.value) == f"line {index + 2}: {reason}"
 
     def test_reingest_is_flagged(self):
         text = OBS_HEADER + "s1,2005-08-23,2005-08-24,Temp,10,degC,,\n"

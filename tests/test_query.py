@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from geocausal.engine import infer
 from geocausal.errors import ConfigError, NotAnEvent, PatternParseError, UnknownEntity, UnknownRelation
-from geocausal.export import explanation_to_json
+from geocausal.export import explanation_to_dot, explanation_to_json
 from geocausal.graph import KnowledgeGraph, RelationKind, Role
 from geocausal.model import GeoEvent
 from geocausal.query import parse_pattern, query, render_explanation_text, why
 from geocausal.rules import Truth
 
-from support import random_engine_case
+from support import build_affects_case, random_engine_case
 
 # The package binds the name ``query`` to the function.
 query_module = importlib.import_module("geocausal.query")
@@ -220,16 +220,38 @@ class TestWhy:
         for edge in explanation.edges:
             assert graph.has_triple(*edge.triple.key)
 
-    def test_affects_side_information(self, flood_case_b):
-        graph, rules = flood_case_b
-        graph.add_entity(GeoEvent("ev:companion", "Other"))
-        graph.assert_triple("ev:companion", RelationKind.SETTING, "sit:overflow")
-        # the situation now has a mixed setting: effects is blocked, so assert one manually
-        graph.assert_triple("obj:dam", RelationKind.PARTICIPANT_IN, "ev:companion")
-        infer(graph, rules)
-        graph.assert_triple("sit:overflow", RelationKind.EFFECTS, "ev:flood")
+    def test_affects_side_information(self):
+        graph, rules = build_affects_case()
         explanation = why(graph, "ev:flood", rules=rules)
         assert [(t.subject, t.object) for t in explanation.affects] == [("sit:overflow", "obj:dam")]
+        assert render_explanation_text(explanation, graph).splitlines() == [
+            "ev:flood (Flood)",
+            "  <- effects -- sit:overflow (situation)",
+            "       evidence [PC_DAM]: WaterLevel > 10 m (observed 12 m) => true",
+            "       affects: obj:dam (Dam)",
+        ]
+        # the affected object is no node of the walk, so it gets a node line of its own
+        assert explanation_to_dot(explanation, graph).splitlines() == [
+            "digraph explanation {",
+            "  rankdir=RL;",
+            '  "ev:flood" [shape=box label="ev:flood\\nFlood"];',
+            '  "sit:overflow" [shape=diamond label="sit:overflow"];',
+            '  "obj:dam" [shape=ellipse label="obj:dam\\nDam"];',
+            '  "sit:overflow" -> "ev:flood" [label="effects"];',
+            '  "sit:overflow" -> "obj:dam" [label="affects" style=dashed];',
+            "}",
+        ]
+        assert json.loads(explanation_to_json(explanation, graph))["affects"] == [{
+            "subject": "sit:overflow",
+            "predicate": "affects",
+            "object": "obj:dam",
+            "provenance": "derived",
+            "rule": "R-AFF",
+            "premises": [
+                ["ev:companion", "setting", "sit:overflow"],
+                ["obj:dam", "participant-in", "ev:companion"],
+            ],
+        }]
 
 
 class TestPatterns:

@@ -137,6 +137,28 @@ class TestParse:
             f"line 1, column 32: quantity magnitude must be finite, got {float(number)}"
         )
 
+    @pytest.mark.parametrize("text, message", [
+        ("precondition P/1 effects X { A > 1 m }",
+         "line 1, column 14: invalid precondition id 'P/1'"),
+        ("precondition P effects X { Sea-Temp > 1 m }",
+         "line 1, column 28: invalid attribute name 'Sea-Temp'"),
+        ("precondition P effects X { A 1 m }",
+         "line 1, column 30: expected a comparator (<, <=, >, >=, =, !=, present, absent), found '1'"),
+        ("precondition P effects X { A > 1 2 }",
+         "line 1, column 34: expected a unit symbol, found '2'"),
+        ("rule R1: A causes B when precedes within 2 weeks",
+         "line 1, column 44: expected a duration unit (s, min, h, d), found 'weeks'"),
+        ("rule R1: A causes B when precedes within -2h",
+         "line 1, column 42: duration must be non-negative"),
+        ("precondition P effects X { A > 1 m; A < 5 m }",
+         "line 1, column 1: precondition P: duplicate condition attributes"),
+    ], ids=["precondition-id", "attribute-name", "comparator", "unit-symbol", "duration-unit",
+            "negative-duration", "duplicate-attribute"])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_rules(text)
+        assert str(exc.value) == message
+
     def test_dimensionless_threshold(self):
         ruleset = parse_rules("precondition P effects X { DeathsDirect > 0 1 }")
         assert ruleset.preconditions[0].conditions[0].threshold == q(0, "1")

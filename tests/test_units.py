@@ -121,6 +121,19 @@ class TestCompare:
         with pytest.raises(TypeMismatch):
             compare(q(1, "m"), Comparator.PRESENT)
 
+    @pytest.mark.parametrize("a, op, b, message", [
+        (Categorical("present"), Comparator.PRESENT, Categorical("present"),
+         "present takes a single categorical operand"),
+        (q(1, "m"), Comparator.EQ, None, "= requires two operands"),
+        (Categorical("wet"), Comparator.EQ, q(1, "m"), "cannot compare a categorical value with a quantity"),
+        (q(1, "m"), Comparator.NE, Categorical("wet"), "cannot compare a categorical value with a quantity"),
+    ], ids=["unary-with-two-operands", "binary-with-one-operand", "categorical-eq-quantity",
+            "quantity-ne-categorical"])
+    def test_type_mismatch_messages(self, a, op, b, message):
+        with pytest.raises(TypeMismatch) as exc:
+            compare(a, op, b)
+        assert str(exc.value) == message
+
     def test_categorical_equality(self):
         assert compare(Categorical("wet"), Comparator.EQ, Categorical("wet"))
         assert compare(Categorical("wet"), Comparator.NE, Categorical("dry"))

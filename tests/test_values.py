@@ -4,12 +4,12 @@ no per-instance ``__dict__``."""
 
 import copy
 import pickle
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from geocausal.engine import Diagnostic, EngineConfig, InferenceResult, ProvenanceTree
-from geocausal.errors import InvariantViolation
+from geocausal.errors import ConfigError, InvariantViolation
 from geocausal.graph import ASSERTED, Asserted, Derived, RelationKind, Triple
 from geocausal.ingest import IngestReport, ObservationRow, StormEventRow, Strictness
 from geocausal.model import (
@@ -221,6 +221,34 @@ def test_default_lists_are_fresh():
 def test_constructors_reject_values_that_cannot_be_saved(build):
     with pytest.raises(InvariantViolation):
         build()
+
+
+_OTHER_TYPES = {
+    "none": None,
+    "int": 3,
+    "float": 2.5,
+    "bool": True,
+    "datetime": datetime(2005, 8, 29, tzinfo=timezone.utc),
+    "timedelta": timedelta(hours=1),
+    "object": object(),
+}
+_TYPED_ARGUMENTS = {
+    "max-gap": (lambda value: EngineConfig(value), ConfigError),
+    "object-attributes": (lambda value: GeoObject("obj:a", "K", value), InvariantViolation),
+    "situation-observations": (lambda value: GeoSituation("sit:a", iv(0, 1), value), InvariantViolation),
+    "derived-premises": (lambda value: Derived("R", value), InvariantViolation),
+}
+
+
+@pytest.mark.parametrize("build, error, value", [
+    pytest.param(build, error, value, id=f"{argument}-{kind}")
+    for argument, (build, error) in _TYPED_ARGUMENTS.items()
+    for kind, value in _OTHER_TYPES.items()
+    if (argument, kind) != ("max-gap", "timedelta")  # max_gap's own type
+])
+def test_an_argument_of_another_type_is_refused(build, error, value):
+    with pytest.raises(error):
+        build(value)
 
 
 def test_derived_holds_its_premises_as_a_tuple_of_keys():
