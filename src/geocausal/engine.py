@@ -125,12 +125,12 @@ def infer(graph: KnowledgeGraph, rules: RuleSet, config: EngineConfig | None = N
     by_start = {kind: _ByStart(pairs) for kind, pairs in events_by_kind.items()}
 
     derived: list[Triple] = []
-    diagnostics: set[Diagnostic] = set()
+    diagnostics: list[Diagnostic] = []  # each rule yields each diagnostic once
     for rule in (_rule_sat(graph, rules), _rule_eff(graph, rules, config, by_start),
                  _rule_cau(rules, by_start), _rule_aff(graph)):
         for outcome in rule:
             if isinstance(outcome, Diagnostic):
-                diagnostics.add(outcome)
+                diagnostics.append(outcome)
             elif not graph.has_triple(*outcome[:3]):
                 subject, predicate, object, rule_id, premises = outcome
                 derived.append(graph.add_triple(subject, predicate, object, Derived(rule_id, premises)))

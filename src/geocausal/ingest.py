@@ -21,8 +21,10 @@ into geo-situations holding one measurement per row; the situation's
 interval is the envelope of its rows. LAT/LON are accepted but unused:
 situations carry no geometry of their own.
 
-Strict mode aborts on the first bad row, before anything is applied to
-the graph; lenient mode skips bad rows and records them in the report.
+An ingest runs in two phases: the first decodes and checks every row
+into the entities it adds, and the second adds them to the graph. Strict
+mode aborts on the first bad row, in the first phase, so the graph is left
+untouched; lenient mode skips bad rows and records them in the report.
 A row whose id cells make an invalid entity id is a bad row.
 """
 
@@ -52,7 +54,7 @@ from .model import (
     parse_timestamp,
     validate_entity_id,
 )
-from .slotted import Frozen, Slotted, store
+from .slotted import Slotted
 from .spatiotemporal import as_bbox, bbox_union
 from .storage import collector_paused, read_text
 from .units import Categorical, Quantity, get_unit
@@ -170,42 +172,6 @@ class IngestReport(Slotted):
         )
 
 
-class StormEventRow(Frozen):
-    """One storm CSV row after parsing and normalization."""
-
-    __slots__ = ("line", "episode_id", "event_id", "kind", "interval", "geometry", "impacts")
-
-    def __init__(
-        self,
-        line: int,
-        episode_id: str,
-        event_id: str,
-        kind: str,
-        interval: TimeInterval,
-        geometry: Geometry | None,
-        impacts: tuple[Measurement, ...],
-    ):
-        store(self, "line", line)
-        store(self, "episode_id", episode_id)
-        store(self, "event_id", event_id)
-        store(self, "kind", kind)
-        store(self, "interval", interval)
-        store(self, "geometry", geometry)
-        store(self, "impacts", impacts)
-
-
-class ObservationRow(Frozen):
-    __slots__ = ("line", "situation_id", "interval", "measurement")
-
-    def __init__(
-        self, line: int, situation_id: str, interval: TimeInterval, measurement: Measurement
-    ):
-        store(self, "line", line)
-        store(self, "situation_id", situation_id)
-        store(self, "interval", interval)
-        store(self, "measurement", measurement)
-
-
 def sanitize_kind(text: str) -> str:
     """Turn a free-form type string into a CamelCase kind label."""
     parts = [p for p in _KIND_SEPARATOR.split(text.strip()) if p]
@@ -296,7 +262,10 @@ def _row_error(report: IngestReport, strictness: Strictness, line: int, reason: 
 # --------------------------------------------------------------------------
 
 
-def _parse_storm_row(lineno: int, row: dict) -> StormEventRow:
+def _parse_storm_row(
+    row: dict,
+) -> tuple[str, str, str, TimeInterval, Geometry | None, tuple[Measurement, ...]]:
+    """A storm row's episode and event cells, kind, interval, geometry and impacts."""
     episode_id = _cell(row, "EPISODE_ID")
     event_id = _cell(row, "EVENT_ID")
     event_type = _cell(row, "EVENT_TYPE")
@@ -343,9 +312,7 @@ def _parse_storm_row(lineno: int, row: dict) -> StormEventRow:
         name = sanitize_kind("Magnitude " + _cell(row, "MAGNITUDE_TYPE"))
         impacts.append(Measurement(name, Quantity(float(magnitude), get_unit("1"))))
 
-    return StormEventRow(
-        lineno, episode_id, event_id, kind, interval, geometry, tuple(impacts)
-    )
+    return episode_id, event_id, kind, interval, geometry, tuple(impacts)
 
 
 @collector_paused()
@@ -360,87 +327,83 @@ def ingest_storm_csv(
     raw_rows = _open_rows(source, STORM_REQUIRED)
     report.rows_read = len(raw_rows)
 
-    # Phase 1: parse and validate everything so a strict abort leaves the
-    # graph untouched.
-    parsed: list[StormEventRow] = []
+    # Phase 1: decode and check every row into the values phase 2 adds, so a
+    # strict abort leaves the graph untouched. Each episode keeps the line of
+    # its first accepted row and the envelope it had before this ingest.
+    parsed = []
+    episodes: dict[str, tuple[int, SpatioTemporalRegion | None]] = {}
     seen_event_ids: set[str] = set()
+    with_coords: list[Geometry] = []
     for lineno, row in raw_rows:
         try:
-            storm_row = _parse_storm_row(lineno, row)
-            if storm_row.event_id in seen_event_ids:
-                raise ValueError(f"EVENT_ID {storm_row.event_id!r} occurs twice in this file")
-            episode_id = validate_entity_id(f"{id_prefix}episode-{storm_row.episode_id}")
+            episode_cell, event_cell, kind, interval, geometry, impacts = _parse_storm_row(row)
+            if event_cell in seen_event_ids:
+                raise ValueError(f"EVENT_ID {event_cell!r} occurs twice in this file")
+            episode_id = validate_entity_id(f"{id_prefix}episode-{episode_cell}")
             if graph.has_entity(episode_id) and not isinstance(graph.entity(episode_id), GeoEvent):
                 raise ValueError(f"episode id {episode_id!r} names an entity that is not an event")
-            for entity_id in (
-                f"{id_prefix}event-{storm_row.event_id}",
-                f"{id_prefix}region-{storm_row.event_id}",
-                f"{id_prefix}impact-{storm_row.event_id}",
-            ):
-                if graph.has_entity(validate_entity_id(entity_id)):
+            # The event id checks the cell; the region and impact ids share it.
+            event = GeoEvent(f"{id_prefix}event-{event_cell}", kind)
+            region_id = f"{id_prefix}region-{event_cell}"
+            impact_id = f"{id_prefix}impact-{event_cell}"
+            for entity_id in (event.id, region_id, impact_id):
+                if graph.has_entity(entity_id):
                     raise ValueError(f"entity id {entity_id!r} already present")
+            impact = GeoObject(impact_id, "ImpactRecord", impacts) if impacts else None
         except (ValueError, GeoCausalError) as exc:
             _row_error(report, strictness, lineno, str(exc))
             continue
-        seen_event_ids.add(storm_row.event_id)
-        parsed.append(storm_row)
+        seen_event_ids.add(event_cell)
+        if episode_id not in episodes:
+            envelope = graph.region_of(episode_id) if graph.has_entity(episode_id) else None
+            episodes[episode_id] = (lineno, envelope)
+        parsed.append((lineno, episode_id, event, region_id, geometry, interval, impact))
+        if geometry is not None:
+            with_coords.append(geometry)
 
-    with_coords = [r.geometry for r in parsed if r.geometry is not None]
     default_bbox = bbox_union(with_coords) if with_coords else WORLD_BBOX
 
     # Phase 2: apply.
     report.entities_created = len(parsed)
     triples_before = graph.triple_count
-    episodes: dict[str, str] = {}
-    for storm_row in parsed:
-        episode_entity_id = f"{id_prefix}episode-{storm_row.episode_id}"
-        if storm_row.episode_id not in episodes:
-            if not graph.has_entity(episode_entity_id):
-                graph.add_entity(GeoEvent(episode_entity_id, "Episode"))
-            episodes[storm_row.episode_id] = episode_entity_id
-
-        event_id = f"{id_prefix}event-{storm_row.event_id}"
-        region_id = f"{id_prefix}region-{storm_row.event_id}"
-        graph.add_entity(GeoEvent(event_id, storm_row.kind))
-        geometry = storm_row.geometry
+    for lineno, episode_id, event, region_id, geometry, interval, impact in parsed:
+        first_line, envelope = episodes[episode_id]
+        if lineno == first_line and not graph.has_entity(episode_id):
+            graph.add_entity(GeoEvent(episode_id, "Episode"))
+        graph.add_entity(event)
         if geometry is None:
             geometry = default_bbox
-            report.warnings.append(
-                (storm_row.line, "no coordinates; using file-level default bbox")
-            )
-        envelope = graph.region_of(episode_entity_id)  # built by an earlier ingest, if any
+            report.warnings.append((lineno, "no coordinates; using file-level default bbox"))
         if envelope is not None and (
             bbox_union((envelope.geometry, geometry)) != as_bbox(envelope.geometry)
-            or interval_envelope((envelope.interval, storm_row.interval)) != envelope.interval
+            or interval_envelope((envelope.interval, interval)) != envelope.interval
         ):
-            report.warnings.append((storm_row.line, (
+            report.warnings.append((lineno, (
                 f"event lies outside episode envelope {envelope.id!r} from an earlier ingest; "
                 "envelopes are not widened"
             )))
-        graph.add_entity(SpatioTemporalRegion(region_id, geometry, storm_row.interval))
-        graph.assert_triple(event_id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id)
-        graph.assert_triple(event_id, RelationKind.PART_OF, episode_entity_id)
-        if storm_row.impacts:
-            impact_id = f"{id_prefix}impact-{storm_row.event_id}"
-            graph.add_entity(GeoObject(impact_id, "ImpactRecord", storm_row.impacts))
-            graph.assert_triple(impact_id, RelationKind.PARTICIPANT_IN, event_id)
+        graph.add_entity(SpatioTemporalRegion(region_id, geometry, interval))
+        graph.assert_triple(event.id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id)
+        graph.assert_triple(event.id, RelationKind.PART_OF, episode_id)
+        if impact is not None:
+            graph.add_entity(impact)
+            graph.assert_triple(impact.id, RelationKind.PARTICIPANT_IN, event.id)
             # Participants share their event's region.
-            graph.assert_triple(impact_id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id)
+            graph.assert_triple(impact.id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id)
 
-    # Envelopes for the episodes that have none yet, over all their children
-    # present now. Regions are immutable, so an envelope is never widened.
-    for episode_entity_id in sorted(set(episodes.values())):
-        if graph.region_of(episode_entity_id) is not None:
+    # Envelopes for the episodes that had none, over all their children present
+    # now; this ingest gave each such episode a child. Regions are immutable, so
+    # an envelope is never widened.
+    for episode_id in sorted(episodes):
+        first_line, envelope = episodes[episode_id]
+        if envelope is not None:
             continue
-        children = graph.match(predicate=RelationKind.PART_OF, object=episode_entity_id)
-        child_regions = [graph.region_of(t.subject) for t in children]
-        child_regions = [r for r in child_regions if r is not None]
-        if not child_regions:
-            continue
-        region_id = f"{id_prefix}region-{episode_entity_id.removeprefix(id_prefix)}"
+        children = graph.match(predicate=RelationKind.PART_OF, object=episode_id)
+        child_regions = [r for t in children if (r := graph.region_of(t.subject)) is not None]
+        region_id = f"{id_prefix}region-{episode_id.removeprefix(id_prefix)}"
         if graph.has_entity(region_id):
             report.warnings.append(
-                (0, f"cannot attach envelope region: id {region_id!r} already taken")
+                (first_line, f"cannot attach envelope region: id {region_id!r} already taken")
             )
             continue
         graph.add_entity(
@@ -450,9 +413,7 @@ def ingest_storm_csv(
                 interval_envelope(r.interval for r in child_regions),
             )
         )
-        graph.assert_triple(
-            episode_entity_id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id
-        )
+        graph.assert_triple(episode_id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id)
     report.triples_created = graph.triple_count - triples_before
     return report
 
@@ -462,7 +423,8 @@ def ingest_storm_csv(
 # --------------------------------------------------------------------------
 
 
-def _parse_observation_row(lineno: int, row: dict) -> ObservationRow:
+def _parse_observation_row(row: dict) -> tuple[str, TimeInterval, Measurement]:
+    """An observation row's situation cell, interval and measurement."""
     situation_id = _cell(row, "SITUATION_ID")
     if not situation_id:
         raise ValueError("SITUATION_ID must be non-empty")
@@ -484,7 +446,7 @@ def _parse_observation_row(lineno: int, row: dict) -> ObservationRow:
         value = Quantity(magnitude, unit)
     else:
         value = Categorical(value_text)
-    return ObservationRow(lineno, situation_id, TimeInterval(start, end), Measurement(attribute, value))
+    return situation_id, TimeInterval(start, end), Measurement(attribute, value)
 
 
 @collector_paused()
@@ -499,33 +461,27 @@ def ingest_observations_csv(
     raw_rows = _open_rows(source, OBSERVATION_REQUIRED)
     report.rows_read = len(raw_rows)
 
-    grouped: dict[str, list[ObservationRow]] = {}
+    # Situation entity id -> the (interval, measurement) of each accepted row.
+    grouped: dict[str, list[tuple[TimeInterval, Measurement]]] = {}
     for lineno, row in raw_rows:
         try:
-            obs = _parse_observation_row(lineno, row)
-            situation_entity_id = f"{id_prefix}situation-{obs.situation_id}"
-            if graph.has_entity(validate_entity_id(situation_entity_id)):
-                raise ValueError(f"entity id {situation_entity_id!r} already present")
-            previous = grouped.get(obs.situation_id, [])
-            if any(p.measurement.attribute == obs.measurement.attribute for p in previous):
+            situation_cell, interval, measurement = _parse_observation_row(row)
+            situation_id = f"{id_prefix}situation-{situation_cell}"
+            if graph.has_entity(validate_entity_id(situation_id)):
+                raise ValueError(f"entity id {situation_id!r} already present")
+            previous = grouped.get(situation_id, [])
+            if any(m.attribute == measurement.attribute for _, m in previous):
                 raise ValueError(
-                    f"duplicate attribute {obs.measurement.attribute!r} "
-                    f"for situation {obs.situation_id!r}; keeping the first"
+                    f"duplicate attribute {measurement.attribute!r} "
+                    f"for situation {situation_cell!r}; keeping the first"
                 )
         except (ValueError, GeoCausalError) as exc:
             _row_error(report, strictness, lineno, str(exc))
             continue
-        grouped.setdefault(obs.situation_id, []).append(obs)
+        grouped.setdefault(situation_id, []).append((interval, measurement))
 
     for situation_id in sorted(grouped):
-        rows = grouped[situation_id]
-        interval = interval_envelope(r.interval for r in rows)
-        graph.add_entity(
-            GeoSituation(
-                f"{id_prefix}situation-{situation_id}",
-                interval,
-                tuple(r.measurement for r in rows),
-            )
-        )
+        intervals, observations = zip(*grouped[situation_id])
+        graph.add_entity(GeoSituation(situation_id, interval_envelope(intervals), observations))
     report.entities_created = len(grouped)
     return report

@@ -569,5 +569,6 @@ def test_diagnostics_sort_by_their_field_tuple_without_comparing_values(monkeypa
     for seed in range(40):
         diagnostics = infer(*random_engine_case(random.Random(seed))).diagnostics
         assert diagnostics == sorted(diagnostics, key=lambda d: (d.rule, d.entities, d.reason))
+        assert len(set(diagnostics)) == len(diagnostics)
         longest = max(longest, len(diagnostics))
     assert longest > 1

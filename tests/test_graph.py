@@ -291,6 +291,13 @@ class TestValidate:
         g.assert_triple("obj:dam", RelationKind.PARTICIPANT_IN, "ev:flood")
         assert g.validate() == []
 
+    def test_participant_without_a_region_is_quiet(self):
+        g = small_graph()
+        g.assert_triple("ev:flood", STP, "reg:r1")
+        g.assert_triple("obj:dam", RelationKind.PARTICIPANT_IN, "ev:flood")
+        assert g.region_of("obj:dam") is None
+        assert g.validate() == []
+
 
 def test_role_reads_the_stored_role():
     g = small_graph()

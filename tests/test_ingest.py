@@ -133,6 +133,13 @@ class TestStormIngestion:
         with pytest.raises(MissingColumn):
             storm("EPISODE_ID,EVENT_ID\n1,2\n")
 
+    @pytest.mark.parametrize("episode_id, event_id", [("", "101"), ("1", "")], ids=["episode", "event"])
+    def test_empty_id_cell_is_a_bad_row(self, episode_id, event_id):
+        text = STORM_HEADER + f"{episode_id},{event_id},Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+        graph, report = storm(text)
+        assert report.errors == [(2, "EPISODE_ID and EVENT_ID must be non-empty")]
+        assert graph.entity_count == 0
+
     def test_end_before_begin_lenient(self):
         text = STORM_HEADER + "1,101,Flood,2005-08-02 12:00:00,2005-08-01 12:00:00,UTC,30,-90,,,,,,\n"
         graph, report = storm(text)
@@ -285,15 +292,31 @@ class TestStormIngestion:
         row = "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
         _, report = storm(STORM_HEADER + row, graph)
         assert graph.region_of("ev:episode-1") is None
-        assert report.warnings == [(0, "cannot attach envelope region: id 'ev:region-episode-1' already taken")]
+        assert report.warnings == [(2, "cannot attach envelope region: id 'ev:region-episode-1' already taken")]
         assert report.render().splitlines() == [
             "rows read:        1",
             "entities created: 1",
             "triples created:  2",
             "errors:           0",
             "warnings:         1",
-            "  line 0: cannot attach envelope region: id 'ev:region-episode-1' already taken",
+            "  line 2: cannot attach envelope region: id 'ev:region-episode-1' already taken",
         ]
+        assert json.loads(report.to_json())["warnings"] == [
+            {"line": 2, "reason": "cannot attach envelope region: id 'ev:region-episode-1' already taken"}
+        ]
+
+    def test_envelope_warning_names_the_episodes_first_accepted_row(self):
+        graph = KnowledgeGraph()
+        graph.add_entity(GeoEvent("ev:region-episode-1", "Other"))
+        rows = (
+            "1,101,Flood,2005-08-01 02:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+            "2,201,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+            "1,102,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+            "1,103,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+        )
+        _, report = storm(STORM_HEADER + rows, graph)
+        assert report.errors == [(2, "event ends before it begins")]
+        assert report.warnings == [(4, "cannot attach envelope region: id 'ev:region-episode-1' already taken")]
 
     def test_noaa_style_datetime(self):
         text = STORM_HEADER + "1,101,Flood,28-AUG-05 06:00:00,29-AUG-05 06:00:00,CST,30,-90,,,,,,\n"

@@ -88,6 +88,10 @@ class TestMakeInterval:
         env = interval_envelope([iv(2, 5), iv(0, 3), iv(4, 9)])
         assert env == iv(0, 9)
 
+    def test_envelope_of_nothing(self):
+        with pytest.raises(InvariantViolation, match="^cannot take the envelope of zero intervals$"):
+            interval_envelope([])
+
 
 class TestGeometry:
     def test_point_range_checks(self):

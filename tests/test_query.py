@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from geocausal.engine import infer
 from geocausal.errors import ConfigError, NotAnEvent, PatternParseError, UnknownEntity, UnknownRelation
 from geocausal.export import explanation_to_dot, explanation_to_json
-from geocausal.graph import KnowledgeGraph, RelationKind, Role
-from geocausal.model import GeoEvent
+from geocausal.graph import Derived, KnowledgeGraph, RelationKind, Role
+from geocausal.model import GeoEvent, GeoSituation
 from geocausal.query import parse_pattern, query, render_explanation_text, why
-from geocausal.rules import Truth
+from geocausal.rules import RuleSet, Truth
 
-from support import build_affects_case, random_engine_case
+from support import build_affects_case, iv, random_engine_case
 
 # The package binds the name ``query`` to the function.
 query_module = importlib.import_module("geocausal.query")
@@ -74,6 +74,19 @@ class TestWhy:
         assert (line.attribute, line.comparator, line.threshold) == ("WaterLevel", ">", "10 m")
         assert line.observed == "12 m"
         assert line.status is Truth.TRUE
+
+    def test_effects_edge_whose_precondition_is_not_in_the_rules(self):
+        graph = KnowledgeGraph()
+        graph.add_entity(GeoSituation("sit:a", iv(0, 1)))
+        graph.add_entity(GeoEvent("ev:b", "Flood"))
+        graph.add_triple("sit:a", RelationKind.EFFECTS, "ev:b", Derived("R-EFF:PC_X"))
+        explanation = why(graph, "ev:b", rules=RuleSet())
+        [edge] = explanation.edges
+        assert edge.precondition_id == "PC_X" and edge.evidence == ()
+        assert render_explanation_text(explanation, graph).splitlines() == [
+            "ev:b (Flood)",
+            "  <- effects -- sit:a (situation)",
+        ]
 
     def test_chain_depth_behaviour(self, chain_case):
         graph, rules = chain_case

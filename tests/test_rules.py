@@ -90,6 +90,11 @@ class TestParse:
         assert exc.value.column == text.index(">>") + 2
         assert ">" in str(exc.value)
 
+    def test_statement_that_is_neither_precondition_nor_rule(self):
+        with pytest.raises(ParseError) as exc:
+            parse_rules("rule R1: A causes B when co-occurs\nfoo")
+        assert str(exc.value) == "line 2, column 1: expected 'precondition' or 'rule', found 'foo'"
+
     def test_unknown_unit(self):
         with pytest.raises(ParseError) as exc:
             parse_rules("precondition P effects X { Temp > 3 parsecs }")

@@ -191,6 +191,10 @@ class TestSpatialOverlap:
         box = bbox_union([Point(1, 2), BBox(0, 0, 3, 1), Point(-1, 5)])
         assert (box.min_lat, box.min_lon, box.max_lat, box.max_lon) == (-1, 0, 3, 5)
 
+    def test_bbox_union_of_nothing(self):
+        with pytest.raises(ValueError, match="^cannot take the union of zero geometries$"):
+            bbox_union([])
+
 
 class TestCoOccurs:
     def region(self, name, geometry, interval):

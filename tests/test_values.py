@@ -11,7 +11,7 @@ import pytest
 from geocausal.engine import Diagnostic, EngineConfig, InferenceResult, ProvenanceTree
 from geocausal.errors import ConfigError, InvariantViolation
 from geocausal.graph import ASSERTED, Asserted, Derived, RelationKind, Triple
-from geocausal.ingest import IngestReport, ObservationRow, StormEventRow, Strictness
+from geocausal.ingest import IngestReport, Strictness
 from geocausal.model import (
     BBox,
     GeoEvent,
@@ -84,12 +84,6 @@ IMMUTABLE = {
                  ["rule", "entities", "reason"]),
     EvidenceLine: (lambda: EvidenceLine("T", ">", "3 K", "4 K", Truth.TRUE),
                    ["attribute", "comparator", "threshold", "observed", "status"]),
-    StormEventRow: (
-        lambda: StormEventRow(2, "1", "100", "Rain", iv(0, 1), None, (Measurement("D", q(1, "1")),)),
-        ["line", "episode_id", "event_id", "kind", "interval", "geometry", "impacts"],
-    ),
-    ObservationRow: (lambda: ObservationRow(2, "s1", iv(0, 1), Measurement("T", q(1, "K"))),
-                     ["line", "situation_id", "interval", "measurement"]),
 }
 
 MUTABLE = {
