@@ -16,9 +16,11 @@ from .errors import ParseError
 from .graph import KnowledgeGraph, Role, Triple
 from .model import Entity, GeoEvent, GeoObject
 from .storage import entity_doc, graph_from_docs
+from .units import format_value
 
 if TYPE_CHECKING:
-    from .query import EvidenceLine, Explanation, ExplanationEdge
+    from .query import Explanation, ExplanationEdge
+    from .rules import Condition, ConditionOutcome
 
 _DOT_SHAPES = {
     Role.EVENT: "box",
@@ -157,19 +159,19 @@ def graph_from_json(text: str) -> KnowledgeGraph:
     return graph_from_docs(_entries(doc, "entities"), _entries(doc, "triples"))
 
 
-def _evidence_json(ev: EvidenceLine) -> str:
-    threshold = "null" if ev.threshold is None else _q(ev.threshold)
-    observed = "null" if ev.observed is None else _q(ev.observed)
+def _evidence_json(condition: Condition, outcome: ConditionOutcome) -> str:
+    threshold = "null" if condition.threshold is None else _q(format_value(condition.threshold))
+    observed = "null" if outcome.observed is None else _q(format_value(outcome.observed))
     return (
-        f'        {{\n          "attribute": {_q(ev.attribute)},\n          "comparator": {_q(ev.comparator)},\n'
+        f'        {{\n          "attribute": {_q(condition.attribute)},\n          "comparator": "{condition.comparator.value}",\n'
         f'          "threshold": {threshold},\n          "observed": {observed},\n'
-        f'          "status": "{ev.status.name.lower()}"\n        }}'
+        f'          "status": "{outcome.status.name.lower()}"\n        }}'
     )
 
 
 def _edge_json(edge: ExplanationEdge) -> str:
     precondition = "null" if edge.precondition_id is None else _q(edge.precondition_id)
-    evidence = ",\n".join(map(_evidence_json, edge.evidence))
+    evidence = ",\n".join(_evidence_json(*pair) for pair in edge.evidence)
     evidence = f"[\n{evidence}\n      ]" if evidence else "[]"
     return _triple_json(
         edge.triple,

@@ -3,8 +3,10 @@
 A why-query walks causes and effects edges backward from an event,
 breadth-first, up to a depth bound. Effects edges terminate a branch at
 the originating situation and carry evidence: the satisfied precondition
-set and the observation value behind each of its conditions. Affects
-edges leaving those situations are reported as side information.
+set and the observation value behind each of its conditions. That set is
+the one R-EFF derived the edge from, or else the first the situation
+satisfies whose event kind is the event's. Affects edges leaving those
+situations are reported as side information.
 """
 
 from __future__ import annotations
@@ -14,34 +16,16 @@ from typing import TYPE_CHECKING
 from .errors import ConfigError, NotAnEvent, PatternParseError, UnknownRelation
 from .graph import KnowledgeGraph, RelationKind, RELATION_TOKENS, Triple
 from .model import GeoEvent, GeoObject, GeoSituation
-from .slotted import Frozen, Slotted, store
+from .slotted import Slotted
 from .units import format_value
 
 if TYPE_CHECKING:
-    from .rules import RuleSet, Truth
-
-
-class EvidenceLine(Frozen):
-    """One condition of a satisfied precondition set and what was observed."""
-
-    __slots__ = ("attribute", "comparator", "threshold", "observed", "status")
-
-    def __init__(
-        self,
-        attribute: str,
-        comparator: str,
-        threshold: str | None,
-        observed: str | None,
-        status: Truth,
-    ):
-        store(self, "attribute", attribute)
-        store(self, "comparator", comparator)
-        store(self, "threshold", threshold)
-        store(self, "observed", observed)
-        store(self, "status", status)
+    from .rules import Condition, ConditionOutcome, RuleSet
 
 
 class ExplanationEdge(Slotted):
+    """A walked edge; an effects edge's evidence is ``evaluate``'s per-condition outcomes."""
+
     __slots__ = ("triple", "depth", "precondition_id", "evidence")
 
     def __init__(
@@ -49,7 +33,7 @@ class ExplanationEdge(Slotted):
         triple: Triple,
         depth: int,
         precondition_id: str | None = None,
-        evidence: tuple[EvidenceLine, ...] = (),
+        evidence: tuple[tuple[Condition, ConditionOutcome], ...] = (),
     ):
         self.triple = triple
         self.depth = depth
@@ -81,34 +65,25 @@ class Explanation(Slotted):
 
 def _evidence_for(
     graph: KnowledgeGraph, triple: Triple, rules: RuleSet | None
-) -> tuple[str | None, tuple[EvidenceLine, ...]]:
-    """Recover the precondition behind an effects edge and re-evaluate it."""
-    pc_id = None
+) -> tuple[str | None, tuple[tuple[Condition, ConditionOutcome], ...]]:
+    """Recover the precondition behind an effects edge and re-evaluate it:
+    R-EFF's own, or else the first satisfied one that effects the event's kind."""
     if triple.is_derived and triple.provenance.rule_id.startswith("R-EFF:"):
         pc_id = triple.provenance.rule_id.split(":", 1)[1]
-    if pc_id is None:
-        candidates = graph.match(subject=triple.subject, predicate=RelationKind.SATISFIES)
-        if candidates:
-            pc_id = candidates[0].object
-    if pc_id is None or rules is None:
-        return pc_id, ()
-    pc = rules.precondition(pc_id)
+        pc = None if rules is None else rules.precondition(pc_id)
+    else:
+        satisfied = [t.object for t in graph.match(subject=triple.subject, predicate=RelationKind.SATISFIES)]
+        if rules is None:
+            return (satisfied[0] if satisfied else None), ()
+        kind = graph.entity(triple.object).kind  # an event, by the effects schema
+        pc = next((p for p in map(rules.precondition, satisfied) if p is not None and p.event_kind == kind), None)
+        pc_id = None if pc is None else pc.id
     if pc is None:
         return pc_id, ()
     from .rules import evaluate  # loaded only where evidence is re-evaluated
 
-    result = evaluate(pc, graph.entity(triple.subject))  # a situation, by the effects schema
-    lines = tuple(
-        EvidenceLine(
-            attribute=cond.attribute,
-            comparator=cond.comparator.value,
-            threshold=format_value(cond.threshold) if cond.threshold is not None else None,
-            observed=format_value(outcome.observed) if outcome.observed is not None else None,
-            status=outcome.status,
-        )
-        for cond, outcome in result.per_condition
-    )
-    return pc_id, lines
+    situation = graph.entity(triple.subject)  # a situation, by the effects schema
+    return pc_id, evaluate(pc, situation).per_condition
 
 
 def reachable(successors: dict[str, set[str]], start: str, goal: str) -> bool:
@@ -219,13 +194,13 @@ def render_explanation_text(explanation: Explanation, graph: KnowledgeGraph) -> 
         pad = "  " * indent
         cause = edge.triple.subject
         lines.append(f"{pad}<- {edge.triple.predicate.value} -- {_entity_label(graph, cause)}")
-        for ev in edge.evidence:
-            condition = f"{ev.attribute} {ev.comparator}"
-            if ev.threshold is not None:
-                condition += f" {ev.threshold}"
-            observed = f"observed {ev.observed}" if ev.observed is not None else "not observed"
+        for condition, outcome in edge.evidence:
+            text = f"{condition.attribute} {condition.comparator.value}"
+            if condition.threshold is not None:
+                text += f" {format_value(condition.threshold)}"
+            observed = "not observed" if outcome.observed is None else f"observed {format_value(outcome.observed)}"
             label = f" [{edge.precondition_id}]" if edge.precondition_id else ""
-            lines.append(f"{pad}     evidence{label}: {condition} ({observed}) => {ev.status.name.lower()}")
+            lines.append(f"{pad}     evidence{label}: {text} ({observed}) => {outcome.status.name.lower()}")
         if cause in expanded:
             continue
         expanded.add(cause)

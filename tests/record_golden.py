@@ -9,7 +9,9 @@ It prints the name of each entry that moved, appeared or disappeared.
 A change that re-records an entry must say which and why.
 
 Library outputs cover ``random_engine_case`` seeds 0-299 under the default
-engine configuration and under a 3 h gap with the spatial gate off. CLI
+engine configuration and under a 3 h gap with the spatial gate off.
+Causal outputs cover ``random_causal_case`` seeds 0-24, whose why-queries
+hold chains, cycles, evidence of each status and affects edges. CLI
 outputs cover the benchmark's three workloads at the sizes of
 ``bench/test_bench.py``, each command run in-process through ``cli.main``.
 The benchmark's generator and command sequence are imported, not copied.
@@ -43,7 +45,7 @@ from geocausal.graph import Role  # noqa: E402
 from geocausal.query import render_explanation_text, why  # noqa: E402
 from geocausal.storage import dump_graph, loads_graph  # noqa: E402
 
-from support import random_engine_case  # noqa: E402
+from support import random_causal_case, random_engine_case  # noqa: E402
 
 GOLDEN = TESTS / "golden.json"
 ENGINE_SEEDS = range(300)
@@ -51,6 +53,7 @@ CONFIGS = {
     "default": EngineConfig(),
     "gap3h-nospatial": EngineConfig(max_gap=timedelta(hours=3), require_spatial_overlap=False),
 }
+CAUSAL_SEEDS = range(25)
 WHY_DEPTHS = {"1": 1, "3": 3, "10": 10, "unbounded": sys.maxsize}
 CLI_SIZES = {"storm-causal": 40, "dam-effects": 30, "append-reinfer": 36}  # bench/test_bench.py SMALL
 CLI_SEEDS = (1, 2, 3)
@@ -78,32 +81,43 @@ def _triple_text(t) -> str:
     return f"{t.subject} {t.predicate.value} {t.object} {t.provenance.rule_id} {premises}"
 
 
+def _case_digests(add, graph, rules, config=None) -> None:
+    """Infer over one case, then add each of its outputs under its name."""
+    result = infer(graph, rules, config)
+    add("derived", *map(_triple_text, result.derived))
+    add("skips", *(d.render() for d in result.diagnostics))
+    dump = dump_graph(graph)
+    add("dump", dump)
+    add("json", graph_to_json(graph))
+    add("dot", graph_to_dot(graph))
+    add("reload-dump", dump_graph(loads_graph(dump)))
+    add("explain", *(explain(graph, t).render() for t in result.derived))
+    for event in graph.entities(Role.EVENT):
+        for depth_name, depth in WHY_DEPTHS.items():
+            explanation = why(graph, event.id, max_depth=depth, rules=rules)
+            add(f"why-text/depth-{depth_name}", event.id, render_explanation_text(explanation, graph))
+            add(f"why-json/depth-{depth_name}", event.id, explanation_to_json(explanation, graph))
+            add(f"why-dot/depth-{depth_name}", event.id, explanation_to_dot(explanation, graph))
+
+
 def library_digests() -> dict[str, str]:
     digests = _Digests()
     for config_name, config in CONFIGS.items():
-        def add(output: str, *parts) -> None:
-            digests.add(f"library/{config_name}/{output}", f"seed {seed}", *parts)
-
         for seed in ENGINE_SEEDS:
-            graph, rules = random_engine_case(random.Random(seed))
-            result = infer(graph, rules, config)
-            add("derived", *map(_triple_text, result.derived))
-            add("skips", *(d.render() for d in result.diagnostics))
-            dump = dump_graph(graph)
-            add("dump", dump)
-            add("json", graph_to_json(graph))
-            add("dot", graph_to_dot(graph))
-            add("reload-dump", dump_graph(loads_graph(dump)))
-            add("explain", *(explain(graph, t).render() for t in result.derived))
-            for event in graph.entities(Role.EVENT):
-                for depth_name, depth in WHY_DEPTHS.items():
-                    explanation = why(graph, event.id, max_depth=depth, rules=rules)
-                    add(f"why-text/depth-{depth_name}", event.id,
-                        render_explanation_text(explanation, graph))
-                    add(f"why-json/depth-{depth_name}", event.id,
-                        explanation_to_json(explanation, graph))
-                    add(f"why-dot/depth-{depth_name}", event.id,
-                        explanation_to_dot(explanation, graph))
+            def add(output: str, *parts) -> None:
+                digests.add(f"library/{config_name}/{output}", f"seed {seed}", *parts)
+
+            _case_digests(add, *random_engine_case(random.Random(seed)), config)
+    return digests.result()
+
+
+def causal_digests() -> dict[str, str]:
+    digests = _Digests()
+    for seed in CAUSAL_SEEDS:
+        def add(output: str, *parts) -> None:
+            digests.add(f"causal/{output}", f"seed {seed}", *parts)
+
+        _case_digests(add, *random_causal_case(random.Random(seed)))
     return digests.result()
 
 
@@ -158,7 +172,7 @@ def cli_digests() -> dict[str, str]:
 
 
 def all_digests() -> dict[str, str]:
-    return {**library_digests(), **cli_digests()}
+    return {**library_digests(), **causal_digests(), **cli_digests()}
 
 
 def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:

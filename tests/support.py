@@ -36,7 +36,7 @@ from geocausal.rules import (
 )
 from geocausal.spatiotemporal import co_occurs, gap_between, precedes, spatial_overlap
 from geocausal.storage import entity_doc
-from geocausal.units import REGISTRY, Categorical, Comparator, Quantity, get_unit
+from geocausal.units import REGISTRY, Categorical, Comparator, Quantity, format_value, get_unit
 
 EPOCH = datetime(2005, 8, 1, tzinfo=timezone.utc)
 
@@ -384,6 +384,142 @@ def _free_form_case(rng: random.Random) -> tuple[KnowledgeGraph, RuleSet]:
     return graph, RuleSet(tuple(preconditions), tuple(cause_rules))
 
 
+_CAUSAL_KINDS = ("Storm", "Rain", "Flood", "Surge")
+_CAUSAL_ANCHOR = Point(30.0, -90.0)
+_CAUSAL_RULES = RuleSet(
+    (
+        PreconditionSet("PC_LEVEL", "Flood", (Condition("WaterLevel", Comparator.GT, q(10, "m")),)),
+        PreconditionSet("PC_RAIN", "Rain", (
+            Condition("WindSpeed", Comparator.GE, q(15, "m/s")),
+            Condition("CoriolisForce", Comparator.PRESENT),
+        )),
+        PreconditionSet("PC_SURGE", "Surge", (
+            Condition("WaterLevel", Comparator.GT, q(3, "m")),
+            Condition("Gate", Comparator.EQ, Categorical("open")),
+        )),
+    ),
+    (
+        CauseRule("CO_1", "Storm", "Rain", CoOccurs()),
+        CauseRule("CO_2", "Rain", "Flood", CoOccurs()),
+        CauseRule("CO_3", "Storm", "Surge", CoOccurs()),
+        CauseRule("PW_1", "Storm", "Flood", PrecedesWithin(timedelta(hours=12))),
+        CauseRule("PW_2", "Flood", "Flood", PrecedesWithin(timedelta(hours=4))),
+        CauseRule("PW_3", "Surge", "Flood", PrecedesWithin(timedelta(hours=24))),
+        CauseRule("PR_1", "Surge", "Storm", Precedes()),
+        CauseRule("PR_2", "Rain", "Surge", Precedes()),
+    ),
+)
+
+
+def _causal_observations(rng: random.Random) -> tuple[Measurement, ...]:
+    """Observations that satisfy, fail or leave open each precondition of
+    ``_CAUSAL_RULES``; WaterLevel sometimes holds a temperature."""
+    out = []
+    if rng.random() < 0.8:
+        unit = "degC" if rng.random() < 0.15 else "m"
+        out.append(Measurement("WaterLevel", q(rng.choice([2.0, 5.0, 12.0, 12.0, 18.0]), unit)))
+    if rng.random() < 0.6:
+        out.append(Measurement("WindSpeed", q(rng.choice([10.0, 20.0, 30.0]), rng.choice(["m/s", "kn"]))))
+    if rng.random() < 0.5:
+        out.append(Measurement("CoriolisForce", Categorical("present")))
+    if rng.random() < 0.5:
+        out.append(Measurement("Gate", Categorical(rng.choice(["open", "open", "closed"]))))
+    return tuple(out)
+
+
+def random_causal_case(rng: random.Random) -> tuple[KnowledgeGraph, RuleSet]:
+    """A graph of 10-60 events on which ``why`` has something to say, with
+    the fixed rules ``_CAUSAL_RULES``.
+
+    Cause rules of each constraint derive chains, diamonds and ladders (a
+    train of floods a few hours apart); asserted causes edges add more,
+    with a cycle and a self-loop. Object-set situations that precede events
+    get effects edges from R-SAT and R-EFF. Situations without a setter get
+    asserted satisfies and effects edges, so evidence is true, false (a
+    missed threshold or another dimension) or unknown (no observation).
+    Situations set by an event whose objects participate in it let R-AFF
+    derive affects edges; R-EFF refuses a mixed setting, so their effects
+    edges are asserted too.
+    """
+    graph = KnowledgeGraph()
+    events: list[GeoEvent] = []
+    starts: dict[str, int] = {}
+
+    def add_event(kind: str, start: int, geometry) -> None:
+        event = GeoEvent(f"ev:e{len(events)}", kind)
+        graph.add_entity(event)
+        events.append(event)
+        starts[event.id] = start
+        if geometry is None:
+            return  # no region: no rule reaches it, only asserted edges
+        region = SpatioTemporalRegion(f"reg:e{len(events) - 1}", geometry, iv(start, start + rng.randint(1, 8)))
+        graph.add_entity(region)
+        graph.assert_triple(event.id, STP, region.id)
+
+    n_events = rng.randint(10, 60)
+    if rng.random() < 0.6:  # a ladder: floods 3 h apart, each within 4 h of the next
+        train_start = rng.randint(0, 100)
+        for i in range(rng.randint(3, min(8, n_events // 2))):
+            add_event("Flood", train_start + 3 * i, _CAUSAL_ANCHOR)
+    while len(events) < n_events:
+        roll = rng.random()
+        if roll < 0.7:
+            geometry = _CAUSAL_ANCHOR if rng.random() < 0.5 else BBox(29.0, -91.0, 31.0, -89.0)
+        elif roll < 0.9:
+            geometry = _random_geometry(rng)
+        else:
+            geometry = None
+        add_event(rng.choice(_CAUSAL_KINDS), rng.randint(0, 120), geometry)
+
+    def pick() -> str:
+        return rng.choice(events).id
+
+    for _ in range(rng.randint(1, 4)):
+        graph.assert_triple(pick(), RelationKind.CAUSES, pick())
+    if rng.random() < 0.5:
+        a, b, c = pick(), pick(), pick()
+        for s, o in ((a, b), (b, c), (c, a)):
+            graph.assert_triple(s, RelationKind.CAUSES, o)
+    if rng.random() < 0.5:
+        a = pick()
+        graph.assert_triple(a, RelationKind.CAUSES, a)
+
+    def before(event_id: str) -> TimeInterval:
+        """A situation interval ending shortly before the event starts."""
+        end = max(starts[event_id] - rng.choice([0, 1, 2, 6]), 1)
+        return iv(end - rng.randint(1, 4), end)
+
+    for i in range(rng.randint(2, 6)):  # object-set situations: R-SAT and R-EFF
+        obj = GeoObject(f"obj:gauge{i}", "Gauge")
+        graph.add_entity(obj)
+        graph.add_entity(SpatioTemporalRegion(f"reg:gauge{i}", _CAUSAL_ANCHOR, iv(0, 140)))
+        graph.assert_triple(obj.id, STP, f"reg:gauge{i}")
+        situation = GeoSituation(f"sit:g{i}", before(pick()), _causal_observations(rng))
+        graph.add_entity(situation)
+        graph.assert_triple(obj.id, RelationKind.SETTING, situation.id)
+
+    for i in range(rng.randint(1, 4)):  # no setter: asserted satisfies and effects
+        situation = GeoSituation(f"sit:x{i}", iv(0, 2), _causal_observations(rng))
+        graph.add_entity(situation)
+        pc = rng.choice(_CAUSAL_RULES.preconditions)
+        graph.assert_triple(situation.id, RelationKind.SATISFIES, pc.id)
+        of_kind = [e.id for e in events if e.kind == pc.event_kind]
+        target = rng.choice(of_kind) if of_kind and rng.random() < 0.75 else pick()
+        graph.assert_triple(situation.id, RelationKind.EFFECTS, target)
+
+    for i in range(rng.randint(1, 3)):  # event-set situations: R-AFF
+        setter = pick()
+        situation = GeoSituation(f"sit:v{i}", before(setter), _causal_observations(rng))
+        graph.add_entity(situation)
+        graph.assert_triple(setter, RelationKind.SETTING, situation.id)
+        for j in range(rng.randint(1, 2)):
+            obj = GeoObject(f"obj:v{i}p{j}", rng.choice(["Dam", "Levee"]))
+            graph.add_entity(obj)
+            graph.assert_triple(obj.id, RelationKind.PARTICIPANT_IN, setter)
+        graph.assert_triple(situation.id, RelationKind.EFFECTS, pick())
+    return graph, _CAUSAL_RULES
+
+
 def random_storage_graph(rng: random.Random, n_triples: int) -> KnowledgeGraph:
     """A schema-valid graph with roughly ``n_triples`` triples, including
     derived provenance whose premises are keys of triples added before,
@@ -569,13 +705,13 @@ def explanation_doc(explanation: Explanation, graph: KnowledgeGraph) -> dict:
                 "precondition": edge.precondition_id,
                 "evidence": [
                     {
-                        "attribute": ev.attribute,
-                        "comparator": ev.comparator,
-                        "threshold": ev.threshold,
-                        "observed": ev.observed,
-                        "status": ev.status.name.lower(),
+                        "attribute": condition.attribute,
+                        "comparator": condition.comparator.value,
+                        "threshold": None if condition.threshold is None else format_value(condition.threshold),
+                        "observed": None if outcome.observed is None else format_value(outcome.observed),
+                        "status": outcome.status.name.lower(),
                     }
-                    for ev in edge.evidence
+                    for condition, outcome in edge.evidence
                 ],
             }
             for edge in explanation.edges

@@ -13,10 +13,10 @@ from geocausal.export import (
 )
 from geocausal.graph import SIGNATURES, Derived, KnowledgeGraph, RelationKind, Role, role_of
 from geocausal.model import GeoEvent, GeoObject, GeoSituation, Measurement
-from geocausal.query import EvidenceLine, Explanation, ExplanationEdge, why
-from geocausal.rules import Truth
+from geocausal.query import Explanation, ExplanationEdge, why
+from geocausal.rules import Condition, ConditionOutcome, Truth
 from geocausal.storage import dump_graph, entity_doc, graphs_equal, loads_graph
-from geocausal.units import Categorical
+from geocausal.units import Categorical, Comparator
 
 import random
 
@@ -263,15 +263,16 @@ def _affects_explanation():
 
 
 def _escaped_explanation():
-    """Over ``_escaped_graph``: escaped ids, precondition id and evidence
-    strings, null thresholds, observations and preconditions, and a
-    truncated walk."""
+    """Over ``_escaped_graph``: escaped ids, precondition id and observed
+    value (a threshold is a grammar token, so it needs no escape), null
+    thresholds, observations and preconditions, and a truncated walk."""
     graph = _escaped_graph()
     graph.assert_triple("sit:\u2205", RelationKind.EFFECTS, "ev:\U0001f30a")
     graph.assert_triple("sit:\u2205", RelationKind.AFFECTS, "obj:\u00e9")
     evidence = (
-        EvidenceLine("Note", "=", "a\\\u00e9\U0001f30a", None, Truth.UNKNOWN),
-        EvidenceLine("Debris", "present", None, "present", Truth.TRUE),
+        (Condition("Note", Comparator.EQ, Categorical("calm")),
+         ConditionOutcome(Truth.FALSE, Categorical("a\\\u00e9\U0001f30a"))),
+        (Condition("Debris", Comparator.PRESENT), ConditionOutcome(Truth.UNKNOWN)),
     )
     edges = [
         ExplanationEdge(graph.triple(("ev:a\\b", RelationKind.CAUSES, "ev:\U0001f30a")), 1),

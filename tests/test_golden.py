@@ -5,8 +5,14 @@ re-record with ``tests/record_golden.py`` and say which moved and why.
 """
 
 import json
+import random
 
-from record_golden import GOLDEN, cli_digests, library_digests, moved
+from geocausal.engine import infer
+from geocausal.graph import Role
+from geocausal.query import why
+from geocausal.rules import Truth
+from record_golden import CAUSAL_SEEDS, GOLDEN, causal_digests, cli_digests, library_digests, moved
+from support import random_causal_case
 
 RECORDED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -19,11 +25,36 @@ def test_library_outputs_are_unchanged():
     assert moved(_recorded("library/"), library_digests()) == []
 
 
+def test_causal_outputs_are_unchanged():
+    assert moved(_recorded("causal/"), causal_digests()) == []
+
+
 def test_cli_outputs_are_unchanged():
     assert moved(_recorded("cli/"), cli_digests()) == []
 
 
 def test_the_gate_covers_both_groups():
     assert len(_recorded("library/")) == 2 * (7 + 3 * 4)
+    assert len(_recorded("causal/")) == 7 + 3 * 4
     assert _recorded("cli/")
-    assert set(RECORDED) == set(_recorded("library/")) | set(_recorded("cli/"))
+    groups = ("library/", "causal/", "cli/")
+    assert set(RECORDED) == set().union(*(_recorded(prefix) for prefix in groups))
+
+
+def test_the_causal_group_pins_explanations_with_something_to_say():
+    """Minimums over the depth-10 why-queries of every causal case, so that
+    an edit of the generator cannot quietly empty the gate."""
+    queries = non_empty = with_affects = 0
+    statuses = set()
+    for seed in CAUSAL_SEEDS:
+        graph, rules = random_causal_case(random.Random(seed))
+        infer(graph, rules)
+        for event in graph.entities(Role.EVENT):
+            explanation = why(graph, event.id, max_depth=10, rules=rules)
+            queries += 1
+            non_empty += bool(explanation.edges)
+            with_affects += bool(explanation.affects)
+            statuses.update(outcome.status for edge in explanation.edges for _, outcome in edge.evidence)
+    assert non_empty > queries // 2
+    assert with_affects >= queries // 10
+    assert statuses == set(Truth)

@@ -9,11 +9,12 @@ from geocausal.engine import infer
 from geocausal.errors import ConfigError, NotAnEvent, PatternParseError, UnknownEntity, UnknownRelation
 from geocausal.export import explanation_to_dot, explanation_to_json
 from geocausal.graph import Derived, KnowledgeGraph, RelationKind, Role
-from geocausal.model import GeoEvent, GeoSituation
+from geocausal.model import GeoEvent, GeoSituation, Measurement
 from geocausal.query import parse_pattern, query, render_explanation_text, why
-from geocausal.rules import RuleSet, Truth
+from geocausal.rules import Condition, ConditionOutcome, RuleSet, Truth, parse_rules
+from geocausal.units import Categorical, Comparator
 
-from support import build_affects_case, iv, random_engine_case
+from support import build_affects_case, iv, q, random_engine_case
 
 # The package binds the name ``query`` to the function.
 query_module = importlib.import_module("geocausal.query")
@@ -69,11 +70,9 @@ class TestWhy:
         assert [e.triple.predicate for e in explanation.edges] == [RelationKind.EFFECTS]
         edge = explanation.edges[0]
         assert edge.precondition_id == "PC_DAM"
-        assert len(edge.evidence) == 1
-        line = edge.evidence[0]
-        assert (line.attribute, line.comparator, line.threshold) == ("WaterLevel", ">", "10 m")
-        assert line.observed == "12 m"
-        assert line.status is Truth.TRUE
+        [(condition, outcome)] = edge.evidence
+        assert condition == Condition("WaterLevel", Comparator.GT, q(10, "m"))
+        assert outcome == ConditionOutcome(Truth.TRUE, q(12, "m"))
 
     def test_effects_edge_whose_precondition_is_not_in_the_rules(self):
         graph = KnowledgeGraph()
@@ -87,6 +86,86 @@ class TestWhy:
             "ev:b (Flood)",
             "  <- effects -- sit:a (situation)",
         ]
+
+    def test_evidence_of_each_status_in_text_and_json(self):
+        """An asserted effects edge: the evidence is for the situation's
+        satisfies edge, with a value of another dimension (false), no
+        observation (unknown), a unary comparator and a categorical."""
+        graph = KnowledgeGraph()
+        graph.add_entity(GeoSituation("sit:a", iv(0, 1), (
+            Measurement("WaterLevel", q(12, "degC")),
+            Measurement("Debris", Categorical("present")),
+            Measurement("Spillway", Categorical("open")),
+        )))
+        graph.add_entity(GeoEvent("ev:flood", "Flood"))
+        graph.assert_triple("sit:a", RelationKind.SATISFIES, "PC_X")
+        graph.assert_triple("sit:a", RelationKind.EFFECTS, "ev:flood")
+        rules = parse_rules(
+            "precondition PC_X effects Flood "
+            "{ WaterLevel > 10 m; InflowRate > 3 m/s; Debris present; Spillway = open }\n"
+        )
+        explanation = why(graph, "ev:flood", rules=rules)
+        assert render_explanation_text(explanation, graph).splitlines() == [
+            "ev:flood (Flood)",
+            "  <- effects -- sit:a (situation)",
+            "       evidence [PC_X]: WaterLevel > 10 m (observed 12 degC) => false",
+            "       evidence [PC_X]: InflowRate > 3 m/s (not observed) => unknown",
+            "       evidence [PC_X]: Debris present (observed present) => true",
+            "       evidence [PC_X]: Spillway = open (observed open) => true",
+        ]
+        [edge] = json.loads(explanation_to_json(explanation, graph))["edges"]
+        assert edge["precondition"] == "PC_X"
+        assert edge["evidence"] == [
+            {"attribute": "WaterLevel", "comparator": ">", "threshold": "10 m",
+             "observed": "12 degC", "status": "false"},
+            {"attribute": "InflowRate", "comparator": ">", "threshold": "3 m/s",
+             "observed": None, "status": "unknown"},
+            {"attribute": "Debris", "comparator": "present", "threshold": None,
+             "observed": "present", "status": "true"},
+            {"attribute": "Spillway", "comparator": "=", "threshold": "open",
+             "observed": "open", "status": "true"},
+        ]
+
+    @staticmethod
+    def _two_preconditions_case() -> tuple[KnowledgeGraph, RuleSet]:
+        """A situation satisfying PC_A (effects Drought) and PC_B (effects
+        Flood), with an asserted effects edge to a flood."""
+        graph = KnowledgeGraph()
+        graph.add_entity(GeoSituation("sit:a", iv(0, 1), (
+            Measurement("Rain", q(5, "m")), Measurement("WaterLevel", q(20, "m")),
+        )))
+        graph.add_entity(GeoEvent("ev:flood", "Flood"))
+        graph.assert_triple("sit:a", RelationKind.EFFECTS, "ev:flood")
+        rules = parse_rules(
+            "precondition PC_A effects Drought { Rain > 1 m }\n"
+            "precondition PC_B effects Flood { WaterLevel > 15 m }\n"
+        )
+        infer(graph, rules)
+        assert [t.object for t in graph.match(subject="sit:a", predicate=RelationKind.SATISFIES)] == [
+            "PC_A", "PC_B"
+        ]
+        return graph, rules
+
+    def test_evidence_is_for_a_precondition_that_effects_the_event(self):
+        graph, rules = self._two_preconditions_case()
+        explanation = why(graph, "ev:flood", rules=rules)
+        assert render_explanation_text(explanation, graph).splitlines() == [
+            "ev:flood (Flood)",
+            "  <- effects -- sit:a (situation)",
+            "       evidence [PC_B]: WaterLevel > 15 m (observed 20 m) => true",
+        ]
+
+    def test_no_evidence_where_no_satisfied_precondition_effects_the_event(self):
+        graph, rules = self._two_preconditions_case()
+        graph.add_entity(GeoEvent("ev:storm", "Storm"))
+        graph.assert_triple("sit:a", RelationKind.EFFECTS, "ev:storm")
+        [edge] = why(graph, "ev:storm", rules=rules).edges
+        assert edge.precondition_id is None and edge.evidence == ()
+
+    def test_without_rules_the_first_satisfies_edge_names_the_precondition(self):
+        graph, _ = self._two_preconditions_case()
+        [edge] = why(graph, "ev:flood").edges
+        assert edge.precondition_id == "PC_A" and edge.evidence == ()
 
     def test_chain_depth_behaviour(self, chain_case):
         graph, rules = chain_case

@@ -22,7 +22,7 @@ from geocausal.model import (
     SpatioTemporalRegion,
     TimeInterval,
 )
-from geocausal.query import EvidenceLine, Explanation, ExplanationEdge
+from geocausal.query import Explanation, ExplanationEdge
 from geocausal.rules import (
     CauseRule,
     CoOccurs,
@@ -82,8 +82,6 @@ IMMUTABLE = {
     EngineConfig: (lambda: EngineConfig(timedelta(hours=6)), ["max_gap", "require_spatial_overlap"]),
     Diagnostic: (lambda: Diagnostic("R-EFF", ("sit:a", "ev:b"), "mixed-setting"),
                  ["rule", "entities", "reason"]),
-    EvidenceLine: (lambda: EvidenceLine("T", ">", "3 K", "4 K", Truth.TRUE),
-                   ["attribute", "comparator", "threshold", "observed", "status"]),
 }
 
 MUTABLE = {
