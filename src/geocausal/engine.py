@@ -66,6 +66,8 @@ class EngineConfig(Frozen):
             raise ConfigError(f"max_gap must be a timedelta, got {max_gap!r}")
         if max_gap < timedelta(0):
             raise ConfigError(f"max_gap must be non-negative, got {max_gap}")
+        if not isinstance(require_spatial_overlap, bool):
+            raise ConfigError(f"require_spatial_overlap must be a bool, got {require_spatial_overlap!r}")
         store(self, "max_gap", max_gap)
         store(self, "require_spatial_overlap", require_spatial_overlap)
 

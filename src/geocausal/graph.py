@@ -178,7 +178,7 @@ class KnowledgeGraph:
     def entity(self, entity_id: EntityId) -> Entity:
         try:
             return self._entities[entity_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownEntity(f"no entity with id {entity_id!r}") from None
 
     def entities(self, role: Role | None = None) -> list[Entity]:
@@ -199,6 +199,10 @@ class KnowledgeGraph:
 
     def _check_schema(self, subject: str, predicate: RelationKind, object: str) -> tuple[str, str]:
         """The stored entities' ids; a satisfies object, an external id, as given."""
+        try:
+            signature = SIGNATURES[predicate]
+        except (KeyError, TypeError):  # TypeError: an unhashable predicate
+            raise SchemaViolation(f"{predicate!r} is not a relation kind") from None
         if predicate in _STRUCTURAL:
             raise SchemaViolation(
                 f"{predicate.value} is {describe_signature(predicate)}"
@@ -211,7 +215,7 @@ class KnowledgeGraph:
                 )
             return s.id, validate_entity_id(object)  # external precondition-set id
         o = self.entity(object)
-        if (s.role, o.role) not in SIGNATURES[predicate]:
+        if (s.role, o.role) not in signature:
             raise SchemaViolation(
                 f"{predicate.value}: expected {describe_signature(predicate)}, "
                 f"got {s.role.value} -> {o.role.value}"
@@ -230,7 +234,10 @@ class KnowledgeGraph:
         An existing triple's provenance is immutable: re-adding its key returns
         it unchanged. A premise that is not already stored raises UnknownTriple.
         """
-        existing = self._triples.get((subject, predicate, object))
+        try:
+            existing = self._triples.get((subject, predicate, object))
+        except TypeError:  # an unhashable argument, which the schema check refuses
+            existing = None
         if existing is not None:
             return existing
         subject, object = self._check_schema(subject, predicate, object)

@@ -4,8 +4,8 @@ A why-query walks causes and effects edges backward from an event,
 breadth-first, up to a depth bound. Effects edges terminate a branch at
 the originating situation and carry evidence: the satisfied precondition
 set and the observation value behind each of its conditions. That set is
-the one R-EFF derived the edge from, or else the first the situation
-satisfies whose event kind is the event's. Affects edges leaving those
+the first, in id order, that the situation satisfies and that effects the
+event's kind; without rules there is none. Affects edges leaving those
 situations are reported as side information.
 """
 
@@ -66,24 +66,18 @@ class Explanation(Slotted):
 def _evidence_for(
     graph: KnowledgeGraph, triple: Triple, rules: RuleSet | None
 ) -> tuple[str | None, tuple[tuple[Condition, ConditionOutcome], ...]]:
-    """Recover the precondition behind an effects edge and re-evaluate it:
-    R-EFF's own, or else the first satisfied one that effects the event's kind."""
-    if triple.is_derived and triple.provenance.rule_id.startswith("R-EFF:"):
-        pc_id = triple.provenance.rule_id.split(":", 1)[1]
-        pc = None if rules is None else rules.precondition(pc_id)
-    else:
-        satisfied = [t.object for t in graph.match(subject=triple.subject, predicate=RelationKind.SATISFIES)]
-        if rules is None:
-            return (satisfied[0] if satisfied else None), ()
-        kind = graph.entity(triple.object).kind  # an event, by the effects schema
-        pc = next((p for p in map(rules.precondition, satisfied) if p is not None and p.event_kind == kind), None)
-        pc_id = None if pc is None else pc.id
-    if pc is None:
-        return pc_id, ()
-    from .rules import evaluate  # loaded only where evidence is re-evaluated
+    """The first precondition, in id order, that the situation satisfies and
+    that effects the event's kind, re-evaluated; none without rules."""
+    if rules is None:
+        return None, ()
+    kind = graph.entity(triple.object).kind  # an event, by the effects schema
+    for satisfied in graph.match(subject=triple.subject, predicate=RelationKind.SATISFIES):
+        pc = rules.precondition(satisfied.object)
+        if pc is not None and pc.event_kind == kind:
+            from .rules import evaluate  # loaded only where evidence is re-evaluated
 
-    situation = graph.entity(triple.subject)  # a situation, by the effects schema
-    return pc_id, evaluate(pc, situation).per_condition
+            return pc.id, evaluate(pc, graph.entity(triple.subject)).per_condition
+    return None, ()
 
 
 def reachable(successors: dict[str, set[str]], start: str, goal: str) -> bool:
@@ -195,12 +189,9 @@ def render_explanation_text(explanation: Explanation, graph: KnowledgeGraph) -> 
         cause = edge.triple.subject
         lines.append(f"{pad}<- {edge.triple.predicate.value} -- {_entity_label(graph, cause)}")
         for condition, outcome in edge.evidence:
-            text = f"{condition.attribute} {condition.comparator.value}"
-            if condition.threshold is not None:
-                text += f" {format_value(condition.threshold)}"
             observed = "not observed" if outcome.observed is None else f"observed {format_value(outcome.observed)}"
             label = f" [{edge.precondition_id}]" if edge.precondition_id else ""
-            lines.append(f"{pad}     evidence{label}: {text} ({observed}) => {outcome.status.name.lower()}")
+            lines.append(f"{pad}     evidence{label}: {condition} ({observed}) => {outcome.status.name.lower()}")
         if cause in expanded:
             continue
         expanded.add(cause)

@@ -82,6 +82,11 @@ class Condition(Frozen):
         store(self, "comparator", comparator)
         store(self, "threshold", threshold)
 
+    def __str__(self) -> str:
+        if self.threshold is None:
+            return f"{self.attribute} {self.comparator.value}"
+        return f"{self.attribute} {self.comparator.value} {format_value(self.threshold)}"
+
 
 class PreconditionSet(Frozen):
     """A conjunction of conditions that, when satisfied, effects an event kind."""
@@ -569,17 +574,11 @@ def parse_rules(text: str) -> RuleSet:
 # --------------------------------------------------------------------------
 
 
-def _condition_text(cond: Condition) -> str:
-    if cond.threshold is None:
-        return f"{cond.attribute} {cond.comparator.value}"
-    return f"{cond.attribute} {cond.comparator.value} {format_value(cond.threshold)}"
-
-
 def print_rules(ruleset: RuleSet) -> str:
     """Render a rule set with bit-exact ordering; re-parsing yields an equal set."""
     blocks: list[str] = []
     for pc in ruleset.preconditions:
-        body = ";\n".join(f"    {_condition_text(c)}" for c in pc.conditions)
+        body = ";\n".join(f"    {c}" for c in pc.conditions)
         blocks.append(f"precondition {pc.id} effects {pc.event_kind} {{\n{body}\n}}")
     for rule in ruleset.cause_rules:
         blocks.append(

@@ -290,7 +290,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` through a temporary file in the same
     directory, so a crash or a concurrent writer never leaves a truncated
     file. The new file keeps the permission bits of the one it replaces.
-    No fsync: this guards against process failures, not power loss."""
+    The temporary file is fsynced before the rename and the directory after
+    it (where the platform can open one), so the rename survives a power
+    loss with the new text in it."""
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -302,10 +304,20 @@ def write_text_atomic(path: str | Path, text: str) -> None:
             if mode is not None:
                 os.chmod(temporary, mode)  # before the text is in it
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+    try:
+        directory = os.open(path.parent, os.O_RDONLY)
+    except OSError:  # a platform that opens no directory (Windows)
+        return
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def save_graph(graph: KnowledgeGraph, sink: str | Path | IO[str]) -> None:

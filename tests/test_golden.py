@@ -7,12 +7,16 @@ re-record with ``tests/record_golden.py`` and say which moved and why.
 import json
 import random
 
+import pytest
+
 from geocausal.engine import infer
-from geocausal.graph import Role
+from geocausal.graph import RelationKind, Role
 from geocausal.query import why
-from geocausal.rules import Truth
-from record_golden import CAUSAL_SEEDS, GOLDEN, causal_digests, cli_digests, library_digests, moved
-from support import random_causal_case
+from geocausal.rules import PreconditionSet, RuleSet, Truth
+from record_golden import (
+    CAUSAL_SEEDS, CONFIGS, ENGINE_SEEDS, GOLDEN, causal_digests, cli_digests, library_digests, moved,
+)
+from support import random_causal_case, random_engine_case
 
 RECORDED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -58,3 +62,33 @@ def test_the_causal_group_pins_explanations_with_something_to_say():
     assert non_empty > queries // 2
     assert with_affects >= queries // 10
     assert statuses == set(Truth)
+
+
+def _with_twins(rules: RuleSet) -> RuleSet:
+    """The rules plus, for each precondition set, a twin whose id sorts after it."""
+    twins = tuple(PreconditionSet(p.id + "_TWIN", p.event_kind, p.conditions) for p in rules.preconditions)
+    return RuleSet(rules.preconditions + twins, rules.cause_rules)
+
+
+@pytest.mark.parametrize("twinned", [False, True], ids=["golden-rules", "twinned-rules"])
+def test_evidence_names_the_set_r_eff_derived_each_effects_edge_from(twinned):
+    """R-EFF's gates do not depend on the precondition, and it visits the
+    situation's satisfies edges in id order, so the first satisfied set of
+    the event's kind is the one its rule id names, on every golden case.
+    With twins, every such situation satisfies two sets of the event's kind."""
+    cases = [(random_causal_case(random.Random(seed)), None) for seed in CAUSAL_SEEDS]
+    cases += [(random_engine_case(random.Random(seed)), config)
+              for config in CONFIGS.values() for seed in ENGINE_SEEDS]
+    checked = 0
+    for (graph, rules), config in cases:
+        if twinned:
+            rules = _with_twins(rules)
+        infer(graph, rules, config)
+        for triple in graph.match(predicate=RelationKind.EFFECTS):
+            if not (triple.is_derived and triple.provenance.rule_id.startswith("R-EFF:")):
+                continue
+            [edge] = [e for e in why(graph, triple.object, max_depth=1, rules=rules).edges if e.triple == triple]
+            assert "R-EFF:" + edge.precondition_id == triple.provenance.rule_id
+            assert edge.evidence
+            checked += 1
+    assert checked >= 150

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geocausal.engine import explain, infer
-from geocausal.errors import DuplicateId, InvariantViolation, SchemaViolation, UnknownEntity, UnknownTriple
+from geocausal.errors import (
+    DuplicateId, GeoCausalError, InvariantViolation, SchemaViolation, UnknownEntity, UnknownTriple,
+)
 from geocausal.graph import ASSERTED, Derived, KnowledgeGraph, RelationKind, Role, role_of
 from geocausal.model import (
     GeoEvent,
@@ -165,6 +167,41 @@ def test_every_key_not_held_is_an_unknown_triple(key, message):
         with pytest.raises(UnknownTriple) as caught:
             read(key)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("args,error,message", [
+    (("ev:rain", "causes", "ev:flood"), SchemaViolation, "'causes' is not a relation kind"),
+    (("ev:rain", ["causes"], "ev:flood"), SchemaViolation, "['causes'] is not a relation kind"),
+    ((["ev:rain"], RelationKind.CAUSES, "ev:flood"), UnknownEntity, "no entity with id ['ev:rain']"),
+    (("ev:rain", RelationKind.CAUSES, ["ev:flood"]), UnknownEntity, "no entity with id ['ev:flood']"),
+], ids=["str-predicate", "list-predicate", "list-subject", "list-object"])
+def test_add_triple_refuses_what_is_not_an_id_or_a_relation(args, error, message):
+    g = small_graph()
+    with pytest.raises(error) as caught:
+        g.add_triple(*args)
+    assert str(caught.value) == message
+    assert g.triple_count == 0
+
+
+def test_an_unhashable_id_is_an_unknown_entity():
+    with pytest.raises(UnknownEntity, match=r"no entity with id \['ev:rain'\]"):
+        small_graph().entity(["ev:rain"])
+
+
+_HOSTILE = st.one_of(
+    st.none(), st.integers(), st.floats(), st.text(max_size=8), st.binary(max_size=8),
+    st.lists(st.text(max_size=3), max_size=2), st.sampled_from(RelationKind),
+    st.sampled_from(["ev:flood", "ev:rain", "obj:dam", "sit:overflow", "reg:r1", "PC_X"]),
+)
+
+
+@settings(max_examples=300)
+@given(_HOSTILE, _HOSTILE, _HOSTILE)
+def test_add_triple_raises_only_its_own_errors(subject, predicate, object):
+    try:
+        small_graph().add_triple(subject, predicate, object)
+    except GeoCausalError:
+        pass
 
 
 class TestMatch:

@@ -78,14 +78,36 @@ class TestWhy:
         graph = KnowledgeGraph()
         graph.add_entity(GeoSituation("sit:a", iv(0, 1)))
         graph.add_entity(GeoEvent("ev:b", "Flood"))
+        graph.add_triple("sit:a", RelationKind.SATISFIES, "PC_X", Derived("R-SAT:PC_X"))
         graph.add_triple("sit:a", RelationKind.EFFECTS, "ev:b", Derived("R-EFF:PC_X"))
         explanation = why(graph, "ev:b", rules=RuleSet())
         [edge] = explanation.edges
-        assert edge.precondition_id == "PC_X" and edge.evidence == ()
+        assert edge.precondition_id is None and edge.evidence == ()
         assert render_explanation_text(explanation, graph).splitlines() == [
             "ev:b (Flood)",
             "  <- effects -- sit:a (situation)",
         ]
+        [doc] = json.loads(explanation_to_json(explanation, graph))["edges"]
+        assert doc["rule"] == "R-EFF:PC_X" and doc["precondition"] is None
+
+    def test_stale_rules_name_the_satisfied_precondition_of_the_event_kind(self):
+        """The edge's R-EFF set is gone from the rules; the situation's other
+        satisfied set of the event's kind is named instead."""
+        graph = KnowledgeGraph()
+        graph.add_entity(GeoSituation("sit:a", iv(0, 1), (Measurement("WaterLevel", q(20, "m")),)))
+        graph.add_entity(GeoEvent("ev:b", "Flood"))
+        graph.add_triple("sit:a", RelationKind.SATISFIES, "PC_X", Derived("R-SAT:PC_X"))
+        graph.add_triple("sit:a", RelationKind.SATISFIES, "PC_Y", Derived("R-SAT:PC_Y"))
+        graph.add_triple("sit:a", RelationKind.EFFECTS, "ev:b", Derived("R-EFF:PC_X"))
+        rules = parse_rules("precondition PC_Y effects Flood { WaterLevel > 15 m }\n")
+        explanation = why(graph, "ev:b", rules=rules)
+        [edge] = explanation.edges
+        assert edge.precondition_id == "PC_Y"
+        assert edge.evidence == (
+            (Condition("WaterLevel", Comparator.GT, q(15, "m")), ConditionOutcome(Truth.TRUE, q(20, "m"))),
+        )
+        [doc] = json.loads(explanation_to_json(explanation, graph))["edges"]
+        assert doc["rule"] == "R-EFF:PC_X" and doc["precondition"] == "PC_Y"
 
     def test_evidence_of_each_status_in_text_and_json(self):
         """An asserted effects edge: the evidence is for the situation's
@@ -162,10 +184,17 @@ class TestWhy:
         [edge] = why(graph, "ev:storm", rules=rules).edges
         assert edge.precondition_id is None and edge.evidence == ()
 
-    def test_without_rules_the_first_satisfies_edge_names_the_precondition(self):
+    def test_without_rules_no_precondition_is_named(self, flood_case_b):
+        """Which precondition effects which event kind is in the rules, so
+        without them an asserted and an R-EFF-derived edge name none."""
         graph, _ = self._two_preconditions_case()
         [edge] = why(graph, "ev:flood").edges
-        assert edge.precondition_id == "PC_A" and edge.evidence == ()
+        assert edge.precondition_id is None and edge.evidence == ()
+        graph, rules = flood_case_b
+        infer(graph, rules)
+        [edge] = why(graph, "ev:flood").edges
+        assert edge.triple.provenance.rule_id == "R-EFF:PC_DAM"
+        assert edge.precondition_id is None and edge.evidence == ()
 
     def test_chain_depth_behaviour(self, chain_case):
         graph, rules = chain_case

@@ -233,6 +233,11 @@ class TestPrint:
     def test_round_trip_random(self, ruleset):
         assert parse_rules(print_rules(ruleset)) == ruleset
 
+    def test_condition_text(self):
+        assert str(Condition("CoriolisForce", Comparator.PRESENT)) == "CoriolisForce present"
+        assert str(Condition("SeaSurfaceTemp", Comparator.GE, q(82.5, "degF"))) == "SeaSurfaceTemp >= 82.5 degF"
+        assert str(Condition("Spillway", Comparator.EQ, Categorical("open"))) == "Spillway = open"
+
 
 def documented_examples() -> list[str]:
     """The rule-file examples in README.md and in the rules module docstring."""

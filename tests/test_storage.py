@@ -2,8 +2,10 @@ import contextlib
 import functools
 import gc
 import json
+import os
 import random
 import re
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,9 @@ from geocausal.model import (
     Point,
     SpatioTemporalRegion,
 )
-from geocausal.storage import dump_graph, graphs_equal, load_graph, loads_graph, save_graph
+from geocausal.storage import (
+    dump_graph, graphs_equal, load_graph, loads_graph, save_graph, write_text_atomic,
+)
 from geocausal.units import Categorical
 
 from support import graphs, iv, q, random_engine_case, random_storage_graph
@@ -503,3 +507,28 @@ def test_only_storage_opens_files():
             ):
                 found.append(f"{module.name}:{node.lineno}")
     assert found == []
+
+
+def test_an_atomic_write_is_fsynced_before_and_after_the_rename(tmp_path, monkeypatch):
+    """The temporary file's whole text reaches the disk before the rename,
+    and the directory entry after it. (A real power loss is not tested.)"""
+    path = tmp_path / "ws.graph"
+    path.write_text("old\n", encoding="utf-8")
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        info = os.fstat(fd)
+        calls.append(("fsync", "directory" if stat.S_ISDIR(info.st_mode) else f"file of {info.st_size} bytes"))
+        fsync(fd)
+
+    def recording_replace(source, target):
+        calls.append(("replace", path.read_text(encoding="utf-8")))
+        replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    write_text_atomic(path, "new text\n")
+    assert calls == [("fsync", "file of 9 bytes"), ("replace", "old\n"), ("fsync", "directory")]
+    assert path.read_text(encoding="utf-8") == "new text\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ws.graph"]

@@ -220,12 +220,14 @@ _OTHER_TYPES = {
     "int": 3,
     "float": 2.5,
     "bool": True,
+    "str": "no",
     "datetime": datetime(2005, 8, 29, tzinfo=timezone.utc),
     "timedelta": timedelta(hours=1),
     "object": object(),
 }
 _TYPED_ARGUMENTS = {
     "max-gap": (lambda value: EngineConfig(value), ConfigError),
+    "spatial-flag": (lambda value: EngineConfig(timedelta(1), value), ConfigError),
     "object-attributes": (lambda value: GeoObject("obj:a", "K", value), InvariantViolation),
     "situation-observations": (lambda value: GeoSituation("sit:a", iv(0, 1), value), InvariantViolation),
     "derived-premises": (lambda value: Derived("R", value), InvariantViolation),
@@ -236,7 +238,7 @@ _TYPED_ARGUMENTS = {
     pytest.param(build, error, value, id=f"{argument}-{kind}")
     for argument, (build, error) in _TYPED_ARGUMENTS.items()
     for kind, value in _OTHER_TYPES.items()
-    if (argument, kind) != ("max-gap", "timedelta")  # max_gap's own type
+    if (argument, kind) not in {("max-gap", "timedelta"), ("spatial-flag", "bool")}  # their own types
 ])
 def test_an_argument_of_another_type_is_refused(build, error, value):
     with pytest.raises(error):
