@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 user error, 2 internal failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -261,5 +262,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry of ``geocausal`` and ``python -m geocausal``.
+
+    It runs ``main`` on ``sys.argv``, then freezes the heap however ``main``
+    leaves (``--help`` leaves by ``SystemExit``), so the collections the
+    interpreter makes as it exits skip objects the OS reclaims anyway.
+    Atexit handlers and the stream flushes still run. Code that calls
+    ``main`` itself gets no freeze.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

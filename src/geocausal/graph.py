@@ -144,6 +144,13 @@ def triple_sort_key(t: Triple) -> tuple[str, str, str]:
     return (t.subject, t.predicate.value, t.object)
 
 
+def _signature(predicate: RelationKind) -> frozenset[tuple[Role, Role]]:
+    try:
+        return SIGNATURES[predicate]
+    except (KeyError, TypeError):  # TypeError: an unhashable predicate
+        raise SchemaViolation(f"{predicate!r} is not a relation kind") from None
+
+
 class KnowledgeGraph:
     """In-memory entity and triple store with always-consistent indexes.
 
@@ -173,7 +180,10 @@ class KnowledgeGraph:
         return entity
 
     def has_entity(self, entity_id: EntityId) -> bool:
-        return entity_id in self._entities
+        try:
+            return entity_id in self._entities
+        except TypeError:  # an unhashable id, which entity() refuses
+            self.entity(entity_id)
 
     def entity(self, entity_id: EntityId) -> Entity:
         try:
@@ -199,10 +209,7 @@ class KnowledgeGraph:
 
     def _check_schema(self, subject: str, predicate: RelationKind, object: str) -> tuple[str, str]:
         """The stored entities' ids; a satisfies object, an external id, as given."""
-        try:
-            signature = SIGNATURES[predicate]
-        except (KeyError, TypeError):  # TypeError: an unhashable predicate
-            raise SchemaViolation(f"{predicate!r} is not a relation kind") from None
+        signature = _signature(predicate)
         if predicate in _STRUCTURAL:
             raise SchemaViolation(
                 f"{predicate.value} is {describe_signature(predicate)}"
@@ -258,7 +265,15 @@ class KnowledgeGraph:
         return self.add_triple(subject, predicate, object, ASSERTED)
 
     def has_triple(self, subject: EntityId, predicate: RelationKind, object: EntityId) -> bool:
-        return (subject, predicate, object) in self._triples
+        """Whether the triple is stored. An unhashable argument, or a predicate
+        that is not a relation kind, raises as in ``add_triple``."""
+        try:
+            if (subject, predicate, object) in self._triples:
+                return True
+        except TypeError:  # an unhashable argument
+            self._check_schema(subject, predicate, object)
+        _signature(predicate)
+        return False
 
     def triple(self, key: TripleKey) -> Triple:
         try:
@@ -279,16 +294,26 @@ class KnowledgeGraph:
 
         Walks the smaller of the bound subject and object index entries, or
         every key when neither is bound, and tests the rest of the pattern
-        on each key, so no index list is copied.
+        on each key, so no index list is copied. An unhashable id raises
+        ``UnknownEntity``; a predicate that is not a relation kind matches
+        nothing, and only then is it refused.
         """
-        bound = [index.get(key, ()) for index, key in
-                 ((self._by_subject, subject), (self._by_object, object)) if key is not None]
+        try:
+            bound = [index.get(key, ()) for index, key in
+                     ((self._by_subject, subject), (self._by_object, object)) if key is not None]
+        except TypeError:  # an unhashable id, which entity() refuses
+            for key in (subject, object):
+                if key is not None:
+                    self.entity(key)
+            raise
         found = [
             self._triples[k] for k in (min(bound, key=len) if bound else self._triples)
             if (subject is None or k[0] == subject)
             and (predicate is None or k[1] is predicate)
             and (object is None or k[2] == object)
         ]
+        if not found and predicate is not None:
+            _signature(predicate)
         return sorted(found, key=triple_sort_key)
 
     def triples(self) -> list[Triple]:

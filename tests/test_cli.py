@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import geocausal
 from geocausal.cli import _recorded_rules, main
 from geocausal.engine import EngineConfig, infer
+from geocausal.export import graph_to_json
 from geocausal.graph import KnowledgeGraph, RelationKind
 from geocausal.model import GeoEvent, GeoObject, Point, SpatioTemporalRegion
 from geocausal.rules import print_rules
@@ -732,3 +735,74 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         assert not loaded & absent, (argv, sorted(loaded & absent))
         if argv[0] == "why":
             assert "evidence [PC_DAM]: WaterLevel > 10 m (observed 12 m) => true" in "\n".join(output)
+
+
+#: Imported at start-up from PYTHONPATH: reports the freeze count once ``atexit`` runs.
+_FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print(f'freeze count {gc.get_freeze_count()}', file=sys.stderr))\n"
+)
+
+
+def _buffered_env(*paths: Path) -> dict[str, str]:
+    """The environment with ``paths`` and the package on PYTHONPATH, and
+    stdout block-buffered into a pipe, so output that is never flushed is lost."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, paths), str(Path(geocausal.__file__).resolve().parents[1])])
+    return env
+
+
+def _process_entries() -> dict[str, list[str]]:
+    """``python -m geocausal``, and the function ``[project.scripts]`` names
+    called as the installed script calls it."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^geocausal = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE).groups()
+    return {
+        "python -m geocausal": [sys.executable, "-m", "geocausal"],
+        "script": [sys.executable, "-c", f"import sys; from {module} import {function}; sys.exit({function}())"],
+    }
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["validate"], 0, "ok: 0 entities, 0 triples\n"), (["why", "ev:missing"], 1, ""),
+    (["--help"], 0, "usage: geocausal "),
+], ids=["exit-0", "exit-1", "help"])
+def test_each_process_entry_freezes_the_heap_on_every_way_out(tmp_path, argv, code, out):
+    (tmp_path / "sitecustomize.py").write_text(_FREEZE_PROBE, encoding="utf-8")
+    env = _buffered_env(tmp_path)
+    for entry, command in _process_entries().items():
+        done = subprocess.run([*command, *argv, "--workspace", str(tmp_path / "absent.graph")],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == code and done.stdout.startswith(out), (entry, done.stdout, done.stderr)
+        [frozen] = [int(line.split()[-1]) for line in done.stderr.splitlines() if line.startswith("freeze count ")]
+        assert frozen > 0, (entry, done.stderr)
+        if code == 1:
+            assert done.stderr.startswith("error[unknown-entity]: no entity with id 'ev:missing'"), entry
+
+
+def test_a_frozen_exit_writes_all_of_a_large_export(tmp_path):
+    """``export --format json`` through ``python -m geocausal`` on 1,000
+    events: standard output is ``graph_to_json`` byte for byte."""
+    graph = KnowledgeGraph()
+    for i in range(1000):
+        graph.add_entity(GeoEvent(f"ev:e{i:04d}", "Flood"))
+        graph.add_entity(SpatioTemporalRegion(f"reg:e{i:04d}", Point(30.0, -90.0 + i / 100), iv(i, i + 1)))
+        graph.add_triple(f"ev:e{i:04d}", RelationKind.SPATIO_TEMPORALLY_PRESENT, f"reg:e{i:04d}")
+        if i:
+            graph.add_triple(f"ev:e{i - 1:04d}", RelationKind.CAUSES, f"ev:e{i:04d}")
+    workspace = tmp_path / "large.graph"
+    workspace.write_text(dump_graph(graph), encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "geocausal", "export", "--format", "json",
+                           "--workspace", str(workspace)], cwd=tmp_path, env=_buffered_env(), capture_output=True)
+    assert done.returncode == 0 and done.stderr == b""
+    expected = graph_to_json(graph).encode("utf-8")
+    assert len(expected) > 500_000 and done.stdout == expected
+
+
+def test_main_called_in_process_does_not_freeze(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["validate", "--workspace", str(tmp_path / "absent.graph")]) == 0
+    assert main(["why", "ev:missing", "--workspace", str(tmp_path / "absent.graph")]) == 1
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert gc.get_freeze_count() == frozen

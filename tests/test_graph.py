@@ -169,12 +169,15 @@ def test_every_key_not_held_is_an_unknown_triple(key, message):
         assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("args,error,message", [
+_REFUSED = pytest.mark.parametrize("args,error,message", [
     (("ev:rain", "causes", "ev:flood"), SchemaViolation, "'causes' is not a relation kind"),
     (("ev:rain", ["causes"], "ev:flood"), SchemaViolation, "['causes'] is not a relation kind"),
     ((["ev:rain"], RelationKind.CAUSES, "ev:flood"), UnknownEntity, "no entity with id ['ev:rain']"),
     (("ev:rain", RelationKind.CAUSES, ["ev:flood"]), UnknownEntity, "no entity with id ['ev:flood']"),
 ], ids=["str-predicate", "list-predicate", "list-subject", "list-object"])
+
+
+@_REFUSED
 def test_add_triple_refuses_what_is_not_an_id_or_a_relation(args, error, message):
     g = small_graph()
     with pytest.raises(error) as caught:
@@ -186,6 +189,36 @@ def test_add_triple_refuses_what_is_not_an_id_or_a_relation(args, error, message
 def test_an_unhashable_id_is_an_unknown_entity():
     with pytest.raises(UnknownEntity, match=r"no entity with id \['ev:rain'\]"):
         small_graph().entity(["ev:rain"])
+
+
+def test_has_entity_refuses_an_unhashable_id():
+    g = small_graph()
+    with pytest.raises(UnknownEntity) as caught:
+        g.has_entity(["ev:rain"])
+    assert str(caught.value) == "no entity with id ['ev:rain']"
+    assert g.has_entity("ev:none") is False
+
+
+@_REFUSED
+def test_has_triple_refuses_what_add_triple_refuses(args, error, message):
+    g = small_graph()
+    g.assert_triple("ev:rain", RelationKind.CAUSES, "ev:flood")
+    with pytest.raises(error) as caught:
+        g.has_triple(*args)
+    assert str(caught.value) == message
+    assert g.has_triple("ev:rain", RelationKind.CAUSES, "ev:none") is False
+
+
+@_REFUSED
+def test_match_refuses_what_add_triple_refuses(args, error, message):
+    g = small_graph()
+    g.assert_triple("ev:rain", RelationKind.CAUSES, "ev:flood")
+    with pytest.raises(error) as caught:
+        g.match(*args)
+    assert str(caught.value) == message
+    with pytest.raises(SchemaViolation, match="'causes' is not a relation kind"):
+        g.match(predicate="causes")
+    assert g.match(subject="ev:none", predicate=RelationKind.CAUSES) == []
 
 
 _HOSTILE = st.one_of(
@@ -202,6 +235,19 @@ def test_add_triple_raises_only_its_own_errors(subject, predicate, object):
         small_graph().add_triple(subject, predicate, object)
     except GeoCausalError:
         pass
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_HOSTILE, _HOSTILE, _HOSTILE)
+def test_read_methods_raise_only_their_own_errors(subject, predicate, object):
+    g = small_graph()
+    g.assert_triple("ev:rain", RelationKind.CAUSES, "ev:flood")
+    for read in (lambda: g.has_entity(subject), lambda: g.has_triple(subject, predicate, object),
+                 lambda: g.match(subject, predicate, object)):
+        try:
+            read()
+        except GeoCausalError:
+            pass
 
 
 class TestMatch:

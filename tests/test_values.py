@@ -7,10 +7,11 @@ import pickle
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geocausal.engine import Diagnostic, EngineConfig, InferenceResult, ProvenanceTree
-from geocausal.errors import ConfigError, InvariantViolation
-from geocausal.graph import ASSERTED, Asserted, Derived, RelationKind, Triple
+from geocausal.errors import ConfigError, GeoCausalError, InvariantViolation
+from geocausal.graph import ASSERTED, Asserted, Derived, KnowledgeGraph, RelationKind, Triple
 from geocausal.ingest import IngestReport, Strictness
 from geocausal.model import (
     BBox,
@@ -35,7 +36,8 @@ from geocausal.rules import (
     SatisfactionResult,
     Truth,
 )
-from geocausal.units import Categorical, Comparator, Dimension, Quantity, Unit
+from geocausal.storage import dump_graph, loads_graph
+from geocausal.units import Categorical, Comparator, Dimension, Quantity, Unit, get_unit
 
 from support import iv, q
 
@@ -252,3 +254,65 @@ def test_derived_holds_its_premises_as_a_tuple_of_keys():
     assert all(type(premise) is tuple for premise in derived.premises)
     triple = Triple("ev:a", _CAUSES, "ev:b", derived)
     assert hash(triple) == hash(Triple("ev:a", _CAUSES, "ev:b", Derived("R", (key, key))))
+
+
+_OFFSETS = st.builds(timezone, st.timedeltas(timedelta(hours=-23, minutes=-59), timedelta(hours=23, minutes=59)))
+_INSTANCES = [make() for make, _ in IMMUTABLE.values()] + [get_unit("m"), get_unit("degF")]
+_HOSTILE_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(st.characters(exclude_categories=()), max_size=6),  # surrogates included
+    st.sampled_from(["", " ", "\t", "a b", '"', "\ud800", "\u2028", "ev:a", "present", "WaterLevel",
+                     "2005-08-29T00:00:00Z", " 2005-08-29 ", "0001-01-01T00:00:00+05:00"]),
+    st.binary(max_size=4),
+    st.datetimes(timezones=st.none() | _OFFSETS),
+    st.sampled_from([datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5))),
+                     datetime(9999, 12, 31, 23, tzinfo=timezone(timedelta(hours=-5)))]),
+    st.sampled_from(_INSTANCES),
+)
+_HOSTILE = _HOSTILE_LEAF | st.lists(_HOSTILE_LEAF, max_size=3)
+# Arguments of the expected types, so that values get built and saved too.
+_TOKEN = st.text(st.characters(exclude_categories=("C", "Z")), min_size=1, max_size=6)
+_WHEN = st.datetimes(timezones=st.none() | _OFFSETS) | st.datetimes().map(datetime.isoformat)
+_LAT, _LON = st.floats(-90, 90), st.floats(-180, 180)
+_INTERVAL = st.sampled_from([iv(0, 1), iv(-3, 2)])
+_VALUE = st.sampled_from([q(12, "m"), q(-0.0, "degF"), Categorical("present")])
+_MEASUREMENTS = st.lists(st.builds(Measurement, st.sampled_from(["A", "b_1", "WaterLevel"]), _VALUE), max_size=3)
+#: Constructor -> an argument of the expected type for each parameter, optional ones included.
+_TYPED = {
+    TimeInterval: (_WHEN, _WHEN),
+    Point: (_LAT, _LON),
+    BBox: (_LAT, _LON, _LAT, _LON),
+    Measurement: (st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True), _VALUE),
+    Quantity: (st.floats() | st.integers(), st.sampled_from([get_unit("m"), get_unit("degF"), get_unit("1")])),
+    Categorical: (_TOKEN,),
+    GeoEvent: (_TOKEN, _TOKEN),
+    GeoObject: (_TOKEN, _TOKEN, _MEASUREMENTS),
+    GeoSituation: (_TOKEN, _INTERVAL, _MEASUREMENTS),
+    SpatioTemporalRegion: (_TOKEN, st.sampled_from([Point(30.0, -90.0), BBox(-1.0, -2.0, 1.0, 2.0)]), _INTERVAL),
+}
+#: How a value that is not an entity is saved: inside the entity that holds it.
+_HOLDERS = {
+    TimeInterval: lambda value: GeoSituation("sit:held", value),
+    Point: lambda value: SpatioTemporalRegion("reg:held", value, iv(0, 1)),
+    BBox: lambda value: SpatioTemporalRegion("reg:held", value, iv(0, 1)),
+    Measurement: lambda value: GeoObject("obj:held", "K", (value,)),
+    Quantity: lambda value: GeoObject("obj:held", "K", (Measurement("A", value),)),
+    Categorical: lambda value: GeoObject("obj:held", "K", (Measurement("A", value),)),
+}
+
+
+@pytest.mark.parametrize("cls", _TYPED, ids=lambda cls: cls.__name__)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_hostile_arguments_raise_only_geocausal_errors_and_what_is_built_saves(cls, data):
+    arguments = [data.draw(st.booleans().flatmap(lambda hostile: _HOSTILE if hostile else typed))
+                 for typed in _TYPED[cls]]
+    try:
+        value = cls(*arguments)
+    except GeoCausalError:
+        return
+    entity = _HOLDERS.get(cls, lambda entity: entity)(value)
+    graph = KnowledgeGraph()
+    graph.add_entity(entity)
+    assert loads_graph(dump_graph(graph)).entity(entity.id) == entity
