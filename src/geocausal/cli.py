@@ -24,7 +24,7 @@ from pathlib import Path
 # start-up only for the modules of its command. (The module docstring is
 # the --help text.)
 from .errors import ConfigError, GeoCausalError, UsageError
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, RelationKind
 from .storage import dump_graph, loads_graph, read_text, write_text_atomic
 
 DEFAULT_WORKSPACE = "geocausal.graph"
@@ -73,12 +73,17 @@ def _save_workspace(path: Path, graph: KnowledgeGraph, rules_path: str | None, l
     write_text_atomic(path, text)
 
 
-def _load_rules(rules_path: str | None):
+def _load_rules(rules_path: str | None, needed: bool = True):
+    """The rule set at ``rules_path``, None without a path. The file is read
+    either way, so a missing one fails; it is parsed only when ``needed``."""
     if rules_path is None:
+        return None
+    text = read_text(Path(rules_path))
+    if not needed:
         return None
     from .rules import parse_rules
 
-    return parse_rules(read_text(Path(rules_path)))
+    return parse_rules(text)
 
 
 def _cmd_ingest(args) -> int:
@@ -144,7 +149,8 @@ def _cmd_why(args) -> int:
 
     path = _workspace_path(args)
     graph, rules_path = _load_workspace(path)
-    ruleset = _load_rules(rules_path)
+    # Only an effects edge's evidence reads the rules.
+    ruleset = _load_rules(rules_path, needed=bool(graph.match(predicate=RelationKind.EFFECTS)))
     explanation = why(graph, args.event_id, max_depth=args.depth, rules=ruleset)
     if args.format == "text":
         print(render_explanation_text(explanation, graph))

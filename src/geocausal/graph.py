@@ -20,7 +20,6 @@ from enum import Enum
 from .errors import DuplicateId, InvariantViolation, SchemaViolation, UnknownEntity, UnknownTriple
 from .model import Entity, EntityId, Role, SpatioTemporalRegion, validate_entity_id
 from .slotted import Frozen, store
-from .spatiotemporal import co_occurs
 
 
 def role_of(entity: Entity) -> Role:
@@ -344,6 +343,8 @@ class KnowledgeGraph:
         error, because real datasets give participants slightly different
         footprints.
         """
+        from .spatiotemporal import co_occurs  # only validate loads it
+
         warnings = []
         for t in self.match(predicate=RelationKind.PARTICIPANT_IN):
             obj_region = self.region_of(t.subject)

@@ -35,6 +35,7 @@ import gc
 import os
 import re
 from contextlib import contextmanager
+from itertools import count, repeat
 from pathlib import Path
 from typing import IO, Callable, Iterable
 
@@ -58,11 +59,9 @@ from .units import format_magnitude, format_value, parse_value
 HEADER = "# geocausal graph v2"
 
 _TOKEN_RE = re.compile(r'(?:[^\s"]+|"[^"]*")+')
-_REG_RE = re.compile(
-    r"REG\s+(?P<id>\S+)\s+(?P<geometry>(?:POINT|BBOX)\([^)]*\))\s+(?P<start>\S+)\s+(?P<end>\S+)\s*\Z"
-)
+_GEOMETRY_RE = re.compile(r"(?P<geometry>(?P<shape>POINT|BBOX)\((?P<coords>[^)]*)\))")
+_REG_RE = re.compile(rf"\s*REG\s+(?P<id>\S+)\s+{_GEOMETRY_RE.pattern}\s+(?P<start>\S+)\s+(?P<end>\S+)\s*")
 _V1_PREMISE_COUNT = re.compile(r"premises=\d+\Z")
-_GEOMETRY_RE = re.compile(r"(POINT|BBOX)\(([^)]*)\)")
 
 
 def format_geometry(geometry: Geometry) -> str:
@@ -75,16 +74,18 @@ def format_geometry(geometry: Geometry) -> str:
 
 
 def parse_geometry(text: str) -> Geometry:
-    text = text.strip()
-    m = _GEOMETRY_RE.fullmatch(text)
-    if not m:
-        raise ParseError(f"invalid geometry literal {text!r}")
-    shape, body = m.groups()
+    if not (m := _GEOMETRY_RE.fullmatch(text.strip())):
+        raise ParseError(f"invalid geometry literal {text.strip()!r}")
+    return _geometry(m)
+
+
+def _geometry(m: re.Match) -> Geometry:
+    """The geometry a ``_GEOMETRY_RE`` match names."""
     try:
-        coords = [float(c) for c in body.split()]
+        coords = [float(c) for c in m["coords"].split()]
     except ValueError:
-        raise ParseError(f"invalid coordinates in {text!r}") from None
-    if shape == "POINT":
+        raise ParseError(f"invalid coordinates in {m['geometry']!r}") from None
+    if m["shape"] == "POINT":
         if len(coords) != 2:
             raise ParseError(f"POINT takes 2 coordinates, got {len(coords)}")
         return Point(*coords)
@@ -161,55 +162,61 @@ def _triple_key(subject, predicate, object_) -> TripleKey:
     return (subject, relation, object_)
 
 
-def _triple_from_doc(doc: dict) -> tuple[TripleKey, Provenance]:
+def _triple_from_doc(doc: dict) -> tuple:
     key = _triple_key(doc.get("subject"), doc.get("predicate"), doc.get("object"))
     provenance = doc.get("provenance")
     if provenance == "asserted":
-        return key, ASSERTED
+        return key, ASSERTED, ()
     if provenance != "derived":
         raise ParseError(f"provenance must be 'asserted' or 'derived', got {provenance!r}")
     premises = doc.get("premises", [])
     if not isinstance(premises, list) or any(not isinstance(p, list) or len(p) != 3 for p in premises):
         raise ParseError("premises must be a list of [subject, predicate, object]")
-    return key, Derived(doc.get("rule"), tuple(_triple_key(*p) for p in premises))
+    return key, doc.get("rule"), [_triple_key(*p) for p in premises]
 
 
 def _located(exc: GeoCausalError, where: int | str) -> ParseError:
     """``exc`` as a ParseError naming its record: a text line or a JSON entry."""
-    if isinstance(where, int):
-        return ParseError(str(exc), where)
-    return ParseError(f"{where}: {exc}")
+    return ParseError(str(exc), where) if isinstance(where, int) else ParseError(f"{where}: {exc}")
 
 
 @contextmanager
 def collector_paused():
-    """Pause the cyclic collector, then restore it as it was. For code that
-    builds many values holding no cycles: a collection there finds nothing,
-    and at 10**5 records its passes take seconds. Also a function decorator."""
+    """Pause the cyclic collector, then restore it as it was. For code that builds
+    many values holding no cycles: a collection there finds nothing, and at 10**5
+    records its passes take seconds. Then, unless objects are frozen, every tracked
+    object moves to the oldest generation unwalked. Also a function decorator."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()  # into the oldest generation
         if collecting:
             gc.enable()
 
 
 @collector_paused()
 def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> KnowledgeGraph:
-    """Build a graph from ``(where, decode, payload)`` records, ``where`` a line
-    number or JSON entry name. ``decode(payload)`` gives an entity, added at once,
-    a triple's ``(key, provenance)``, added after the records its premises name,
-    or None. Every fault is a ParseError naming its record."""
+    """Build a graph from ``(where, decode, payload)`` records, ``where`` a line number
+    or JSON entry name. ``decode(payload)`` gives an entity, added at once, a triple's
+    ``(key, rule id or ASSERTED, premise keys)``, added after the records its premises
+    name (each premise held as one key), or None. Every fault is a ParseError naming its record."""
     graph = KnowledgeGraph()
     held: list[tuple[int | str, TripleKey, Provenance]] = []
     first: dict[TripleKey, int] = {}
+    cited: dict[TripleKey, TripleKey] = {}
     try:
         for where, decode, payload in records:
             record = decode(payload)
             if type(record) is tuple:
-                first.setdefault(record[0], len(held))
-                held.append((where, *record))
+                key, provenance, premises = record
+                if provenance is not ASSERTED:
+                    provenance = Derived(provenance, tuple(map(cited.setdefault, premises, premises)))
+                first.setdefault(key, len(held))
+                held.append((where, key, provenance))
             elif record is not None:
                 graph.add_entity(record)
         # An explicit stack, so any depth loads; document order, so a repeated
@@ -218,12 +225,13 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
         stack = list(reversed(range(len(held))))
         while stack:
             where, key, provenance = held[j := stack.pop()]
-            if state[j] == 0 and isinstance(provenance, Derived):
+            if state[j] == 0 and provenance is not ASSERTED:
                 state[j] = 1
                 stack.append(j)
-                for s, p, o in provenance.premises:
-                    k = first.get((s, p, o))
+                for premise in provenance.premises:
+                    k = first.get(premise)
                     if k is None or state[k] == 1:
+                        s, p, o = premise
                         fault = "is not a stored triple" if k is None else "leads back to this triple"
                         raise ParseError(f"premise ({s} {p.value} {o}) {fault}")
                     stack.append(k)
@@ -328,14 +336,12 @@ def save_graph(graph: KnowledgeGraph, sink: str | Path | IO[str]) -> None:
         sink.write(text)
 
 
-def _entity_record(line: str) -> dict:
-    """An ENT line's fields. It splits on whitespace outside double quotes, then
-    drops the quotes: the writer escapes nothing, so the reader processes no escapes."""
-    if '"' not in line:
-        tokens = line.split()  # the same tokens: str.split and \s agree on whitespace
-    elif line.count('"') % 2:
-        raise ParseError("unbalanced double quote")
-    else:
+def _entity_record(line: str, tokens: list[str]) -> dict:
+    """An ENT line's fields from its ``tokens``. A line with quotes splits again, on whitespace
+    outside them, and drops them: the writer escapes nothing, so the reader processes no escapes."""
+    if '"' in line:  # else the same tokens: str.split and \s agree on whitespace
+        if line.count('"') % 2:
+            raise ParseError("unbalanced double quote")
         tokens = [token.replace('"', "") for token in _TOKEN_RE.findall(line)]
     if len(tokens) < 4:
         raise ParseError("ENT record needs at least <id> <role> <kind>")
@@ -354,54 +360,47 @@ def _entity_record(line: str) -> dict:
     return {"id": entity_id, "role": role, "kind": kind, "attributes": values}
 
 
-def _triple_record(tokens: list[str]) -> tuple[TripleKey, Provenance]:
+def _triple_record(tokens: list[str]) -> tuple:
     if len(tokens) < 4 or len(tokens) == 5:
         raise ParseError("TRI record needs <subject> <predicate> <object>")
-    _, subject, predicate, object_, *rest = tokens
-    if not rest:
-        return _triple_key(subject, predicate, object_), ASSERTED
-    marker, rule, *premises = rest
+    if len(tokens) == 4:
+        return _triple_key(*tokens[1:]), ASSERTED, ()
+    marker, rule, *premises = tokens[4:]
     if marker != "DERIVED" or not rule.startswith("rule="):
         raise ParseError("expected DERIVED rule=<id> after the object")
     if len(premises) == 1 and _V1_PREMISE_COUNT.match(premises[0]):
         premises = []  # version 1 kept a premise count, never the premise keys
     elif len(premises) % 3:
         raise ParseError(f"premises take three tokens each (<s> <p> <o>), got {len(premises)}")
-    key = _triple_key(subject, predicate, object_)
-    keys = tuple(_triple_key(*premises[i:i + 3]) for i in range(0, len(premises), 3))
-    return key, Derived(rule[len("rule="):], keys)
+    key = _triple_key(*tokens[1:4])
+    return key, rule[len("rule="):], list(map(_triple_key, premises[::3], premises[1::3], premises[2::3]))
 
 
-def _text_record(raw: str) -> Entity | tuple[TripleKey, Provenance] | None:
-    """One text line decoded: an entity, a triple's key and provenance, or
-    None for a blank or comment line."""
-    line = raw.strip()
-    if not line or line.startswith("#"):
-        return None
-    tag = line.split(None, 1)[0]
+def _text_record(raw: str) -> Entity | tuple | None:
+    """One text line decoded, split once: an entity, a triple, or None for a
+    blank or comment line."""
+    tokens = raw.split()
+    tag = tokens[0] if tokens else "#"
     if tag == "TRI":
-        return _triple_record(line.split())
+        return _triple_record(tokens)
     if tag == "ENT":
-        return _entity_from_doc(_entity_record(line))
+        return _entity_from_doc(_entity_record(raw, tokens))
+    if tag.startswith("#"):
+        return None
     if tag != "REG":
         raise ParseError(f"unknown record tag {tag!r}")
-    if not (m := _REG_RE.fullmatch(line)):
+    if not (m := _REG_RE.fullmatch(raw)):
         raise ParseError("malformed REG record")
     interval = TimeInterval(m["start"], m["end"])  # checked first, as _entity_from_doc does
-    return SpatioTemporalRegion(m["id"], parse_geometry(m["geometry"]), interval)
+    return SpatioTemporalRegion(m["id"], _geometry(m), interval)
 
 
 def loads_graph(text: str) -> KnowledgeGraph:
     """Read a text document; any fault raises ParseError with ``.line`` set.
     The cyclic garbage collector is paused during the load, then restored."""
-    return _build_graph((lineno, _text_record, raw) for lineno, raw in enumerate(text.splitlines(), 1))
+    return _build_graph(zip(count(1), repeat(_text_record), text.splitlines()))
 
 
 def load_graph(source: str | Path | IO[str]) -> KnowledgeGraph:
     """``loads_graph`` over a path (read through ``read_text``) or a text stream."""
     return loads_graph(source.read() if hasattr(source, "read") else read_text(source))
-
-
-def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
-    """Exact equality of entities and of triples, provenance included."""
-    return a.entities() == b.entities() and a.triples() == b.triples()

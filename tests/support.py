@@ -672,6 +672,11 @@ def graphs(draw):
     return graph
 
 
+def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
+    """Exact equality of entities and of triples, provenance included."""
+    return a.entities() == b.entities() and a.triples() == b.triples()
+
+
 # ---------------------------------------------------------------------------
 # JSON document oracles: what the export writes, as dicts for json.dumps
 # ---------------------------------------------------------------------------

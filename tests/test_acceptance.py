@@ -18,7 +18,7 @@ from geocausal.model import GeoSituation, Measurement
 from geocausal.query import query, why
 from geocausal.rules import Truth, evaluate, parse_rules, print_rules
 from geocausal.spatiotemporal import INVERSE, interval_relation, precedes
-from geocausal.storage import dump_graph, graphs_equal, loads_graph
+from geocausal.storage import dump_graph, loads_graph
 from geocausal.units import Categorical, REGISTRY, convert
 
 from support import (
@@ -26,6 +26,7 @@ from support import (
     build_chain_case,
     build_flood_case_a,
     build_flood_case_b,
+    graphs_equal,
     iv,
     katrina_csv,
     q,

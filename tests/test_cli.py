@@ -17,6 +17,7 @@ from geocausal.cli import _recorded_rules, main
 from geocausal.engine import EngineConfig, infer
 from geocausal.export import graph_to_json
 from geocausal.graph import KnowledgeGraph, RelationKind
+from geocausal.ingest import ingest_storm_csv
 from geocausal.model import GeoEvent, GeoObject, Point, SpatioTemporalRegion
 from geocausal.rules import print_rules
 from geocausal.storage import dump_graph
@@ -383,6 +384,46 @@ class TestEndToEnd:
         assert "empty rule set" in err
 
 
+class TestWhyReadsRulesOnlyForEvidence:
+    """``why`` reads the recorded rules file on every run, and parses it only
+    when the workspace holds an effects edge, the one edge it gives evidence for."""
+
+    BROKEN = RULES_TEXT.replace("rule R2", "rule R2 R2")  # line 7, column 9
+
+    @pytest.fixture
+    def storm_workspace(self, capsys, workspace, storm_file, rules_file):
+        run(capsys, "ingest", "storm", storm_file, "--workspace", workspace)
+        code, out, _ = run(capsys, "infer", "--rules", rules_file, "--workspace", workspace)
+        assert (code, out) == (0, "derived 1 triple(s) in 1 iteration(s)\n")
+        return workspace
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_a_broken_file_is_not_parsed_without_an_effects_edge(
+        self, capsys, storm_workspace, rules_file, fmt
+    ):
+        argv = ["why", "ev:event-109", "--format", fmt, "--workspace", storm_workspace]
+        good = run(capsys, *argv)
+        assert good[0] == 0 and "ev:event-116" in good[1]
+        Path(rules_file).write_text(self.BROKEN, encoding="utf-8")
+        assert run(capsys, *argv) == good
+
+    def test_a_missing_file_fails_without_an_effects_edge(self, capsys, storm_workspace, rules_file):
+        os.remove(rules_file)
+        code, out, err = run(capsys, "why", "ev:event-109", "--workspace", storm_workspace)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[io]: ") and rules_file in err
+
+    def test_a_broken_file_fails_where_evidence_is_needed(self, capsys, tmp_path, workspace):
+        rules_path = TestEndToEnd().seed_chain_workspace(tmp_path, workspace)
+        assert run(capsys, "infer", "--rules", rules_path, "--workspace", workspace)[0] == 0
+        Path(rules_path).write_text("precondition PC_DAM effects FlashFlood {\n  WaterLevel 10 m }\n",
+                                    encoding="utf-8")
+        code, out, err = run(capsys, "why", "ev:flashflood", "--workspace", workspace)
+        assert (code, out) == (1, "")
+        assert err == ("error[parse-error]: line 2, column 14: expected a comparator "
+                       "(<, <=, >, >=, =, !=, present, absent), found '10'\n")
+
+
 class TestHostileInput:
     """Bad bytes, out-of-range values and bad arguments are user errors:
     exit 1 with one ``error[...]`` line, the workspace left as it was."""
@@ -712,21 +753,28 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     (tmp_path / "storm.csv").write_text(katrina_csv(), encoding="utf-8")
     (tmp_path / "obs.csv").write_text(_BASE_FILES["obs"], encoding="utf-8")
     (tmp_path / "rules.gcr").write_text(print_rules(rules), encoding="utf-8")
+    storm = tmp_path / "storm.graph"  # rules recorded, but no effects edge: why parses none
+    storm_graph = KnowledgeGraph()
+    ingest_storm_csv(storm_graph, io.StringIO(katrina_csv()))
+    infer(storm_graph, rules)
+    storm.write_text("# rules: rules.gcr\n" + dump_graph(storm_graph), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(geocausal.__file__).resolve().parents[1])}
     never_loaded = [
         (["ingest", "storm", "storm.csv"], {"engine", "rules", "export"}),
         (["ingest", "obs", "obs.csv"], {"engine", "rules", "export"}),
         (["infer", "--rules", "rules.gcr"], {"ingest", "export"}),
         (["why", "ev:flashflood"], {"engine", "ingest", "export"}),  # re-evaluates PC_DAM
-        (["export", "--format", "json"], {"engine", "ingest", "rules"}),
-        (["export", "--format", "dot"], {"engine", "ingest", "rules"}),
-        (["query", "? causes ?"], {"engine", "ingest", "rules", "export"}),
+        (["why", "ev:event-109"], {"engine", "ingest", "export", "rules", "spatiotemporal"}, storm),
+        (["export", "--format", "json"], {"engine", "ingest", "rules", "spatiotemporal"}),
+        (["export", "--format", "dot"], {"engine", "ingest", "rules", "spatiotemporal"}),
+        (["query", "? causes ?"], {"engine", "ingest", "rules", "export", "spatiotemporal"}),
         (["validate"], {"engine", "ingest", "rules", "export"}),
         (["rules", "check", "rules.gcr"], {"engine", "ingest", "export"}),
     ]
-    for argv, absent in never_loaded:
+    for argv, absent, *other in never_loaded:
+        target = other[0] if other else workspace
         done = subprocess.run(
-            [sys.executable, "-c", _PRINT_PACKAGE_MODULES, *argv, "--workspace", str(workspace)],
+            [sys.executable, "-c", _PRINT_PACKAGE_MODULES, *argv, "--workspace", str(target)],
             cwd=tmp_path, env=env, capture_output=True, text=True,
         )
         assert done.returncode == 0, (argv, done.stderr)
@@ -734,7 +782,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         loaded = {name.removeprefix("geocausal.") for name in json.loads(modules)}
         assert not loaded & absent, (argv, sorted(loaded & absent))
         if argv[0] == "why":
-            assert "evidence [PC_DAM]: WaterLevel > 10 m (observed 12 m) => true" in "\n".join(output)
+            assert ("<- causes -- ev:event-116 (TropicalStorm)" if target == storm
+                    else "evidence [PC_DAM]: WaterLevel > 10 m (observed 12 m) => true") in "\n".join(output)
 
 
 #: Imported at start-up from PYTHONPATH: reports the freeze count once ``atexit`` runs.

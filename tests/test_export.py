@@ -15,7 +15,7 @@ from geocausal.graph import SIGNATURES, Derived, KnowledgeGraph, RelationKind, R
 from geocausal.model import GeoEvent, GeoObject, GeoSituation, Measurement
 from geocausal.query import Explanation, ExplanationEdge, why
 from geocausal.rules import Condition, ConditionOutcome, Truth
-from geocausal.storage import dump_graph, entity_doc, graphs_equal, loads_graph
+from geocausal.storage import dump_graph, entity_doc, loads_graph
 from geocausal.units import Categorical, Comparator
 
 import random
@@ -25,6 +25,7 @@ from support import (
     build_affects_case,
     explanation_doc,
     graphs,
+    graphs_equal,
     iv,
     random_engine_case,
     random_storage_graph,

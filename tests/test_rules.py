@@ -308,6 +308,33 @@ class TestConstraints:
         assert rule.constraint == constraint
 
 
+class TestFaultPositions:
+    """The parser's refusals not reached through the other tests, each with its
+    line and column: a later line's columns count from that line's start."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("precondition P effects Rain { Rain foo }",
+         "line 1, column 36: expected a comparator (<, <=, >, >=, =, !=, present, absent), found 'foo'"),
+        ("rule R1: A causes B when precedes within 3h $", "line 1, column 45: unexpected character '$'"),
+        ("rule R1: A causes B when precedes\nrule R2: B causes C @ when",
+         "line 2, column 21: unexpected character '@'"),
+        ("rule R1: A causes B when precedes\r\n  rule R2: B causes C ! when",
+         "line 2, column 23: unexpected character '!'"),
+        ("rule R1: A causes B when",
+         "line 1, column 25: expected 'co-occurs' or 'precedes', found end of input"),
+        ("rule R1: A causes B when precedes\n  rule R2: B causes  ",
+         "line 2, column 22: expected effect event kind, found end of input"),
+        # expect() with no text given still checks the token's kind
+        ("precondition P effects X { 12 > 3 m }", "line 1, column 28: expected attribute name, found '12'"),
+        ("rule 12: A causes B when precedes", "line 1, column 6: expected rule id, found '12'"),
+    ], ids=["bare-word-after-attribute", "character-line-1", "character-line-2", "character-after-crlf",
+            "end-line-1", "end-line-2", "number-for-attribute", "number-for-rule-id"])
+    def test_refusal_names_its_line_and_column(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_rules(text)
+        assert str(exc.value) == message
+
+
 class TestDurations:
     @pytest.mark.parametrize(
         "text,seconds",
@@ -391,6 +418,34 @@ class TestDurations:
     def test_rule_duration_past_the_range_is_a_positioned_parse_error(self, text):
         with pytest.raises(ParseError, match="out of range") as caught:
             parse_rules(f"rule R1: A causes B when precedes within {text}")
+        assert (caught.value.line, caught.value.column) == (1, 42)
+
+
+    # Each bound is a shortcut to the outcome the exact computation reaches
+    # anyway, so both sides of it give the same value or the same refusal.
+    @pytest.mark.parametrize("text", [
+        "9" * 21 + "d",  # below 10**21: computed, then past timedelta's range
+        "1" + "0" * 21 + "d",  # 10**21: refused before it is computed
+    ])
+    def test_the_upper_bound_refuses_on_both_sides(self, text):
+        with pytest.raises(ParseError, match=rf"^duration '{text}' is out of range$"):
+            parse_duration(text)
+
+    @pytest.mark.parametrize("text", [
+        "0." + "0" * 15 + "1d",  # 10**-16: computed, rounds to zero
+        "0." + "0" * 16 + "1d",  # 10**-17: zero without computing
+        "-0." + "0" * 16 + "1d",
+    ])
+    def test_the_lower_bound_gives_zero_on_both_sides(self, text):
+        assert parse_duration(text) == timedelta(0)
+
+    @pytest.mark.parametrize("digits", [30, 31])  # the cap: longer exponents are not converted
+    def test_the_exponent_cap_keeps_the_outcome_on_both_sides(self, digits):
+        exponent = "1" + "0" * (digits - 1)
+        rule = parse_rules(f"rule R1: A causes B when precedes within 1e-{exponent}h").cause_rules[0]
+        assert rule.constraint == PrecedesWithin(timedelta(0))
+        with pytest.raises(ParseError, match="out of range") as caught:
+            parse_rules(f"rule R1: A causes B when precedes within 1e{exponent}h")
         assert (caught.value.line, caught.value.column) == (1, 42)
 
 
