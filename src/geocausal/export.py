@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .graph import KnowledgeGraph, Role, Triple
-from .model import Entity, GeoEvent, GeoObject
-from .storage import entity_doc, graph_from_docs
+from .model import Entity, GeoEvent, GeoObject, GeoSituation, Measurement, format_timestamp
+from .storage import format_geometry, graph_from_docs
 from .units import format_value
 
 if TYPE_CHECKING:
@@ -34,12 +34,10 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _dot_node(graph: KnowledgeGraph, entity_id: str) -> str:
-    entity = graph.entity(entity_id)
-    label = _dot_escape(entity_id)
-    if isinstance(entity, (GeoEvent, GeoObject)):
-        label += f"\\n{_dot_escape(entity.kind)}"
-    return f'  "{_dot_escape(entity_id)}" [shape={_DOT_SHAPES[graph.role(entity_id)]} label="{label}"];'
+def _dot_node(entity: Entity) -> str:
+    name = _dot_escape(entity.id)
+    label = f"{name}\\n{_dot_escape(entity.kind)}" if isinstance(entity, (GeoEvent, GeoObject)) else name
+    return f'  "{name}" [shape={_DOT_SHAPES[entity.role]} label="{label}"];'
 
 
 def _dot_edge(t: Triple) -> str:
@@ -52,7 +50,7 @@ def _dot_edge(t: Triple) -> str:
 
 def graph_to_dot(graph: KnowledgeGraph) -> str:
     lines = ["digraph geocausal {", "  rankdir=LR;"]
-    lines.extend(_dot_node(graph, e.id) for e in graph.entities())
+    lines.extend(map(_dot_node, graph.entities()))
     triples = graph.triples()
     # satisfies edges point at external precondition-set ids
     external = sorted({t.object for t in triples if not graph.has_entity(t.object)})
@@ -66,11 +64,9 @@ def graph_to_dot(graph: KnowledgeGraph) -> str:
 
 def explanation_to_dot(explanation: Explanation, graph: KnowledgeGraph) -> str:
     lines = ["digraph explanation {", "  rankdir=RL;"]
-    for node in explanation.nodes:
-        lines.append(_dot_node(graph, node))
     extra_nodes = {side.object for side in explanation.affects} - set(explanation.nodes)
-    for node in sorted(extra_nodes):
-        lines.append(_dot_node(graph, node))
+    for node in [*explanation.nodes, *sorted(extra_nodes)]:
+        lines.append(_dot_node(graph.entity(node)))
     for edge in explanation.edges:
         lines.append(_dot_edge(edge.triple))
     for side in explanation.affects:
@@ -87,19 +83,34 @@ def explanation_to_dot(explanation: Explanation, graph: KnowledgeGraph) -> str:
 # Both documents are written record by record, byte for byte as the json
 # module's ``dumps(doc, indent=2)`` writes them, plus a newline: with
 # ``indent`` set, ``dumps`` runs its pure-Python encoder, one generator
-# step per token.
+# step per token. Each record is formatted from the entity or triple
+# itself, one fixed template per entity role and one for triples, at its
+# indentation; every id, kind, attribute name and value literal goes
+# through ``_q``.
+
+
+def _values_json(measurements: tuple[Measurement, ...]) -> str:
+    """An attributes or observations object, at an entity record's field indentation."""
+    members = ",\n".join(f"        {_q(m.attribute)}: {_q(format_value(m.value))}" for m in measurements)
+    return f"{{\n{members}\n      }}" if members else "{}"
 
 
 def _entity_json(entity: Entity) -> str:
-    fields = []
-    for key, value in entity_doc(entity).items():
-        if isinstance(value, dict):
-            members = ",\n".join(f"        {_q(k)}: {_q(v)}" for k, v in value.items())
-            value = f"{{\n{members}\n      }}" if members else "{}"
-        else:
-            value = _q(value)
-        fields.append(f'      "{key}": {value}')
-    return "    {\n" + ",\n".join(fields) + "\n    }"
+    head = f'    {{\n      "id": {_q(entity.id)},\n      "role": "{entity.role.value}",\n'
+    if isinstance(entity, GeoEvent):
+        return f'{head}      "kind": {_q(entity.kind)}\n    }}'
+    if isinstance(entity, GeoObject):
+        return f'{head}      "kind": {_q(entity.kind)},\n      "attributes": {_values_json(entity.attributes)}\n    }}'
+    if isinstance(entity, GeoSituation):
+        interval = entity.holds_during
+        return (
+            f'{head}      "start": "{format_timestamp(interval.start)}",\n      "end": "{format_timestamp(interval.end)}",\n'
+            f'      "observations": {_values_json(entity.observations)}\n    }}'
+        )
+    return (
+        f'{head}      "geometry": "{format_geometry(entity.geometry)}",\n'
+        f'      "start": "{format_timestamp(entity.interval.start)}",\n      "end": "{format_timestamp(entity.interval.end)}"\n    }}'
+    )
 
 
 def _triple_json(t: Triple, tail: str = "") -> str:

@@ -1,5 +1,5 @@
 """Line-oriented text persistence for knowledge graphs, and the record
-codec that the JSON export shares.
+decoder that the JSON reader shares.
 
 One record per line, UTF-8, ``#`` comments and blank lines ignored:
 
@@ -22,11 +22,12 @@ quotes and its quotes are simply dropped. Version 1 documents ended a
 derived triple with ``premises=<n>``; such a record loads with no
 premises, because version 1 never stored which triples they were.
 
-Text records and the JSON export share one document form, plain dicts
-and lists of strings: ``entity_doc`` encodes an entity, and
-``graph_from_docs`` decodes a graph (the JSON export writes each triple's
-form straight from the triple). The text reader decodes each line as it
-reads it, and both readers build the graph through ``_build_graph``.
+Each writer formats the entity or triple it is given: ``_entity_line``
+and ``_triple_line`` here, one template per record shape in the JSON
+export. The readers share the decoding: ``graph_from_docs`` decodes JSON
+entries, the text reader decodes each line as it reads it (an ENT line
+through the same ``_entity_from_doc``), and both build the graph through
+``_build_graph``.
 """
 
 from __future__ import annotations
@@ -92,34 +93,6 @@ def _geometry(m: re.Match) -> Geometry:
     if len(coords) != 4:
         raise ParseError(f"BBOX takes 4 coordinates, got {len(coords)}")
     return BBox(*coords)
-
-
-def entity_doc(entity: Entity) -> dict:
-    """An entity as a document: the JSON export's form, and the text record's fields."""
-    if isinstance(entity, GeoEvent):
-        return {"id": entity.id, "role": "event", "kind": entity.kind}
-    if isinstance(entity, GeoObject):
-        return {
-            "id": entity.id,
-            "role": "object",
-            "kind": entity.kind,
-            "attributes": {m.attribute: format_value(m.value) for m in entity.attributes},
-        }
-    if isinstance(entity, GeoSituation):
-        return {
-            "id": entity.id,
-            "role": "situation",
-            "start": format_timestamp(entity.holds_during.start),
-            "end": format_timestamp(entity.holds_during.end),
-            "observations": {m.attribute: format_value(m.value) for m in entity.observations},
-        }
-    return {
-        "id": entity.id,
-        "role": "region",
-        "geometry": format_geometry(entity.geometry),
-        "start": format_timestamp(entity.interval.start),
-        "end": format_timestamp(entity.interval.end),
-    }
 
 
 def _string(doc: dict, name: str) -> str:
@@ -252,16 +225,17 @@ def graph_from_docs(
 
 
 def _entity_line(entity: Entity) -> str:
-    doc = entity_doc(entity)
-    if doc["role"] == "region":
-        return f"REG {doc['id']} {doc['geometry']} {doc['start']} {doc['end']}"
-    if doc["role"] == "situation":
-        head = f"ENT {doc['id']} situation - .start={doc['start']} .end={doc['end']}"
-        values = doc["observations"]
+    if isinstance(entity, SpatioTemporalRegion):
+        start, end = format_timestamp(entity.interval.start), format_timestamp(entity.interval.end)
+        return f"REG {entity.id} {format_geometry(entity.geometry)} {start} {end}"
+    if isinstance(entity, GeoEvent):
+        return f"ENT {entity.id} event {entity.kind}"
+    if isinstance(entity, GeoObject):
+        head, values = f"ENT {entity.id} object {entity.kind}", entity.attributes
     else:
-        head = f"ENT {doc['id']} {doc['role']} {doc['kind']}"
-        values = doc.get("attributes", {})
-    return head + "".join(f' {name}="{value}"' for name, value in values.items())
+        start, end = format_timestamp(entity.holds_during.start), format_timestamp(entity.holds_during.end)
+        head, values = f"ENT {entity.id} situation - .start={start} .end={end}", entity.observations
+    return head + "".join(f' {m.attribute}="{format_value(m.value)}"' for m in values)
 
 
 def _triple_line(t: Triple) -> str:
@@ -346,6 +320,10 @@ def _entity_record(line: str, tokens: list[str]) -> dict:
     if len(tokens) < 4:
         raise ParseError("ENT record needs at least <id> <role> <kind>")
     _, entity_id, role, kind, *rest = tokens
+    if role == "region":
+        raise ParseError("a region is a REG record, not an ENT record")
+    if role == "situation" and kind != "-":
+        raise ParseError(f"a situation record has '-' in the kind slot, got {kind!r}")
     values: dict[str, str] = {}
     for token in rest:
         key, equals, value = token.partition("=")

@@ -13,6 +13,7 @@ from geocausal.errors import InvariantViolation, SchemaViolation
 from geocausal.graph import SIGNATURES, KnowledgeGraph, RelationKind, Role, Derived, ASSERTED, Triple, role_of
 from geocausal.model import (
     BBox,
+    Entity,
     GeoEvent,
     GeoObject,
     GeoSituation,
@@ -20,6 +21,7 @@ from geocausal.model import (
     Point,
     SpatioTemporalRegion,
     TimeInterval,
+    format_timestamp,
     validate_entity_id,
 )
 from geocausal.query import Explanation
@@ -35,7 +37,7 @@ from geocausal.rules import (
     evaluate,
 )
 from geocausal.spatiotemporal import co_occurs, gap_between, precedes, spatial_overlap
-from geocausal.storage import entity_doc
+from geocausal.storage import format_geometry
 from geocausal.units import REGISTRY, Categorical, Comparator, Quantity, format_value, get_unit
 
 EPOCH = datetime(2005, 8, 1, tzinfo=timezone.utc)
@@ -680,6 +682,34 @@ def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
 # ---------------------------------------------------------------------------
 # JSON document oracles: what the export writes, as dicts for json.dumps
 # ---------------------------------------------------------------------------
+
+
+def entity_doc(entity: Entity) -> dict:
+    """An entity as a document: the JSON export's form, and the text record's fields."""
+    if isinstance(entity, GeoEvent):
+        return {"id": entity.id, "role": "event", "kind": entity.kind}
+    if isinstance(entity, GeoObject):
+        return {
+            "id": entity.id,
+            "role": "object",
+            "kind": entity.kind,
+            "attributes": {m.attribute: format_value(m.value) for m in entity.attributes},
+        }
+    if isinstance(entity, GeoSituation):
+        return {
+            "id": entity.id,
+            "role": "situation",
+            "start": format_timestamp(entity.holds_during.start),
+            "end": format_timestamp(entity.holds_during.end),
+            "observations": {m.attribute: format_value(m.value) for m in entity.observations},
+        }
+    return {
+        "id": entity.id,
+        "role": "region",
+        "geometry": format_geometry(entity.geometry),
+        "start": format_timestamp(entity.interval.start),
+        "end": format_timestamp(entity.interval.end),
+    }
 
 
 def triple_doc(t: Triple) -> dict:

@@ -15,7 +15,7 @@ from geocausal.graph import SIGNATURES, Derived, KnowledgeGraph, RelationKind, R
 from geocausal.model import GeoEvent, GeoObject, GeoSituation, Measurement
 from geocausal.query import Explanation, ExplanationEdge, why
 from geocausal.rules import Condition, ConditionOutcome, Truth
-from geocausal.storage import dump_graph, entity_doc, loads_graph
+from geocausal.storage import dump_graph, loads_graph
 from geocausal.units import Categorical, Comparator
 
 import random
@@ -23,6 +23,7 @@ import random
 from support import (
     PICKS,
     build_affects_case,
+    entity_doc,
     explanation_doc,
     graphs,
     graphs_equal,

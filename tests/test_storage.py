@@ -180,6 +180,8 @@ LOADER_FAULTS = [
     pytest.param('ENT o object Gauge Level="3 m" Level="4 m"\n', 1, "duplicate attribute key 'Level'", id='duplicate-attribute-key'),
     pytest.param('ENT x thing Rain\n', 1, "unknown entity role 'thing'", id='unknown-role'),
     pytest.param('ENT a event Rain Level="3 m"\n', 1, 'event records carry no attributes', id='event-with-attributes'),
+    pytest.param('ENT s situation Flood .start=2005-01-01T00:00:00Z .end=2005-01-02T00:00:00Z\n', 1, "a situation record has '-' in the kind slot, got 'Flood'", id='situation-with-kind'),
+    pytest.param('ENT r region K\n', 1, 'a region is a REG record, not an ENT record', id='region-as-ent'),
     pytest.param('ENT s situation - .end=2005-08-02T00:00:00Z\n', 1, "situation record needs a string 'start'", id='situation-without-start'),
     pytest.param('ENT s situation - .start=2005-08-01T00:00:00Z\n', 1, "situation record needs a string 'end'", id='situation-without-end'),
     pytest.param('ENT s situation - .start=yesterday .end=2005-08-02T00:00:00Z\n', 1, "invalid timestamp 'yesterday'", id='invalid-timestamp'),

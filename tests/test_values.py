@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from geocausal.engine import Diagnostic, EngineConfig, InferenceResult, ProvenanceTree
 from geocausal.errors import ConfigError, GeoCausalError, InvariantViolation
+from geocausal.export import graph_from_json, graph_to_json
 from geocausal.graph import ASSERTED, Asserted, Derived, KnowledgeGraph, RelationKind, Triple
 from geocausal.ingest import IngestReport, Strictness
 from geocausal.model import (
@@ -35,9 +36,11 @@ from geocausal.rules import (
     RuleSet,
     SatisfactionResult,
     Truth,
+    parse_rules,
+    print_rules,
 )
 from geocausal.storage import dump_graph, loads_graph
-from geocausal.units import Categorical, Comparator, Dimension, Quantity, Unit, get_unit
+from geocausal.units import REGISTRY, Categorical, Comparator, Dimension, Quantity, Unit, get_unit
 
 from support import iv, q
 
@@ -316,3 +319,49 @@ def test_hostile_arguments_raise_only_geocausal_errors_and_what_is_built_saves(c
     graph = KnowledgeGraph()
     graph.add_entity(entity)
     assert loads_graph(dump_graph(graph)).entity(entity.id) == entity
+    assert graph_from_json(graph_to_json(graph)).entity(entity.id) == entity
+
+
+# Rule values: ids and kinds include the grammar's keywords, and thresholds
+# take any finite magnitude in every registered unit.
+_RULE_ID = (st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,4}", fullmatch=True) | _TOKEN
+            | st.sampled_from(["rule", "precondition", "effects", "causes", "when", "co-occurs", "precedes",
+                               "within", "present", "absent", "h", "m"]))
+_ATTRIBUTE = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True) | st.sampled_from(["present", "when", "m"])
+_THRESHOLD = st.one_of(
+    st.builds(Quantity, st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from(sorted(REGISTRY.values(), key=lambda u: u.symbol))),
+    st.builds(Categorical, st.from_regex(r"[A-Za-z][A-Za-z0-9_/-]{0,4}", fullmatch=True)
+              | _TOKEN.filter(lambda token: '"' not in token)
+              | st.sampled_from(["present", "absent", "m", "degF", "within"])),
+)
+_CONDITION_TYPED = st.builds(Condition, _ATTRIBUTE, st.sampled_from([Comparator.PRESENT, Comparator.ABSENT]))
+_CONSTRAINT = st.sampled_from([CoOccurs(), Precedes()]) | st.timedeltas(min_value=timedelta(0)).map(PrecedesWithin)
+#: Rule constructor -> an argument of the expected type for each parameter.
+_RULE_TYPED = {
+    Condition: (_ATTRIBUTE, st.sampled_from(Comparator), st.none() | _THRESHOLD),
+    PreconditionSet: (_RULE_ID, _RULE_ID, st.lists(_CONDITION_TYPED, max_size=3)),
+    CauseRule: (_RULE_ID, _RULE_ID, _RULE_ID, _CONSTRAINT),
+    PrecedesWithin: (st.timedeltas(),),
+}
+#: How a rule value that is not a rule is printed: inside the rule that holds it.
+_RULE_HOLDERS = {
+    Condition: lambda value: RuleSet([PreconditionSet("P", "K", [value])]),
+    PreconditionSet: lambda value: RuleSet([value]),
+    CauseRule: lambda value: RuleSet(cause_rules=[value]),
+    PrecedesWithin: lambda value: RuleSet(cause_rules=[CauseRule("R", "A", "B", value)]),
+}
+
+
+@pytest.mark.parametrize("cls", _RULE_TYPED, ids=lambda cls: cls.__name__)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hostile_rule_arguments_raise_only_geocausal_errors_and_what_is_built_prints(cls, data):
+    arguments = [data.draw(st.booleans().flatmap(lambda hostile: _HOSTILE if hostile else typed))
+                 for typed in _RULE_TYPED[cls]]
+    try:
+        value = cls(*arguments)
+    except GeoCausalError:
+        return
+    ruleset = _RULE_HOLDERS[cls](value)
+    assert parse_rules(print_rules(ruleset)) == ruleset
