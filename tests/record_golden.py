@@ -15,6 +15,12 @@ hold chains, cycles, evidence of each status and affects edges. CLI
 outputs cover the benchmark's three workloads at the sizes of
 ``bench/test_bench.py``, each command run in-process through ``cli.main``.
 The benchmark's generator and command sequence are imported, not copied.
+Load outcomes cover the text and JSON documents of ``random_engine_case``
+seeds 0-39 and ``random_causal_case`` seeds 0-9, each changed by every
+mutation of ``support.MUTATIONS`` several times: the ``ParseError`` (line
+and message) that each mutated document raises, or the dump of the graph
+it loads. The ``load/`` group pins both readers' refusals; re-record it
+only together with a reader change that says which refusals moved and why.
 """
 
 from __future__ import annotations
@@ -38,14 +44,15 @@ for path in (TESTS, ROOT / "src", ROOT / "bench"):
 
 from geocausal.cli import main as cli_main  # noqa: E402
 from geocausal.engine import EngineConfig, explain, infer  # noqa: E402
+from geocausal.errors import ParseError  # noqa: E402
 from geocausal.export import (  # noqa: E402
-    explanation_to_dot, explanation_to_json, graph_to_dot, graph_to_json,
+    explanation_to_dot, explanation_to_json, graph_from_json, graph_to_dot, graph_to_json,
 )
-from geocausal.graph import Role  # noqa: E402
+from geocausal.graph import RELATION_TOKENS, Role  # noqa: E402
 from geocausal.query import render_explanation_text, why  # noqa: E402
 from geocausal.storage import dump_graph, loads_graph  # noqa: E402
 
-from support import random_causal_case, random_engine_case  # noqa: E402
+from support import MUTATIONS, mutate_document, random_causal_case, random_engine_case  # noqa: E402
 
 GOLDEN = TESTS / "golden.json"
 ENGINE_SEEDS = range(300)
@@ -57,6 +64,8 @@ CAUSAL_SEEDS = range(25)
 WHY_DEPTHS = {"1": 1, "3": 3, "10": 10, "unbounded": sys.maxsize}
 CLI_SIZES = {"storm-causal": 40, "dam-effects": 30, "append-reinfer": 36}  # bench/test_bench.py SMALL
 CLI_SEEDS = (1, 2, 3)
+LOAD_CASES = {"engine": (random_engine_case, range(40)), "causal": (random_causal_case, range(10))}
+LOAD_MUTANTS = 6  # documents per case, format and mutation
 
 
 class _Digests:
@@ -121,6 +130,32 @@ def causal_digests() -> dict[str, str]:
     return digests.result()
 
 
+def _load_outcome(read, document: str) -> str:
+    try:
+        graph = read(document)
+    except ParseError as exc:
+        return f"ParseError at {exc.line}: {exc}"
+    return dump_graph(graph)
+
+
+def load_digests() -> dict[str, str]:
+    digests = _Digests()
+    for case_name, (case, seeds) in LOAD_CASES.items():
+        for seed in seeds:
+            graph, rules = case(random.Random(seed))
+            infer(graph, rules)
+            vocabulary = sorted(e.id for e in graph.entities()) + sorted(RELATION_TOKENS)
+            readers = {"text": (loads_graph, dump_graph(graph)), "json": (graph_from_json, graph_to_json(graph))}
+            for format_name, (read, document) in readers.items():
+                rng = random.Random(f"{case_name} {seed} {format_name}")
+                for mutation in MUTATIONS:
+                    for _ in range(LOAD_MUTANTS):
+                        mutated = mutate_document(document, vocabulary, mutation, rng.randrange)
+                        digests.add(f"load/{format_name}/{mutation}", f"{case_name} seed {seed}",
+                                    mutated, _load_outcome(read, mutated))
+    return digests.result()
+
+
 def _cli_commands(inputs, workspace: Path) -> list[list[str]]:
     """The benchmark's command sequence, then a few read-only commands it
     does not run: validate, predicate-only queries and why in every format."""
@@ -172,7 +207,7 @@ def cli_digests() -> dict[str, str]:
 
 
 def all_digests() -> dict[str, str]:
-    return {**library_digests(), **causal_digests(), **cli_digests()}
+    return {**library_digests(), **causal_digests(), **cli_digests(), **load_digests()}
 
 
 def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:

@@ -1,11 +1,14 @@
 """Shared test helpers: interval shorthand, random graph generators (among
 them the Hypothesis strategy ``graphs``), the JSON export's documents as
-dicts, and the brute-force inference oracle the engine is checked against."""
+dicts, mutated documents for the readers, and the brute-force inference
+oracle the engine is checked against."""
 
 from __future__ import annotations
 
 import random
+import re
 from datetime import datetime, timedelta, timezone
+from typing import Callable, Sequence
 
 from hypothesis import strategies as st
 
@@ -677,6 +680,51 @@ def graphs(draw):
 def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
     """Exact equality of entities and of triples, provenance included."""
     return a.entities() == b.entities() and a.triples() == b.triples()
+
+
+# ---------------------------------------------------------------------------
+# Mutated documents: what the readers must load or refuse with a ParseError
+# ---------------------------------------------------------------------------
+
+
+#: The ways ``mutate_document`` changes one line of a document.
+MUTATIONS = ("delete", "duplicate", "swap", "quote", "whitespace", "odd-token")
+_SITES = {
+    "swap": re.compile(r'[^\s"\[\],:{}]+'),  # a token of either format, JSON punctuation aside
+    "quote": re.compile(r'"|\b'),  # a quote to remove, or a word boundary to insert one at
+    "whitespace": re.compile(r"\s+|^|$"),
+    "odd-token": re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z|-?\d+(?:\.\d+)?(?:e-?\d+)?"),
+}
+_WHITESPACE = ("", " ", "  ", "\t", "\u00a0", "\x0b")
+#: Malformed or out-of-range stand-ins for a timestamp, coordinate or number token.
+_ODD_TOKENS = (
+    "", "2005-13-01T00:00:00Z", "2005-08-29T24:00:00Z", "2005-02-30T00:00:00Z", "2005-08-29",
+    "2005-08-29T00:00:00.5Z", "2005-08-29T00:00:00+05:00", "0001-01-01T00:00:00+01:00",
+    "2005-08-29X00:00:00Z", "1e999", "nan", "-inf", "91", "-181", "1,5", "0x1", "+3", "1e-400",
+)
+
+
+def mutate_document(document: str, vocabulary: Sequence[str], mutation: str, pick: Callable[[int], int]) -> str:
+    """``document`` with one line changed by ``mutation``: deleted, duplicated,
+    a token swapped for one of ``vocabulary``, a ``"`` removed or inserted,
+    a run of whitespace changed, or a timestamp or number token swapped for
+    a malformed one. ``pick(n)`` chooses an index below ``n``."""
+    lines = document.splitlines()
+    i = pick(len(lines))
+    line = lines[i]
+    if mutation == "delete":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, line)
+    elif sites := list(_SITES[mutation].finditer(line)):
+        site = sites[pick(len(sites))]
+        if mutation == "quote":
+            replacement = "" if site.group() else '"'
+        else:
+            choices = {"swap": vocabulary, "whitespace": _WHITESPACE, "odd-token": _ODD_TOKENS}[mutation]
+            replacement = choices[pick(len(choices))]
+        lines[i] = line[: site.start()] + replacement + line[site.end():]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ from geocausal.graph import RelationKind, Role
 from geocausal.query import why
 from geocausal.rules import PreconditionSet, RuleSet, Truth
 from record_golden import (
-    CAUSAL_SEEDS, CONFIGS, ENGINE_SEEDS, GOLDEN, causal_digests, cli_digests, library_digests, moved,
+    CAUSAL_SEEDS, CONFIGS, ENGINE_SEEDS, GOLDEN, causal_digests, cli_digests, library_digests, load_digests,
+    moved,
 )
-from support import random_causal_case, random_engine_case
+from support import MUTATIONS, random_causal_case, random_engine_case
 
 RECORDED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -37,11 +38,18 @@ def test_cli_outputs_are_unchanged():
     assert moved(_recorded("cli/"), cli_digests()) == []
 
 
+def test_load_outcomes_are_unchanged():
+    """Both readers refuse each mutated document with the same line and
+    message as before, and load the others into the same graph."""
+    assert moved(_recorded("load/"), load_digests()) == []
+
+
 def test_the_gate_covers_both_groups():
     assert len(_recorded("library/")) == 2 * (7 + 3 * 4)
     assert len(_recorded("causal/")) == 7 + 3 * 4
     assert _recorded("cli/")
-    groups = ("library/", "causal/", "cli/")
+    assert len(_recorded("load/")) == 2 * len(MUTATIONS)
+    groups = ("library/", "causal/", "cli/", "load/")
     assert set(RECORDED) == set().union(*(_recorded(prefix) for prefix in groups))
 
 

@@ -4,7 +4,6 @@ import gc
 import json
 import os
 import random
-import re
 import stat
 
 import pytest
@@ -27,7 +26,10 @@ from geocausal.storage import (
 )
 from geocausal.units import Categorical, parse_value
 
-from support import graphs, graphs_equal, iv, q, random_causal_case, random_engine_case, random_storage_graph
+from support import (
+    MUTATIONS, graphs, graphs_equal, iv, mutate_document, q, random_causal_case, random_engine_case,
+    random_storage_graph,
+)
 
 
 class TestRoundTrip:
@@ -500,26 +502,18 @@ def _inferred_documents(seed: int) -> tuple[str, str, tuple[str, ...]]:
     return dump_graph(graph), graph_to_json(graph), vocabulary
 
 
-_MUTABLE_TOKEN = re.compile(r'[^\s"\[\],:{}]+')
-
-
 @st.composite
 def mutated_documents(draw):
-    """A text or JSON document with one line deleted, duplicated, or with one
-    token replaced by an entity id or a relation token."""
+    """A text or JSON document with one line changed by one of ``MUTATIONS``:
+    deleted, duplicated, a token replaced by an entity id or a relation token,
+    a quote inserted or removed, its whitespace changed, or a timestamp or
+    number token replaced by a malformed one."""
     text, document, vocabulary = _inferred_documents(draw(st.integers(0, 39)))
     as_json = draw(st.booleans())
-    lines = (document if as_json else text).splitlines()
-    i = draw(st.integers(0, len(lines) - 1))
-    mutation = draw(st.sampled_from(["delete", "duplicate", "swap"]))
-    if mutation == "delete":
-        del lines[i]
-    elif mutation == "duplicate":
-        lines.insert(i, lines[i])
-    elif tokens := list(_MUTABLE_TOKEN.finditer(lines[i])):
-        token = tokens[draw(st.integers(0, len(tokens) - 1))]
-        lines[i] = lines[i][: token.start()] + draw(st.sampled_from(vocabulary)) + lines[i][token.end():]
-    return as_json, "\n".join(lines) + "\n"
+    mutation = draw(st.sampled_from(MUTATIONS))
+    mutated = mutate_document(document if as_json else text, vocabulary, mutation,
+                              lambda n: draw(st.integers(0, n - 1)))
+    return as_json, mutated
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
