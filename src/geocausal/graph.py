@@ -19,7 +19,7 @@ from enum import Enum
 
 from .errors import DuplicateId, InvariantViolation, SchemaViolation, UnknownEntity, UnknownTriple
 from .model import Entity, EntityId, Role, SpatioTemporalRegion, validate_entity_id
-from .slotted import Frozen, store
+from .slotted import Frozen, setters
 
 
 def role_of(entity: Entity) -> Role:
@@ -100,16 +100,24 @@ class Derived(Frozen):
     __slots__ = ("rule_id", "premises")
 
     def __init__(self, rule_id: str, premises: tuple[TripleKey, ...] = ()):
-        store(self, "rule_id", validate_entity_id(rule_id, "rule id"))
+        _derived_rule_id(self, validate_entity_id(rule_id, "rule id"))
+        keys = []
         try:
-            keys = tuple(tuple(k) if isinstance(k, list) else k for k in premises)
-        except TypeError:
+            for key in premises:
+                if isinstance(key, list):
+                    key = tuple(key)
+                if not (isinstance(key, tuple) and len(key) == 3 and isinstance(key[1], RelationKind)):
+                    keys = None
+                    break
+                keys.append(key)
+        except TypeError:  # premises that do not iterate
             keys = None
-        if keys is None or not all(
-            isinstance(k, tuple) and len(k) == 3 and isinstance(k[1], RelationKind) for k in keys
-        ):
+        if keys is None:
             raise InvariantViolation(f"premises must be (subject, relation, object) keys, got {premises!r}")
-        store(self, "premises", keys)
+        _derived_premises(self, tuple(keys))
+
+
+_derived_rule_id, _derived_premises = setters(Derived)
 
 
 Provenance = Asserted | Derived
@@ -125,10 +133,10 @@ class Triple(Frozen):
         object: EntityId,
         provenance: Provenance = ASSERTED,
     ):
-        store(self, "subject", subject)
-        store(self, "predicate", predicate)
-        store(self, "object", object)
-        store(self, "provenance", provenance)
+        _triple_subject(self, subject)
+        _triple_predicate(self, predicate)
+        _triple_object(self, object)
+        _triple_provenance(self, provenance)
 
     @property
     def key(self) -> TripleKey:
@@ -137,6 +145,9 @@ class Triple(Frozen):
     @property
     def is_derived(self) -> bool:
         return isinstance(self.provenance, Derived)
+
+
+_triple_subject, _triple_predicate, _triple_object, _triple_provenance = setters(Triple)
 
 
 def triple_sort_key(t: Triple) -> tuple[str, str, str]:
@@ -238,21 +249,29 @@ class KnowledgeGraph:
         """Store a triple after schema checks; repeats are idempotent.
 
         An existing triple's provenance is immutable: re-adding its key returns
-        it unchanged. A premise that is not already stored raises UnknownTriple.
+        it unchanged. A premise that is not already stored raises UnknownTriple,
+        and a provenance that is neither Asserted nor Derived InvariantViolation.
         """
         try:
-            existing = self._triples.get((subject, predicate, object))
+            s, o = self._entities.get(subject), self._entities.get(object)
+            fits = s is not None and o is not None and (s.role, o.role) in SIGNATURES.get(predicate, ())
         except TypeError:  # an unhashable argument, which the schema check refuses
-            existing = None
-        if existing is not None:
-            return existing
-        subject, object = self._check_schema(subject, predicate, object)
-        if isinstance(provenance, Derived):
-            for premise in provenance.premises:
-                if premise not in self._triples:
-                    self.triple(premise)  # raises UnknownTriple
-        triple = Triple(subject, predicate, object, provenance)
+            fits = False
+        if fits:
+            subject, object = s.id, o.id
+        else:  # a satisfies edge, or a fault for the full check to name
+            subject, object = self._check_schema(subject, predicate, object)
         key = (subject, predicate, object)
+        if (existing := self._triples.get(key)) is not None:  # it passed these checks
+            return existing
+        if provenance is not ASSERTED:
+            if isinstance(provenance, Derived):
+                for premise in provenance.premises:
+                    if premise not in self._triples:
+                        self.triple(premise)  # raises UnknownTriple
+            elif not isinstance(provenance, Asserted):
+                raise InvariantViolation(f"provenance must be ASSERTED or a Derived, got {provenance!r}")
+        triple = Triple(subject, predicate, object, provenance)
         self._triples[key] = triple
         self._by_subject.setdefault(subject, []).append(key)
         self._by_object.setdefault(object, []).append(key)

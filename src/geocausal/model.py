@@ -11,16 +11,15 @@ from __future__ import annotations
 import re
 from datetime import datetime, timezone
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import InvariantViolation, OrderViolation, ParseError
-from .slotted import Frozen, Ordered, store
+from .slotted import Frozen, Ordered, setters
 from .units import Value, to_float
 
-_ID_FORBIDDEN = re.compile(r'[\s\x00-\x1f\x7f"\ud800-\udfff]')
-ATTR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_DATE_ONLY = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
-_FRACTION = re.compile(r"(:\d{2})\.\d+")
+# No pattern is compiled at import: every command imports this module.
+_UTC, _fromisoformat = timezone.utc, datetime.fromisoformat
 
 #: Entity identifiers are IRI-like opaque strings, e.g. "ev:Katrina".
 EntityId = str
@@ -36,12 +35,21 @@ class Role(Enum):
     __hash__ = object.__hash__  # members are singletons: hash them by identity, in C
 
 
+def is_attribute_name(name: str) -> bool:
+    """Whether ``name`` matches ``[A-Za-z][A-Za-z0-9_]*``."""
+    return name.isascii() and name.isidentifier() and name[0] != "_"
+
+
 def validate_entity_id(value: str, what: str = "entity id") -> str:
     """Check an entity id, kind or rule id: a non-empty token without
     whitespace, control or surrogate characters or ``"``, so it persists unescaped."""
     if not isinstance(value, str) or not value:
         raise InvariantViolation(f"{what} must be a non-empty string")
-    if _ID_FORBIDDEN.search(value):
+    # Printable text holds no forbidden character but the space and the quote,
+    # so only other text needs the scan.
+    if not (value.isprintable() and " " not in value and '"' not in value) and any(
+        c.isspace() or c < " " or c in '\x7f"' or "\ud800" <= c <= "\udfff" for c in value
+    ):
         raise InvariantViolation(
             f"{what} {value!r} must not contain whitespace, control, quote or surrogate characters"
         )
@@ -59,22 +67,23 @@ def parse_timestamp(value: str | datetime) -> datetime:
         dt = value
     else:
         text = str(value).strip()
-        if _DATE_ONLY.fullmatch(text):
+        if len(text) == 10 and text[4] == text[7] == "-" and (text[:4] + text[5:7] + text[8:]).isdecimal():
             text += "T00:00:00+00:00"
         elif text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"
         if "." in text:  # fractional seconds are truncated, so drop them before parsing
-            text = _FRACTION.sub(r"\1", text, count=1)
+            text = re.sub(r"(:\d{2})\.\d+", r"\1", text, count=1)
         try:
-            dt = datetime.fromisoformat(text)
+            dt = _fromisoformat(text)
         except ValueError:
             raise ParseError(f"invalid timestamp {value!r}") from None
     if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    try:
-        dt = dt.astimezone(timezone.utc)
-    except OverflowError:
-        raise ParseError(f"timestamp {dt.isoformat()} is outside years 1-9999 UTC") from None
+        dt = dt.replace(tzinfo=_UTC)
+    elif dt.tzinfo is not _UTC:
+        try:
+            dt = dt.astimezone(_UTC)
+        except OverflowError:
+            raise ParseError(f"timestamp {dt.isoformat()} is outside years 1-9999 UTC") from None
     return dt.replace(microsecond=0) if dt.microsecond else dt
 
 
@@ -94,8 +103,8 @@ class TimeInterval(Ordered):
             raise OrderViolation(
                 f"interval start {format_timestamp(start)} is after end {format_timestamp(end)}"
             )
-        store(self, "start", start)
-        store(self, "end", end)
+        _interval_start(self, start)
+        _interval_end(self, end)
 
     @property
     def duration(self):
@@ -103,6 +112,9 @@ class TimeInterval(Ordered):
 
     def is_instant(self) -> bool:
         return self.start == self.end
+
+
+_interval_start, _interval_end = setters(TimeInterval)
 
 
 def interval_envelope(intervals: Iterable[TimeInterval]) -> TimeInterval:
@@ -130,8 +142,11 @@ class Point(Frozen):
     __slots__ = ("lat", "lon")
 
     def __init__(self, lat: float, lon: float):
-        store(self, "lat", _check_lat(lat))
-        store(self, "lon", _check_lon(lon))
+        _point_lat(self, _check_lat(lat))
+        _point_lon(self, _check_lon(lon))
+
+
+_point_lat, _point_lon = setters(Point)
 
 
 class BBox(Frozen):
@@ -146,10 +161,13 @@ class BBox(Frozen):
         max_lon = _check_lon(max_lon)
         if min_lat > max_lat or min_lon > max_lon:
             raise InvariantViolation("bbox min corner must not exceed max corner")
-        store(self, "min_lat", min_lat)
-        store(self, "min_lon", min_lon)
-        store(self, "max_lat", max_lat)
-        store(self, "max_lon", max_lon)
+        _bbox_min_lat(self, min_lat)
+        _bbox_min_lon(self, min_lon)
+        _bbox_max_lat(self, max_lat)
+        _bbox_max_lon(self, max_lon)
+
+
+_bbox_min_lat, _bbox_min_lon, _bbox_max_lat, _bbox_max_lon = setters(BBox)
 
 
 Geometry = Point | BBox
@@ -161,27 +179,36 @@ class Measurement(Frozen):
     __slots__ = ("attribute", "value")
 
     def __init__(self, attribute: str, value: Value):
-        if not isinstance(attribute, str) or not ATTR_NAME.fullmatch(attribute):
+        if not isinstance(attribute, str) or not is_attribute_name(attribute):
             raise InvariantViolation(
                 f"attribute name {attribute!r} must match [A-Za-z][A-Za-z0-9_]*"
             )
         if not isinstance(value, Value):
             raise InvariantViolation(f"measurement value must be a Quantity or Categorical, got {value!r}")
-        store(self, "attribute", attribute)
-        store(self, "value", value)
+        _measurement_attribute(self, attribute)
+        _measurement_value(self, value)
+
+
+_measurement_attribute, _measurement_value = setters(Measurement)
+
+
+_ATTRIBUTE = attrgetter("attribute")
 
 
 def _measurement_tuple(items: Iterable[Measurement], what: str) -> tuple[Measurement, ...]:
     try:
         ordered = list(items)
     except TypeError:
-        ordered = None
-    if ordered is None or not all(isinstance(m, Measurement) for m in ordered):
-        raise InvariantViolation(f"{what} must be Measurement instances")
-    ordered.sort(key=lambda m: m.attribute)
-    for before, m in zip(ordered, ordered[1:]):
-        if m.attribute == before.attribute:
-            raise InvariantViolation(f"duplicate {what} attribute {m.attribute!r}")
+        ordered = [None]  # not iterable
+    for m in ordered:
+        if not isinstance(m, Measurement):
+            raise InvariantViolation(f"{what} must be Measurement instances")
+    ordered.sort(key=_ATTRIBUTE)
+    before = None
+    for m in ordered:
+        if m.attribute == before:
+            raise InvariantViolation(f"duplicate {what} attribute {before!r}")
+        before = m.attribute
     return tuple(ordered)
 
 
@@ -192,15 +219,18 @@ class GeoObject(Frozen):
     role = Role.OBJECT
 
     def __init__(self, id: EntityId, kind: str, attributes: Iterable[Measurement] = ()):
-        store(self, "id", validate_entity_id(id))
-        store(self, "kind", validate_entity_id(kind, "kind"))
-        store(self, "attributes", _measurement_tuple(attributes, "attribute"))
+        _object_id(self, validate_entity_id(id))
+        _object_kind(self, validate_entity_id(kind, "kind"))
+        _object_attributes(self, _measurement_tuple(attributes, "attribute"))
 
     def attribute(self, name: str) -> Value | None:
         for m in self.attributes:
             if m.attribute == name:
                 return m.value
         return None
+
+
+_object_id, _object_kind, _object_attributes = setters(GeoObject)
 
 
 class GeoEvent(Frozen):
@@ -210,8 +240,11 @@ class GeoEvent(Frozen):
     role = Role.EVENT
 
     def __init__(self, id: EntityId, kind: str):
-        store(self, "id", validate_entity_id(id))
-        store(self, "kind", validate_entity_id(kind, "kind"))
+        _event_id(self, validate_entity_id(id))
+        _event_kind(self, validate_entity_id(kind, "kind"))
+
+
+_event_id, _event_kind = setters(GeoEvent)
 
 
 class GeoSituation(Frozen):
@@ -226,15 +259,18 @@ class GeoSituation(Frozen):
         validate_entity_id(id)
         if not isinstance(holds_during, TimeInterval):
             raise InvariantViolation("holds_during must be a TimeInterval")
-        store(self, "id", id)
-        store(self, "holds_during", holds_during)
-        store(self, "observations", _measurement_tuple(observations, "observation"))
+        _situation_id(self, id)
+        _situation_holds_during(self, holds_during)
+        _situation_observations(self, _measurement_tuple(observations, "observation"))
 
     def observation(self, name: str) -> Value | None:
         for m in self.observations:
             if m.attribute == name:
                 return m.value
         return None
+
+
+_situation_id, _situation_holds_during, _situation_observations = setters(GeoSituation)
 
 
 class SpatioTemporalRegion(Frozen):
@@ -249,9 +285,12 @@ class SpatioTemporalRegion(Frozen):
             raise InvariantViolation("region geometry must be a Point or BBox")
         if not isinstance(interval, TimeInterval):
             raise InvariantViolation("region interval must be a TimeInterval")
-        store(self, "id", id)
-        store(self, "geometry", geometry)
-        store(self, "interval", interval)
+        _region_id(self, id)
+        _region_geometry(self, geometry)
+        _region_interval(self, interval)
+
+
+_region_id, _region_geometry, _region_interval = setters(SpatioTemporalRegion)
 
 
 Entity = GeoObject | GeoEvent | GeoSituation | SpatioTemporalRegion

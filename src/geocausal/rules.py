@@ -39,7 +39,7 @@ from .errors import (
     TypeMismatch,
     UnknownUnit,
 )
-from .model import ATTR_NAME, GeoSituation, SpatioTemporalRegion, TimeInterval
+from .model import GeoSituation, SpatioTemporalRegion, TimeInterval, is_attribute_name
 from .slotted import Frozen, store
 from .spatiotemporal import co_occurs, gap_between, precedes
 from .units import Categorical, Comparator, Quantity, Value, compare, format_value, get_unit
@@ -62,7 +62,7 @@ class Condition(Frozen):
     __slots__ = ("attribute", "comparator", "threshold")
 
     def __init__(self, attribute: str, comparator: Comparator, threshold: Value | None = None):
-        if not isinstance(attribute, str) or not ATTR_NAME.fullmatch(attribute):
+        if not isinstance(attribute, str) or not is_attribute_name(attribute):
             raise InvariantViolation(f"invalid attribute name {attribute!r}")
         if not isinstance(comparator, Comparator):
             raise InvariantViolation(f"invalid comparator {comparator!r}")
@@ -490,7 +490,7 @@ class _Parser:
 
     def condition(self) -> Condition:
         attr_token = self.expect("word", expected="attribute name")
-        if not ATTR_NAME.fullmatch(attr_token.text):
+        if not is_attribute_name(attr_token.text):
             raise ParseError(
                 f"invalid attribute name {attr_token.text!r}", attr_token.line, attr_token.column
             )

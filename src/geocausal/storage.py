@@ -24,17 +24,18 @@ premises, because version 1 never stored which triples they were.
 
 Each writer formats the entity or triple it is given: ``_entity_line``
 and ``_triple_line`` here, one template per record shape in the JSON
-export. The readers share the decoding: ``graph_from_docs`` decodes JSON
-entries, the text reader decodes each line as it reads it (an ENT line
-through the same ``_entity_from_doc``), and both build the graph through
-``_build_graph``.
+export. The readers share the decoding. The text reader splits each line
+once as it reads it, and matches no pattern. An ENT line's fields, or a
+JSON entity entry's once checked to be strings, become an entity through
+``_entity``; a triple's key, and each premise's, through ``_key``. Both
+readers build the graph through ``_build_graph``, which holds each cited
+premise as one key in the entities' own id strings.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import re
 from contextlib import contextmanager
 from itertools import count, repeat
 from pathlib import Path
@@ -59,11 +60,6 @@ from .units import format_magnitude, format_value, parse_value
 
 HEADER = "# geocausal graph v2"
 
-_TOKEN_RE = re.compile(r'(?:[^\s"]+|"[^"]*")+')
-_GEOMETRY_RE = re.compile(r"(?P<geometry>(?P<shape>POINT|BBOX)\((?P<coords>[^)]*)\))")
-_REG_RE = re.compile(rf"\s*REG\s+(?P<id>\S+)\s+{_GEOMETRY_RE.pattern}\s+(?P<start>\S+)\s+(?P<end>\S+)\s*")
-_V1_PREMISE_COUNT = re.compile(r"premises=\d+\Z")
-
 
 def format_geometry(geometry: Geometry) -> str:
     if isinstance(geometry, Point):
@@ -74,65 +70,107 @@ def format_geometry(geometry: Geometry) -> str:
     )
 
 
+def _geometry_literal(text: str) -> tuple[str | None, str, str]:
+    """``text`` read as ``<POINT|BBOX>(<coordinates>)<rest>``: its shape (None
+    if it does not start so), its coordinates and the rest."""
+    shape, _, after = text.partition("(")
+    coords, close, rest = after.partition(")")
+    return (shape if close and shape in ("POINT", "BBOX") else None), coords, rest
+
+
 def parse_geometry(text: str) -> Geometry:
-    if not (m := _GEOMETRY_RE.fullmatch(text.strip())):
+    shape, coords, rest = _geometry_literal(text.strip())
+    if shape is None or rest:
         raise ParseError(f"invalid geometry literal {text.strip()!r}")
-    return _geometry(m)
+    return _geometry(shape, coords)
 
 
-def _geometry(m: re.Match) -> Geometry:
-    """The geometry a ``_GEOMETRY_RE`` match names."""
+def _geometry(shape: str, coords: str) -> Geometry:
     try:
-        coords = [float(c) for c in m["coords"].split()]
+        values = list(map(float, coords.split()))
     except ValueError:
-        raise ParseError(f"invalid coordinates in {m['geometry']!r}") from None
-    if m["shape"] == "POINT":
-        if len(coords) != 2:
-            raise ParseError(f"POINT takes 2 coordinates, got {len(coords)}")
-        return Point(*coords)
-    if len(coords) != 4:
-        raise ParseError(f"BBOX takes 4 coordinates, got {len(coords)}")
-    return BBox(*coords)
+        raise ParseError(f"invalid coordinates in {f'{shape}({coords})'!r}") from None
+    if shape == "POINT":
+        if len(values) != 2:
+            raise ParseError(f"POINT takes 2 coordinates, got {len(values)}")
+        return Point(*values)
+    if len(values) != 4:
+        raise ParseError(f"BBOX takes 4 coordinates, got {len(values)}")
+    return BBox(*values)
 
 
-def _string(doc: dict, name: str) -> str:
-    value = doc.get(name)
+def _required(value, role: str, name: str) -> str:
     if not isinstance(value, str):
-        raise ParseError(f"{doc['role']} record needs a string {name!r}")
+        raise ParseError(f"{role} record needs a string {name!r}")
     return value
 
 
-def _measurements(doc: dict, name: str) -> tuple[Measurement, ...]:
+def _string(doc: dict, name: str) -> str:
+    return _required(doc.get(name), doc["role"], name)
+
+
+def _values(doc: dict, name: str) -> dict[str, str]:
     values = doc.get(name, {})
     if not isinstance(values, dict) or not all(isinstance(v, str) for v in values.values()):
         raise ParseError(f"{name!r} must map attribute names to value literals")
-    return tuple(Measurement(key, parse_value(raw)) for key, raw in values.items())
+    return values
+
+
+def _entity(role: str, entity_id: str, kind: str | None, values: dict[str, str],
+            interval: TimeInterval | None = None) -> Entity:
+    """An event, object or situation from its record's fields, each a string
+    (the situation's interval already built): the decode an ENT line and a
+    JSON entity entry share. A value is parsed before its name is checked."""
+    if role == "event":
+        if values:
+            raise ParseError("event records carry no attributes")
+        return GeoEvent(entity_id, kind)
+    if role in ("object", "situation"):
+        measurements = []
+        for name, raw in values.items():
+            measurements.append(Measurement(name, parse_value(raw)))
+        if role == "object":
+            return GeoObject(entity_id, kind, measurements)
+        return GeoSituation(entity_id, interval, measurements)
+    raise ParseError(f"unknown entity role {role!r}")
+
+
+#: The fields the JSON writer gives each entity role besides ``id`` and ``role``.
+_FIELDS = {
+    "event": ("kind",),
+    "object": ("kind", "attributes"),
+    "situation": ("start", "end", "observations"),
+    "region": ("geometry", "start", "end"),
+}
+_ROLE_FIELDS = frozenset().union(*_FIELDS.values())
 
 
 def _entity_from_doc(doc: dict) -> Entity:
+    """A JSON entity entry decoded; a field of another role is refused, not dropped."""
     role = doc.get("role")
-    if role == "event":
-        if doc.get("attributes"):
-            raise ParseError("event records carry no attributes")
-        return GeoEvent(_string(doc, "id"), _string(doc, "kind"))
-    if role == "object":
-        return GeoObject(_string(doc, "id"), _string(doc, "kind"), _measurements(doc, "attributes"))
-    if role in ("situation", "region"):
-        interval = TimeInterval(_string(doc, "start"), _string(doc, "end"))
-        if role == "situation":
-            return GeoSituation(_string(doc, "id"), interval, _measurements(doc, "observations"))
-        geometry = parse_geometry(_string(doc, "geometry"))
-        return SpatioTemporalRegion(_string(doc, "id"), geometry, interval)
-    raise ParseError(f"unknown entity role {role!r}")
+    if not isinstance(role, str) or role not in _FIELDS:
+        raise ParseError(f"unknown entity role {role!r}")
+    for field in sorted(_ROLE_FIELDS.difference(_FIELDS[role]).intersection(doc)):
+        raise ParseError(f"{role} records carry no {field}")
+    if role == "event" or role == "object":
+        return _entity(role, _string(doc, "id"), _string(doc, "kind"), _values(doc, "attributes"))
+    interval = TimeInterval(_string(doc, "start"), _string(doc, "end"))
+    if role == "situation":
+        return _entity(role, _string(doc, "id"), None, _values(doc, "observations"), interval)
+    geometry = parse_geometry(_string(doc, "geometry"))
+    return SpatioTemporalRegion(_string(doc, "id"), geometry, interval)
+
+
+def _key(subject: str, predicate: str, object_: str) -> TripleKey:
+    if (relation := RELATION_TOKENS.get(predicate)) is None:
+        raise ParseError(f"unknown relation {predicate!r}")
+    return (subject, relation, object_)
 
 
 def _triple_key(subject, predicate, object_) -> TripleKey:
     if not (isinstance(subject, str) and isinstance(predicate, str) and isinstance(object_, str)):
         raise ParseError("a triple needs string subject, predicate and object")
-    relation = RELATION_TOKENS.get(predicate)
-    if relation is None:
-        raise ParseError(f"unknown relation {predicate!r}")
-    return (subject, relation, object_)
+    return _key(subject, predicate, object_)
 
 
 def _triple_from_doc(doc: dict) -> tuple:
@@ -176,22 +214,39 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
     """Build a graph from ``(where, decode, payload)`` records, ``where`` a line number
     or JSON entry name. ``decode(payload)`` gives an entity, added at once, a triple's
     ``(key, rule id or ASSERTED, premise keys)``, added after the records its premises
-    name (each premise held as one key), or None. Every fault is a ParseError naming its record."""
+    name, or None. A premise is held as one key, in the entities' own id strings
+    where the entities came first. Every fault is a ParseError naming its record."""
     graph = KnowledgeGraph()
     held: list[tuple[int | str, TripleKey, Provenance]] = []
     first: dict[TripleKey, int] = {}
+    ids: dict[str, str] = {}
     cited: dict[TripleKey, TripleKey] = {}
     try:
         for where, decode, payload in records:
             record = decode(payload)
             if type(record) is tuple:
                 key, provenance, premises = record
-                if provenance is not ASSERTED:
-                    provenance = Derived(provenance, tuple(map(cited.setdefault, premises, premises)))
+                if provenance is ASSERTED and key not in first:
+                    try:  # at once: it has no premises to wait for
+                        graph.add_triple(*key)
+                        first[key] = -1  # added as it was read
+                        continue
+                    except GeoCausalError:  # an entity still to come: added, or refused, in turn
+                        pass
+                elif provenance is not ASSERTED:
+                    keys = []
+                    for premise in premises:
+                        if (held_key := cited.get(premise)) is None:
+                            s, p, o = premise
+                            held_key = cited[premise] = (ids.get(s, s), p, ids.get(o, o))
+                        keys.append(held_key)
+                    provenance = Derived(provenance, keys)
                 first.setdefault(key, len(held))
                 held.append((where, key, provenance))
             elif record is not None:
                 graph.add_entity(record)
+                ids[record.id] = record.id
+        del ids, cited  # before the triples are built, so the peak holds neither
         # An explicit stack, so any depth loads; document order, so a repeated
         # triple keeps its first record. Open records are the top's premise-ancestors.
         state = [0] * len(held)  # 0 new, 1 open, 2 added
@@ -202,7 +257,8 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
                 state[j] = 1
                 stack.append(j)
                 for premise in provenance.premises:
-                    k = first.get(premise)
+                    if (k := first.get(premise)) == -1:
+                        continue
                     if k is None or state[k] == 1:
                         s, p, o = premise
                         fault = "is not a stored triple" if k is None else "leads back to this triple"
@@ -310,13 +366,34 @@ def save_graph(graph: KnowledgeGraph, sink: str | Path | IO[str]) -> None:
         sink.write(text)
 
 
-def _entity_record(line: str, tokens: list[str]) -> dict:
-    """An ENT line's fields from its ``tokens``. A line with quotes splits again, on whitespace
-    outside them, and drops them: the writer escapes nothing, so the reader processes no escapes."""
-    if '"' in line:  # else the same tokens: str.split and \s agree on whitespace
+def _unquoted(line: str) -> list[str]:
+    """``line``, which holds an even number of ``"``, split on whitespace
+    outside double quotes, the quotes dropped: the writer escapes nothing,
+    so the reader processes no escapes."""
+    tokens: list[str] = []
+    joined = False  # whether the next piece continues the last token
+    for i, piece in enumerate(line.split('"')):
+        if i % 2:  # quoted, whitespace and all
+            if joined:
+                tokens[-1] += piece
+            else:
+                tokens.append(piece)
+            joined = True
+        elif piece:
+            words = piece.split()
+            if joined and words and not piece[0].isspace():
+                tokens[-1] += words.pop(0)
+            tokens += words
+            joined = not piece[-1].isspace()
+    return tokens
+
+
+def _entity_record(line: str, tokens: list[str]) -> Entity:
+    """An ENT line's entity from its ``tokens``; a line with quotes splits again."""
+    if '"' in line:  # else the same tokens: str.split and the quoted split agree on whitespace
         if line.count('"') % 2:
             raise ParseError("unbalanced double quote")
-        tokens = [token.replace('"', "") for token in _TOKEN_RE.findall(line)]
+        tokens = _unquoted(line)
     if len(tokens) < 4:
         raise ParseError("ENT record needs at least <id> <role> <kind>")
     _, entity_id, role, kind, *rest = tokens
@@ -332,26 +409,28 @@ def _entity_record(line: str, tokens: list[str]) -> dict:
         if key in values:
             raise ParseError(f"duplicate attribute key {key!r}")
         values[key] = value
-    if role == "situation":
-        start, end = values.pop(".start", None), values.pop(".end", None)
-        return {"id": entity_id, "role": role, "start": start, "end": end, "observations": values}
-    return {"id": entity_id, "role": role, "kind": kind, "attributes": values}
+    if role != "situation":
+        return _entity(role, entity_id, kind, values)
+    start = _required(values.pop(".start", None), role, "start")
+    interval = TimeInterval(start, _required(values.pop(".end", None), role, "end"))
+    return _entity(role, entity_id, None, values, interval)
 
 
 def _triple_record(tokens: list[str]) -> tuple:
-    if len(tokens) < 4 or len(tokens) == 5:
-        raise ParseError("TRI record needs <subject> <predicate> <object>")
     if len(tokens) == 4:
-        return _triple_key(*tokens[1:]), ASSERTED, ()
-    marker, rule, *premises = tokens[4:]
+        _, subject, predicate, object_ = tokens
+        return _key(subject, predicate, object_), ASSERTED, ()
+    if len(tokens) < 6:
+        raise ParseError("TRI record needs <subject> <predicate> <object>")
+    _, subject, predicate, object_, marker, rule, *premises = tokens
     if marker != "DERIVED" or not rule.startswith("rule="):
         raise ParseError("expected DERIVED rule=<id> after the object")
-    if len(premises) == 1 and _V1_PREMISE_COUNT.match(premises[0]):
+    if len(premises) == 1 and premises[0].startswith("premises=") and premises[0][9:].isdecimal():
         premises = []  # version 1 kept a premise count, never the premise keys
     elif len(premises) % 3:
         raise ParseError(f"premises take three tokens each (<s> <p> <o>), got {len(premises)}")
-    key = _triple_key(*tokens[1:4])
-    return key, rule[len("rule="):], list(map(_triple_key, premises[::3], premises[1::3], premises[2::3]))
+    key, tokens = _key(subject, predicate, object_), iter(premises)
+    return key, rule[len("rule="):], list(map(_key, tokens, tokens, tokens))
 
 
 def _text_record(raw: str) -> Entity | tuple | None:
@@ -360,17 +439,21 @@ def _text_record(raw: str) -> Entity | tuple | None:
     tokens = raw.split()
     tag = tokens[0] if tokens else "#"
     if tag == "TRI":
+        if len(tokens) == 4 and (relation := RELATION_TOKENS.get(tokens[2])) is not None:
+            return (tokens[1], relation, tokens[3]), ASSERTED, ()  # _triple_record's commonest case
         return _triple_record(tokens)
     if tag == "ENT":
-        return _entity_from_doc(_entity_record(raw, tokens))
+        return _entity_record(raw, tokens)
+    if tag == "REG":
+        fields = raw.split(None, 2)  # REG <id> <geometry> <start> <end>
+        shape, coords, rest = _geometry_literal(fields[-1])
+        if len(fields) < 3 or shape is None or not rest[:1].isspace() or len(times := rest.split()) != 2:
+            raise ParseError("malformed REG record")
+        interval = TimeInterval(*times)  # checked first, as _entity_from_doc does
+        return SpatioTemporalRegion(fields[1], _geometry(shape, coords), interval)
     if tag.startswith("#"):
         return None
-    if tag != "REG":
-        raise ParseError(f"unknown record tag {tag!r}")
-    if not (m := _REG_RE.fullmatch(raw)):
-        raise ParseError("malformed REG record")
-    interval = TimeInterval(m["start"], m["end"])  # checked first, as _entity_from_doc does
-    return SpatioTemporalRegion(m["id"], _geometry(m), interval)
+    raise ParseError(f"unknown record tag {tag!r}")
 
 
 def loads_graph(text: str) -> KnowledgeGraph:

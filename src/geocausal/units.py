@@ -18,7 +18,7 @@ import math
 from enum import Enum
 
 from .errors import DimensionMismatch, InvariantViolation, ParseError, TypeMismatch, UnknownUnit
-from .slotted import Frozen, store
+from .slotted import Frozen, setters, store
 
 #: Absolute tolerance, in canonical units, applied by every comparator.
 EQ_TOLERANCE = 1e-9
@@ -125,11 +125,14 @@ class Quantity(Frozen):
         registered = REGISTRY.get(unit.symbol) if isinstance(unit, Unit) else None
         if registered is None or (registered is not unit and registered != unit):
             raise InvariantViolation(f"quantity unit must be a registered Unit, got {unit!r}")
-        store(self, "magnitude", magnitude)
-        store(self, "unit", unit)
+        _quantity_magnitude(self, magnitude)
+        _quantity_unit(self, unit)
 
     def canonical(self) -> float:
         return self.unit.to_canonical(self.magnitude)
+
+
+_quantity_magnitude, _quantity_unit = setters(Quantity)
 
 
 class Categorical(Frozen):
@@ -138,11 +141,16 @@ class Categorical(Frozen):
     __slots__ = ("token",)
 
     def __init__(self, token: str):
-        if not isinstance(token, str) or not token or any(
-            c.isspace() or c == '"' or "\ud800" <= c <= "\udfff" for c in token
-        ):
+        # Printable text holds no whitespace but the space, and no surrogate,
+        # so only other text needs the scan.
+        if not isinstance(token, str) or not token or not (
+            token.isprintable() and " " not in token and '"' not in token
+        ) and any(c.isspace() or c == '"' or "\ud800" <= c <= "\udfff" for c in token):
             raise InvariantViolation(f"categorical token {token!r} must be a single bare word")
-        store(self, "token", token)
+        _categorical_token(self, token)
+
+
+(_categorical_token,) = setters(Categorical)
 
 
 Value = Quantity | Categorical

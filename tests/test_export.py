@@ -132,6 +132,10 @@ class TestJson:
             ([{"id": "ev:a", "role": "event", "kind": "Rain"}, {"id": "ev:a", "role": "event", "kind": "Rain"}], [], "entities[1]"),
             ([{"id": "reg:r", "role": "region", "geometry": "POINT(0 0)", "start": 3, "end": "2005-08-01"}], [], "entities[0]"),
             ([{"id": "obj:o", "role": "object", "kind": "Dam", "attributes": {"Level": 3}}], [], "entities[0]"),
+            ([{"id": "ev:a", "role": "event", "kind": "Rain"},
+              {"id": "sit:s", "role": "situation", "kind": "Flood", "start": "2005-08-01", "end": "2005-08-02"}],
+             [], "entities[1]"),
+            ([{"id": "ev:a", "role": "event", "kind": "Rain", "observations": {"A": "1 m"}}], [], "entities[0]"),
             (
                 [{"id": "ev:a", "role": "event", "kind": "Rain"}],
                 [{"subject": "ev:a", "predicate": "part-of", "object": "ev:a",
@@ -170,6 +174,29 @@ class TestJson:
         with pytest.raises(ParseError) as exc:
             graph_from_json(json.dumps(doc))
         assert str(exc.value).startswith(where + ": ")
+
+    @pytest.mark.parametrize("role, fields", [
+        ("event", {"kind": "Rain"}),
+        ("object", {"kind": "Dam", "attributes": {}}),
+        ("situation", {"start": "2005-08-01", "end": "2005-08-02", "observations": {}}),
+        ("region", {"geometry": "POINT(0 0)", "start": "2005-08-01", "end": "2005-08-02"}),
+    ])
+    def test_a_field_of_another_role_is_refused_not_dropped(self, role, fields):
+        """An entry loads with its own role's fields and any key no role uses;
+        a field only another role's entries carry is a ParseError naming it."""
+        from geocausal.errors import ParseError
+
+        def load(entry):
+            doc = {"format": "geocausal-graph", "version": 2, "entities": [entry], "triples": []}
+            return graph_from_json(json.dumps(doc))
+
+        own = {"id": "x:1", "role": role, **fields}
+        assert load({**own, "note": "kept out"}).entity("x:1") == load(own).entity("x:1")
+        foreign = {"kind": "Flood", "attributes": {}, "observations": {"A": "1 m"}, "start": "2005-08-01",
+                   "end": "2005-08-02", "geometry": "POINT(0 0)"}
+        for field in sorted(set(foreign) - set(fields)):
+            with pytest.raises(ParseError, match=rf"^entities\[0\]: {role} records carry no {field}$"):
+                load({**own, field: foreign[field]})
 
     def test_rejects_foreign_documents(self):
         from geocausal.errors import ParseError

@@ -1,3 +1,4 @@
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -15,7 +16,9 @@ from geocausal.model import (
     TimeInterval,
     format_timestamp,
     interval_envelope,
+    is_attribute_name,
     parse_timestamp,
+    validate_entity_id,
 )
 
 from support import iv, q
@@ -69,6 +72,27 @@ class TestTimestamps:
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_timestamp(bad)
+
+
+# The character-class checks as patterns: each check of the model, which
+# compiles no pattern, must agree with its pattern on any text.
+_FORBIDDEN_IN_ID = re.compile(r'[\s\x00-\x1f\x7f"\ud800-\udfff]')
+_ATTRIBUTE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TRICKY = st.sampled_from(["", " ", "\t", "\x00", "\x1f", "\x7f", "\x85", "\u00a0", "\u00ad", "\u2028", "\ud800",
+                           "\udfff", '"', "_", "-", "a", "Z", "0", "9", "\u0663", "\u00b2", "\uff10", "\u00e9"])
+_TEXT = st.lists(_TRICKY | st.characters(), max_size=12).map("".join)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_TEXT)
+def test_the_id_and_attribute_name_checks_agree_with_their_patterns(text):
+    try:
+        validate_entity_id(text)
+        accepted = True
+    except InvariantViolation:
+        accepted = False
+    assert accepted == (text != "" and not _FORBIDDEN_IN_ID.search(text))
+    assert is_attribute_name(text) == bool(_ATTRIBUTE_NAME.fullmatch(text))
 
 
 class TestMakeInterval:

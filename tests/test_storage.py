@@ -4,13 +4,15 @@ import gc
 import json
 import os
 import random
+import re
 import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geocausal.engine import infer
-from geocausal.errors import ParseError
+from geocausal import storage
+from geocausal.errors import GeoCausalError, ParseError
 from geocausal.export import graph_from_json, graph_to_json
 from geocausal.graph import ASSERTED, RELATION_TOKENS, Derived, KnowledgeGraph, RelationKind
 from geocausal.model import (
@@ -20,9 +22,10 @@ from geocausal.model import (
     Measurement,
     Point,
     SpatioTemporalRegion,
+    TimeInterval,
 )
 from geocausal.storage import (
-    dump_graph, load_graph, loads_graph, save_graph, write_text_atomic,
+    dump_graph, load_graph, loads_graph, parse_geometry, save_graph, write_text_atomic,
 )
 from geocausal.units import Categorical, parse_value
 
@@ -370,6 +373,32 @@ class TestPremiseOrder:
             (first,), (second,) = (t.provenance.premises for t in graph.match(object="c"))
             assert first == ("a", RelationKind.CAUSES, "b") and first is second
 
+    def test_a_key_recorded_asserted_then_derived_keeps_its_first_record(self):
+        """A premise that names the key resolves to its first record, the
+        asserted one, so the derived record after it closes no cycle."""
+        document = ("ENT a event Rain\nENT b event Flood\n"
+                    "TRI b causes a DERIVED rule=R a causes b\n"
+                    "TRI a causes b\n"
+                    "TRI a causes b DERIVED rule=R b causes a\n")
+        graph = loads_graph(document)
+        assert graph.triple(("a", RelationKind.CAUSES, "b")).provenance is ASSERTED
+        assert graph.triple(("b", RelationKind.CAUSES, "a")).provenance.premises == (("a", RelationKind.CAUSES, "b"),)
+
+    def test_premise_keys_hold_the_entities_own_id_strings(self):
+        """After either reader, each premise's subject, and its object when that
+        is an entity, is the entity's own id string, not a second copy of it."""
+        cited = 0
+        for seed in range(25):
+            graph, rules = random_causal_case(random.Random(seed))
+            infer(graph, rules)
+            for loaded in (loads_graph(dump_graph(graph)), graph_from_json(graph_to_json(graph))):
+                for t in loaded.triples():
+                    for s, _, o in t.provenance.premises if t.is_derived else ():
+                        cited += 1
+                        assert s is loaded.entity(s).id
+                        assert not loaded.has_entity(o) or o is loaded.entity(o).id
+        assert cited >= 1000
+
     def test_deep_chain_written_premise_last(self):
         depth = 3000
         lines = [f"ENT e{i} event Rain" for i in range(depth + 2)]
@@ -526,6 +555,62 @@ def test_a_document_loads_or_raises_parse_error(case):
         graph_from_json(document) if as_json else loads_graph(document)
     except ParseError as exc:
         assert as_json or exc.line is not None
+
+
+# The patterns the text reader once matched with, as oracles: the reader
+# compiles none, and must split and refuse every line as they did.
+_QUOTED_TOKEN = re.compile(r'(?:[^\s"]+|"[^"]*")+')
+_GEOMETRY = re.compile(r"(?P<geometry>(?P<shape>POINT|BBOX)\((?P<coords>[^)]*)\))")
+_REG = re.compile(rf"\s*REG\s+(?P<id>\S+)\s+{_GEOMETRY.pattern}\s+(?P<start>\S+)\s+(?P<end>\S+)\s*")
+_V1_PREMISE_COUNT = re.compile(r"premises=\d+\Z")
+_FRAGMENTS = st.sampled_from([
+    "REG", "ENT", " ", "  ", "\t", "\u00a0", "\x1f", "POINT", "BBOX", "(", ")", "1", "-2.5", "nan", "x", '"', "=",
+    "2005-08-01T00:00:00Z", "reg:a", 'A="1 m"',
+])
+_WHITESPACE = st.sampled_from(["", " ", "  ", "\t", "\u00a0"])
+_REG_PIECES = st.sampled_from([
+    "reg:a", "x", "(", ")", '"', "2005-08-01T00:00:00Z", "2005-08-02", "POINT(1 2)", "BBOX(1 2 3 4)", "POINT(",
+    "BBOX(1 2 3 4", "POINT(1 2))", "POINT(1 2", "BBOX((1 2 3 4)", "POINT(nan 1e999)", "POINT(91 0)",
+])
+_LINES = st.one_of(
+    st.lists(_FRAGMENTS, max_size=12).map("".join),
+    st.lists(st.tuples(_WHITESPACE, _REG_PIECES).map("".join), max_size=6).map(lambda parts: "REG" + "".join(parts)),
+    st.lists(st.sampled_from(["premises=", "premises", "7", "\u0663", "\u00b2", "x", "="]), min_size=1, max_size=3)
+    .map(lambda parts: "TRI a causes b DERIVED rule=R " + "".join(parts)),
+    st.lists(st.sampled_from(["POINT", "BBOX", "(", ")", " ", "\t", "1", "-2", "x"]), max_size=8).map("".join),
+)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except GeoCausalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _region_by_pattern(line: str):
+    if not (m := _REG.fullmatch(line)):
+        raise ParseError("malformed REG record")
+    interval = TimeInterval(m["start"], m["end"])
+    return SpatioTemporalRegion(m["id"], parse_geometry(m["geometry"]), interval)
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(_LINES)
+def test_the_reader_splits_and_refuses_each_line_as_its_patterns_did(line):
+    if line.count('"') % 2 == 0:
+        assert storage._unquoted(line) == [token.replace('"', "") for token in _QUOTED_TOKEN.findall(line)]
+    tokens = line.split()
+    if tokens[:1] == ["REG"]:
+        assert _outcome(storage._text_record, line) == _outcome(_region_by_pattern, line)
+    if len(tokens) == 7 and tokens[0] == "TRI":
+        v1 = bool(_V1_PREMISE_COUNT.match(tokens[6]))
+        assert (_outcome(storage._triple_record, tokens) == ("ParseError: premises take three tokens each "
+                                                             "(<s> <p> <o>), got 1")) != v1
+    if (m := _GEOMETRY.fullmatch(line.strip())) is None:
+        assert _outcome(parse_geometry, line) == f"ParseError: invalid geometry literal {line.strip()!r}"
+    else:
+        assert _outcome(parse_geometry, line) == _outcome(storage._geometry, m["shape"], m["coords"])
 
 
 def test_only_storage_opens_files():

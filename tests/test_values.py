@@ -9,7 +9,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geocausal.engine import Diagnostic, EngineConfig, InferenceResult, ProvenanceTree
+from geocausal.engine import Diagnostic, EngineConfig, InferenceResult, ProvenanceTree, infer
 from geocausal.errors import ConfigError, GeoCausalError, InvariantViolation
 from geocausal.export import graph_from_json, graph_to_json
 from geocausal.graph import ASSERTED, Asserted, Derived, KnowledgeGraph, RelationKind, Triple
@@ -42,7 +42,7 @@ from geocausal.rules import (
 from geocausal.storage import dump_graph, loads_graph
 from geocausal.units import REGISTRY, Categorical, Comparator, Dimension, Quantity, Unit, get_unit
 
-from support import iv, q
+from support import build_flood_case_b, iv, q
 
 _CAUSES = RelationKind.CAUSES
 _TRIPLE = Triple("ev:a", _CAUSES, "ev:b", Derived("R-CAU:R1", (("ev:x", _CAUSES, "ev:a"),)))
@@ -320,6 +320,66 @@ def test_hostile_arguments_raise_only_geocausal_errors_and_what_is_built_saves(c
     graph.add_entity(entity)
     assert loads_graph(dump_graph(graph)).entity(entity.id) == entity
     assert graph_from_json(graph_to_json(graph)).entity(entity.id) == entity
+
+
+
+def _premise_graph() -> KnowledgeGraph:
+    """Two events, a situation and a region, and one stored triple to cite."""
+    graph = KnowledgeGraph()
+    for entity in (GeoEvent("ev:a", "Rain"), GeoEvent("ev:b", "Flood"), GeoSituation("sit:s", iv(0, 1)),
+                   SpatioTemporalRegion("reg:r", Point(30.0, -90.0), iv(0, 1))):
+        graph.add_entity(entity)
+    graph.assert_triple("ev:a", _CAUSES, "ev:b")
+    return graph
+
+
+def _added_and_reloaded(subject, predicate, object_, provenance=ASSERTED) -> None:
+    """Add a triple; what is stored saves and reloads equal in both formats."""
+    graph = _premise_graph()
+    triple = graph.add_triple(subject, predicate, object_, provenance)
+    assert graph.triple(triple.key) is triple
+    assert loads_graph(dump_graph(graph)).triple(triple.key) == triple
+    assert graph_from_json(graph_to_json(graph)).triple(triple.key) == triple
+
+
+def _unit_used(unit: Unit) -> None:
+    """A unit equals and hashes as its copy, and maps magnitudes both ways."""
+    twin = copy.copy(unit)
+    assert twin == unit and hash(twin) == hash(unit)
+    unit.from_canonical(unit.to_canonical(1.0))
+
+
+_STORED = ("ev:a", _CAUSES, "ev:b")
+_PREMISES = st.lists(st.sampled_from([_STORED, list(_STORED), ("ev:b", _CAUSES, "ev:a")]), max_size=3)
+_ENDPOINT = st.sampled_from(["ev:a", "ev:b", "sit:s", "reg:r", "PC_1"])
+_PROVENANCE = st.sampled_from([ASSERTED, Asserted(), Derived("R-CAU:R1", (_STORED,))])
+#: Constructor (or the store's add) -> (what is done with its result, an argument
+#: of the expected type for each parameter, optional ones included).
+_BUILT = {
+    "Derived": (lambda rule_id, premises: _added_and_reloaded("ev:b", _CAUSES, "ev:a", Derived(rule_id, premises)),
+                (_TOKEN, _PREMISES)),
+    "add_triple": (_added_and_reloaded, (_ENDPOINT, st.sampled_from([_CAUSES, RelationKind.PART_OF, RelationKind.SATISFIES, RelationKind.EFFECTS]),
+                    _ENDPOINT, _PROVENANCE)),
+    "Unit": (lambda *arguments: _unit_used(Unit(*arguments)),
+             (_TOKEN, st.sampled_from(Dimension), st.floats() | st.integers(), st.floats() | st.integers())),
+    "EngineConfig": (lambda *arguments: infer(*build_flood_case_b(), EngineConfig(*arguments)),
+                     (st.timedeltas(), st.booleans())),
+}
+
+
+@pytest.mark.parametrize("name", _BUILT)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hostile_arguments_raise_only_geocausal_errors_and_what_is_built_works(name, data):
+    """Derived, a triple through ``add_triple``, Unit and EngineConfig: any
+    argument is refused with a GeoCausalError, or the value built is used."""
+    use, typed = _BUILT[name]
+    arguments = [data.draw(st.booleans().flatmap(lambda hostile: _HOSTILE if hostile else strategy))
+                 for strategy in typed]
+    try:
+        use(*arguments)
+    except GeoCausalError:
+        pass
 
 
 # Rule values: ids and kinds include the grammar's keywords, and thresholds
