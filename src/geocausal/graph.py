@@ -262,7 +262,7 @@ class KnowledgeGraph:
         else:  # a satisfies edge, or a fault for the full check to name
             subject, object = self._check_schema(subject, predicate, object)
         key = (subject, predicate, object)
-        if (existing := self._triples.get(key)) is not None:  # it passed these checks
+        if (existing := self._triples.get(key)) is not None:  # stored, so it passed the same checks
             return existing
         if provenance is not ASSERTED:
             if isinstance(provenance, Derived):

@@ -18,7 +18,6 @@ from .errors import InvariantViolation, OrderViolation, ParseError
 from .slotted import Frozen, Ordered, setters
 from .units import Value, to_float
 
-# No pattern is compiled at import: every command imports this module.
 _UTC, _fromisoformat = timezone.utc, datetime.fromisoformat
 
 #: Entity identifiers are IRI-like opaque strings, e.g. "ev:Katrina".
@@ -33,6 +32,10 @@ class Role(Enum):
     SITUATION = "situation"
     REGION = "region"
     __hash__ = object.__hash__  # members are singletons: hash them by identity, in C
+
+
+# The checks here compile no pattern, as every command imports this module;
+# tests/test_model.py holds the id and attribute name checks to their patterns.
 
 
 def is_attribute_name(name: str) -> bool:
@@ -68,7 +71,7 @@ def parse_timestamp(value: str | datetime) -> datetime:
     else:
         text = str(value).strip()
         if len(text) == 10 and text[4] == text[7] == "-" and (text[:4] + text[5:7] + text[8:]).isdecimal():
-            text += "T00:00:00+00:00"
+            text += "T00:00:00+00:00"  # a date only: \d{4}-\d{2}-\d{2}
         elif text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"
         if "." in text:  # fractional seconds are truncated, so drop them before parsing

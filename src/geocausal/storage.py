@@ -150,8 +150,8 @@ def _entity_from_doc(doc: dict) -> Entity:
     role = doc.get("role")
     if not isinstance(role, str) or role not in _FIELDS:
         raise ParseError(f"unknown entity role {role!r}")
-    for field in sorted(_ROLE_FIELDS.difference(_FIELDS[role]).intersection(doc)):
-        raise ParseError(f"{role} records carry no {field}")
+    if foreign := _ROLE_FIELDS.difference(_FIELDS[role]).intersection(doc):
+        raise ParseError(f"{role} records carry no {min(foreign)}")
     if role == "event" or role == "object":
         return _entity(role, _string(doc, "id"), _string(doc, "kind"), _values(doc, "attributes"))
     interval = TimeInterval(_string(doc, "start"), _string(doc, "end"))
@@ -214,11 +214,13 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
     """Build a graph from ``(where, decode, payload)`` records, ``where`` a line number
     or JSON entry name. ``decode(payload)`` gives an entity, added at once, a triple's
     ``(key, rule id or ASSERTED, premise keys)``, added after the records its premises
-    name, or None. A premise is held as one key, in the entities' own id strings
-    where the entities came first. Every fault is a ParseError naming its record."""
+    name (at once, if asserted and its entities came first), or None. A premise is
+    held as one key, in the entities' own id strings where the entities came first.
+    Every fault is a ParseError naming its record; docs/file-formats.md says which one
+    a document with several faults reports."""
     graph = KnowledgeGraph()
     held: list[tuple[int | str, TripleKey, Provenance]] = []
-    first: dict[TripleKey, int] = {}
+    first: dict[TripleKey, int] = {}  # each key's first held record, or -1: added as read
     ids: dict[str, str] = {}
     cited: dict[TripleKey, TripleKey] = {}
     try:
@@ -229,7 +231,7 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
                 if provenance is ASSERTED and key not in first:
                     try:  # at once: it has no premises to wait for
                         graph.add_triple(*key)
-                        first[key] = -1  # added as it was read
+                        first[key] = -1
                         continue
                     except GeoCausalError:  # an entity still to come: added, or refused, in turn
                         pass
@@ -246,7 +248,7 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
             elif record is not None:
                 graph.add_entity(record)
                 ids[record.id] = record.id
-        del ids, cited  # before the triples are built, so the peak holds neither
+        del ids, cited  # needed only while reading: the load's peak holds neither
         # An explicit stack, so any depth loads; document order, so a repeated
         # triple keeps its first record. Open records are the top's premise-ancestors.
         state = [0] * len(held)  # 0 new, 1 open, 2 added
