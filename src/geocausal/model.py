@@ -70,10 +70,10 @@ def parse_timestamp(value: str | datetime) -> datetime:
         dt = value
     else:
         text = str(value).strip()
-        if len(text) == 10 and text[4] == text[7] == "-" and (text[:4] + text[5:7] + text[8:]).isdecimal():
-            text += "T00:00:00+00:00"  # a date only: \d{4}-\d{2}-\d{2}
-        elif text.endswith(("Z", "z")):
+        if text[-1:] in ("Z", "z"):
             text = text[:-1] + "+00:00"
+        elif len(text) == 10 and text[4] == text[7] == "-" and (text[:4] + text[5:7] + text[8:]).isdecimal():
+            text += "T00:00:00+00:00"  # a date only: \d{4}-\d{2}-\d{2}
         if "." in text:  # fractional seconds are truncated, so drop them before parsing
             text = re.sub(r"(:\d{2})\.\d+", r"\1", text, count=1)
         try:
