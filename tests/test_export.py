@@ -132,10 +132,6 @@ class TestJson:
             ([{"id": "ev:a", "role": "event", "kind": "Rain"}, {"id": "ev:a", "role": "event", "kind": "Rain"}], [], "entities[1]"),
             ([{"id": "reg:r", "role": "region", "geometry": "POINT(0 0)", "start": 3, "end": "2005-08-01"}], [], "entities[0]"),
             ([{"id": "obj:o", "role": "object", "kind": "Dam", "attributes": {"Level": 3}}], [], "entities[0]"),
-            ([{"id": "ev:a", "role": "event", "kind": "Rain"},
-              {"id": "sit:s", "role": "situation", "kind": "Flood", "start": "2005-08-01", "end": "2005-08-02"}],
-             [], "entities[1]"),
-            ([{"id": "ev:a", "role": "event", "kind": "Rain", "observations": {"A": "1 m"}}], [], "entities[0]"),
             (
                 [{"id": "ev:a", "role": "event", "kind": "Rain"}],
                 [{"subject": "ev:a", "predicate": "part-of", "object": "ev:a",
@@ -165,6 +161,10 @@ class TestJson:
                 [{"subject": "ev:a", "predicate": "part-of", "object": "ev:a"}],
                 "triples[0]",
             ),
+            ([{"id": "ev:a", "role": "event", "kind": "Rain"},
+              {"id": "sit:s", "role": "situation", "kind": "Flood", "start": "2005-08-01", "end": "2005-08-02"}],
+             [], "entities[1]"),
+            ([{"id": "ev:a", "role": "event", "kind": "Rain", "observations": {"A": "1 m"}}], [], "entities[0]"),
         ],
     )
     def test_malformed_entries_are_parse_errors(self, entities, triples, where):
