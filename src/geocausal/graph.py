@@ -117,7 +117,7 @@ class Derived(Frozen):
         _derived_premises(self, tuple(keys))
 
 
-_derived_rule_id, _derived_premises = setters(Derived)
+_derived_rule_id, _derived_premises = setters(Derived, "rule_id", "premises")
 
 
 Provenance = Asserted | Derived
@@ -147,7 +147,9 @@ class Triple(Frozen):
         return isinstance(self.provenance, Derived)
 
 
-_triple_subject, _triple_predicate, _triple_object, _triple_provenance = setters(Triple)
+_triple_subject, _triple_predicate, _triple_object, _triple_provenance = setters(
+    Triple, "subject", "predicate", "object", "provenance"
+)
 
 
 def triple_sort_key(t: Triple) -> tuple[str, str, str]:
@@ -219,6 +221,13 @@ class KnowledgeGraph:
 
     def _check_schema(self, subject: str, predicate: RelationKind, object: str) -> tuple[str, str]:
         """The stored entities' ids; a satisfies object, an external id, as given."""
+        try:
+            s, o = self._entities.get(subject), self._entities.get(object)
+            if s is not None and o is not None and (s.role, o.role) in SIGNATURES.get(predicate, ()):
+                return s.id, o.id
+        except TypeError:  # an unhashable argument, refused below
+            pass
+        # A satisfies edge, or a fault to name.
         signature = _signature(predicate)
         if predicate in _STRUCTURAL:
             raise SchemaViolation(
@@ -252,15 +261,7 @@ class KnowledgeGraph:
         it unchanged. A premise that is not already stored raises UnknownTriple,
         and a provenance that is neither Asserted nor Derived InvariantViolation.
         """
-        try:
-            s, o = self._entities.get(subject), self._entities.get(object)
-            fits = s is not None and o is not None and (s.role, o.role) in SIGNATURES.get(predicate, ())
-        except TypeError:  # an unhashable argument, which the schema check refuses
-            fits = False
-        if fits:
-            subject, object = s.id, o.id
-        else:  # a satisfies edge, or a fault for the full check to name
-            subject, object = self._check_schema(subject, predicate, object)
+        subject, object = self._check_schema(subject, predicate, object)
         key = (subject, predicate, object)
         if (existing := self._triples.get(key)) is not None:  # stored, so it passed the same checks
             return existing

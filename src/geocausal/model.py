@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import InvariantViolation, OrderViolation, ParseError
-from .slotted import Frozen, Ordered, setters
+from .slotted import Frozen, Ordered, setters, store
 from .units import Value, to_float
 
 _UTC, _fromisoformat = timezone.utc, datetime.fromisoformat
@@ -117,7 +117,7 @@ class TimeInterval(Ordered):
         return self.start == self.end
 
 
-_interval_start, _interval_end = setters(TimeInterval)
+_interval_start, _interval_end = setters(TimeInterval, "start", "end")
 
 
 def interval_envelope(intervals: Iterable[TimeInterval]) -> TimeInterval:
@@ -145,11 +145,8 @@ class Point(Frozen):
     __slots__ = ("lat", "lon")
 
     def __init__(self, lat: float, lon: float):
-        _point_lat(self, _check_lat(lat))
-        _point_lon(self, _check_lon(lon))
-
-
-_point_lat, _point_lon = setters(Point)
+        store(self, "lat", _check_lat(lat))
+        store(self, "lon", _check_lon(lon))
 
 
 class BBox(Frozen):
@@ -170,7 +167,9 @@ class BBox(Frozen):
         _bbox_max_lon(self, max_lon)
 
 
-_bbox_min_lat, _bbox_min_lon, _bbox_max_lat, _bbox_max_lon = setters(BBox)
+_bbox_min_lat, _bbox_min_lon, _bbox_max_lat, _bbox_max_lon = setters(
+    BBox, "min_lat", "min_lon", "max_lat", "max_lon"
+)
 
 
 Geometry = Point | BBox
@@ -192,7 +191,7 @@ class Measurement(Frozen):
         _measurement_value(self, value)
 
 
-_measurement_attribute, _measurement_value = setters(Measurement)
+_measurement_attribute, _measurement_value = setters(Measurement, "attribute", "value")
 
 
 _ATTRIBUTE = attrgetter("attribute")
@@ -233,7 +232,7 @@ class GeoObject(Frozen):
         return None
 
 
-_object_id, _object_kind, _object_attributes = setters(GeoObject)
+_object_id, _object_kind, _object_attributes = setters(GeoObject, "id", "kind", "attributes")
 
 
 class GeoEvent(Frozen):
@@ -247,7 +246,7 @@ class GeoEvent(Frozen):
         _event_kind(self, validate_entity_id(kind, "kind"))
 
 
-_event_id, _event_kind = setters(GeoEvent)
+_event_id, _event_kind = setters(GeoEvent, "id", "kind")
 
 
 class GeoSituation(Frozen):
@@ -273,7 +272,9 @@ class GeoSituation(Frozen):
         return None
 
 
-_situation_id, _situation_holds_during, _situation_observations = setters(GeoSituation)
+_situation_id, _situation_holds_during, _situation_observations = setters(
+    GeoSituation, "id", "holds_during", "observations"
+)
 
 
 class SpatioTemporalRegion(Frozen):
@@ -293,7 +294,9 @@ class SpatioTemporalRegion(Frozen):
         _region_interval(self, interval)
 
 
-_region_id, _region_geometry, _region_interval = setters(SpatioTemporalRegion)
+_region_id, _region_geometry, _region_interval = setters(
+    SpatioTemporalRegion, "id", "geometry", "interval"
+)
 
 
 Entity = GeoObject | GeoEvent | GeoSituation | SpatioTemporalRegion

@@ -4,8 +4,9 @@ A subclass names its fields in ``__slots__``, in constructor order, and
 writes its own ``__init__``. ``Slotted`` gives it equality (same class,
 equal fields), ``repr`` as ``Name(field=value, ...)`` and
 ``__match_args__``. A ``Frozen`` subclass stores each field once with
-``store`` (``object.__setattr__``), or, where many values are built, with
-the field's own setter from ``setters``, and is then immutable and
+``store`` (``object.__setattr__``), or, where a value is built for each
+record a workspace load reads, with the field's own setter, bound by name
+through ``setters``, and is then immutable and
 hashable; an ``Ordered`` one also sorts by its field tuple. Nothing here
 generates code, so a class costs no more to define than its body.
 """
@@ -19,10 +20,10 @@ from operator import attrgetter
 store = object.__setattr__
 
 
-def setters(cls: type) -> list:
-    """The setter of each of ``cls``'s fields, in ``__slots__`` order: the slot's
+def setters(cls: type, *names: str) -> list:
+    """The setter of each field of ``cls`` named, in the order named: the slot's
     own ``__set__``, which skips the attribute lookup ``store`` makes."""
-    return [getattr(cls, name).__set__ for name in cls.__slots__]
+    return [getattr(cls, name).__set__ for name in names]
 
 
 def _no_fields(value: object) -> tuple:

@@ -214,13 +214,12 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
     """Build a graph from ``(where, decode, payload)`` records, ``where`` a line number
     or JSON entry name. ``decode(payload)`` gives an entity, added at once, a triple's
     ``(key, rule id or ASSERTED, premise keys)``, added after the records its premises
-    name (at once, if asserted and its entities came first), or None. A premise is
-    held as one key, in the entities' own id strings where the entities came first.
-    Every fault is a ParseError naming its record; docs/file-formats.md says which one
-    a document with several faults reports."""
+    name, or None. A premise is held as one key, in the entities' own id strings where
+    the entities came first. Every fault is a ParseError naming its record;
+    docs/file-formats.md says which one a document with several faults reports."""
     graph = KnowledgeGraph()
     held: list[tuple[int | str, TripleKey, Provenance]] = []
-    first: dict[TripleKey, int] = {}  # each key's first held record, or -1: added as read
+    first: dict[TripleKey, int] = {}  # each key's first record
     ids: dict[str, str] = {}
     cited: dict[TripleKey, TripleKey] = {}
     try:
@@ -228,14 +227,7 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
             record = decode(payload)
             if type(record) is tuple:
                 key, provenance, premises = record
-                if provenance is ASSERTED and key not in first:
-                    try:  # at once: it has no premises to wait for
-                        graph.add_triple(*key)
-                        first[key] = -1
-                        continue
-                    except GeoCausalError:  # an entity still to come: added, or refused, in turn
-                        pass
-                elif provenance is not ASSERTED:
+                if provenance is not ASSERTED:
                     keys = []
                     for premise in premises:
                         if (held_key := cited.get(premise)) is None:
@@ -259,9 +251,7 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
                 state[j] = 1
                 stack.append(j)
                 for premise in provenance.premises:
-                    if (k := first.get(premise)) == -1:
-                        continue
-                    if k is None or state[k] == 1:
+                    if (k := first.get(premise)) is None or state[k] == 1:
                         s, p, o = premise
                         fault = "is not a stored triple" if k is None else "leads back to this triple"
                         raise ParseError(f"premise ({s} {p.value} {o}) {fault}")
@@ -419,9 +409,7 @@ def _entity_record(line: str, tokens: list[str]) -> Entity:
 
 
 def _triple_record(tokens: list[str]) -> tuple:
-    if len(tokens) == 4:
-        _, subject, predicate, object_ = tokens
-        return _key(subject, predicate, object_), ASSERTED, ()
+    """A TRI line that is not a bare key: a derived triple, or a fault."""
     if len(tokens) < 6:
         raise ParseError("TRI record needs <subject> <predicate> <object>")
     _, subject, predicate, object_, marker, rule, *premises = tokens
@@ -441,8 +429,8 @@ def _text_record(raw: str) -> Entity | tuple | None:
     tokens = raw.split()
     tag = tokens[0] if tokens else "#"
     if tag == "TRI":
-        if len(tokens) == 4 and (relation := RELATION_TOKENS.get(tokens[2])) is not None:
-            return (tokens[1], relation, tokens[3]), ASSERTED, ()  # _triple_record's commonest case
+        if len(tokens) == 4:  # TRI <subject> <predicate> <object>
+            return _key(tokens[1], tokens[2], tokens[3]), ASSERTED, ()
         return _triple_record(tokens)
     if tag == "ENT":
         return _entity_record(raw, tokens)

@@ -132,7 +132,7 @@ class Quantity(Frozen):
         return self.unit.to_canonical(self.magnitude)
 
 
-_quantity_magnitude, _quantity_unit = setters(Quantity)
+_quantity_magnitude, _quantity_unit = setters(Quantity, "magnitude", "unit")
 
 
 class Categorical(Frozen):
@@ -147,10 +147,7 @@ class Categorical(Frozen):
             token.isprintable() and " " not in token and '"' not in token
         ) and any(c.isspace() or c == '"' or "\ud800" <= c <= "\udfff" for c in token):
             raise InvariantViolation(f"categorical token {token!r} must be a single bare word")
-        _categorical_token(self, token)
-
-
-(_categorical_token,) = setters(Categorical)
+        store(self, "token", token)
 
 
 Value = Quantity | Categorical
