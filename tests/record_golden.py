@@ -21,6 +21,12 @@ mutation of ``support.MUTATIONS`` several times: the ``ParseError`` (line
 and message) that each mutated document raises, or the dump of the graph
 it loads. The ``load/`` group pins both readers' refusals; re-record it
 only together with a reader change that says which refusals moved and why.
+Ingest outcomes cover the storm and observation files of the benchmark's
+generator, seeds 0-5, each changed by every change of ``support.CSV_CHANGES``
+several times, and ingested strict and lenient, into a fresh graph and onto
+an earlier ingest of the unchanged file's first half, under two id
+prefixes: the ``IngestError`` (line and message) each ingest raises, or its
+report (text and JSON); then the dump of the graph either way.
 """
 
 from __future__ import annotations
@@ -44,15 +50,18 @@ for path in (TESTS, ROOT / "src", ROOT / "bench"):
 
 from geocausal.cli import main as cli_main  # noqa: E402
 from geocausal.engine import EngineConfig, explain, infer  # noqa: E402
-from geocausal.errors import ParseError  # noqa: E402
+from geocausal.errors import IngestError, ParseError  # noqa: E402
 from geocausal.export import (  # noqa: E402
     explanation_to_dot, explanation_to_json, graph_from_json, graph_to_dot, graph_to_json,
 )
-from geocausal.graph import RELATION_TOKENS, Role  # noqa: E402
+from geocausal.graph import RELATION_TOKENS, KnowledgeGraph, Role  # noqa: E402
+from geocausal.ingest import Strictness, ingest_observations_csv, ingest_storm_csv  # noqa: E402
 from geocausal.query import render_explanation_text, why  # noqa: E402
 from geocausal.storage import dump_graph, loads_graph  # noqa: E402
 
-from support import MUTATIONS, mutate_document, random_causal_case, random_engine_case  # noqa: E402
+from support import (  # noqa: E402
+    CSV_CHANGES, MUTATIONS, change_csv_cells, mutate_document, random_causal_case, random_engine_case,
+)
 
 GOLDEN = TESTS / "golden.json"
 ENGINE_SEEDS = range(300)
@@ -66,6 +75,9 @@ CLI_SIZES = {"storm-causal": 40, "dam-effects": 30, "append-reinfer": 36}  # ben
 CLI_SEEDS = (1, 2, 3)
 LOAD_CASES = {"engine": (random_engine_case, range(40)), "causal": (random_causal_case, range(10))}
 LOAD_MUTANTS = 6  # documents per case, format and mutation
+INGEST_SEEDS = range(6)
+INGEST_CHANGED = 4  # files per seed, file kind and change
+INGEST_PREFIXES = ("ev:", "noaa/")
 
 
 class _Digests:
@@ -156,6 +168,51 @@ def load_digests() -> dict[str, str]:
     return digests.result()
 
 
+def _ingest_files(seed: int) -> dict[str, tuple]:
+    """File kind -> (its ingest, a storm or observation file of the benchmark's generator)."""
+    from generate import generate
+
+    storm = generate("append-reinfer", seed, 4 * 30).files["storm-2.csv"]
+    observations = generate("dam-effects", seed, 30).files["observations.csv"]
+    return {"storm": (ingest_storm_csv, storm.decode()), "obs": (ingest_observations_csv, observations.decode())}
+
+
+def _ingest_outcomes(ingest, unchanged: str, text: str) -> list[str]:
+    """Each run of ``text``'s ingest: strict and lenient, fresh and appended
+    onto an ingest of the first half of ``unchanged``, under each prefix."""
+    lines = unchanged.splitlines(keepends=True)
+    earlier = "".join(lines[: len(lines) // 2])
+    outcomes = []
+    for prefix in INGEST_PREFIXES:
+        for strictness in Strictness:
+            for appended in (False, True):
+                graph = KnowledgeGraph()
+                if appended:
+                    ingest(graph, io.StringIO(earlier, newline=""), Strictness.LENIENT, prefix)
+                try:
+                    report = ingest(graph, io.StringIO(text, newline=""), strictness, prefix)
+                    outcome = report.render() + "\n" + report.to_json()
+                except IngestError as exc:
+                    outcome = f"IngestError at {exc.line}: {exc}"
+                outcomes.append(f"{prefix} {strictness.value} {'appended' if appended else 'fresh'}\n{outcome}")
+                outcomes.append(dump_graph(graph))
+    return outcomes
+
+
+def ingest_digests() -> dict[str, str]:
+    digests = _Digests()
+    for seed in INGEST_SEEDS:
+        for kind, (ingest, text) in _ingest_files(seed).items():
+            digests.add(f"ingest/{kind}/unchanged", f"seed {seed}", *_ingest_outcomes(ingest, text, text))
+            rng = random.Random(f"{kind} {seed}")
+            for change in CSV_CHANGES:
+                for _ in range(INGEST_CHANGED):
+                    changed = change_csv_cells(text, kind, change, rng.randrange)
+                    digests.add(f"ingest/{kind}/{change}", f"seed {seed}", changed,
+                                *_ingest_outcomes(ingest, text, changed))
+    return digests.result()
+
+
 def _cli_commands(inputs, workspace: Path) -> list[list[str]]:
     """The benchmark's command sequence, then a few read-only commands it
     does not run: validate, predicate-only queries and why in every format."""
@@ -207,7 +264,7 @@ def cli_digests() -> dict[str, str]:
 
 
 def all_digests() -> dict[str, str]:
-    return {**library_digests(), **causal_digests(), **cli_digests(), **load_digests()}
+    return {**library_digests(), **causal_digests(), **cli_digests(), **load_digests(), **ingest_digests()}
 
 
 def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:

@@ -1,6 +1,7 @@
 """Shared test helpers: interval shorthand, random graph generators (among
 them the Hypothesis strategy ``graphs``), the JSON export's documents as
-dicts, mutated documents for the readers, and the brute-force inference
+dicts, mutated documents for the readers, changed CSV files for the
+ingest, and the brute-force inference
 oracle the engine is checked against."""
 
 from __future__ import annotations
@@ -725,6 +726,90 @@ def mutate_document(document: str, vocabulary: Sequence[str], mutation: str, pic
             replacement = choices[pick(len(choices))]
         lines[i] = line[: site.start()] + replacement + line[site.end():]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Changed CSV files: what the ingest must accept, reject or report on
+# ---------------------------------------------------------------------------
+
+_STORM_TIMES = ("BEGIN_DATE_TIME", "END_DATE_TIME")
+_STORM_COORDS = ("BEGIN_LAT", "BEGIN_LON", "END_LAT", "END_LON")
+_OBS_TIMES = ("TIMESTAMP_START", "TIMESTAMP_END")
+_NUMBER_ODDITIES = ("", " ", "abc", "nan", "inf", "-1", "1e999", "91", "-181", "0", "1,5")
+#: Each change: per file kind, the columns it may hit and the values it may
+#: write there; ``None`` copies the column's cell from another row, and ``"\n"``
+#: inserts a line break into the cell, which the writer then quotes.
+CSV_CHANGES = {
+    "blank-id": {  # and event types, blank or spelt otherwise
+        "storm": (("EPISODE_ID", "EVENT_ID", "EVENT_TYPE"),
+                  ("", " ", "\t", "/", "flash flood", "Storm Surge/Tide", "Ünïcode Type")),
+        "obs": (("SITUATION_ID",), ("", " ", "\t")),
+    },
+    "bad-timestamp": {
+        "storm": (_STORM_TIMES, (
+            "2005-13-01 00:00:00", "2005-02-30 06:00:00", "2005-08-01 24:00:00", "2005-08-01 06:00:60",
+            "9999-12-31 23:00:00", "0001-01-01 00:00:00", "2005-08-01T06:00:00", "2005-8-1 6:0:0",
+            "2005-08-01", "31-FEB-05 00:00:00", "01-FOO-05 00:00:00", "1-jan-69 00:00:00",
+            "29-FEB-04 00:00:00", "29-FEB-05 00:00:00", "31-DEC-99 23:59:59", "01-AUG-05T06:00:00", "bad",
+        )),
+        "obs": (_OBS_TIMES, (
+            "2005-13-01T00:00:00Z", "2005-02-30", "2005-08-01", "2005-08-01T00:00:00.5Z",
+            "2005-08-01 00:00:00", "9999-12-31T23:59:59Z", "2005-08-01T24:00:00Z", "01-AUG-05 00:00:00", "bad",
+        )),
+    },
+    "unknown-timezone": {
+        "storm": (("CZ_TIMEZONE",), ("XST", "", " ", "est", "CST6", "C", "UTC+1", "Z", "PDT", "MST-7", "ÉST")),
+        "obs": (_OBS_TIMES, (
+            "2005-08-01T00:00:00-05:00", "2005-08-01T00:00:00+14:00", "2005-08-01T00:00:00z",
+            "2005-08-01T00:00:00+25:00", "2005-08-01T00:00:00 UTC", "0001-01-01T00:00:00+01:00",
+        )),
+    },
+    "bad-damage": {
+        "storm": (("DAMAGE_PROPERTY", "DEATHS_DIRECT", "MAGNITUDE", "MAGNITUDE_TYPE"), (
+            "lots", "1.5X", "10.00k", "2.5 M", "-5K", "1e5", "0", "9" * 400, "E G", "__", "nan", "",
+        )),
+        "obs": (("VALUE", "UNIT"), ("hot", "", "1e999", "nan", "-3", "furlongs", "degF", "m/s", "present")),
+    },
+    "repeated-event-id": {
+        "storm": (("EVENT_ID", "EPISODE_ID"), (None,)),
+        "obs": (("SITUATION_ID", "ATTRIBUTE"), (None, "bad name", "_x")),
+    },
+    "missing-coordinates": {
+        "storm": (_STORM_COORDS, _NUMBER_ODDITIES),
+        "obs": (("LAT", "LON"), _NUMBER_ODDITIES),
+    },
+    "quoted-line-break": {
+        "storm": (("EPISODE_ID", "EVENT_ID", "EVENT_TYPE", *_STORM_TIMES, "DAMAGE_PROPERTY", "BEGIN_LAT"), ("\n",)),
+        "obs": (("SITUATION_ID", *_OBS_TIMES, "ATTRIBUTE", "VALUE", "UNIT"), ("\n",)),
+    },
+}
+
+
+def change_csv_cells(text: str, kind: str, change: str, pick: Callable[[int], int]) -> str:
+    """``text``, a CSV file of ``kind`` ("storm" or "obs") with a header and
+    at least two rows, with one to three cells changed by ``change`` of
+    ``CSV_CHANGES``; ``pick(n)`` chooses an index below ``n``."""
+    import csv
+    import io
+
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    columns, values = CSV_CHANGES[change][kind]
+    row = pick(len(rows))
+    for _ in range(1 + pick(3)):
+        if pick(2):
+            row = pick(len(rows))
+        column = header.index(columns[pick(len(columns))])
+        value = values[pick(len(values))]
+        cell = rows[row][column]
+        if value is None:
+            value = rows[pick(len(rows))][column]
+        elif value == "\n":
+            cut = pick(len(cell) + 1)
+            value = cell[:cut] + ("\n", "\r\n", "\n\n")[pick(3)] + cell[cut:]
+        rows[row][column] = value
+    out = io.StringIO(newline="")
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

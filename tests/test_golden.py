@@ -14,10 +14,10 @@ from geocausal.graph import RelationKind, Role
 from geocausal.query import why
 from geocausal.rules import PreconditionSet, RuleSet, Truth
 from record_golden import (
-    CAUSAL_SEEDS, CONFIGS, ENGINE_SEEDS, GOLDEN, causal_digests, cli_digests, library_digests, load_digests,
-    moved,
+    CAUSAL_SEEDS, CONFIGS, ENGINE_SEEDS, GOLDEN, causal_digests, cli_digests, ingest_digests, library_digests,
+    load_digests, moved,
 )
-from support import MUTATIONS, random_causal_case, random_engine_case
+from support import CSV_CHANGES, MUTATIONS, random_causal_case, random_engine_case
 
 RECORDED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -44,12 +44,19 @@ def test_load_outcomes_are_unchanged():
     assert moved(_recorded("load/"), load_digests()) == []
 
 
+def test_ingest_outcomes_are_unchanged():
+    """Each changed storm and observation file is refused with the same line
+    and message as before, or reports and adds the same, in every mode."""
+    assert moved(_recorded("ingest/"), ingest_digests()) == []
+
+
 def test_the_gate_covers_both_groups():
     assert len(_recorded("library/")) == 2 * (7 + 3 * 4)
     assert len(_recorded("causal/")) == 7 + 3 * 4
     assert _recorded("cli/")
     assert len(_recorded("load/")) == 2 * len(MUTATIONS)
-    groups = ("library/", "causal/", "cli/", "load/")
+    assert len(_recorded("ingest/")) == 2 * (1 + len(CSV_CHANGES))
+    groups = ("library/", "causal/", "cli/", "load/", "ingest/")
     assert set(RECORDED) == set().union(*(_recorded(prefix) for prefix in groups))
 
 

@@ -453,6 +453,74 @@ class TestObservationIngestion:
         assert report.errors and "already present" in report.errors[0][1]
 
 
+class TestReader:
+    """How cells are found: the last of a repeated column's cells within the
+    row, blank for a cell the row lacks, and nothing from cells past the header."""
+
+    STORM_ROW = "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,10K,,,"
+    OBS_ROW = "s1,2005-08-23,2005-08-24,Temp,10,degC,,"
+
+    def test_a_repeated_storm_column_reads_its_last_cell_in_the_row(self):
+        header = STORM_HEADER.replace("\n", ",EVENT_TYPE\n")
+        rows = (
+            f"{self.STORM_ROW},Heavy Rain\n"
+            + self.STORM_ROW.replace("101", "102") + "\n"  # the second EVENT_TYPE cell is missing
+            + f"{self.STORM_ROW.replace('101', '103')}, \n"
+        )
+        graph, report = storm(header + rows)
+        assert report.errors == [(4, "EVENT_TYPE '' yields an empty kind")]
+        assert [graph.entity(f"ev:event-{n}").kind for n in (101, 102)] == ["HeavyRain", "Flood"]
+
+    def test_a_short_storm_row_reads_its_missing_cells_as_blank(self):
+        rows = (
+            "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC\n"
+            "1,102,Flood,2005-08-01 00:00:00\n"
+            "1,103,Flood,bad\n"
+            "1,104\n"
+        )
+        graph, report = storm(STORM_HEADER + rows)
+        assert report.errors == [
+            (3, "invalid timestamp ''"),
+            (4, "invalid timestamp 'bad'"),
+            (5, "EVENT_TYPE '' yields an empty kind"),
+        ]
+        assert report.warnings == [(2, "no coordinates; using file-level default bbox")]
+        assert graph.entity("ev:event-101").kind == "Flood"
+        with pytest.raises(IngestError) as exc:
+            storm(STORM_HEADER + rows, strictness=Strictness.STRICT)
+        assert str(exc.value) == "line 3: invalid timestamp ''"
+
+    def test_storm_cells_past_the_header_are_ignored(self):
+        graph, report = storm(STORM_HEADER + self.STORM_ROW + ",x,,2005-13-01,\n")
+        expected, expected_report = storm(STORM_HEADER + self.STORM_ROW + "\n")
+        assert (report.errors, report.warnings) == ([], [])
+        assert report.render() == expected_report.render()
+        assert graph.entities() == expected.entities() and graph.triples() == expected.triples()
+
+    def test_a_repeated_observation_column_reads_its_last_cell_in_the_row(self):
+        header = OBS_HEADER.replace("\n", ",UNIT\n")
+        rows = f"{self.OBS_ROW},degF\n" + self.OBS_ROW.replace("s1", "s2") + "\n"
+        graph, report = obs(header + rows)
+        assert report.errors == []
+        assert graph.entity("ev:situation-s1").observation("Temp") == q(10, "degF")
+        assert graph.entity("ev:situation-s2").observation("Temp") == q(10, "degC")
+
+    def test_a_short_observation_row_reads_its_missing_cells_as_blank(self):
+        rows = "s1,2005-08-23,2005-08-24,Temp,10\ns2,2005-08-23\ns3,bad\n,bad\n"
+        graph, report = obs(OBS_HEADER + rows)
+        assert report.errors == [
+            (3, "invalid timestamp ''"),
+            (4, "invalid timestamp 'bad'"),
+            (5, "SITUATION_ID must be non-empty"),
+        ]
+        assert graph.entity("ev:situation-s1").observation("Temp") == Categorical("10")
+
+    def test_observation_cells_past_the_header_are_ignored(self):
+        graph, report = obs(OBS_HEADER + self.OBS_ROW + ",x,bad,\n")
+        assert report.errors == []
+        assert graph.entity("ev:situation-s1").observation("Temp") == q(10, "degC")
+
+
 # --------------------------------------------------------------------------
 # Local storm timestamps
 # --------------------------------------------------------------------------
