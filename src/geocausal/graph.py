@@ -185,7 +185,8 @@ class KnowledgeGraph:
     # -- entities ----------------------------------------------------------
 
     def add_entity(self, entity: Entity) -> Entity:
-        role_of(entity)  # rejects foreign types early
+        if not isinstance(entity, Entity):
+            raise InvariantViolation(f"not a graph entity: {entity!r}")
         if entity.id in self._entities:
             raise DuplicateId(f"entity id {entity.id!r} already present")
         self._entities[entity.id] = entity

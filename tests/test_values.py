@@ -342,6 +342,14 @@ def _added_and_reloaded(subject, predicate, object_, provenance=ASSERTED) -> Non
     assert graph_from_json(graph_to_json(graph)).triple(triple.key) == triple
 
 
+def _entity_added_and_reloaded(entity) -> None:
+    """Add an entity; what is stored saves and reloads equal in both formats."""
+    graph = _premise_graph()
+    assert graph.add_entity(entity) is graph.entity(entity.id)
+    assert loads_graph(dump_graph(graph)).entity(entity.id) == entity
+    assert graph_from_json(graph_to_json(graph)).entity(entity.id) == entity
+
+
 def _unit_used(unit: Unit) -> None:
     """A unit equals and hashes as its copy, and maps magnitudes both ways."""
     twin = copy.copy(unit)
@@ -358,6 +366,10 @@ _PROVENANCE = st.sampled_from([ASSERTED, Asserted(), Derived("R-CAU:R1", (_STORE
 _BUILT = {
     "Derived": (lambda rule_id, premises: _added_and_reloaded("ev:b", _CAUSES, "ev:a", Derived(rule_id, premises)),
                 (_TOKEN, _PREMISES)),
+    "add_entity": (_entity_added_and_reloaded, (st.sampled_from([
+        GeoEvent("ev:c", "Rain"), GeoEvent("ev:a", "Rain"), GeoObject("obj:o", "Dam", [Measurement("H", q(1, "m"))]),
+        GeoSituation("sit:t", iv(0, 2)), SpatioTemporalRegion("reg:r2", BBox(-1.0, -2.0, 1.0, 2.0), iv(0, 1)),
+    ]),)),
     "add_triple": (_added_and_reloaded, (_ENDPOINT, st.sampled_from([_CAUSES, RelationKind.PART_OF, RelationKind.SATISFIES, RelationKind.EFFECTS]),
                     _ENDPOINT, _PROVENANCE)),
     "Unit": (lambda *arguments: _unit_used(Unit(*arguments)),
@@ -371,8 +383,9 @@ _BUILT = {
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(data=st.data())
 def test_hostile_arguments_raise_only_geocausal_errors_and_what_is_built_works(name, data):
-    """Derived, a triple through ``add_triple``, Unit and EngineConfig: any
-    argument is refused with a GeoCausalError, or the value built is used."""
+    """Derived, an entity through ``add_entity``, a triple through
+    ``add_triple``, Unit and EngineConfig: any argument is refused with a
+    GeoCausalError, or the value built is used."""
     use, typed = _BUILT[name]
     arguments = [data.draw(st.booleans().flatmap(lambda hostile: _HOSTILE if hostile else strategy))
                  for strategy in typed]
