@@ -435,13 +435,17 @@ def _text_record(raw: str) -> Entity | tuple | None:
         return _triple_record(tokens)
     if tag == "ENT":
         return _entity_record(raw, tokens)
-    if tag == "REG":
-        fields = raw.split(None, 2)  # REG <id> <geometry> <start> <end>
-        shape, coords, rest = _geometry_literal(fields[-1])
-        if len(fields) < 3 or shape is None or not rest[:1].isspace() or len(times := rest.split()) != 2:
+    if tag == "REG":  # REG <id> <geometry> <start> <end>: the geometry's tokens joined again
+        shape, coords, rest = _geometry_literal(" ".join(tokens[2:-2]))
+        if shape is None or rest:
             raise ParseError("malformed REG record")
-        interval = TimeInterval(*times)  # checked first, as _entity_from_doc does
-        return SpatioTemporalRegion(fields[1], _geometry(shape, coords), interval)
+        interval = TimeInterval(*tokens[-2:])  # checked first, as _entity_from_doc does
+        try:
+            geometry = _geometry(shape, coords)
+        except ParseError:  # raised again, quoting the coordinates as the line spells them
+            _geometry(*_geometry_literal(raw.split(None, 2)[2])[:2])
+            raise
+        return SpatioTemporalRegion(tokens[1], geometry, interval)
     if tag.startswith("#"):
         return None
     raise ParseError(f"unknown record tag {tag!r}")
