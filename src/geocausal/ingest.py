@@ -21,8 +21,10 @@ into geo-situations holding one measurement per row; the situation's
 interval is the envelope of its rows. LAT/LON are accepted but unused:
 situations carry no geometry of their own.
 
-An ingest runs in two phases: the first decodes and checks every row
-into the entities it adds, and the second adds them to the graph. Strict
+An ingest reads each row's cells by column index, then runs in two
+phases: the first decodes and checks every row into the entities it adds
+(each distinct event type and timezone text is resolved once, and each
+episode id checked once), and the second adds them to the graph. Strict
 mode aborts on the first bad row, in the first phase, so the graph is left
 untouched; lenient mode skips bad rows and records them in the report.
 A row whose id cells make an invalid entity id is a bad row.
@@ -35,6 +37,7 @@ import io
 import re
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import IO
 
@@ -60,40 +63,21 @@ from .storage import collector_paused, read_text
 from .units import Categorical, Quantity, get_unit
 
 #: Fixed UTC offsets, in hours, for the supported timezone tokens.
-TIMEZONES = {
-    "UTC": 0,
-    "EST": -5,
-    "EDT": -4,
-    "CST": -6,
-    "CDT": -5,
-    "MST": -7,
-    "MDT": -6,
-    "PST": -8,
-    "PDT": -7,
-}
+TIMEZONES = {"UTC": 0, "EST": -5, "EDT": -4, "CST": -6, "CDT": -5, "MST": -7, "MDT": -6, "PST": -8, "PDT": -7}
 
-STORM_REQUIRED = (
-    "EPISODE_ID",
-    "EVENT_ID",
-    "EVENT_TYPE",
-    "BEGIN_DATE_TIME",
-    "END_DATE_TIME",
-    "CZ_TIMEZONE",
+STORM_REQUIRED = ("EPISODE_ID", "EVENT_ID", "EVENT_TYPE", "BEGIN_DATE_TIME", "END_DATE_TIME", "CZ_TIMEZONE")
+#: The optional storm columns read, in the order ``_parse_storm_row`` takes them.
+STORM_OPTIONAL = (
+    "BEGIN_LAT", "BEGIN_LON", "END_LAT", "END_LON", "DAMAGE_PROPERTY", "DEATHS_DIRECT", "MAGNITUDE", "MAGNITUDE_TYPE",
 )
 
-OBSERVATION_REQUIRED = (
-    "SITUATION_ID",
-    "TIMESTAMP_START",
-    "TIMESTAMP_END",
-    "ATTRIBUTE",
-    "VALUE",
-    "UNIT",
-)
+OBSERVATION_REQUIRED = ("SITUATION_ID", "TIMESTAMP_START", "TIMESTAMP_END", "ATTRIBUTE", "VALUE", "UNIT")
 
 WORLD_BBOX = BBox(-90.0, -180.0, 90.0, 180.0)
 
 _DAMAGE_RE = re.compile(r"(?P<number>\d+(?:\.\d+)?)\s*(?P<suffix>[KMB]?)\Z", re.I)
 _DAMAGE_MULTIPLIER = {"": 1.0, "K": 1e3, "M": 1e6, "B": 1e9}
+_COUNT = get_unit("1")
 
 _ZONES = {token: timezone(timedelta(hours=hours)) for token, hours in TIMEZONES.items()}
 _ZONE_PREFIX = re.compile(r"[A-Z]+")
@@ -192,34 +176,38 @@ def parse_damage(text: str) -> float:
     return float(m.group("number")) * _DAMAGE_MULTIPLIER[m.group("suffix").upper()]
 
 
-def _parse_local_timestamp(text: str) -> datetime:
-    """The naive local time a storm timestamp cell gives."""
+def _parse_local_timestamp(text: str, zone: timezone | None = None) -> datetime:
+    """The local time a storm timestamp cell gives, in ``zone`` (naive if None)."""
     text = text.strip()
     try:
         if m := _ISO_LOCAL.fullmatch(text):
-            year, month = int(m["Y"]), int(m["m"])
+            year, month, day, hour, minute, second = m.groups()
+            year, month = int(year), int(month)
         elif m := _NOAA_LOCAL.fullmatch(text):
-            year, month = int(m["y"]), _MONTHS[m["b"].lower()]
+            day, name, year, hour, minute, second = m.groups()
+            year, month = int(year), _MONTHS[name.lower()]
             year += 2000 if year <= 68 else 1900
         else:
             raise ValueError
-        return datetime(year, month, int(m["d"]), int(m["H"]), int(m["M"]), int(m["S"]))
+        return datetime(year, month, int(day), int(hour), int(minute), int(second), tzinfo=zone)
     except (ValueError, KeyError):
         raise ValueError(f"invalid timestamp {text!r}") from None
 
 
-def _zone(tz_token: str) -> timezone:
-    """The fixed offset a timezone cell names by its leading letters; blank is UTC."""
-    token = tz_token.strip().upper()
+def _zone(token: str) -> timezone | None:
+    """The fixed offset a stripped timezone cell names by its leading
+    letters, None if it names none; blank is UTC."""
     if not token:
         return _ZONES["UTC"]
-    m = _ZONE_PREFIX.match(token)
-    if not m or m.group() not in _ZONES:
-        raise ValueError(f"unknown timezone token {tz_token!r}")
-    return _ZONES[m.group()]
+    m = _ZONE_PREFIX.match(token.upper())
+    return _ZONES.get(m.group()) if m else None
 
 
-def _open_rows(source: str | Path | IO[str], required: tuple[str, ...]):
+def _open_rows(source: str | Path | IO[str], required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """Each row's physical line and its cells of the ``required`` and then the
+    ``optional`` columns, stripped. A repeated column reads its last cell in
+    the row; a cell the row lacks, or a column the header lacks, reads blank;
+    cells past the header are ignored."""
     handle = source if hasattr(source, "read") else io.StringIO(read_text(source), newline="")
     reader = csv.reader(handle)
     try:
@@ -227,22 +215,24 @@ def _open_rows(source: str | Path | IO[str], required: tuple[str, ...]):
         missing = [c for c in required if c not in header]
         if missing:
             raise MissingColumn(f"missing required column(s): {', '.join(missing)}")
+        index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
+        cells = itemgetter(*(index.get(name, -1) for name in required + optional))  # -1: a blank
         # Each row is numbered by the physical line it starts on: a quoted
         # field may hold line breaks, and a blank line holds no row.
         rows = []
         lines_read = reader.line_num
         for fields in reader:
             if fields:
-                rows.append((lines_read + 1, dict(zip(header, fields))))
+                if len(fields) < len(header):  # so a repeated column reads its last cell in the row
+                    named = dict(zip(header, fields))
+                    fields = [named.get(name, "") for name in header]
+                fields.append("")
+                rows.append((lines_read + 1, tuple(map(str.strip, cells(fields)))))
             lines_read = reader.line_num
         return rows
     except csv.Error as exc:
         # line_num counts the lines read, up to the one the reader stopped in
         raise IngestError(f"malformed CSV: {exc}", reader.line_num) from None
-
-
-def _cell(row: dict, column: str) -> str:
-    return (row.get(column) or "").strip()
 
 
 def _check_prefix(id_prefix: str) -> None:
@@ -263,32 +253,34 @@ def _row_error(report: IngestReport, strictness: Strictness, line: int, reason: 
 
 
 def _parse_storm_row(
-    row: dict,
+    cells: tuple[str, ...], kinds: dict[str, str], zones: dict[str, timezone | None],
 ) -> tuple[str, str, str, TimeInterval, Geometry | None, tuple[Measurement, ...]]:
-    """A storm row's episode and event cells, kind, interval, geometry and impacts."""
-    episode_id = _cell(row, "EPISODE_ID")
-    event_id = _cell(row, "EVENT_ID")
-    event_type = _cell(row, "EVENT_TYPE")
+    """A storm row's episode and event cells, kind, interval, geometry and
+    impacts. ``kinds`` and ``zones`` hold each type and timezone text met so far."""
+    (episode_id, event_id, event_type, begin, end, zone_text,
+     b_lat, b_lon, e_lat, e_lon, damage, deaths, magnitude, magnitude_type) = cells
     if not episode_id or not event_id:
         raise ValueError("EPISODE_ID and EVENT_ID must be non-empty")
-    kind = sanitize_kind(event_type)
+    if (kind := kinds.get(event_type)) is None:
+        kind = kinds[event_type] = sanitize_kind(event_type)
     if not kind:
         raise ValueError(f"EVENT_TYPE {event_type!r} yields an empty kind")
     # Read in this order: a row with more than one bad cell here reports the first.
-    begin = _parse_local_timestamp(_cell(row, "BEGIN_DATE_TIME"))
-    zone = _zone(_cell(row, "CZ_TIMEZONE"))
-    begin = parse_timestamp(begin.replace(tzinfo=zone))
-    end = parse_timestamp(_parse_local_timestamp(_cell(row, "END_DATE_TIME")).replace(tzinfo=zone))
+    if (zone := zones.get(zone_text)) is None:
+        zone = zones[zone_text] = _zone(zone_text)
+    begin = _parse_local_timestamp(begin, zone)
+    if zone is None:
+        raise ValueError(f"unknown timezone token {zone_text!r}")
+    begin = parse_timestamp(begin)
+    end = parse_timestamp(_parse_local_timestamp(end, zone))
     if begin > end:
         raise ValueError("event ends before it begins")
     interval = TimeInterval(begin, end)
 
-    def coord(column: str) -> float | None:
-        text = _cell(row, column)
-        return float(text) if text else None
-
-    b_lat, b_lon = coord("BEGIN_LAT"), coord("BEGIN_LON")
-    e_lat, e_lon = coord("END_LAT"), coord("END_LON")
+    b_lat = float(b_lat) if b_lat else None
+    b_lon = float(b_lon) if b_lon else None
+    e_lat = float(e_lat) if e_lat else None
+    e_lon = float(e_lon) if e_lon else None
     geometry: Geometry | None = None
     if b_lat is not None and b_lon is not None:
         if e_lat is not None and e_lon is not None and (e_lat, e_lon) != (b_lat, b_lon):
@@ -299,18 +291,15 @@ def _parse_storm_row(
             geometry = Point(b_lat, b_lon)
 
     impacts: list[Measurement] = []
-    damage = _cell(row, "DAMAGE_PROPERTY")
     if damage:
-        impacts.append(
-            Measurement("DamageProperty", Quantity(parse_damage(damage), get_unit("1")))
-        )
-    deaths = _cell(row, "DEATHS_DIRECT")
+        impacts.append(Measurement("DamageProperty", Quantity(parse_damage(damage), _COUNT)))
     if deaths:
-        impacts.append(Measurement("DeathsDirect", Quantity(float(deaths), get_unit("1"))))
-    magnitude = _cell(row, "MAGNITUDE")
+        impacts.append(Measurement("DeathsDirect", Quantity(float(deaths), _COUNT)))
     if magnitude:
-        name = sanitize_kind("Magnitude " + _cell(row, "MAGNITUDE_TYPE"))
-        impacts.append(Measurement(name, Quantity(float(magnitude), get_unit("1"))))
+        magnitude_type = "Magnitude " + magnitude_type
+        if (name := kinds.get(magnitude_type)) is None:
+            name = kinds[magnitude_type] = sanitize_kind(magnitude_type)
+        impacts.append(Measurement(name, Quantity(float(magnitude), _COUNT)))
 
     return episode_id, event_id, kind, interval, geometry, tuple(impacts)
 
@@ -324,30 +313,38 @@ def ingest_storm_csv(
 ) -> IngestReport:
     _check_prefix(id_prefix)
     report = IngestReport(strictness=strictness)
-    raw_rows = _open_rows(source, STORM_REQUIRED)
+    raw_rows = _open_rows(source, STORM_REQUIRED, STORM_OPTIONAL)
     report.rows_read = len(raw_rows)
 
     # Phase 1: decode and check every row into the values phase 2 adds, so a
     # strict abort leaves the graph untouched. Each episode keeps the line of
-    # its first accepted row and the envelope it had before this ingest.
+    # its first accepted row, the envelope it had before this ingest, and the
+    # regions of its children: those present, if it had no envelope, then this
+    # ingest's.
     parsed = []
-    episodes: dict[str, tuple[int, SpatioTemporalRegion | None]] = {}
+    episodes: dict[str, tuple[int, SpatioTemporalRegion | None, list[SpatioTemporalRegion]]] = {}
+    episode_ids: dict[str, str] = {}  # episode cell -> its checked id
+    kinds: dict[str, str] = {}
+    zones: dict[str, timezone | None] = {}
     seen_event_ids: set[str] = set()
     with_coords: list[Geometry] = []
-    for lineno, row in raw_rows:
+    has_entity = graph.has_entity
+    for lineno, cells in raw_rows:
         try:
-            episode_cell, event_cell, kind, interval, geometry, impacts = _parse_storm_row(row)
+            episode_cell, event_cell, kind, interval, geometry, impacts = _parse_storm_row(cells, kinds, zones)
             if event_cell in seen_event_ids:
                 raise ValueError(f"EVENT_ID {event_cell!r} occurs twice in this file")
-            episode_id = validate_entity_id(f"{id_prefix}episode-{episode_cell}")
-            if graph.has_entity(episode_id) and not isinstance(graph.entity(episode_id), GeoEvent):
-                raise ValueError(f"episode id {episode_id!r} names an entity that is not an event")
+            if (episode_id := episode_ids.get(episode_cell)) is None:
+                episode_id = validate_entity_id(f"{id_prefix}episode-{episode_cell}")
+                if has_entity(episode_id) and not isinstance(graph.entity(episode_id), GeoEvent):
+                    raise ValueError(f"episode id {episode_id!r} names an entity that is not an event")
+                episode_ids[episode_cell] = episode_id
             # The event id checks the cell; the region and impact ids share it.
             event = GeoEvent(f"{id_prefix}event-{event_cell}", kind)
             region_id = f"{id_prefix}region-{event_cell}"
             impact_id = f"{id_prefix}impact-{event_cell}"
             for entity_id in (event.id, region_id, impact_id):
-                if graph.has_entity(entity_id):
+                if has_entity(entity_id):
                     raise ValueError(f"entity id {entity_id!r} already present")
             impact = GeoObject(impact_id, "ImpactRecord", impacts) if impacts else None
         except (ValueError, GeoCausalError) as exc:
@@ -355,8 +352,11 @@ def ingest_storm_csv(
             continue
         seen_event_ids.add(event_cell)
         if episode_id not in episodes:
-            envelope = graph.region_of(episode_id) if graph.has_entity(episode_id) else None
-            episodes[episode_id] = (lineno, envelope)
+            envelope, children = None, []
+            if has_entity(episode_id) and (envelope := graph.region_of(episode_id)) is None:
+                children = [r for t in graph.match(predicate=RelationKind.PART_OF, object=episode_id)
+                            if (r := graph.region_of(t.subject)) is not None]
+            episodes[episode_id] = (lineno, envelope, children)
         parsed.append((lineno, episode_id, event, region_id, geometry, interval, impact))
         if geometry is not None:
             with_coords.append(geometry)
@@ -366,11 +366,15 @@ def ingest_storm_csv(
     # Phase 2: apply.
     report.entities_created = len(parsed)
     triples_before = graph.triple_count
+    add_entity, assert_triple = graph.add_entity, graph.assert_triple
+    present, part_of, participant_in = (
+        RelationKind.SPATIO_TEMPORALLY_PRESENT, RelationKind.PART_OF, RelationKind.PARTICIPANT_IN
+    )
     for lineno, episode_id, event, region_id, geometry, interval, impact in parsed:
-        first_line, envelope = episodes[episode_id]
-        if lineno == first_line and not graph.has_entity(episode_id):
-            graph.add_entity(GeoEvent(episode_id, "Episode"))
-        graph.add_entity(event)
+        first_line, envelope, children = episodes[episode_id]
+        if lineno == first_line and not has_entity(episode_id):
+            add_entity(GeoEvent(episode_id, "Episode"))
+        add_entity(event)
         if geometry is None:
             geometry = default_bbox
             report.warnings.append((lineno, "no coordinates; using file-level default bbox"))
@@ -382,38 +386,31 @@ def ingest_storm_csv(
                 f"event lies outside episode envelope {envelope.id!r} from an earlier ingest; "
                 "envelopes are not widened"
             )))
-        graph.add_entity(SpatioTemporalRegion(region_id, geometry, interval))
-        graph.assert_triple(event.id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id)
-        graph.assert_triple(event.id, RelationKind.PART_OF, episode_id)
+        children.append(add_entity(SpatioTemporalRegion(region_id, geometry, interval)))
+        assert_triple(event.id, present, region_id)
+        assert_triple(event.id, part_of, episode_id)
         if impact is not None:
-            graph.add_entity(impact)
-            graph.assert_triple(impact.id, RelationKind.PARTICIPANT_IN, event.id)
+            add_entity(impact)
+            assert_triple(impact.id, participant_in, event.id)
             # Participants share their event's region.
-            graph.assert_triple(impact.id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id)
+            assert_triple(impact.id, present, region_id)
 
     # Envelopes for the episodes that had none, over all their children present
     # now; this ingest gave each such episode a child. Regions are immutable, so
     # an envelope is never widened.
     for episode_id in sorted(episodes):
-        first_line, envelope = episodes[episode_id]
+        first_line, envelope, children = episodes[episode_id]
         if envelope is not None:
             continue
-        children = graph.match(predicate=RelationKind.PART_OF, object=episode_id)
-        child_regions = [r for t in children if (r := graph.region_of(t.subject)) is not None]
         region_id = f"{id_prefix}region-{episode_id.removeprefix(id_prefix)}"
-        if graph.has_entity(region_id):
+        if has_entity(region_id):
             report.warnings.append(
                 (first_line, f"cannot attach envelope region: id {region_id!r} already taken")
             )
             continue
-        graph.add_entity(
-            SpatioTemporalRegion(
-                region_id,
-                bbox_union(r.geometry for r in child_regions),
-                interval_envelope(r.interval for r in child_regions),
-            )
-        )
-        graph.assert_triple(episode_id, RelationKind.SPATIO_TEMPORALLY_PRESENT, region_id)
+        geometry = bbox_union(r.geometry for r in children)
+        add_entity(SpatioTemporalRegion(region_id, geometry, interval_envelope(r.interval for r in children)))
+        assert_triple(episode_id, present, region_id)
     report.triples_created = graph.triple_count - triples_before
     return report
 
@@ -423,18 +420,15 @@ def ingest_storm_csv(
 # --------------------------------------------------------------------------
 
 
-def _parse_observation_row(row: dict) -> tuple[str, TimeInterval, Measurement]:
+def _parse_observation_row(cells: tuple[str, ...]) -> tuple[str, TimeInterval, Measurement]:
     """An observation row's situation cell, interval and measurement."""
-    situation_id = _cell(row, "SITUATION_ID")
+    situation_id, start, end, attribute, value_text, unit_text = cells
     if not situation_id:
         raise ValueError("SITUATION_ID must be non-empty")
-    start = parse_timestamp(_cell(row, "TIMESTAMP_START"))
-    end = parse_timestamp(_cell(row, "TIMESTAMP_END"))
+    start = parse_timestamp(start)
+    end = parse_timestamp(end)
     if start > end:
         raise ValueError("observation ends before it starts")
-    attribute = _cell(row, "ATTRIBUTE")
-    value_text = _cell(row, "VALUE")
-    unit_text = _cell(row, "UNIT")
     if not value_text:
         raise ValueError("VALUE must be non-empty")
     if unit_text:
@@ -463,9 +457,9 @@ def ingest_observations_csv(
 
     # Situation entity id -> the (interval, measurement) of each accepted row.
     grouped: dict[str, list[tuple[TimeInterval, Measurement]]] = {}
-    for lineno, row in raw_rows:
+    for lineno, cells in raw_rows:
         try:
-            situation_cell, interval, measurement = _parse_observation_row(row)
+            situation_cell, interval, measurement = _parse_observation_row(cells)
             situation_id = f"{id_prefix}situation-{situation_cell}"
             if graph.has_entity(validate_entity_id(situation_id)):
                 raise ValueError(f"entity id {situation_id!r} already present")

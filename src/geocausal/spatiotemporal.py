@@ -135,12 +135,9 @@ def co_occurs(a: SpatioTemporalRegion, b: SpatioTemporalRegion) -> bool:
 
 def bbox_union(geometries) -> BBox:
     """The smallest box covering every geometry in a non-empty iterable."""
-    boxes = [as_bbox(g) for g in geometries]
-    if not boxes:
+    # Each geometry's (min_lat, min_lon, max_lat, max_lon); a point's is its (lat, lon) twice.
+    corners = [g._key(g) * 2 if isinstance(g, Point) else g._key(g) for g in geometries]
+    if not corners:
         raise ValueError("cannot take the union of zero geometries")
-    return BBox(
-        min(b.min_lat for b in boxes),
-        min(b.min_lon for b in boxes),
-        max(b.max_lat for b in boxes),
-        max(b.max_lon for b in boxes),
-    )
+    min_lats, min_lons, max_lats, max_lons = zip(*corners)
+    return BBox(min(min_lats), min(min_lons), max(max_lats), max(max_lons))

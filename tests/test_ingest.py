@@ -18,7 +18,7 @@ from geocausal.ingest import (
     parse_damage,
     sanitize_kind,
 )
-from geocausal.model import BBox, GeoEvent, GeoObject, format_timestamp
+from geocausal.model import BBox, GeoEvent, GeoObject, Point, SpatioTemporalRegion, TimeInterval, format_timestamp
 from geocausal.units import Categorical
 
 from support import q, schema_violations
@@ -304,6 +304,20 @@ class TestStormIngestion:
         assert json.loads(report.to_json())["warnings"] == [
             {"line": 2, "reason": "cannot attach envelope region: id 'ev:region-episode-1' already taken"}
         ]
+
+    def test_an_episode_without_an_envelope_gets_one_over_its_earlier_children_too(self):
+        graph = KnowledgeGraph()
+        graph.add_entity(GeoEvent("ev:episode-1", "Episode"))
+        graph.add_entity(GeoEvent("ev:old", "Flood"))
+        graph.add_entity(SpatioTemporalRegion("reg:old", Point(20.0, -80.0), TimeInterval("2005-07-01", "2005-07-02")))
+        graph.assert_triple("ev:old", RelationKind.SPATIO_TEMPORALLY_PRESENT, "reg:old")
+        graph.assert_triple("ev:old", RelationKind.PART_OF, "ev:episode-1")
+        _, report = storm(STORM_HEADER + "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n", graph)
+        assert (report.errors, report.warnings, report.triples_created) == ([], [], 3)
+        envelope = graph.region_of("ev:episode-1")
+        assert envelope.geometry == BBox(20.0, -90.0, 30.0, -80.0)
+        assert (format_timestamp(envelope.interval.start), format_timestamp(envelope.interval.end)) == (
+            "2005-07-01T00:00:00Z", "2005-08-01T01:00:00Z")
 
     def test_envelope_warning_names_the_episodes_first_accepted_row(self):
         graph = KnowledgeGraph()
