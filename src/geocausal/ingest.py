@@ -256,7 +256,8 @@ def _parse_storm_row(
     cells: tuple[str, ...], kinds: dict[str, str], zones: dict[str, timezone | None],
 ) -> tuple[str, str, str, TimeInterval, Geometry | None, tuple[Measurement, ...]]:
     """A storm row's episode and event cells, kind, interval, geometry and
-    impacts. ``kinds`` and ``zones`` hold each type and timezone text met so far."""
+    impacts. ``kinds`` maps each type text sanitized so far (event and
+    magnitude types) to its kind, and ``zones`` each timezone text to its offset."""
     (episode_id, event_id, event_type, begin, end, zone_text,
      b_lat, b_lon, e_lat, e_lon, damage, deaths, magnitude, magnitude_type) = cells
     if not episode_id or not event_id:
