@@ -25,7 +25,7 @@ premises, because version 1 never stored which triples they were.
 Each writer formats the entity or triple it is given: ``_entity_line``
 and ``_triple_line`` here, one template per record shape in the JSON
 export. The readers share the decoding. The text reader splits each line
-once as it reads it (a REG line once more, around its geometry), and
+once as it reads it (a REG line joins its geometry's tokens again), and
 matches no pattern. An ENT line's fields, or a
 JSON entity entry's once checked to be strings, become an entity through
 ``_entity``; a triple's key, and each premise's, through ``_key``. Both

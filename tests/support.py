@@ -6,6 +6,8 @@ oracle the engine is checked against."""
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 import re
 from datetime import datetime, timedelta, timezone
@@ -789,9 +791,6 @@ def change_csv_cells(text: str, kind: str, change: str, pick: Callable[[int], in
     """``text``, a CSV file of ``kind`` ("storm" or "obs") with a header and
     at least two rows, with one to three cells changed by ``change`` of
     ``CSV_CHANGES``; ``pick(n)`` chooses an index below ``n``."""
-    import csv
-    import io
-
     header, *rows = csv.reader(io.StringIO(text, newline=""))
     columns, values = CSV_CHANGES[change][kind]
     row = pick(len(rows))
