@@ -154,6 +154,31 @@ class TestAssert:
             g.assert_triple("ev:flood", RelationKind.PARTICIPANT_IN, "ev:rain")
 
 
+@pytest.mark.parametrize("subject,predicate,object,message", [
+    ("obj:dam", RelationKind.PART_OF, "ev:flood",
+     "part-of: expected event -> event or situation -> situation, got object -> event"),
+    ("sit:overflow", STP, "reg:r1",
+     "spatio-temporally-present: expected event -> region or object -> region, got situation -> region"),
+    ("ev:rain", RelationKind.PARTICIPANT_IN, "ev:flood",
+     "participant-in: expected object -> event, got event -> event"),
+    ("reg:r1", RelationKind.SETTING, "sit:overflow",
+     "setting: expected event -> situation or object -> situation, got region -> situation"),
+    ("obj:dam", RelationKind.CAUSES, "ev:flood", "causes: expected event -> event, got object -> event"),
+    ("ev:rain", RelationKind.EFFECTS, "ev:flood", "effects: expected situation -> event, got event -> event"),
+    ("ev:rain", RelationKind.AFFECTS, "obj:dam", "affects: expected situation -> object, got event -> object"),
+    ("reg:r1", RelationKind.HAS_GEOMETRY, "reg:r1", "has-geometry is structural (held as region fields, not assertable)"),
+    ("reg:r1", RelationKind.TIME, "reg:r1", "time is structural (held as region fields, not assertable)"),
+    ("ev:rain", RelationKind.SATISFIES, "PC_DAM", "satisfies: subject must be a situation, got event"),
+], ids=["part-of", "spatio-temporally-present", "participant-in", "setting", "causes", "effects", "affects",
+        "has-geometry", "time", "satisfies"])
+def test_every_schema_fault_names_the_signature(subject, predicate, object, message):
+    g = small_graph()
+    with pytest.raises(SchemaViolation) as caught:
+        g.assert_triple(subject, predicate, object)
+    assert str(caught.value) == message
+    assert g.triple_count == 0
+
+
 @pytest.mark.parametrize("key,message", [
     (("ev:rain", RelationKind.CAUSES, "ev:flood"), "no triple (ev:rain, causes, ev:flood)"),
     (("ev:rain", "causes", "ev:flood"), "no triple ('ev:rain', 'causes', 'ev:flood')"),
