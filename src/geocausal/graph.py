@@ -22,12 +22,6 @@ from .model import Entity, EntityId, Role, SpatioTemporalRegion, validate_entity
 from .slotted import Frozen, setters
 
 
-def role_of(entity: Entity) -> Role:
-    if not isinstance(entity, Entity):
-        raise TypeError(f"not a graph entity: {entity!r}")
-    return entity.role
-
-
 class RelationKind(Enum):
     PART_OF = "part-of"
     SPATIO_TEMPORALLY_PRESENT = "spatio-temporally-present"
@@ -65,15 +59,6 @@ SIGNATURES: dict[RelationKind, frozenset[tuple[Role, Role]]] = {
 }
 
 _STRUCTURAL = {RelationKind.HAS_GEOMETRY, RelationKind.TIME}
-
-
-def describe_signature(predicate: RelationKind) -> str:
-    if predicate in _STRUCTURAL:
-        return "structural (held as region fields, not assertable)"
-    if predicate is RelationKind.SATISFIES:
-        return "situation -> precondition-set id"
-    pairs = sorted(SIGNATURES[predicate], key=lambda p: (p[0].value, p[1].value))
-    return " or ".join(f"{d.value} -> {r.value}" for d, r in pairs)
 
 
 TripleKey = tuple[str, RelationKind, str]
@@ -214,10 +199,6 @@ class KnowledgeGraph:
     def entity_count(self) -> int:
         return len(self._entities)
 
-    def role(self, entity_id: EntityId) -> Role:
-        """The role of a stored entity; UnknownEntity if there is none."""
-        return self.entity(entity_id).role
-
     # -- triples -----------------------------------------------------------
 
     def _check_schema(self, subject: str, predicate: RelationKind, object: str) -> tuple[str, str]:
@@ -231,9 +212,7 @@ class KnowledgeGraph:
         # A satisfies edge, or a fault to name.
         signature = _signature(predicate)
         if predicate in _STRUCTURAL:
-            raise SchemaViolation(
-                f"{predicate.value} is {describe_signature(predicate)}"
-            )
+            raise SchemaViolation(f"{predicate.value} is structural (held as region fields, not assertable)")
         s = self.entity(subject)
         if predicate is RelationKind.SATISFIES:
             if s.role is not Role.SITUATION:
@@ -242,12 +221,9 @@ class KnowledgeGraph:
                 )
             return s.id, validate_entity_id(object)  # external precondition-set id
         o = self.entity(object)
-        if (s.role, o.role) not in signature:
-            raise SchemaViolation(
-                f"{predicate.value}: expected {describe_signature(predicate)}, "
-                f"got {s.role.value} -> {o.role.value}"
-            )
-        return s.id, o.id
+        expected = " or ".join(f"{d.value} -> {r.value}" for d, r in
+                               sorted(signature, key=lambda p: (p[0].value, p[1].value)))
+        raise SchemaViolation(f"{predicate.value}: expected {expected}, got {s.role.value} -> {o.role.value}")
 
     def add_triple(
         self,

@@ -58,7 +58,7 @@ from .model import (
     validate_entity_id,
 )
 from .slotted import Slotted
-from .spatiotemporal import as_bbox, bbox_union
+from .spatiotemporal import as_bbox, bbox_union, temporally_nested
 from .storage import collector_paused, read_text
 from .units import Categorical, Quantity, get_unit
 
@@ -381,7 +381,7 @@ def ingest_storm_csv(
             report.warnings.append((lineno, "no coordinates; using file-level default bbox"))
         if envelope is not None and (
             bbox_union((envelope.geometry, geometry)) != as_bbox(envelope.geometry)
-            or interval_envelope((envelope.interval, interval)) != envelope.interval
+            or not temporally_nested(interval, envelope.interval)
         ):
             report.warnings.append((lineno, (
                 f"event lies outside episode envelope {envelope.id!r} from an earlier ingest; "

@@ -109,13 +109,6 @@ class TimeInterval(Ordered):
         _interval_start(self, start)
         _interval_end(self, end)
 
-    @property
-    def duration(self):
-        return self.end - self.start
-
-    def is_instant(self) -> bool:
-        return self.start == self.end
-
 
 _interval_start, _interval_end = setters(TimeInterval, "start", "end")
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from hypothesis import strategies as st
 
 from geocausal.errors import InvariantViolation, SchemaViolation
-from geocausal.graph import SIGNATURES, KnowledgeGraph, RelationKind, Role, Derived, ASSERTED, Triple, role_of
+from geocausal.graph import SIGNATURES, KnowledgeGraph, RelationKind, Role, Derived, ASSERTED, Triple
 from geocausal.model import (
     BBox,
     Entity,
@@ -69,7 +69,7 @@ def schema_violations(graph: KnowledgeGraph) -> list[str]:
     own check, so a store that stopped checking would be caught.
     """
     def role(entity_id):
-        return role_of(graph.entity(entity_id)) if graph.has_entity(entity_id) else None
+        return graph.entity(entity_id).role if graph.has_entity(entity_id) else None
 
     violations = []
     for t in graph.triples():

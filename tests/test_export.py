@@ -11,7 +11,7 @@ from geocausal.export import (
     graph_to_dot,
     graph_to_json,
 )
-from geocausal.graph import SIGNATURES, Derived, KnowledgeGraph, RelationKind, Role, role_of
+from geocausal.graph import SIGNATURES, Derived, KnowledgeGraph, RelationKind, Role
 from geocausal.model import GeoEvent, GeoObject, GeoSituation, Measurement
 from geocausal.query import Explanation, ExplanationEdge, why
 from geocausal.rules import Condition, ConditionOutcome, Truth
@@ -268,7 +268,7 @@ def explanations(draw):
     infer(graph, rules)
     ids: dict[Role, list[str]] = {}
     for entity in graph.entities():
-        ids.setdefault(role_of(entity), []).append(entity.id)
+        ids.setdefault(entity.role, []).append(entity.id)
     for predicate in draw(st.lists(st.sampled_from(_WHY_RELATIONS), max_size=6)):
         ((subject_role, object_role),) = SIGNATURES[predicate]
         subjects, objects = ids.get(subject_role), ids.get(object_role)

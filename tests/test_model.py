@@ -102,7 +102,7 @@ class TestMakeInterval:
 
     def test_point_interval(self):
         interval = TimeInterval("2005-08-23T00:00:00Z", "2005-08-23T00:00:00Z")
-        assert interval.is_instant()
+        assert interval.start == interval.end
 
     def test_order_violation(self):
         with pytest.raises(OrderViolation):

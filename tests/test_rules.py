@@ -297,7 +297,7 @@ class TestConstraints:
         a, b = pair
         region_a = SpatioTemporalRegion("reg:a", Point(30.0, -90.0), a)
         region_b = SpatioTemporalRegion("reg:b", Point(30.0, -90.0), b)
-        low, high = constraint.starts(a, b.duration + slack)
+        low, high = constraint.starts(a, b.end - b.start + slack)
         if constraint.holds(region_a, region_b):
             assert low is None or low <= b.start
             assert high is None or b.start <= high
