@@ -75,7 +75,7 @@ OBSERVATION_REQUIRED = ("SITUATION_ID", "TIMESTAMP_START", "TIMESTAMP_END", "ATT
 
 WORLD_BBOX = BBox(-90.0, -180.0, 90.0, 180.0)
 
-_DAMAGE_RE = re.compile(r"(?P<number>\d+(?:\.\d+)?)\s*(?P<suffix>[KMB]?)\Z", re.I)
+_DAMAGE_RE = re.compile(r"(?P<number>\d+(?:\.\d+)?)\s*(?P<suffix>[KMBkmb]?)\Z")
 _DAMAGE_MULTIPLIER = {"": 1.0, "K": 1e3, "M": 1e6, "B": 1e9}
 _COUNT = get_unit("1")
 

@@ -2,6 +2,8 @@ import contextlib
 import gc
 import io
 import json
+import string
+import sys
 from datetime import datetime
 
 import pytest
@@ -108,6 +110,18 @@ class TestStormIngestion:
             (3, "event lies outside episode envelope 'ev:region-episode-1' from an earlier ingest; "
                 "envelopes are not widened")
         ]
+
+    def test_a_later_child_outside_the_envelope_in_time_alone_is_warned_about(self):
+        graph, _ = storm(STORM_HEADER + "1,10,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n")
+        rows = (
+            "1,11,Flood,2005-08-01 01:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"  # an instant at the end
+            "1,12,Flood,2005-07-31 23:59:59,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+            "1,13,Flood,2005-08-01 00:00:00,2005-08-01 01:00:01,UTC,30,-90,,,,,,\n"
+        )
+        _, report = storm(STORM_HEADER + rows, graph)
+        outside = ("event lies outside episode envelope 'ev:region-episode-1' from an earlier ingest; "
+                   "envelopes are not widened")
+        assert report.warnings == [(3, outside), (4, outside)]
 
     def test_impact_records(self, katrina_csv_text):
         graph, _ = storm(katrina_csv_text)
@@ -369,6 +383,17 @@ class TestStormIngestion:
         _, report = storm(text)
         assert len(report.errors) == 1
 
+    def test_a_kelvin_sign_damage_suffix_is_a_bad_row(self):
+        kelvin = "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,10\u212a,,,\n"
+        valid = "1,102,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,10k,,,\n"
+        graph, report = storm(STORM_HEADER + kelvin + valid)
+        assert report.errors == [(2, "invalid damage value '10\u212a'")]
+        assert graph.has_entity("ev:event-102") and not graph.has_entity("ev:event-101")
+        assert graph.entity("ev:impact-102").attributes[0].value == q(10_000.0, "1")
+        with pytest.raises(IngestError) as exc:
+            storm(STORM_HEADER + kelvin + valid, strictness=Strictness.STRICT)
+        assert exc.value.line == 2
+
     def test_report_json(self, katrina_csv_text):
         _, report = storm(katrina_csv_text)
         doc = json.loads(report.to_json())
@@ -378,6 +403,56 @@ class TestStormIngestion:
     def test_every_triple_passes_schema(self, katrina_csv_text):
         graph, _ = storm(katrina_csv_text)
         assert schema_violations(graph) == []
+
+
+#: Storm rows whose one cell read without regard to case holds the code point
+#: ``c``: as the damage suffix, as a letter of the timezone token, or as a
+#: letter of the DD-Mon-YY month name.
+CASED_CELLS = {
+    "damage-suffix": "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,10{c},,,\n",
+    "zone-first": "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,{c}ST,30,-90,,,,,,\n",
+    "zone-middle": "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,C{c}T,30,-90,,,,,,\n",
+    "zone-last": "1,101,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,CS{c},30,-90,,,,,,\n",
+    "month-first": "1,101,Flood,01-{c}ug-05 00:00:00,2005-12-31 23:00:00,UTC,30,-90,,,,,,\n",
+    "month-middle": "1,101,Flood,01-A{c}g-05 00:00:00,2005-12-31 23:00:00,UTC,30,-90,,,,,,\n",
+    "month-last": "1,101,Flood,01-Au{c}-05 00:00:00,2005-12-31 23:00:00,UTC,30,-90,,,,,,\n",
+}
+
+
+@pytest.fixture(scope="module")
+def ascii_case_partners():
+    """Every code point whose upper, lower or casefold form holds an ASCII
+    letter, by the running Python's Unicode tables."""
+    letters = frozenset(string.ascii_letters)
+    return [c for c in map(chr, range(sys.maxunicode + 1))
+            if not letters.isdisjoint(c.upper() + c.lower() + c.casefold())]
+
+
+@pytest.mark.parametrize("row", CASED_CELLS.values(), ids=CASED_CELLS)
+def test_a_cased_cell_is_read_or_a_bad_row_at_every_code_point(row, ascii_case_partners):
+    """Lenient ingest accepts the row or reports it as a bad row; strict ingest
+    raises IngestError for that same row, and nothing else."""
+    faults = []
+    for c in ascii_case_partners:
+        text, point = STORM_HEADER + row.format(c=c), f"U+{ord(c):04X}"
+        try:
+            _, report = storm(text)
+        except Exception as exc:
+            faults.append((point, "lenient", repr(exc)))
+            continue
+        if report.entities_created + len(report.errors) != 1:
+            faults.append((point, "lenient", report.render()))
+        reported = [f"line {line}: {reason}" for line, reason in report.errors]
+        try:
+            storm(text, strictness=Strictness.STRICT)
+            raised = []
+        except IngestError as exc:
+            raised = [str(exc)]
+        except Exception as exc:
+            raised = [repr(exc)]
+        if raised != reported:
+            faults.append((point, "strict", raised))
+    assert faults == []
 
 
 class TestObservationIngestion:
