@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import re
 import sys
@@ -86,7 +87,7 @@ def _load_rules(rules_path: str | None, needed: bool = True):
     return parse_rules(text)
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> str:
     from .ingest import Strictness, ingest_observations_csv, ingest_storm_csv
 
     path = _workspace_path(args)
@@ -98,20 +99,15 @@ def _cmd_ingest(args) -> int:
     else:
         report = ingest_observations_csv(graph, args.file, strictness, args.prefix)
     _save_workspace(path, graph, rules_path, loaded)
-    print(report.to_json() if args.json else report.render())
-    return 0
+    return (report.to_json() if args.json else report.render()) + "\n"
 
 
-def _cmd_rules_check(args) -> int:
+def _cmd_rules_check(args) -> str:
     ruleset = _load_rules(args.file)
-    print(
-        f"ok: {len(ruleset.preconditions)} precondition set(s), "
-        f"{len(ruleset.cause_rules)} cause rule(s)"
-    )
-    return 0
+    return f"ok: {len(ruleset.preconditions)} precondition set(s), {len(ruleset.cause_rules)} cause rule(s)\n"
 
 
-def _cmd_infer(args) -> int:
+def _cmd_infer(args) -> str:
     if args.rules and args.rules.splitlines() != [args.rules]:
         raise ConfigError(f"rules path {args.rules!r} contains a line break; "
                           "it could not be recorded in the workspace")
@@ -136,13 +132,12 @@ def _cmd_infer(args) -> int:
               file=sys.stderr)
     result = infer(graph, ruleset, config)
     _save_workspace(path, graph, rules_path, loaded)
-    print(f"derived {len(result.derived)} triple(s) in {result.iterations} iteration(s)")
-    for diagnostic in result.diagnostics:
-        print(diagnostic.render())
-    return 0
+    lines = [f"derived {len(result.derived)} triple(s) in {result.iterations} iteration(s)"]
+    lines.extend(diagnostic.render() for diagnostic in result.diagnostics)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_why(args) -> int:
+def _cmd_why(args) -> str:
     if args.depth < 0:
         raise UsageError(f"argument --depth: must be 0 or more, got {args.depth}")
     from .query import render_explanation_text, why
@@ -153,47 +148,39 @@ def _cmd_why(args) -> int:
     ruleset = _load_rules(rules_path, needed=bool(graph.match(predicate=RelationKind.EFFECTS)))
     explanation = why(graph, args.event_id, max_depth=args.depth, rules=ruleset)
     if args.format == "text":
-        print(render_explanation_text(explanation, graph))
-    else:
-        from .export import explanation_to_dot, explanation_to_json
+        return render_explanation_text(explanation, graph) + "\n"
+    from .export import explanation_to_dot, explanation_to_json
 
-        render = explanation_to_dot if args.format == "dot" else explanation_to_json
-        print(render(explanation, graph), end="")
-    return 0
+    render = explanation_to_dot if args.format == "dot" else explanation_to_json
+    return render(explanation, graph)
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(args) -> str:
     from .query import query
 
     path = _workspace_path(args)
     graph, _ = _load_workspace(path)
+    lines = []
     for triple in query(graph, args.pattern):
-        suffix = ""
-        if triple.is_derived:
-            suffix = f" [derived rule={triple.provenance.rule_id}]"
-        print(f"{triple.subject} {triple.predicate.value} {triple.object}{suffix}")
-    return 0
+        suffix = f" [derived rule={triple.provenance.rule_id}]" if triple.is_derived else ""
+        lines.append(f"{triple.subject} {triple.predicate.value} {triple.object}{suffix}\n")
+    return "".join(lines)
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> str:
     from .export import graph_to_dot, graph_to_json
 
     path = _workspace_path(args)
     graph, _ = _load_workspace(path)
-    if args.format == "dot":
-        print(graph_to_dot(graph), end="")
-    else:
-        print(graph_to_json(graph), end="")
-    return 0
+    return graph_to_dot(graph) if args.format == "dot" else graph_to_json(graph)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> str:
     path = _workspace_path(args)
     graph, _ = _load_workspace(path)
-    for warning in graph.validate():
-        print(f"WARN {warning}")
-    print(f"ok: {graph.entity_count} entities, {graph.triple_count} triples")
-    return 0
+    lines = [f"WARN {warning}\n" for warning in graph.validate()]
+    lines.append(f"ok: {graph.entity_count} entities, {graph.triple_count} triples\n")
+    return "".join(lines)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -251,10 +238,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout whole, or raise OSError. A file's raw layer takes
+    the bytes until none is left: under PYTHONUNBUFFERED the text layer drops
+    what a short write leaves, and no byte stays buffered to fail at exit."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    raw = getattr(raw, "raw", raw)  # below a buffered layer, if there is one
+    if not isinstance(raw, io.RawIOBase):  # a StringIO, say
+        out.write(text)
+        out.flush()
+        return
+    out.flush()
+    if os.linesep != "\n":  # as the text layer would; on POSIX a replace would only copy the text
+        text = text.replace("\n", os.linesep)
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:  # write gives None where a non-blocking file took nothing yet
+        data = data[raw.write(data):]
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        _write_stdout(args.handler(args))
+        return 0
     except GeoCausalError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1

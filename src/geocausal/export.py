@@ -1,9 +1,12 @@
-"""Deterministic DOT and JSON rendering of graphs and explanations.
+"""DOT and JSON documents of graphs and explanations: every writer, and
+the JSON graph reader.
 
 Output is byte-identical across runs: entities and triples are emitted in
 their canonical sorted orders and JSON key order is fixed. The JSON graph
-document round-trips through :func:`graph_from_json`. Schemas are
-documented in docs/json-output.md.
+document round-trips through :func:`graph_from_json`, which decodes each
+entry against the keys its template here writes and refuses any other,
+then builds the graph through the text reader's builder in ``storage``.
+Schemas are documented in docs/json-output.md.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from json.encoder import encode_basestring_ascii as _q
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .graph import KnowledgeGraph, Role, Triple
-from .model import Entity, GeoEvent, GeoObject, GeoSituation, Measurement, format_timestamp
-from .storage import format_geometry, graph_from_docs
+from .graph import ASSERTED, KnowledgeGraph, Role, Triple, TripleKey
+from .model import (Entity, GeoEvent, GeoObject, GeoSituation, Measurement, SpatioTemporalRegion,
+                    TimeInterval, format_timestamp)
+from .storage import _build_graph, _entity, _key, _required, format_geometry, parse_geometry
 from .units import format_value
 
 if TYPE_CHECKING:
@@ -150,11 +154,81 @@ def graph_to_json(graph: KnowledgeGraph) -> str:
     return "".join(pieces)
 
 
+#: The fields the writer gives each entity role besides ``id`` and ``role``.
+_FIELDS = {
+    "event": ("kind",),
+    "object": ("kind", "attributes"),
+    "situation": ("start", "end", "observations"),
+    "region": ("geometry", "start", "end"),
+}
+_ROLE_FIELDS = frozenset().union(*_FIELDS.values())
+#: Every key the writer gives the graph document, each entity role's entry
+#: and each provenance's triple entry; the reader refuses any other.
+_KEYS = {
+    "document": {"format", "version", "entities", "triples"},
+    **{role: {"id", "role", *fields} for role, fields in _FIELDS.items()},
+    "asserted": {"subject", "predicate", "object", "provenance"},
+}
+_KEYS["derived"] = _KEYS["asserted"] | {"rule", "premises"}
+
+
+def _string(doc: dict, name: str) -> str:
+    return _required(doc.get(name), doc["role"], name)
+
+
+def _values(doc: dict, name: str) -> dict[str, str]:
+    values = doc.get(name, {})
+    if not isinstance(values, dict) or not all(isinstance(v, str) for v in values.values()):
+        raise ParseError(f"{name!r} must map attribute names to value literals")
+    return values
+
+
+def _entity_from_doc(doc: dict) -> Entity:
+    """A JSON entity entry decoded; a field of another role is refused, not dropped."""
+    role = doc.get("role")
+    if not isinstance(role, str) or role not in _FIELDS:
+        raise ParseError(f"unknown entity role {role!r}")
+    if foreign := _ROLE_FIELDS.difference(_FIELDS[role]).intersection(doc):
+        raise ParseError(f"{role} records carry no {min(foreign)}")
+    if role == "event" or role == "object":
+        return _entity(role, _string(doc, "id"), _string(doc, "kind"), _values(doc, "attributes"))
+    interval = TimeInterval(_string(doc, "start"), _string(doc, "end"))
+    if role == "situation":
+        return _entity(role, _string(doc, "id"), None, _values(doc, "observations"), interval)
+    geometry = parse_geometry(_string(doc, "geometry"))
+    return SpatioTemporalRegion(_string(doc, "id"), geometry, interval)
+
+
+def _triple_key(subject, predicate, object_) -> TripleKey:
+    if not (isinstance(subject, str) and isinstance(predicate, str) and isinstance(object_, str)):
+        raise ParseError("a triple needs string subject, predicate and object")
+    return _key(subject, predicate, object_)
+
+
+def _triple_from_doc(doc: dict) -> tuple:
+    key = _triple_key(doc.get("subject"), doc.get("predicate"), doc.get("object"))
+    provenance = doc.get("provenance")
+    if provenance == "asserted":
+        return key, ASSERTED, ()
+    if provenance != "derived":
+        raise ParseError(f"provenance must be 'asserted' or 'derived', got {provenance!r}")
+    premises = doc.get("premises", [])
+    if not isinstance(premises, list) or any(not isinstance(p, list) or len(p) != 3 for p in premises):
+        raise ParseError("premises must be a list of [subject, predicate, object]")
+    return key, doc.get("rule"), [_triple_key(*p) for p in premises]
+
+
 def _entries(doc: dict, name: str) -> list[tuple[str, dict]]:
     entries = doc.get(name, [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ParseError(f"{name!r} must be a list of objects")
     return [(f"{name}[{i}]", entry) for i, entry in enumerate(entries)]
+
+
+def _refuse_unwritten(record: dict, shape: str, what: str) -> None:
+    """A key the writer does not give ``shape`` would load as if it were absent."""
+    if unwritten := record.keys() - _KEYS[shape]:
+        raise ParseError(f"{what} carry no key {min(unwritten)!r}")
 
 
 def graph_from_json(text: str) -> KnowledgeGraph:
@@ -167,7 +241,16 @@ def graph_from_json(text: str) -> KnowledgeGraph:
         raise ParseError("not a geocausal-graph document")
     if doc.get("version") != 2:
         raise ParseError(f"unsupported geocausal-graph version {doc.get('version')!r}")
-    return graph_from_docs(_entries(doc, "entities"), _entries(doc, "triples"))
+    entities, triples = _entries(doc, "entities"), _entries(doc, "triples")
+    graph = _build_graph([*((where, _entity_from_doc, entry) for where, entry in entities),
+                          *((where, _triple_from_doc, entry) for where, entry in triples)])
+    # Last, so that a document with another fault as well reports that one.
+    _refuse_unwritten(doc, "document", "geocausal-graph documents")
+    for where, entry in entities:
+        _refuse_unwritten(entry, entry["role"], f"{where}: {entry['role']} records")
+    for where, entry in triples:
+        _refuse_unwritten(entry, entry["provenance"], f"{where}: {entry['provenance']} triples")
+    return graph
 
 
 def _evidence_json(condition: Condition, outcome: ConditionOutcome) -> str:

@@ -31,23 +31,6 @@ class IntervalRelation(Enum):
     FINISHED_BY = "finished-by"
 
 
-INVERSE: dict[IntervalRelation, IntervalRelation] = {
-    IntervalRelation.BEFORE: IntervalRelation.AFTER,
-    IntervalRelation.AFTER: IntervalRelation.BEFORE,
-    IntervalRelation.MEETS: IntervalRelation.MET_BY,
-    IntervalRelation.MET_BY: IntervalRelation.MEETS,
-    IntervalRelation.OVERLAPS: IntervalRelation.OVERLAPPED_BY,
-    IntervalRelation.OVERLAPPED_BY: IntervalRelation.OVERLAPS,
-    IntervalRelation.STARTS: IntervalRelation.STARTED_BY,
-    IntervalRelation.STARTED_BY: IntervalRelation.STARTS,
-    IntervalRelation.DURING: IntervalRelation.CONTAINS,
-    IntervalRelation.CONTAINS: IntervalRelation.DURING,
-    IntervalRelation.FINISHES: IntervalRelation.FINISHED_BY,
-    IntervalRelation.FINISHED_BY: IntervalRelation.FINISHES,
-    IntervalRelation.EQUALS: IntervalRelation.EQUALS,
-}
-
-
 def interval_relation(a: TimeInterval, b: TimeInterval) -> IntervalRelation:
     """Classify two intervals into the unique Allen relation that holds."""
     s1, e1, s2, e2 = a.start, a.end, b.start, b.end

@@ -1,5 +1,5 @@
-"""Line-oriented text persistence for knowledge graphs, and the record
-decoder that the JSON reader shares.
+"""Line-oriented text persistence for knowledge graphs, the record decode
+that the JSON reader in ``export`` shares, and the package's file I/O.
 
 One record per line, UTF-8, ``#`` comments and blank lines ignored:
 
@@ -23,14 +23,14 @@ derived triple with ``premises=<n>``; such a record loads with no
 premises, because version 1 never stored which triples they were.
 
 Each writer formats the entity or triple it is given: ``_entity_line``
-and ``_triple_line`` here, one template per record shape in the JSON
-export. The readers share the decoding. The text reader splits each line
-once as it reads it (a REG line joins its geometry's tokens again), and
-matches no pattern. An ENT line's fields, or a
-JSON entity entry's once checked to be strings, become an entity through
+and ``_triple_line`` here. The text reader splits each line once as it
+reads it (a REG line's geometry is read from the line itself), and
+matches no pattern. An ENT line's fields, or a JSON entity entry's once
+``export`` has checked them to be strings, become an entity through
 ``_entity``; a triple's key, and each premise's, through ``_key``. Both
 readers build the graph through ``_build_graph``, which holds each cited
-premise as one key in the entities' own id strings.
+premise as one key in the entities' own id strings. The JSON format, its
+writer and its entry decoders, lives in ``export`` alone.
 """
 
 from __future__ import annotations
@@ -106,17 +106,6 @@ def _required(value, role: str, name: str) -> str:
     return value
 
 
-def _string(doc: dict, name: str) -> str:
-    return _required(doc.get(name), doc["role"], name)
-
-
-def _values(doc: dict, name: str) -> dict[str, str]:
-    values = doc.get(name, {})
-    if not isinstance(values, dict) or not all(isinstance(v, str) for v in values.values()):
-        raise ParseError(f"{name!r} must map attribute names to value literals")
-    return values
-
-
 def _entity(role: str, entity_id: str, kind: str | None, values: dict[str, str],
             interval: TimeInterval | None = None) -> Entity:
     """An event, object or situation from its record's fields, each a string
@@ -136,55 +125,10 @@ def _entity(role: str, entity_id: str, kind: str | None, values: dict[str, str],
     raise ParseError(f"unknown entity role {role!r}")
 
 
-#: The fields the JSON writer gives each entity role besides ``id`` and ``role``.
-_FIELDS = {
-    "event": ("kind",),
-    "object": ("kind", "attributes"),
-    "situation": ("start", "end", "observations"),
-    "region": ("geometry", "start", "end"),
-}
-_ROLE_FIELDS = frozenset().union(*_FIELDS.values())
-
-
-def _entity_from_doc(doc: dict) -> Entity:
-    """A JSON entity entry decoded; a field of another role is refused, not dropped."""
-    role = doc.get("role")
-    if not isinstance(role, str) or role not in _FIELDS:
-        raise ParseError(f"unknown entity role {role!r}")
-    if foreign := _ROLE_FIELDS.difference(_FIELDS[role]).intersection(doc):
-        raise ParseError(f"{role} records carry no {min(foreign)}")
-    if role == "event" or role == "object":
-        return _entity(role, _string(doc, "id"), _string(doc, "kind"), _values(doc, "attributes"))
-    interval = TimeInterval(_string(doc, "start"), _string(doc, "end"))
-    if role == "situation":
-        return _entity(role, _string(doc, "id"), None, _values(doc, "observations"), interval)
-    geometry = parse_geometry(_string(doc, "geometry"))
-    return SpatioTemporalRegion(_string(doc, "id"), geometry, interval)
-
-
 def _key(subject: str, predicate: str, object_: str) -> TripleKey:
     if (relation := RELATION_TOKENS.get(predicate)) is None:
         raise ParseError(f"unknown relation {predicate!r}")
     return (subject, relation, object_)
-
-
-def _triple_key(subject, predicate, object_) -> TripleKey:
-    if not (isinstance(subject, str) and isinstance(predicate, str) and isinstance(object_, str)):
-        raise ParseError("a triple needs string subject, predicate and object")
-    return _key(subject, predicate, object_)
-
-
-def _triple_from_doc(doc: dict) -> tuple:
-    key = _triple_key(doc.get("subject"), doc.get("predicate"), doc.get("object"))
-    provenance = doc.get("provenance")
-    if provenance == "asserted":
-        return key, ASSERTED, ()
-    if provenance != "derived":
-        raise ParseError(f"provenance must be 'asserted' or 'derived', got {provenance!r}")
-    premises = doc.get("premises", [])
-    if not isinstance(premises, list) or any(not isinstance(p, list) or len(p) != 3 for p in premises):
-        raise ParseError("premises must be a list of [subject, predicate, object]")
-    return key, doc.get("rule"), [_triple_key(*p) for p in premises]
 
 
 def _located(exc: GeoCausalError, where: int | str) -> ParseError:
@@ -263,14 +207,6 @@ def _build_graph(records: Iterable[tuple[int | str, Callable, object]]) -> Knowl
     except GeoCausalError as exc:
         raise _located(exc, where) from None
     return graph
-
-
-def graph_from_docs(
-    entities: Iterable[tuple[int | str, dict]], triples: Iterable[tuple[int | str, dict]]
-) -> KnowledgeGraph:
-    """Build a graph from entity and triple documents, each paired with its JSON entry name."""
-    entity_records = [(where, _entity_from_doc, doc) for where, doc in entities]
-    return _build_graph(entity_records + [(where, _triple_from_doc, doc) for where, doc in triples])
 
 
 def _entity_line(entity: Entity) -> str:
@@ -435,17 +371,13 @@ def _text_record(raw: str) -> Entity | tuple | None:
         return _triple_record(tokens)
     if tag == "ENT":
         return _entity_record(raw, tokens)
-    if tag == "REG":  # REG <id> <geometry> <start> <end>: the geometry's tokens joined again
-        shape, coords, rest = _geometry_literal(" ".join(tokens[2:-2]))
-        if shape is None or rest:
+    if tag == "REG":  # REG <id> <geometry> <start> <end>: the geometry is the text after the id
+        shape, coords, rest = _geometry_literal(raw.split(None, 2)[-1])
+        instants = rest.split()
+        if shape is None or len(instants) != 2 or not rest[0].isspace():
             raise ParseError("malformed REG record")
-        interval = TimeInterval(*tokens[-2:])  # checked first, as _entity_from_doc does
-        try:
-            geometry = _geometry(shape, coords)
-        except ParseError:  # raised again, quoting the coordinates as the line spells them
-            _geometry(*_geometry_literal(raw.split(None, 2)[2])[:2])
-            raise
-        return SpatioTemporalRegion(tokens[1], geometry, interval)
+        interval = TimeInterval(*instants)  # checked first, as the JSON reader does
+        return SpatioTemporalRegion(tokens[1], _geometry(shape, coords), interval)
     if tag.startswith("#"):
         return None
     raise ParseError(f"unknown record tag {tag!r}")

@@ -94,14 +94,6 @@ REGISTRY: dict[str, Unit] = {
     )
 }
 
-CANONICAL: dict[Dimension, Unit] = {
-    Dimension.TEMPERATURE: REGISTRY["K"],
-    Dimension.PRESSURE: REGISTRY["hPa"],
-    Dimension.SPEED: REGISTRY["m/s"],
-    Dimension.LENGTH: REGISTRY["m"],
-    Dimension.DIMENSIONLESS: REGISTRY["1"],
-}
-
 
 def get_unit(symbol: str) -> Unit:
     """Look a unit up by symbol, raising UnknownUnit for anything unregistered."""

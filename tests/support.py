@@ -42,9 +42,9 @@ from geocausal.rules import (
     Truth,
     evaluate,
 )
-from geocausal.spatiotemporal import co_occurs, gap_between, precedes, spatial_overlap
+from geocausal.spatiotemporal import IntervalRelation, co_occurs, gap_between, precedes, spatial_overlap
 from geocausal.storage import format_geometry
-from geocausal.units import REGISTRY, Categorical, Comparator, Quantity, format_value, get_unit
+from geocausal.units import REGISTRY, Categorical, Comparator, Dimension, Quantity, Unit, format_value, get_unit
 
 EPOCH = datetime(2005, 8, 1, tzinfo=timezone.utc)
 
@@ -60,6 +60,33 @@ def iv(a, b) -> TimeInterval:
 
 def q(magnitude, symbol) -> Quantity:
     return Quantity(magnitude, get_unit(symbol))
+
+
+#: Each Allen relation's converse: ``r`` holds of (a, b) when ``INVERSE[r]`` holds of (b, a).
+INVERSE: dict[IntervalRelation, IntervalRelation] = {
+    IntervalRelation.BEFORE: IntervalRelation.AFTER,
+    IntervalRelation.AFTER: IntervalRelation.BEFORE,
+    IntervalRelation.MEETS: IntervalRelation.MET_BY,
+    IntervalRelation.MET_BY: IntervalRelation.MEETS,
+    IntervalRelation.OVERLAPS: IntervalRelation.OVERLAPPED_BY,
+    IntervalRelation.OVERLAPPED_BY: IntervalRelation.OVERLAPS,
+    IntervalRelation.STARTS: IntervalRelation.STARTED_BY,
+    IntervalRelation.STARTED_BY: IntervalRelation.STARTS,
+    IntervalRelation.DURING: IntervalRelation.CONTAINS,
+    IntervalRelation.CONTAINS: IntervalRelation.DURING,
+    IntervalRelation.FINISHES: IntervalRelation.FINISHED_BY,
+    IntervalRelation.FINISHED_BY: IntervalRelation.FINISHES,
+    IntervalRelation.EQUALS: IntervalRelation.EQUALS,
+}
+
+#: Each dimension's canonical unit, the one every comparison is made in.
+CANONICAL: dict[Dimension, Unit] = {
+    Dimension.TEMPERATURE: REGISTRY["K"],
+    Dimension.PRESSURE: REGISTRY["hPa"],
+    Dimension.SPEED: REGISTRY["m/s"],
+    Dimension.LENGTH: REGISTRY["m"],
+    Dimension.DIMENSIONLESS: REGISTRY["1"],
+}
 
 
 def schema_violations(graph: KnowledgeGraph) -> list[str]:

@@ -17,11 +17,12 @@ from geocausal.ingest import Strictness, ingest_storm_csv
 from geocausal.model import GeoSituation, Measurement
 from geocausal.query import query, why
 from geocausal.rules import Truth, evaluate, parse_rules, print_rules
-from geocausal.spatiotemporal import INVERSE, interval_relation, precedes
+from geocausal.spatiotemporal import interval_relation, precedes
 from geocausal.storage import dump_graph, loads_graph
 from geocausal.units import Categorical, REGISTRY, convert
 
 from support import (
+    INVERSE,
     brute_force_closure,
     build_chain_case,
     build_flood_case_a,

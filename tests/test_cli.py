@@ -848,6 +848,53 @@ def test_a_frozen_exit_writes_all_of_a_large_export(tmp_path):
     assert len(expected) > 500_000 and done.stdout == expected
 
 
+def _closed_reader_workspace(tmp_path: Path) -> Path:
+    """A workspace, with a rules file, on which ``export`` in either format,
+    ``query '? causes ?'`` and ``infer`` each print more than 256 KiB, well
+    over what a pipe holds: 2,000 events in a causes chain, and 500
+    situations that six preconditions cannot judge (one SKIP line each)."""
+    pad = "x" * 100
+    rules = tmp_path / "rules.gcr"
+    rules.write_text("".join(f"precondition PC_{k} effects Flood {{ WaterLevel > 10 m }}\n" for k in range(6)),
+                     encoding="utf-8")
+    lines = [f"# rules: {rules}", "# geocausal graph v2"]
+    lines += [f"ENT ev:{pad}{i:04d} event Flood" for i in range(2000)]
+    lines += [f"ENT sit:{pad}{i:03d} situation - .start=2005-08-01T00:00:00Z .end=2005-08-01T01:00:00Z"
+              for i in range(500)]
+    lines += [f"TRI ev:{pad}{i:04d} causes ev:{pad}{i + 1:04d}" for i in range(1999)]
+    workspace = tmp_path / "large.graph"
+    workspace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return workspace
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--format", "json"], ["export", "--format", "dot"], ["query", "? causes ?"], ["infer"],
+], ids=["export-json", "export-dot", "query", "infer"])
+def test_a_reader_that_closes_early_gets_exit_1_and_one_error_line(tmp_path, argv):
+    """The reader takes the first 10 bytes, then closes: the command exits 1
+    with one ``error[io]`` line on stderr, with stdout block-buffered or
+    unbuffered (PYTHONUNBUFFERED), and nothing is reported as it exits."""
+    workspace = _closed_reader_workspace(tmp_path)
+    whole = io.StringIO()
+    with contextlib.redirect_stdout(whole):
+        assert main([*argv, "--workspace", str(workspace)]) == 0
+    expected = whole.getvalue().encode("utf-8")
+    assert len(expected) >= 256 * 1024
+    for unbuffered in ("", "1"):
+        env = _buffered_env()
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        child = subprocess.Popen([sys.executable, "-m", "geocausal", *argv, "--workspace", str(workspace)],
+                                 cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = child.stdout.read(10)
+        child.stdout.close()
+        with child.stderr:
+            err = child.stderr.read().decode()
+        code = child.wait()
+        assert head == expected[:10]
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error[io]: "), (unbuffered, code, err)
+
+
 def test_main_called_in_process_does_not_freeze(tmp_path):
     frozen = gc.get_freeze_count()
     assert main(["validate", "--workspace", str(tmp_path / "absent.graph")]) == 0

@@ -182,8 +182,8 @@ class TestJson:
         ("region", {"geometry": "POINT(0 0)", "start": "2005-08-01", "end": "2005-08-02"}),
     ])
     def test_a_field_of_another_role_is_refused_not_dropped(self, role, fields):
-        """An entry loads with its own role's fields and any key no role uses;
-        a field only another role's entries carry is a ParseError naming it."""
+        """An entry loads with its own role's fields only: a field only another
+        role's entries carry, or a key no role uses, is a ParseError naming it."""
         from geocausal.errors import ParseError
 
         def load(entry):
@@ -191,12 +191,48 @@ class TestJson:
             return graph_from_json(json.dumps(doc))
 
         own = {"id": "x:1", "role": role, **fields}
-        assert load({**own, "note": "kept out"}).entity("x:1") == load(own).entity("x:1")
+        assert load(own).entity_count == 1
+        with pytest.raises(ParseError, match=rf"^entities\[0\]: {role} records carry no key 'note'$"):
+            load({**own, "note": "kept out"})
         foreign = {"kind": "Flood", "attributes": {}, "observations": {"A": "1 m"}, "start": "2005-08-01",
                    "end": "2005-08-02", "geometry": "POINT(0 0)"}
         for field in sorted(set(foreign) - set(fields)):
             with pytest.raises(ParseError, match=rf"^entities\[0\]: {role} records carry no {field}$"):
                 load({**own, field: foreign[field]})
+
+    @pytest.mark.parametrize("change, message", [
+        ({"premisses": []}, r"triples\[1\]: derived triples carry no key 'premisses'"),
+        ({"rule": "R"}, r"triples\[0\]: asserted triples carry no key 'rule'"),
+        ({"entites": []}, r"geocausal-graph documents carry no key 'entites'"),
+    ], ids=["derived-triple", "asserted-triple", "document"])
+    def test_a_key_the_writer_does_not_write_is_refused(self, change, message):
+        """A misspelt key would load as if absent: a derived triple with no
+        premises, or an empty graph. The message names the key."""
+        from geocausal.errors import ParseError
+
+        doc = {"format": "geocausal-graph", "version": 2,
+               "entities": [{"id": "ev:a", "role": "event", "kind": "Rain"}],
+               "triples": [{"subject": "ev:a", "predicate": "part-of", "object": "ev:a", "provenance": "asserted"},
+                           {"subject": "ev:a", "predicate": "causes", "object": "ev:a", "provenance": "derived",
+                            "rule": "R", "premises": [["ev:a", "part-of", "ev:a"]]}]}
+        assert graph_from_json(json.dumps(doc)).triple_count == 2
+        if "entites" in change:
+            doc.update(change, triples=[])
+        else:
+            doc["triples"][0 if "rule" in change else 1].update(change)
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            graph_from_json(json.dumps(doc))
+
+    def test_an_unwritten_key_is_reported_after_every_other_fault(self):
+        """Key refusals come last, so a document refused for another fault
+        keeps that fault's message."""
+        from geocausal.errors import ParseError
+
+        doc = {"format": "geocausal-graph", "version": 2, "note": "",
+               "entities": [{"id": "ev:a", "role": "event", "kind": "Rain", "note": ""}],
+               "triples": [{"subject": "ev:a", "predicate": "causes", "object": "ev:b", "provenance": "asserted"}]}
+        with pytest.raises(ParseError, match=r"^triples\[0\]: no entity with id 'ev:b'$"):
+            graph_from_json(json.dumps(doc))
 
     def test_rejects_foreign_documents(self):
         from geocausal.errors import ParseError

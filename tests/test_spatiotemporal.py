@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from geocausal.model import BBox, Point, SpatioTemporalRegion
 from geocausal.spatiotemporal import (
-    INVERSE,
     IntervalRelation,
     as_bbox,
     bbox_union,
@@ -17,7 +16,7 @@ from geocausal.spatiotemporal import (
     temporally_nested,
 )
 
-from support import iv
+from support import INVERSE, iv
 
 R = IntervalRelation
 

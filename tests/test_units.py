@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from geocausal.errors import DimensionMismatch, InvariantViolation, TypeMismatch, UnknownUnit
 from geocausal.units import (
-    CANONICAL,
     Categorical,
     Comparator,
     Dimension,
@@ -15,6 +14,8 @@ from geocausal.units import (
     get_unit,
     parse_value,
 )
+
+from support import CANONICAL
 
 
 def q(magnitude, symbol):
