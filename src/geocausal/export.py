@@ -3,9 +3,9 @@ the JSON graph reader.
 
 Output is byte-identical across runs: entities and triples are emitted in
 their canonical sorted orders and JSON key order is fixed. The JSON graph
-document round-trips through :func:`graph_from_json`, which decodes each
-entry against the keys its template here writes and refuses any other,
-then builds the graph through the text reader's builder in ``storage``.
+document round-trips through :func:`graph_from_json`, which checks each
+record as it reads it against the keys its template here writes (``_KEYS``)
+and builds the graph through the text reader's builder in ``storage``.
 Schemas are documented in docs/json-output.md.
 """
 
@@ -154,43 +154,48 @@ def graph_to_json(graph: KnowledgeGraph) -> str:
     return "".join(pieces)
 
 
-#: The fields the writer gives each entity role besides ``id`` and ``role``.
-_FIELDS = {
-    "event": ("kind",),
-    "object": ("kind", "attributes"),
-    "situation": ("start", "end", "observations"),
-    "region": ("geometry", "start", "end"),
-}
-_ROLE_FIELDS = frozenset().union(*_FIELDS.values())
-#: Every key the writer gives the graph document, each entity role's entry
-#: and each provenance's triple entry; the reader refuses any other.
+#: The keys ``graph_to_json`` writes for each record shape: the document,
+#: each entity role's entry and each provenance's triple entry. The reader
+#: requires each record to carry exactly these.
 _KEYS = {
     "document": {"format", "version", "entities", "triples"},
-    **{role: {"id", "role", *fields} for role, fields in _FIELDS.items()},
+    "event": {"id", "role", "kind"},
+    "object": {"id", "role", "kind", "attributes"},
+    "situation": {"id", "role", "start", "end", "observations"},
+    "region": {"id", "role", "geometry", "start", "end"},
     "asserted": {"subject", "predicate", "object", "provenance"},
+    "derived": {"subject", "predicate", "object", "provenance", "rule", "premises"},
 }
-_KEYS["derived"] = _KEYS["asserted"] | {"rule", "premises"}
+
+
+def _check_keys(record: dict, shape: str, what: str) -> None:
+    """An unwritten key is named before a missing one, so a misspelt key reads as itself."""
+    if unwritten := record.keys() - _KEYS[shape]:
+        raise ParseError(f"{what} carry no key {min(unwritten)!r}")
+    if missing := _KEYS[shape] - record.keys():
+        raise ParseError(f"{what} need key {min(missing)!r}")
 
 
 def _string(doc: dict, name: str) -> str:
-    return _required(doc.get(name), doc["role"], name)
+    return _required(doc[name], doc["role"], name)
 
 
 def _values(doc: dict, name: str) -> dict[str, str]:
-    values = doc.get(name, {})
+    values = doc[name]
     if not isinstance(values, dict) or not all(isinstance(v, str) for v in values.values()):
         raise ParseError(f"{name!r} must map attribute names to value literals")
     return values
 
 
 def _entity_from_doc(doc: dict) -> Entity:
-    """A JSON entity entry decoded; a field of another role is refused, not dropped."""
+    """A JSON entity entry decoded, once its keys are its role's."""
     role = doc.get("role")
-    if not isinstance(role, str) or role not in _FIELDS:
+    if role not in ("event", "object", "situation", "region"):
         raise ParseError(f"unknown entity role {role!r}")
-    if foreign := _ROLE_FIELDS.difference(_FIELDS[role]).intersection(doc):
-        raise ParseError(f"{role} records carry no {min(foreign)}")
-    if role == "event" or role == "object":
+    _check_keys(doc, role, f"{role} records")
+    if role == "event":
+        return GeoEvent(_string(doc, "id"), _string(doc, "kind"))
+    if role == "object":
         return _entity(role, _string(doc, "id"), _string(doc, "kind"), _values(doc, "attributes"))
     interval = TimeInterval(_string(doc, "start"), _string(doc, "end"))
     if role == "situation":
@@ -206,29 +211,25 @@ def _triple_key(subject, predicate, object_) -> TripleKey:
 
 
 def _triple_from_doc(doc: dict) -> tuple:
-    key = _triple_key(doc.get("subject"), doc.get("predicate"), doc.get("object"))
+    """A JSON triple entry decoded, once its keys are its provenance's."""
     provenance = doc.get("provenance")
+    if provenance not in ("asserted", "derived"):
+        raise ParseError(f"provenance must be 'asserted' or 'derived', got {provenance!r}")
+    _check_keys(doc, provenance, f"{provenance} triples")
+    key = _triple_key(doc["subject"], doc["predicate"], doc["object"])
     if provenance == "asserted":
         return key, ASSERTED, ()
-    if provenance != "derived":
-        raise ParseError(f"provenance must be 'asserted' or 'derived', got {provenance!r}")
-    premises = doc.get("premises", [])
+    premises = doc["premises"]
     if not isinstance(premises, list) or any(not isinstance(p, list) or len(p) != 3 for p in premises):
         raise ParseError("premises must be a list of [subject, predicate, object]")
-    return key, doc.get("rule"), [_triple_key(*p) for p in premises]
+    return key, doc["rule"], [_triple_key(*p) for p in premises]
 
 
-def _entries(doc: dict, name: str) -> list[tuple[str, dict]]:
-    entries = doc.get(name, [])
+def _entries(doc: dict, name: str, decode) -> list[tuple]:
+    entries = doc[name]
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ParseError(f"{name!r} must be a list of objects")
-    return [(f"{name}[{i}]", entry) for i, entry in enumerate(entries)]
-
-
-def _refuse_unwritten(record: dict, shape: str, what: str) -> None:
-    """A key the writer does not give ``shape`` would load as if it were absent."""
-    if unwritten := record.keys() - _KEYS[shape]:
-        raise ParseError(f"{what} carry no key {min(unwritten)!r}")
+    return [(f"{name}[{i}]", decode, entry) for i, entry in enumerate(entries)]
 
 
 def graph_from_json(text: str) -> KnowledgeGraph:
@@ -239,18 +240,11 @@ def graph_from_json(text: str) -> KnowledgeGraph:
         raise ParseError(f"invalid JSON: {exc}", getattr(exc, "lineno", None)) from None
     if not isinstance(doc, dict) or doc.get("format") != "geocausal-graph":
         raise ParseError("not a geocausal-graph document")
-    if doc.get("version") != 2:
-        raise ParseError(f"unsupported geocausal-graph version {doc.get('version')!r}")
-    entities, triples = _entries(doc, "entities"), _entries(doc, "triples")
-    graph = _build_graph([*((where, _entity_from_doc, entry) for where, entry in entities),
-                          *((where, _triple_from_doc, entry) for where, entry in triples)])
-    # Last, so that a document with another fault as well reports that one.
-    _refuse_unwritten(doc, "document", "geocausal-graph documents")
-    for where, entry in entities:
-        _refuse_unwritten(entry, entry["role"], f"{where}: {entry['role']} records")
-    for where, entry in triples:
-        _refuse_unwritten(entry, entry["provenance"], f"{where}: {entry['provenance']} triples")
-    return graph
+    if (version := doc.get("version")) != 2 or type(version) is not int:
+        raise ParseError(f"unsupported geocausal-graph version {version!r}")
+    _check_keys(doc, "document", "geocausal-graph documents")
+    return _build_graph([*_entries(doc, "entities", _entity_from_doc),
+                         *_entries(doc, "triples", _triple_from_doc)])
 
 
 def _evidence_json(condition: Condition, outcome: ConditionOutcome) -> str:

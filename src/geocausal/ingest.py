@@ -208,8 +208,7 @@ def _open_rows(source: str | Path | IO[str], required: tuple[str, ...], optional
     ``optional`` columns, stripped. A repeated column reads its last cell in
     the row; a cell the row lacks, or a column the header lacks, reads blank;
     cells past the header are ignored."""
-    handle = source if hasattr(source, "read") else io.StringIO(read_text(source), newline="")
-    reader = csv.reader(handle)
+    reader = csv.reader(io.StringIO(read_text(source), newline=""))
     try:
         header = next(reader, [])
         missing = [c for c in required if c not in header]

@@ -42,7 +42,7 @@ from .errors import (
 from .model import GeoSituation, SpatioTemporalRegion, TimeInterval, is_attribute_name
 from .slotted import Frozen, store
 from .spatiotemporal import co_occurs, gap_between, precedes
-from .units import Categorical, Comparator, Quantity, Value, compare, format_value, get_unit
+from .units import _NUMERIC_ONLY, _UNARY, Categorical, Comparator, Quantity, Value, compare, format_value, get_unit
 
 _ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_/-]*\Z")  # the grammar's token: the lexer's word
@@ -66,12 +66,12 @@ class Condition(Frozen):
             raise InvariantViolation(f"invalid attribute name {attribute!r}")
         if not isinstance(comparator, Comparator):
             raise InvariantViolation(f"invalid comparator {comparator!r}")
-        unary = comparator in (Comparator.PRESENT, Comparator.ABSENT)
+        unary = comparator in _UNARY
         if unary and threshold is not None:
             raise InvariantViolation(f"{comparator.value} conditions carry no threshold")
         if not unary and threshold is None:
             raise InvariantViolation(f"{comparator.value} conditions need a threshold")
-        if comparator in (Comparator.LT, Comparator.LE, Comparator.GT, Comparator.GE):
+        if comparator in _NUMERIC_ONLY:
             if not isinstance(threshold, Quantity):
                 raise InvariantViolation(f"{comparator.value} conditions need a quantity threshold")
         if not unary and not isinstance(threshold, (Quantity, Categorical)):
@@ -496,8 +496,7 @@ class _Parser:
             )
         token = self.next()
         if token.kind == "word" and token.text in ("present", "absent"):
-            comparator = Comparator.PRESENT if token.text == "present" else Comparator.ABSENT
-            return Condition(attr_token.text, comparator)
+            return Condition(attr_token.text, Comparator(token.text))
         if token.kind == "op" and token.text in _OP_COMPARATORS:
             comparator = _OP_COMPARATORS[token.text]
             threshold = self.threshold(comparator)
@@ -522,7 +521,7 @@ class _Parser:
             except InvariantViolation as exc:  # a magnitude that overflows to infinity
                 raise ParseError(str(exc), token.line, token.column) from None
         if token.kind == "word":
-            if comparator in (Comparator.EQ, Comparator.NE):
+            if comparator not in _NUMERIC_ONLY:
                 self.next()
                 return Categorical(token.text)
             self.fail(token, "a number followed by a unit")

@@ -25,8 +25,8 @@ premises, because version 1 never stored which triples they were.
 Each writer formats the entity or triple it is given: ``_entity_line``
 and ``_triple_line`` here. The text reader splits each line once as it
 reads it (a REG line's geometry is read from the line itself), and
-matches no pattern. An ENT line's fields, or a JSON entity entry's once
-``export`` has checked them to be strings, become an entity through
+matches no pattern. An ENT line's fields, or a JSON object or situation
+entry's once ``export`` has found them strings, become an entity through
 ``_entity``; a triple's key, and each premise's, through ``_key``. Both
 readers build the graph through ``_build_graph``, which holds each cited
 premise as one key in the entities' own id strings. The JSON format, its
@@ -239,12 +239,15 @@ def dump_graph(graph: KnowledgeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_text(path: str | Path) -> str:
-    """The one place a file's bytes become text: strict UTF-8, one leading
-    byte-order mark (U+FEFF, as spreadsheet programs write it) dropped, line
-    breaks kept as they are. A byte that is not UTF-8 raises ParseError
-    naming its line; a missing or unreadable file raises OSError."""
-    with open(path, "rb") as handle:
+def read_text(source: str | Path | IO[str]) -> str:
+    """The one place any source becomes text: a path's bytes as strict UTF-8,
+    or a text stream read to its end, one leading byte-order mark (U+FEFF, as
+    spreadsheet programs write it) dropped, line breaks kept as they are. A
+    byte that is not UTF-8 raises ParseError naming its line; a missing or
+    unreadable file raises OSError."""
+    if hasattr(source, "read"):
+        return source.read().removeprefix("\ufeff")
+    with open(source, "rb") as handle:
         data = handle.read()
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
@@ -390,5 +393,5 @@ def loads_graph(text: str) -> KnowledgeGraph:
 
 
 def load_graph(source: str | Path | IO[str]) -> KnowledgeGraph:
-    """``loads_graph`` over a path (read through ``read_text``) or a text stream."""
-    return loads_graph(source.read() if hasattr(source, "read") else read_text(source))
+    """``loads_graph`` over a path or a text stream, read through ``read_text``."""
+    return loads_graph(read_text(source))

@@ -23,11 +23,13 @@ import random
 from support import (
     PICKS,
     build_affects_case,
+    build_flood_case_b,
     entity_doc,
     explanation_doc,
     graphs,
     graphs_equal,
     iv,
+    random_causal_case,
     random_engine_case,
     random_storage_graph,
     triple_doc,
@@ -197,7 +199,7 @@ class TestJson:
         foreign = {"kind": "Flood", "attributes": {}, "observations": {"A": "1 m"}, "start": "2005-08-01",
                    "end": "2005-08-02", "geometry": "POINT(0 0)"}
         for field in sorted(set(foreign) - set(fields)):
-            with pytest.raises(ParseError, match=rf"^entities\[0\]: {role} records carry no {field}$"):
+            with pytest.raises(ParseError, match=rf"^entities\[0\]: {role} records carry no key '{field}'$"):
                 load({**own, field: foreign[field]})
 
     @pytest.mark.parametrize("change, message", [
@@ -223,14 +225,17 @@ class TestJson:
         with pytest.raises(ParseError, match=f"^{message}$"):
             graph_from_json(json.dumps(doc))
 
-    def test_an_unwritten_key_is_reported_after_every_other_fault(self):
-        """Key refusals come last, so a document refused for another fault
-        keeps that fault's message."""
+    def test_a_key_fault_is_reported_at_its_entry_in_reading_order(self):
+        """Keys are checked as each entry is read, so a key fault in an entity
+        entry is reported before a triple entry that names a missing entity."""
         from geocausal.errors import ParseError
 
-        doc = {"format": "geocausal-graph", "version": 2, "note": "",
+        doc = {"format": "geocausal-graph", "version": 2,
                "entities": [{"id": "ev:a", "role": "event", "kind": "Rain", "note": ""}],
                "triples": [{"subject": "ev:a", "predicate": "causes", "object": "ev:b", "provenance": "asserted"}]}
+        with pytest.raises(ParseError, match=r"^entities\[0\]: event records carry no key 'note'$"):
+            graph_from_json(json.dumps(doc))
+        del doc["entities"][0]["note"]
         with pytest.raises(ParseError, match=r"^triples\[0\]: no entity with id 'ev:b'$"):
             graph_from_json(json.dumps(doc))
 
@@ -243,8 +248,51 @@ class TestJson:
             graph_from_json("not json")
         with pytest.raises(ParseError):  # version 1 stored premise counts, not keys
             graph_from_json('{"format": "geocausal-graph", "version": 1}')
+        with pytest.raises(ParseError, match=r"^unsupported geocausal-graph version 2\.0$"):  # the integer 2 only
+            graph_from_json('{"format": "geocausal-graph", "version": 2.0, "entities": [], "triples": []}')
         with pytest.raises(ParseError):
             graph_from_json('{"format": "geocausal-graph", "version": 2, "entities": [1]}')
+
+
+# The message a removed key gives where it selects the record's shape: the
+# document's format and version, an entity's role, a triple's provenance.
+_SELECTOR_FAULTS = {
+    "format": "not a geocausal-graph document",
+    "version": "unsupported geocausal-graph version None",
+    "role": "unknown entity role None",
+    "provenance": "provenance must be 'asserted' or 'derived', got None",
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["flood-case-b", "causal-0", "causal-1", "causal-2"])
+def test_the_reader_accepts_exactly_the_written_keys(seed):
+    """In a document the writer wrote, the first record of each shape (the
+    document, each entity role, each provenance) with any one key removed,
+    or with one key added that the writer never writes or writes only for
+    another shape, is a ParseError naming the entry and the key."""
+    from geocausal.errors import ParseError
+
+    graph, rules = build_flood_case_b() if seed is None else random_causal_case(random.Random(seed))
+    infer(graph, rules)
+    doc = json.loads(graph_to_json(graph))
+    shapes = {"document": ("", None, 0, doc, "geocausal-graph documents")}
+    for name, selector, noun in (("entities", "role", "records"), ("triples", "provenance", "triples")):
+        for i, entry in enumerate(doc[name]):
+            shapes.setdefault(entry[selector], (f"{name}[{i}]: ", name, i, entry, f"{entry[selector]} {noun}"))
+    if seed is None:
+        assert len(shapes) == 7
+    every_key = set().union(*(record for _, _, _, record, _ in shapes.values()))
+    for shape, (where, name, i, record, what) in shapes.items():
+        changes = [({k: v for k, v in record.items() if k != key},
+                    _SELECTOR_FAULTS.get(key, f"{what} need key {key!r}")) for key in record]
+        changes += [({**record, key: "x"}, f"{what} carry no key {key!r}")
+                    for key in (every_key - record.keys()) | {"note"}]
+        for changed, message in changes:
+            if name is not None:
+                changed = {**doc, name: [*doc[name][:i], changed, *doc[name][i + 1:]]}
+            with pytest.raises(ParseError) as exc:
+                graph_from_json(json.dumps(changed))
+            assert str(exc.value) == where + message, shape
 
 
 def _escaped_graph() -> KnowledgeGraph:

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import gc
+import io
 import json
 import os
 import random
@@ -30,7 +31,7 @@ from geocausal.storage import (
 from geocausal.units import Categorical, parse_value
 
 from support import (
-    MUTATIONS, graphs, graphs_equal, iv, mutate_document, q, random_causal_case, random_engine_case,
+    MUTATIONS, graphs, graphs_equal, iv, katrina_csv, mutate_document, q, random_causal_case, random_engine_case,
     random_storage_graph,
 )
 
@@ -636,6 +637,38 @@ def test_only_storage_opens_files():
             ):
                 found.append(f"{module.name}:{node.lineno}")
     assert found == []
+
+
+@pytest.mark.parametrize("reader", ["load_graph", "ingest_storm_csv", "ingest_observations_csv"])
+def test_one_leading_byte_order_mark_is_dropped_from_a_path_or_a_stream(tmp_path, reader):
+    """A path, an open text file and a string stream read alike through
+    ``read_text``, with or without one leading U+FEFF."""
+    from geocausal.ingest import Strictness, ingest_observations_csv, ingest_storm_csv
+
+    def ingested(ingest):
+        def read(source):
+            graph = KnowledgeGraph()
+            ingest(graph, source, Strictness.STRICT)
+            return graph
+        return read
+
+    text, read = {
+        "load_graph": ("# geocausal graph v2\nENT ev:a event Rain\n", load_graph),
+        "ingest_storm_csv": (katrina_csv(3), ingested(ingest_storm_csv)),
+        "ingest_observations_csv": (
+            "SITUATION_ID,TIMESTAMP_START,TIMESTAMP_END,ATTRIBUTE,VALUE,UNIT,LAT,LON\n"
+            "s1,2005-08-23T00:00:00Z,2005-08-23T06:00:00Z,SeaSurfaceTemp,83,degF,,\n",
+            ingested(ingest_observations_csv),
+        ),
+    }[reader]
+    dumps = []
+    for prefix in ("", "\ufeff"):
+        path = tmp_path / f"{len(prefix)}.txt"
+        path.write_text(prefix + text, encoding="utf-8")  # "\ufeff" is written as EF BB BF
+        dumps += [dump_graph(read(path)), dump_graph(read(io.StringIO(prefix + text, newline="")))]
+        with open(path, encoding="utf-8", newline="") as handle:
+            dumps.append(dump_graph(read(handle)))
+    assert len(dumps[0].splitlines()) > 1 and dumps == [dumps[0]] * 6
 
 
 def test_an_atomic_write_is_fsynced_before_and_after_the_rename(tmp_path, monkeypatch):
