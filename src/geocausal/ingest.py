@@ -58,7 +58,7 @@ from .model import (
     validate_entity_id,
 )
 from .slotted import Slotted
-from .spatiotemporal import as_bbox, bbox_union, temporally_nested
+from .spatiotemporal import bbox_union, spatially_nested, temporally_nested
 from .storage import collector_paused, read_text
 from .units import Categorical, Quantity, get_unit
 
@@ -266,8 +266,9 @@ def _parse_storm_row(
     if not kind:
         raise ValueError(f"EVENT_TYPE {event_type!r} yields an empty kind")
     # Read in this order: a row with more than one bad cell here reports the first.
-    if (zone := zones.get(zone_text)) is None:
-        zone = zones[zone_text] = _zone(zone_text)
+    if zone_text not in zones:  # an unknown token is kept too, as None
+        zones[zone_text] = _zone(zone_text)
+    zone = zones[zone_text]
     begin = _parse_local_timestamp(begin, zone)
     if zone is None:
         raise ValueError(f"unknown timezone token {zone_text!r}")
@@ -318,11 +319,9 @@ def ingest_storm_csv(
 
     # Phase 1: decode and check every row into the values phase 2 adds, so a
     # strict abort leaves the graph untouched. Each episode keeps the line of
-    # its first accepted row, the envelope it had before this ingest, and the
-    # regions of its children: those present, if it had no envelope, then this
-    # ingest's.
+    # its first accepted row and the envelope it had before this ingest.
     parsed = []
-    episodes: dict[str, tuple[int, SpatioTemporalRegion | None, list[SpatioTemporalRegion]]] = {}
+    episodes: dict[str, tuple[int, SpatioTemporalRegion | None]] = {}
     episode_ids: dict[str, str] = {}  # episode cell -> its checked id
     kinds: dict[str, str] = {}
     zones: dict[str, timezone | None] = {}
@@ -352,11 +351,7 @@ def ingest_storm_csv(
             continue
         seen_event_ids.add(event_cell)
         if episode_id not in episodes:
-            envelope, children = None, []
-            if has_entity(episode_id) and (envelope := graph.region_of(episode_id)) is None:
-                children = [r for t in graph.match(predicate=RelationKind.PART_OF, object=episode_id)
-                            if (r := graph.region_of(t.subject)) is not None]
-            episodes[episode_id] = (lineno, envelope, children)
+            episodes[episode_id] = (lineno, graph.region_of(episode_id) if has_entity(episode_id) else None)
         parsed.append((lineno, episode_id, event, region_id, geometry, interval, impact))
         if geometry is not None:
             with_coords.append(geometry)
@@ -371,22 +366,21 @@ def ingest_storm_csv(
         RelationKind.SPATIO_TEMPORALLY_PRESENT, RelationKind.PART_OF, RelationKind.PARTICIPANT_IN
     )
     for lineno, episode_id, event, region_id, geometry, interval, impact in parsed:
-        first_line, envelope, children = episodes[episode_id]
-        if lineno == first_line and not has_entity(episode_id):
+        if not has_entity(episode_id):  # at its first accepted row: no other id added is an episode's
             add_entity(GeoEvent(episode_id, "Episode"))
         add_entity(event)
         if geometry is None:
             geometry = default_bbox
             report.warnings.append((lineno, "no coordinates; using file-level default bbox"))
-        if envelope is not None and (
-            bbox_union((envelope.geometry, geometry)) != as_bbox(envelope.geometry)
-            or not temporally_nested(interval, envelope.interval)
+        envelope = episodes[episode_id][1]
+        if envelope is not None and not (
+            spatially_nested(geometry, envelope.geometry) and temporally_nested(interval, envelope.interval)
         ):
             report.warnings.append((lineno, (
                 f"event lies outside episode envelope {envelope.id!r} from an earlier ingest; "
                 "envelopes are not widened"
             )))
-        children.append(add_entity(SpatioTemporalRegion(region_id, geometry, interval)))
+        add_entity(SpatioTemporalRegion(region_id, geometry, interval))
         assert_triple(event.id, present, region_id)
         assert_triple(event.id, part_of, episode_id)
         if impact is not None:
@@ -399,7 +393,7 @@ def ingest_storm_csv(
     # now; this ingest gave each such episode a child. Regions are immutable, so
     # an envelope is never widened.
     for episode_id in sorted(episodes):
-        first_line, envelope, children = episodes[episode_id]
+        first_line, envelope = episodes[episode_id]
         if envelope is not None:
             continue
         region_id = f"{id_prefix}region-{episode_id.removeprefix(id_prefix)}"
@@ -408,6 +402,8 @@ def ingest_storm_csv(
                 (first_line, f"cannot attach envelope region: id {region_id!r} already taken")
             )
             continue
+        children = [r for t in graph.match(predicate=part_of, object=episode_id)
+                    if (r := graph.region_of(t.subject)) is not None]
         geometry = bbox_union(r.geometry for r in children)
         add_entity(SpatioTemporalRegion(region_id, geometry, interval_envelope(r.interval for r in children)))
         assert_triple(episode_id, present, region_id)

@@ -139,14 +139,11 @@ def why(
                 edge = ExplanationEdge(triple, depth)
                 if triple.predicate is RelationKind.EFFECTS:
                     edge.precondition_id, edge.evidence = _evidence_for(graph, triple, rules)
-                    if triple.subject not in visited_nodes:
-                        visited_nodes.add(triple.subject)
-                        explanation.affects.extend(
-                            graph.match(subject=triple.subject, predicate=RelationKind.AFFECTS)
-                        )
-                elif triple.subject not in visited_nodes:
+                if triple.subject not in visited_nodes:
+                    # A situation has no causes: expanding it adds no edge.
                     visited_nodes.add(triple.subject)
                     next_frontier.append(triple.subject)
+                    explanation.affects.extend(graph.match(subject=triple.subject, predicate=RelationKind.AFFECTS))
                 explanation.edges.append(edge)
         frontier = sorted(next_frontier)
 

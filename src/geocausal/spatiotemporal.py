@@ -1,4 +1,7 @@
-"""Interval algebra and bounding-box overlap tests.
+"""Interval algebra and bounding-box overlap and containment tests.
+
+A point is a degenerate box, one whose corners coincide: the box tests
+read each geometry by its four bounds.
 
 The thirteen Allen relations are mutually exclusive and jointly
 exhaustive over closed intervals, including point intervals: equal
@@ -88,22 +91,24 @@ def temporally_nested(inner: TimeInterval, outer: TimeInterval) -> bool:
     return interval_relation(inner, outer) in _NESTED
 
 
-def as_bbox(geometry: Geometry) -> BBox:
-    """View any geometry as a bounding box; a point becomes a degenerate box."""
-    if isinstance(geometry, Point):
-        return BBox(geometry.lat, geometry.lon, geometry.lat, geometry.lon)
-    return geometry
+def _bounds(geometry: Geometry) -> tuple[float, float, float, float]:
+    """A geometry's (min_lat, min_lon, max_lat, max_lon); a point's is its (lat, lon) twice."""
+    key = geometry._key(geometry)
+    return key * 2 if isinstance(geometry, Point) else key
+
+
+def spatially_nested(inner: Geometry, outer: Geometry) -> bool:
+    """True when inner lies within outer's closed box (an edge or corner may coincide)."""
+    in_lat0, in_lon0, in_lat1, in_lon1 = _bounds(inner)
+    out_lat0, out_lon0, out_lat1, out_lon1 = _bounds(outer)
+    return out_lat0 <= in_lat0 and out_lon0 <= in_lon0 and in_lat1 <= out_lat1 and in_lon1 <= out_lon1
 
 
 def spatial_overlap(a: Geometry, b: Geometry) -> bool:
     """Closed-rectangle intersection test; a shared edge counts as overlap."""
-    ba, bb = as_bbox(a), as_bbox(b)
-    return (
-        ba.min_lat <= bb.max_lat
-        and bb.min_lat <= ba.max_lat
-        and ba.min_lon <= bb.max_lon
-        and bb.min_lon <= ba.max_lon
-    )
+    a_lat0, a_lon0, a_lat1, a_lon1 = _bounds(a)
+    b_lat0, b_lon0, b_lat1, b_lon1 = _bounds(b)
+    return a_lat0 <= b_lat1 and b_lat0 <= a_lat1 and a_lon0 <= b_lon1 and b_lon0 <= a_lon1
 
 
 def co_occurs(a: SpatioTemporalRegion, b: SpatioTemporalRegion) -> bool:
@@ -118,8 +123,7 @@ def co_occurs(a: SpatioTemporalRegion, b: SpatioTemporalRegion) -> bool:
 
 def bbox_union(geometries) -> BBox:
     """The smallest box covering every geometry in a non-empty iterable."""
-    # Each geometry's (min_lat, min_lon, max_lat, max_lon); a point's is its (lat, lon) twice.
-    corners = [g._key(g) * 2 if isinstance(g, Point) else g._key(g) for g in geometries]
+    corners = [_bounds(g) for g in geometries]
     if not corners:
         raise ValueError("cannot take the union of zero geometries")
     min_lats, min_lons, max_lats, max_lons = zip(*corners)

@@ -2,7 +2,8 @@
 them the Hypothesis strategy ``graphs``), the JSON export's documents as
 dicts, mutated documents for the readers, changed CSV files for the
 ingest, and the brute-force inference
-oracle the engine is checked against."""
+oracle the engine is checked against, with its own definitions of the
+interval and rectangle predicates."""
 
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from geocausal.rules import (
     Truth,
     evaluate,
 )
-from geocausal.spatiotemporal import IntervalRelation, co_occurs, gap_between, precedes, spatial_overlap
+from geocausal.spatiotemporal import IntervalRelation
 from geocausal.storage import format_geometry
 from geocausal.units import REGISTRY, Categorical, Comparator, Dimension, Quantity, Unit, format_value, get_unit
 
@@ -919,9 +920,39 @@ def explanation_doc(explanation: Explanation, graph: KnowledgeGraph) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# The oracle's own definitions of the engine's predicates, from endpoint order
+# and closed rectangles, so that it does not agree with the engine by construction.
+
+
+def _precedes(a: TimeInterval, b: TimeInterval) -> bool:
+    """a ends before b starts, or ends where b starts and neither is an instant."""
+    return a.end < b.start or (a.end == b.start and a.start < a.end and b.start < b.end)
+
+
+def spans(geometry) -> list[tuple[float, float]]:
+    """A geometry's closed (low, high) span on each axis, lat then lon; a point's are single values."""
+    if isinstance(geometry, Point):
+        return [(geometry.lat, geometry.lat), (geometry.lon, geometry.lon)]
+    return [(geometry.min_lat, geometry.max_lat), (geometry.min_lon, geometry.max_lon)]
+
+
+def rectangles_meet(a, b) -> bool:
+    """The closed rectangles share a point: their spans share a value on each axis."""
+    return all(max(lo_a, lo_b) <= min(hi_a, hi_b) for (lo_a, hi_a), (lo_b, hi_b) in zip(spans(a), spans(b)))
+
+
+def _co_occur(a: SpatioTemporalRegion, b: SpatioTemporalRegion) -> bool:
+    """The rectangles meet, and the intervals share a duration, or one is an
+    instant the other holds (two that only touch at an instant do not)."""
+    start, end = max(a.interval.start, b.interval.start), min(a.interval.end, b.interval.end)
+    instant = a.interval.start == a.interval.end or b.interval.start == b.interval.end
+    return (start < end or (start == end and instant)) and rectangles_meet(a.geometry, b.geometry)
+
+
 def brute_force_closure(graph: KnowledgeGraph, rules: RuleSet, config) -> set[tuple]:
     """Close the graph under the four inference rules by exhaustive
-    re-enumeration, without touching the graph. Returns derived keys."""
+    re-enumeration, without touching the graph, and with its own predicate
+    definitions. Returns derived keys."""
     derived: set[tuple] = set()
 
     def has(subject, predicate, object_) -> bool:
@@ -973,12 +1004,12 @@ def brute_force_closure(graph: KnowledgeGraph, rules: RuleSet, config) -> set[tu
                     region = region_of(event.id)
                     if region is None:
                         continue
-                    if not precedes(situation.holds_during, region.interval):
+                    if not _precedes(situation.holds_during, region.interval):
                         continue
-                    if gap_between(situation.holds_during, region.interval) > config.max_gap:
+                    if region.interval.start - situation.holds_during.end > config.max_gap:
                         continue
                     if config.require_spatial_overlap and not any(
-                        spatial_overlap(region.geometry, r.geometry) for r in setter_regions
+                        rectangles_meet(region.geometry, r.geometry) for r in setter_regions
                     ):
                         continue
                     changed |= add(situation.id, RelationKind.EFFECTS, event.id)
@@ -997,13 +1028,13 @@ def brute_force_closure(graph: KnowledgeGraph, rules: RuleSet, config) -> set[tu
                     if region_b is None:
                         continue
                     if isinstance(rule.constraint, CoOccurs):
-                        holds = co_occurs(region_a, region_b)
+                        holds = _co_occur(region_a, region_b)
                     elif isinstance(rule.constraint, Precedes):
-                        holds = precedes(region_a.interval, region_b.interval)
+                        holds = _precedes(region_a.interval, region_b.interval)
                     else:
-                        holds = precedes(region_a.interval, region_b.interval) and gap_between(
-                            region_a.interval, region_b.interval
-                        ) <= rule.constraint.max_gap
+                        holds = _precedes(region_a.interval, region_b.interval) and (
+                            region_b.interval.start - region_a.interval.end <= rule.constraint.max_gap
+                        )
                     if holds:
                         changed |= add(a.id, RelationKind.CAUSES, b.id)
         # R-AFF

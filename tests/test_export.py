@@ -253,6 +253,23 @@ class TestJson:
         with pytest.raises(ParseError):
             graph_from_json('{"format": "geocausal-graph", "version": 2, "entities": [1]}')
 
+    @pytest.mark.parametrize("change, message", [
+        ({"entities": {}}, r"'entities' must be a list of objects"),
+        ({"triples": ["x"]}, r"'triples' must be a list of objects"),
+        ({"triples": [{"subject": 5, "predicate": "part-of", "object": "ev:a", "provenance": "asserted"}]},
+         r"triples\[0\]: a triple needs string subject, predicate and object"),
+        ({"triples": [{"subject": "ev:a", "predicate": "causes", "object": "ev:a", "provenance": "derived",
+                       "rule": "R", "premises": [[1, "causes", "ev:b"]]}]},
+         r"triples\[0\]: a triple needs string subject, predicate and object"),
+    ], ids=["entities-not-a-list", "triple-not-an-object", "subject-not-a-string", "premise-subject-not-a-string"])
+    def test_a_badly_typed_list_or_triple_is_refused(self, change, message):
+        from geocausal.errors import ParseError
+
+        doc = {"format": "geocausal-graph", "version": 2,
+               "entities": [{"id": "ev:a", "role": "event", "kind": "Rain"}], "triples": []}
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            graph_from_json(json.dumps({**doc, **change}))
+
 
 # The message a removed key gives where it selects the record's shape: the
 # document's format and version, an entity's role, a triple's provenance.

@@ -123,6 +123,26 @@ class TestStormIngestion:
                    "envelopes are not widened")
         assert report.warnings == [(3, outside), (4, outside)]
 
+    def test_a_later_child_outside_the_envelope_in_space_alone_is_warned_about(self):
+        graph, _ = storm(STORM_HEADER
+                         + "1,10,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,30,-90,,,,,,\n"
+                         + "1,11,Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,32,-88,,,,,,\n")
+        assert graph.region_of("ev:episode-1").geometry == BBox(30, -90, 32, -88)
+        rows = "".join(
+            f"1,{event},Flood,2005-08-01 00:00:00,2005-08-01 01:00:00,UTC,{corners},,,,\n" for event, corners in (
+                (12, "31,-90,,"),  # a point on the west edge
+                (13, "32,-88,,"),  # a point on the north-east corner
+                (14, "32.001,-89,,"),  # a point just north of the north edge
+                (15, "31,-89,33,-88.5"),  # a box straddling the north edge
+                (16, "30,-90,32,-88"),  # the envelope's own box
+            )
+        )
+        _, report = storm(STORM_HEADER + rows, graph)
+        outside = ("event lies outside episode envelope 'ev:region-episode-1' from an earlier ingest; "
+                   "envelopes are not widened")
+        assert report.errors == []
+        assert report.warnings == [(4, outside), (5, outside)]
+
     def test_impact_records(self, katrina_csv_text):
         graph, _ = storm(katrina_csv_text)
         impacts = graph.entities(Role.OBJECT)
@@ -269,6 +289,23 @@ class TestStormIngestion:
         text = STORM_HEADER + "1,101,Flood,2005-08-01 00:30:00,2005-08-01 02:30:00,XST,30,-90,,,,,,\n"
         _, report = storm(text)
         assert report.errors and "timezone" in report.errors[0][1]
+
+    def test_each_timezone_text_is_resolved_once_known_or_not(self, monkeypatch):
+        calls = []
+        zone = geocausal.ingest._zone
+
+        def counting(token):
+            calls.append(token)
+            return zone(token)
+
+        monkeypatch.setattr(geocausal.ingest, "_zone", counting)
+        rows = "".join(
+            f"1,{100 + i},Flood,2005-08-01 00:30:00,2005-08-01 02:30:00,{'CST' if i % 2 == 0 else 'XYZ'},30,-90,,,,,,\n"
+            for i in range(10)
+        )
+        _, report = storm(STORM_HEADER + rows)
+        assert sorted(calls) == ["CST", "XYZ"]
+        assert report.errors == [(line, "unknown timezone token 'XYZ'") for line in (3, 5, 7, 9, 11)]
 
     def test_blank_timezone_falls_back_to_utc(self):
         text = STORM_HEADER + "1,101,Flood,2005-08-01 00:30:00,2005-08-01 02:30:00,,30,-90,,,,,,\n"

@@ -7,16 +7,16 @@ from hypothesis import given, strategies as st
 from geocausal.model import BBox, Point, SpatioTemporalRegion
 from geocausal.spatiotemporal import (
     IntervalRelation,
-    as_bbox,
     bbox_union,
     co_occurs,
     interval_relation,
     precedes,
     spatial_overlap,
+    spatially_nested,
     temporally_nested,
 )
 
-from support import INVERSE, iv
+from support import INVERSE, iv, rectangles_meet, spans
 
 R = IntervalRelation
 
@@ -182,10 +182,6 @@ class TestSpatialOverlap:
         ]
         assert spatial_overlap(boxes[0], boxes[1]) == spatial_overlap(boxes[1], boxes[0])
 
-    def test_as_bbox_degenerate(self):
-        box = as_bbox(Point(5, 6))
-        assert (box.min_lat, box.min_lon, box.max_lat, box.max_lon) == (5, 6, 5, 6)
-
     def test_bbox_union(self):
         box = bbox_union([Point(1, 2), BBox(0, 0, 3, 1), Point(-1, 5)])
         assert (box.min_lat, box.min_lon, box.max_lat, box.max_lon) == (-1, 0, 3, 5)
@@ -193,6 +189,42 @@ class TestSpatialOverlap:
     def test_bbox_union_of_nothing(self):
         with pytest.raises(ValueError, match="^cannot take the union of zero geometries$"):
             bbox_union([])
+
+
+# Five values per axis, different on the two, so that shared edges, shared
+# corners and degenerate boxes are common, and a lat read as a lon shows.
+_LATS = st.sampled_from((-90.0, -30.0, 0.0, 30.0, 90.0))
+_LONS = st.sampled_from((-180.0, -60.0, 15.0, 60.0, 180.0))
+
+
+@st.composite
+def geometries(draw):
+    if draw(st.booleans()):
+        return Point(draw(_LATS), draw(_LONS))
+    lat0, lat1 = sorted((draw(_LATS), draw(_LATS)))
+    lon0, lon1 = sorted((draw(_LONS), draw(_LONS)))
+    return BBox(lat0, lon0, lat1, lon1)
+
+
+class TestPointsAndBoxes:
+    """The box tests against definitions over each axis's span, with a
+    point's span on each axis a single value."""
+
+    @given(a=geometries(), b=geometries())
+    def test_overlap_is_a_shared_value_on_each_axis(self, a, b):
+        assert spatial_overlap(a, b) is rectangles_meet(a, b)
+
+    @given(inner=geometries(), outer=geometries())
+    def test_nested_is_every_inner_bound_within_the_outer_span(self, inner, outer):
+        expected = all(lo <= bound <= hi for (lo, hi), bounds in zip(spans(outer), spans(inner)) for bound in bounds)
+        assert spatially_nested(inner, outer) is expected
+
+    @given(items=st.lists(geometries(), min_size=1, max_size=4))
+    def test_union_is_the_minima_and_maxima(self, items):
+        (lat0, lat1), (lon0, lon1) = [
+            (min(lo for lo, _ in axis), max(hi for _, hi in axis)) for axis in zip(*map(spans, items))
+        ]
+        assert bbox_union(items) == BBox(lat0, lon0, lat1, lon1)
 
 
 class TestCoOccurs:
