@@ -108,16 +108,11 @@ class MissingColumn(GeoCausalError):
     code = "missing-column"
 
 
-class IngestError(GeoCausalError):
-    """A CSV row could not be ingested (strict mode abort)."""
+class IngestError(ParseError):
+    """A CSV row could not be ingested (strict mode abort): a ParseError
+    with the row's line and no column."""
 
     code = "ingest-error"
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class PatternParseError(GeoCausalError):

@@ -19,7 +19,7 @@ from .errors import ParseError
 from .graph import ASSERTED, KnowledgeGraph, Role, Triple, TripleKey
 from .model import (Entity, GeoEvent, GeoObject, GeoSituation, Measurement, SpatioTemporalRegion,
                     TimeInterval, format_timestamp)
-from .storage import _build_graph, _entity, _key, _required, format_geometry, parse_geometry
+from .storage import _build_graph, _key, _measurements, _required, format_geometry, parse_geometry
 from .units import format_value
 
 if TYPE_CHECKING:
@@ -196,10 +196,10 @@ def _entity_from_doc(doc: dict) -> Entity:
     if role == "event":
         return GeoEvent(_string(doc, "id"), _string(doc, "kind"))
     if role == "object":
-        return _entity(role, _string(doc, "id"), _string(doc, "kind"), _values(doc, "attributes"))
+        return GeoObject(_string(doc, "id"), _string(doc, "kind"), _measurements(_values(doc, "attributes")))
     interval = TimeInterval(_string(doc, "start"), _string(doc, "end"))
     if role == "situation":
-        return _entity(role, _string(doc, "id"), None, _values(doc, "observations"), interval)
+        return GeoSituation(_string(doc, "id"), interval, _measurements(_values(doc, "observations")))
     geometry = parse_geometry(_string(doc, "geometry"))
     return SpatioTemporalRegion(_string(doc, "id"), geometry, interval)
 

@@ -240,8 +240,8 @@ def _check_prefix(id_prefix: str) -> None:
         validate_entity_id(id_prefix, "id prefix")
 
 
-def _row_error(report: IngestReport, strictness: Strictness, line: int, reason: str) -> None:
-    if strictness is Strictness.STRICT:
+def _row_error(report: IngestReport, line: int, reason: str) -> None:
+    if report.strictness is Strictness.STRICT:
         raise IngestError(reason, line)
     report.errors.append((line, reason))
 
@@ -347,7 +347,7 @@ def ingest_storm_csv(
                     raise ValueError(f"entity id {entity_id!r} already present")
             impact = GeoObject(impact_id, "ImpactRecord", impacts) if impacts else None
         except (ValueError, GeoCausalError) as exc:
-            _row_error(report, strictness, lineno, str(exc))
+            _row_error(report, lineno, str(exc))
             continue
         seen_event_ids.add(event_cell)
         if episode_id not in episodes:
@@ -466,7 +466,7 @@ def ingest_observations_csv(
                     f"for situation {situation_cell!r}; keeping the first"
                 )
         except (ValueError, GeoCausalError) as exc:
-            _row_error(report, strictness, lineno, str(exc))
+            _row_error(report, lineno, str(exc))
             continue
         grouped.setdefault(situation_id, []).append((interval, measurement))
 

@@ -19,6 +19,16 @@ from .slotted import Frozen, Ordered, setters, store
 from .units import Value, to_float
 
 _UTC, _fromisoformat = timezone.utc, datetime.fromisoformat
+# The timestamp shapes datetime.fromisoformat reads alike on every supported
+# Python, as 3.10 documents them, each ASCII digit written as 9: a date, alone
+# or then "T" (or any one character in its place) and a time with an offset or none.
+_NINES = bytes.maketrans(b"012345678", b"999999999")
+_SHAPES = frozenset(
+    f"9999-99-99{time}{offset}".encode()
+    for time in ("", "T99", "T99:99", "T99:99:99")
+    for offset in ("", "+99:99", "+99:99:99", "+99:99:99.999999", "-99:99", "-99:99:99", "-99:99:99.999999")
+    if time or not offset
+)
 
 #: Entity identifiers are IRI-like opaque strings, e.g. "ev:Katrina".
 EntityId = str
@@ -63,8 +73,9 @@ def parse_timestamp(value: str | datetime) -> datetime:
     """Parse an RFC-3339-style timestamp into a UTC instant at second resolution.
 
     Date-only strings mean midnight UTC; naive timestamps are taken as UTC;
-    fractional seconds are truncated. An instant outside years 1-9999 UTC
-    raises ParseError.
+    fractional seconds are truncated. Only the forms docs/file-formats.md
+    lists are read, the same on every supported Python. Any other text, or
+    an instant outside years 1-9999 UTC, raises ParseError.
     """
     if isinstance(value, datetime):
         dt = value
@@ -72,11 +83,12 @@ def parse_timestamp(value: str | datetime) -> datetime:
         text = str(value).strip()
         if text[-1:] in ("Z", "z"):
             text = text[:-1] + "+00:00"
-        elif len(text) == 10 and text[4] == text[7] == "-" and (text[:4] + text[5:7] + text[8:]).isdecimal():
-            text += "T00:00:00+00:00"  # a date only: \d{4}-\d{2}-\d{2}
         if "." in text:  # fractional seconds are truncated, so drop them before parsing
-            text = re.sub(r"(:\d{2})\.\d+", r"\1", text, count=1)
+            text = re.sub(r"(:[0-9]{2})\.[0-9]+", r"\1", text, count=1)
+        shape = text.encode("ascii", "replace").translate(_NINES)  # a non-ASCII character as "?"
         try:
+            if shape not in _SHAPES and shape[:10] + b"T" + shape[11:] not in _SHAPES:
+                raise ValueError
             dt = _fromisoformat(text)
         except ValueError:
             raise ParseError(f"invalid timestamp {value!r}") from None
@@ -217,12 +229,6 @@ class GeoObject(Frozen):
         _object_id(self, validate_entity_id(id))
         _object_kind(self, validate_entity_id(kind, "kind"))
         _object_attributes(self, _measurement_tuple(attributes, "attribute"))
-
-    def attribute(self, name: str) -> Value | None:
-        for m in self.attributes:
-            if m.attribute == name:
-                return m.value
-        return None
 
 
 _object_id, _object_kind, _object_attributes = setters(GeoObject, "id", "kind", "attributes")

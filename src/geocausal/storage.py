@@ -25,12 +25,13 @@ premises, because version 1 never stored which triples they were.
 Each writer formats the entity or triple it is given: ``_entity_line``
 and ``_triple_line`` here. The text reader splits each line once as it
 reads it (a REG line's geometry is read from the line itself), and
-matches no pattern. An ENT line's fields, or a JSON object or situation
-entry's once ``export`` has found them strings, become an entity through
-``_entity``; a triple's key, and each premise's, through ``_key``. Both
-readers build the graph through ``_build_graph``, which holds each cited
-premise as one key in the entities' own id strings. The JSON format, its
-writer and its entry decoders, lives in ``export`` alone.
+matches no pattern. Each reader dispatches on an entity record's role
+once and calls the entity's constructor itself; an object's attributes
+or a situation's observations become measurements through
+``_measurements``, a triple's key, and each premise's, through ``_key``.
+Both readers build the graph through ``_build_graph``, which holds each
+cited premise as one key in the entities' own id strings. The JSON
+format, its writer and its entry decoders, lives in ``export`` alone.
 """
 
 from __future__ import annotations
@@ -106,23 +107,9 @@ def _required(value, role: str, name: str) -> str:
     return value
 
 
-def _entity(role: str, entity_id: str, kind: str | None, values: dict[str, str],
-            interval: TimeInterval | None = None) -> Entity:
-    """An event, object or situation from its record's fields, each a string
-    (the situation's interval already built): the decode an ENT line and a
-    JSON entity entry share. A value is parsed before its name is checked."""
-    if role == "event":
-        if values:
-            raise ParseError("event records carry no attributes")
-        return GeoEvent(entity_id, kind)
-    if role in ("object", "situation"):
-        measurements = []
-        for name, raw in values.items():
-            measurements.append(Measurement(name, parse_value(raw)))
-        if role == "object":
-            return GeoObject(entity_id, kind, measurements)
-        return GeoSituation(entity_id, interval, measurements)
-    raise ParseError(f"unknown entity role {role!r}")
+def _measurements(values: dict[str, str]) -> list[Measurement]:
+    """A record's name→literal map as measurements, each value parsed before its name is checked."""
+    return [Measurement(name, parse_value(raw)) for name, raw in values.items()]
 
 
 def _key(subject: str, predicate: str, object_: str) -> TripleKey:
@@ -341,11 +328,17 @@ def _entity_record(line: str, tokens: list[str]) -> Entity:
         if key in values:
             raise ParseError(f"duplicate attribute key {key!r}")
         values[key] = value
+    if role == "event":
+        if values:
+            raise ParseError("event records carry no attributes")
+        return GeoEvent(entity_id, kind)
+    if role == "object":
+        return GeoObject(entity_id, kind, _measurements(values))
     if role != "situation":
-        return _entity(role, entity_id, kind, values)
+        raise ParseError(f"unknown entity role {role!r}")
     start = _required(values.pop(".start", None), role, "start")
     interval = TimeInterval(start, _required(values.pop(".end", None), role, "end"))
-    return _entity(role, entity_id, None, values, interval)
+    return GeoSituation(entity_id, interval, _measurements(values))
 
 
 def _triple_record(tokens: list[str]) -> tuple:

@@ -902,3 +902,16 @@ def test_main_called_in_process_does_not_freeze(tmp_path):
     with pytest.raises(SystemExit):
         main(["--help"])
     assert gc.get_freeze_count() == frozen
+
+
+def test_stdout_text_to_a_raw_file_gets_the_platform_line_separator(tmp_path, monkeypatch):
+    """Where ``os.linesep`` is CRLF (Windows), the bytes written under the text
+    layer carry CRLF, as the text layer itself would write them."""
+    from geocausal import cli
+
+    path = tmp_path / "out.txt"
+    with open(path, "w", encoding="utf-8") as handle:
+        monkeypatch.setattr(sys, "stdout", handle)
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        cli._write_stdout("a\nb\n")
+    assert path.read_bytes() == b"a\r\nb\r\n"

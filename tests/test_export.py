@@ -22,6 +22,7 @@ import random
 
 from support import (
     PICKS,
+    UNLISTED_TIMESTAMPS,
     build_affects_case,
     build_flood_case_b,
     entity_doc,
@@ -176,6 +177,20 @@ class TestJson:
         with pytest.raises(ParseError) as exc:
             graph_from_json(json.dumps(doc))
         assert str(exc.value).startswith(where + ": ")
+
+    @pytest.mark.parametrize("stamp", UNLISTED_TIMESTAMPS)
+    @pytest.mark.parametrize("entry", [
+        {"id": "r", "role": "region", "geometry": "POINT(0 0)", "end": "2005-08-30"},
+        {"id": "s", "role": "situation", "end": "2005-08-30", "observations": {}},
+    ])
+    def test_an_unlisted_timestamp_form_is_refused_at_its_entry(self, entry, stamp):
+        from geocausal.errors import ParseError
+
+        entities = [{"id": "a", "role": "event", "kind": "Rain"}, {**entry, "start": stamp}]
+        doc = {"format": "geocausal-graph", "version": 2, "entities": entities, "triples": []}
+        with pytest.raises(ParseError) as exc:
+            graph_from_json(json.dumps(doc))
+        assert str(exc.value) == f"entities[1]: invalid timestamp {stamp!r}"
 
     @pytest.mark.parametrize("role, fields", [
         ("event", {"kind": "Rain"}),

@@ -23,7 +23,7 @@ from geocausal.ingest import (
 from geocausal.model import BBox, GeoEvent, GeoObject, Point, SpatioTemporalRegion, TimeInterval, format_timestamp
 from geocausal.units import Categorical
 
-from support import q, schema_violations
+from support import UNLISTED_TIMESTAMPS, q, schema_violations
 
 
 def storm(text, graph=None, strictness=Strictness.LENIENT, **kwargs):
@@ -155,8 +155,9 @@ class TestStormIngestion:
             event_id = participations[0].object
             assert graph.region_of(impact.id) is graph.region_of(event_id)
         record = graph.entity("ev:impact-100")
-        assert record.attribute("DamageProperty") == q(10_000, "1")
-        assert record.attribute("DeathsDirect") == q(2, "1")
+        attributes = {m.attribute: m.value for m in record.attributes}
+        assert attributes["DamageProperty"] == q(10_000, "1")
+        assert attributes["DeathsDirect"] == q(2, "1")
 
     def test_header_only(self):
         graph, report = storm(STORM_HEADER)
@@ -571,6 +572,19 @@ class TestObservationIngestion:
             obs(OBS_HEADER + good + row, strictness=Strictness.STRICT)
         assert exc.value.line == index + 2
         assert str(exc.value) == f"line {index + 2}: {reason}"
+
+    @pytest.mark.parametrize("stamp", UNLISTED_TIMESTAMPS)
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_an_unlisted_timestamp_form_is_a_bad_row(self, column, stamp):
+        cells = ["s2", "2005-08-23", "2005-08-24", "Temp", "10", "degC", "", ""]
+        cells[column] = f'"{stamp}"'
+        text = OBS_HEADER + "s1,2005-08-23,2005-08-24,Temp,10,degC,,\n" + ",".join(cells) + "\n"
+        graph, report = obs(text)
+        assert report.errors == [(3, f"invalid timestamp {stamp!r}")]
+        assert [e.id for e in graph.entities(Role.SITUATION)] == ["ev:situation-s1"]
+        with pytest.raises(IngestError) as exc:
+            obs(text, strictness=Strictness.STRICT)
+        assert str(exc.value) == f"line 3: invalid timestamp {stamp!r}"
 
     def test_reingest_is_flagged(self):
         text = OBS_HEADER + "s1,2005-08-23,2005-08-24,Temp,10,degC,,\n"

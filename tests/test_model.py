@@ -2,7 +2,7 @@ import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geocausal.errors import InvariantViolation, OrderViolation, ParseError
 from geocausal.model import (
@@ -21,7 +21,25 @@ from geocausal.model import (
     validate_entity_id,
 )
 
-from support import iv, q
+from support import UNLISTED_TIMESTAMPS, iv, q
+
+
+# The timestamp forms docs/file-formats.md lists, each with the instant it reads as.
+LISTED_TIMESTAMPS = [
+    ("2005-08-29", "2005-08-29T00:00:00Z"),
+    ("2005-08-29T06", "2005-08-29T06:00:00Z"),
+    ("2005-08-29 06:10", "2005-08-29T06:10:00Z"),
+    ("2005-08-29T06:10:00", "2005-08-29T06:10:00Z"),
+    ("2005-08-29/06:10:00", "2005-08-29T06:10:00Z"),
+    ("2005-08-29\u00e906:10:00", "2005-08-29T06:10:00Z"),
+    ("2005-08-29T06:10:00.75", "2005-08-29T06:10:00Z"),
+    ("2005-08-29T06:10:00Z", "2005-08-29T06:10:00Z"),
+    ("2005-08-29T06:10:00.123456789z", "2005-08-29T06:10:00Z"),
+    ("2005-08-29T06Z", "2005-08-29T06:00:00Z"),
+    ("2005-08-29T06:10+05:30", "2005-08-29T00:40:00Z"),
+    ("2005-08-29T06:10:00-05:30:15", "2005-08-29T11:40:15Z"),
+    ("2005-08-29T06:10:00.5+05:30:00.500000", "2005-08-29T00:39:59Z"),
+]
 
 
 class TestTimestamps:
@@ -67,11 +85,52 @@ class TestTimestamps:
     @pytest.mark.parametrize(
         "bad",
         ["not-a-date", "2005-13-01", "2005-08-23T25:00:00Z", "",
-         "0001-01-01T00:00:00+05:00", "9999-12-31T23:00:00-05:00"],
+         "0001-01-01T00:00:00+05:00", "9999-12-31T23:00:00-05:00",
+         # forms docs/file-formats.md does not list, which Python 3.11 and later read
+         *UNLISTED_TIMESTAMPS, 20200101, "2005-08-29T06:10:00.\u0665", "\uff12005-08-29", "2005-08-29T",
+         "2005-08-29T06:10:00.5+05:30:00.12345"],
     )
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_timestamp(bad)
+
+    @pytest.mark.parametrize("text, instant", LISTED_TIMESTAMPS)
+    def test_every_listed_form_is_read(self, text, instant):
+        assert format_timestamp(parse_timestamp(text)) == instant
+
+
+# The shapes the timestamp check accepts, as a pattern: "." is any one character.
+_ISO_SHAPE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2})?)?"
+    r"(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?",
+    re.DOTALL,
+)
+_STAMP_PIECES = st.sampled_from([
+    *"0123456789-:+ T", ",", "W", "Z", "\u0663", "\uff10", "\u00e9", "\ud800", "2005", "-08-29", "2005-08-29",
+    "T06", ":10", ":00", "+05:30", "-00:00", "0530", "2005-08-29T06:10:00",
+])
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.tuples(st.sampled_from(["", "2005-08-29", "2005-08-29T06:10"]),
+                 st.lists(_STAMP_PIECES, max_size=6).map("".join)).map("".join))
+def test_the_timestamp_check_agrees_with_its_pattern(text):
+    """Text that parse_timestamp reads unchanged (no edge whitespace, no
+    trailing Z, no fraction) is read exactly when the pattern matches it and
+    datetime.fromisoformat reads it, as the same instant."""
+    assume(text == text.strip() and text[-1:] not in ("Z", "z"))
+    expected = None
+    if _ISO_SHAPE.fullmatch(text):
+        try:
+            expected = datetime.fromisoformat(text)
+            expected = expected.replace(tzinfo=timezone.utc) if expected.tzinfo is None else expected.astimezone(timezone.utc)
+        except (ValueError, OverflowError):
+            expected = None
+    try:
+        got = parse_timestamp(text)
+    except ParseError:
+        got = None
+    assert got == expected
 
 
 # The character-class checks as patterns: each check of the model, which
@@ -175,9 +234,7 @@ class TestEntities:
         obj = GeoObject(
             "obj:x", "Dam", (Measurement("B", q(2, "m")), Measurement("A", q(1, "m")))
         )
-        assert [m.attribute for m in obj.attributes] == ["A", "B"]
-        assert obj.attribute("B") == q(2, "m")
-        assert obj.attribute("missing") is None
+        assert obj.attributes == (Measurement("A", q(1, "m")), Measurement("B", q(2, "m")))
 
     def test_situation_lookup(self):
         situation = GeoSituation("sit:x", iv(0, 2), (Measurement("WaterLevel", q(12, "m")),))

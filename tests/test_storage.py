@@ -31,8 +31,8 @@ from geocausal.storage import (
 from geocausal.units import Categorical, parse_value
 
 from support import (
-    MUTATIONS, graphs, graphs_equal, iv, katrina_csv, mutate_document, q, random_causal_case, random_engine_case,
-    random_storage_graph,
+    MUTATIONS, UNLISTED_TIMESTAMPS, graphs, graphs_equal, iv, katrina_csv, mutate_document, q, random_causal_case,
+    random_engine_case, random_storage_graph,
 )
 
 
@@ -137,7 +137,7 @@ class TestEscapeFree:
         loaded = loads_graph(text)
         assert graphs_equal(g, loaded)
         assert loaded.has_triple("a\\b", RelationKind.CAUSES, "x'y")
-        assert loaded.entity("obj:'").attribute("Note") == Categorical("a\\\\b")
+        assert Measurement("Note", Categorical("a\\\\b")) in loaded.entity("obj:'").attributes
         assert dump_graph(loaded) == text
 
     def test_unbalanced_double_quote(self):
@@ -210,6 +210,10 @@ LOADER_FAULTS = [
     pytest.param('REG r POINT(0 181) 2005-08-01T00:00:00Z 2005-08-02T00:00:00Z\n', 1, 'longitude 181.0 outside [-180, 180]', id='longitude'),
     pytest.param('REG r BBOX(2 0 1 1) 2005-08-01T00:00:00Z 2005-08-02T00:00:00Z\n', 1, 'bbox min corner must not exceed max corner', id='bbox-corners'),
     pytest.param('REG r POINT(0 0) never 2005-08-02T00:00:00Z\n', 1, "invalid timestamp 'never'", id='region-timestamp'),
+    *(pytest.param(f'ENT a event Rain\nREG r POINT(0 0) {stamp} 2005-08-30T00:00:00Z\n', 2, f"invalid timestamp {stamp!r}",
+                   id=f'unlisted-timestamp-{stamp}') for stamp in UNLISTED_TIMESTAMPS),
+    *(pytest.param(f'ENT s situation - .start=2005-08-01T00:00:00Z .end={stamp}\n', 1, f"invalid timestamp {stamp!r}",
+                   id=f'unlisted-situation-timestamp-{stamp}') for stamp in UNLISTED_TIMESTAMPS),
     pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes\n', 3, 'TRI record needs <subject> <predicate> <object>', id='triple-too-short'),
     pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b DERIVED\n', 3, 'TRI record needs <subject> <predicate> <object>', id='triple-five-tokens'),
     pytest.param('ENT a event Rain\nENT b event Flood\nTRI a causes b INFERRED rule=R\n', 3, 'expected DERIVED rule=<id> after the object', id='derived-marker'),
@@ -669,6 +673,27 @@ def test_one_leading_byte_order_mark_is_dropped_from_a_path_or_a_stream(tmp_path
         with open(path, encoding="utf-8", newline="") as handle:
             dumps.append(dump_graph(read(handle)))
     assert len(dumps[0].splitlines()) > 1 and dumps == [dumps[0]] * 6
+
+
+def test_a_directory_the_platform_cannot_open_skips_only_its_fsync(tmp_path, monkeypatch):
+    """Where a directory cannot be opened (Windows), the new text is still in
+    place and no temporary file is left."""
+    path = tmp_path / "ws.graph"
+    path.write_text("old\n", encoding="utf-8")
+    refused = []
+    open_ = os.open
+
+    def refusing_open(file, flags, *args, **kwargs):
+        if os.fspath(file) == os.fspath(tmp_path):
+            refused.append(file)
+            raise OSError("a directory cannot be opened here")
+        return open_(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing_open)
+    write_text_atomic(path, "new text\n")
+    assert refused == [tmp_path]
+    assert path.read_text(encoding="utf-8") == "new text\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ws.graph"]
 
 
 def test_an_atomic_write_is_fsynced_before_and_after_the_rename(tmp_path, monkeypatch):
